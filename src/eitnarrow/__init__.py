@@ -12,12 +12,6 @@ configuration-driven CLI.
 
 __version__ = "0.1.0"
 
-from .constants import (
-    RB87_D1_GAMMA_R,
-    RB87_D1_WAVELENGTH,
-    RB87_DOPPLER_WIDTH,
-    RB87_GAMMA_HOMOGENEOUS,
-)
 from .errors import (
     ConfigError,
     EitNarrowError,
@@ -102,10 +96,6 @@ __all__ = [
     "OpticallyThinError",
     "PhaseNoiseModel",
     "PropagationProblem",
-    "RB87_D1_GAMMA_R",
-    "RB87_D1_WAVELENGTH",
-    "RB87_DOPPLER_WIDTH",
-    "RB87_GAMMA_HOMOGENEOUS",
     "ResolutionError",
     "RunConfig",
     "SingularRateError",

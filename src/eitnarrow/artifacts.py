@@ -13,7 +13,6 @@ import os
 import numpy as np
 
 from . import __version__
-from .noise import FieldSeries
 from .spectral import Spectrum
 
 
@@ -36,15 +35,6 @@ def write_spectrum_csv(
             fh.write("omega_rad_s,density,stderr\n")
             for w, d, e in zip(s.omegas, s.density, stderr):
                 fh.write(f"{float(w)!r},{float(d)!r},{float(e)!r}\n")
-
-
-def write_series_csv(path: str, series: FieldSeries, digest: str) -> None:
-    """FieldSeries CSV: ``t_s,re,im``."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header_lines(digest))
-        fh.write("t_s,re,im\n")
-        for t, v in zip(series.times, series.envelope):
-            fh.write(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
 def write_table_csv(path: str, header: list[str], rows, digest: str) -> None:
@@ -130,7 +120,6 @@ def ensure_out_dir(path: str) -> str:
 
 __all__ = [
     "ensure_out_dir",
-    "write_series_csv",
     "write_sidecar",
     "write_spectrum_csv",
     "write_svg_plot",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .fitting import fit_lineshape, linear_fit
 from .medium import (
-    AtomicMedium,
     FieldConfig,
     closed_form_width,
     complex_rates,
@@ -226,15 +226,7 @@ def cmd_figure4(cfg: RunConfig, out: str, quick: bool) -> int:
 
     rows = []
     for omega_d in sweep:
-        f = FieldConfig(
-            omega_d=omega_d,
-            omega_p=cfg.fields.omega_p,
-            delta_p=cfg.fields.delta_p,
-            delta_ac=cfg.fields.delta_ac,
-            rho_aa=cfg.fields.rho_aa,
-            rho_bb=cfg.fields.rho_bb,
-            rho_cc=cfg.fields.rho_cc,
-        )
+        f = replace(cfg.fields, omega_d=omega_d)
         problem = PropagationProblem(
             cfg.medium, f, _input_spectrum(cfg, _output_grid(cfg, f)),
             doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
@@ -309,15 +301,7 @@ def _mc_fields(cfg: RunConfig) -> FieldConfig:
     f = cfg.fields
     if abs(f.omega_p) > 0:
         return f
-    return FieldConfig(
-        omega_d=f.omega_d,
-        omega_p=0.05 * abs(f.omega_d),
-        delta_p=f.delta_p,
-        delta_ac=f.delta_ac,
-        rho_aa=f.rho_aa,
-        rho_bb=f.rho_bb,
-        rho_cc=f.rho_cc,
-    )
+    return replace(f, omega_p=0.05 * abs(f.omega_d))
 
 
 def _mc_shaping(cfg: RunConfig) -> Spectrum:
@@ -329,6 +313,8 @@ def _mc_shaping(cfg: RunConfig) -> Spectrum:
 
 def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> int:
     """Monte-Carlo ensemble beat spectrum of the transmitted probe."""
+    if realizations is not None and realizations < 8:
+        raise ConfigError("--realizations must be at least 8", code="bad-parameter")
     n_real = realizations if realizations is not None else cfg.mc_realizations
     if quick:
         n_real = min(n_real, 32)
@@ -375,10 +361,13 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
         raise ConfigError(f"spectrum file not found: {path}", code="config-not-found")
     with open(path) as fh:
         lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    rows = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[1:]]  # lines[0] is the header
-    )
-    if rows.ndim != 2 or rows.shape[0] < 8:
+    try:
+        rows = np.array(
+            [[float(v) for v in ln.split(",")] for ln in lines[1:]]  # lines[0] is the header
+        )
+    except ValueError:
+        rows = np.empty(0)
+    if rows.ndim != 2 or rows.shape[0] < 8 or rows.shape[1] < 2:
         raise ConfigError(f"not a spectrum CSV: {path}", code="bad-parameter")
     omegas, density = rows[:, 0], rows[:, 1]
     step = float(omegas[1] - omegas[0])
@@ -410,30 +399,12 @@ def _validate_configs(cfg: RunConfig):
     """Three canonical configurations with a moderate scale separation so
     the (tau, z) route stays cheap."""
     m = cfg.medium
-    base = AtomicMedium(
-        number_density=m.number_density,
-        wavelength=m.wavelength,
-        gamma_r=m.gamma_r,
-        gamma_ab=m.gamma_ab,
-        gamma_ac=m.gamma_ac,
-        gamma_cb=0.0,
-        doppler_width=m.doppler_width,
-        length=m.length,
-    )
+    base = replace(m, gamma_cb=0.0)
     drive = abs(cfg.fields.omega_d)
     on_res = FieldConfig(omega_d=drive)
     detuned = FieldConfig(omega_d=drive, delta_p=0.1 * m.doppler_width)
     rates = complex_rates(base, on_res, cfg.doppler)
-    decaying = AtomicMedium(
-        number_density=m.number_density,
-        wavelength=m.wavelength,
-        gamma_r=m.gamma_r,
-        gamma_ab=m.gamma_ab,
-        gamma_ac=m.gamma_ac,
-        gamma_cb=0.2 * rates.gamma_cb_eff.real,
-        doppler_width=m.doppler_width,
-        length=m.length,
-    )
+    decaying = replace(m, gamma_cb=0.2 * rates.gamma_cb_eff.real)
     return [(base, on_res), (base, detuned), (decaying, on_res)]
 
 
@@ -488,16 +459,7 @@ def cmd_validate(cfg: RunConfig, out: str, quick: bool) -> int:
     record("shape-independence", dev < 1e-9, f"transfer ratio deviation {dev:.3e}")
 
     # closed-form filter identity (paper convention, gamma_cb = 0)
-    med0 = AtomicMedium(
-        number_density=cfg.medium.number_density,
-        wavelength=cfg.medium.wavelength,
-        gamma_r=cfg.medium.gamma_r,
-        gamma_ab=cfg.medium.gamma_ab,
-        gamma_ac=cfg.medium.gamma_ac,
-        gamma_cb=0.0,
-        doppler_width=cfg.medium.doppler_width,
-        length=cfg.medium.length,
-    )
+    med0 = replace(cfg.medium, gamma_cb=0.0)
     f0 = FieldConfig(omega_d=cfg.fields.omega_d)
     thick = thick_medium_spectrum(med0, abs(f0.omega_d) ** 2, s_in)
     full = propagate_spectrum(
@@ -542,15 +504,8 @@ def cmd_validate(cfg: RunConfig, out: str, quick: bool) -> int:
 def _reduced_mc_config(cfg: RunConfig) -> McConfig:
     """Gentle optical depth and moderate rates so the Monte-Carlo check
     stays well inside the validate-time budget."""
-    medium = AtomicMedium(
-        number_density=cfg.medium.number_density / 10.0,
-        wavelength=cfg.medium.wavelength,
-        gamma_r=cfg.medium.gamma_r,
-        gamma_ab=cfg.medium.gamma_ab,
-        gamma_ac=cfg.medium.gamma_ac,
-        gamma_cb=0.0,
-        doppler_width=cfg.medium.doppler_width,
-        length=cfg.medium.length,
+    medium = replace(
+        cfg.medium, number_density=cfg.medium.number_density / 10.0, gamma_cb=0.0
     )
     drive = abs(cfg.fields.omega_d)
     # a genuinely weak probe: the slaved coherence carries the probe's

@@ -189,11 +189,14 @@ def _number(resolved, sec, key) -> float:
     try:
         if (sec, key) in _INTS:
             return int(raw)
-        return float(raw)
+        value = float(raw)
+        if np.isfinite(value):
+            return value
     except ValueError:
-        raise ConfigError(
-            f"key {key!r} in [{sec}] must be a number, got {raw!r}", code="bad-number"
-        ) from None
+        pass
+    raise ConfigError(
+        f"key {key!r} in [{sec}] must be a finite number, got {raw!r}", code="bad-number"
+    )
 
 
 def _enum(resolved, sec, key) -> str:
@@ -277,6 +280,20 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     z_steps = int(num("propagation", "z_steps"))
     if grid_points < 8 or z_steps < 1:
         raise ConfigError("grid_points >= 8 and z_steps >= 1 required", code="bad-parameter")
+    span_factor = num("input", "span_factor")
+    if span_factor <= 0:
+        raise ConfigError("span_factor must be positive", code="bad-parameter")
+    mc_realizations = int(num("mc", "realizations"))
+    mc_slices = int(num("mc", "slices"))
+    if mc_realizations < 8 or mc_slices < 1:
+        raise ConfigError("realizations >= 8 and slices >= 1 required", code="bad-parameter")
+    mc_dt = num("mc", "dt_us") * 1e-6
+    mc_duration = num("mc", "duration_ms") * 1e-3
+    if mc_dt <= 0 or mc_duration <= 0:
+        raise ConfigError("dt_us and duration_ms must be positive", code="bad-parameter")
+    seed = int(num("run", "seed"))
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}", code="bad-parameter")
 
     return RunConfig(
         medium=medium,
@@ -286,16 +303,16 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         input_shape=input_shape,
         input_fwhm=num("input", "fwhm_khz") * TWO_PI * 1e3,
         grid_points=grid_points,
-        span_factor=num("input", "span_factor"),
+        span_factor=span_factor,
         z_steps=z_steps,
-        mc_realizations=int(num("mc", "realizations")),
-        mc_slices=int(num("mc", "slices")),
-        mc_dt=num("mc", "dt_us") * 1e-6,
-        mc_duration=num("mc", "duration_ms") * 1e-3,
+        mc_realizations=mc_realizations,
+        mc_slices=mc_slices,
+        mc_dt=mc_dt,
+        mc_duration=mc_duration,
         mc_drive_diffusion=num("mc", "drive_diffusion_khz") * TWO_PI * 1e3,
         mc_full_integration=full_integration,
         sweep_omega_d=sweep,
-        seed=int(num("run", "seed")),
+        seed=seed,
         resolved=resolved,
         digest=config_digest(resolved),
     )

@@ -1,28 +1,26 @@
-"""Hot numeric kernels with numba acceleration and numpy fallbacks.
+"""Hot numeric kernels, each a cascade of exact IIR filters.
 
-numba is used when it is importable and ``EITNARROW_DISABLE_NUMBA`` is
-not ``1``/``true``/``yes``; otherwise the pure numpy/scipy implementations
-are used (same arithmetic, no compilation).  ``USE_NUMBA`` records the
-selection.
-``benchmarks/bench_kernels.py`` compares the two paths.
+Both kernels are linear recurrences with constant coefficients, so each
+runs as ``scipy.signal.lfilter`` calls.
+
+The lag sweep is a first-order recurrence along the lag grid.
+
+The Monte-Carlo slab is linear time-invariant in the drive frame.  The
+drive noise is phase-only, so each realization's drive is
+``d(t) = |d| u(t)`` with a constant modulus and ``|u| = 1``.  In the
+frame ``x = w conj(u)`` the drive phase cancels from every slice:
+the slaved source ``fcoef d rho`` and the coherence drive
+``w_mid conj(d)`` carry only ``|d|``.  Each slice is therefore a
+second-order filter in time (ground coherence plus the previous
+source sample), and the slab is ``nsl`` of them in series.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.signal import lfilter
 
-_DISABLED = os.environ.get("EITNARROW_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # numba not installed: use the numpy/scipy fallback
-        _DISABLED = True
-
-USE_NUMBA = not _DISABLED
+from .errors import InvalidParameterError
 
 
 def _phi12(x: complex) -> tuple[complex, complex]:
@@ -56,8 +54,9 @@ def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float):
     return complex(decay), complex(c_prev), complex(c_curr)
 
 
-def _g_sweep_numpy(r_values, g0, decay, c_prev, c_curr):
-    # first-order linear recurrence == IIR filter
+def g_sweep(r_values, g0, decay, c_prev, c_curr):
+    """Integrate the slaved-coherence lag ODE along the lag grid."""
+    r_values = np.asarray(r_values, dtype=complex)
     b = np.array([c_curr, c_prev], dtype=complex)
     a = np.array([1.0, -decay], dtype=complex)
     zi = np.array([decay * g0 + c_prev * r_values[0]], dtype=complex)
@@ -68,137 +67,61 @@ def _g_sweep_numpy(r_values, g0, decay, c_prev, c_curr):
     return out
 
 
-def _g_sweep_loop(r_values, g0, decay, c_prev, c_curr):
-    n = r_values.size
-    out = np.empty(n, dtype=np.complex128)
-    g = g0
-    out[0] = g
-    for k in range(n - 1):
-        g = decay * g + c_prev * r_values[k] + c_curr * r_values[k + 1]
-        out[k + 1] = g
-    return out
-
-
-if USE_NUMBA:
-    _g_sweep_compiled = njit(cache=True)(_g_sweep_loop)
-
-    def g_sweep(r_values, g0, decay, c_prev, c_curr):
-        return _g_sweep_compiled(
-            np.ascontiguousarray(r_values, dtype=np.complex128),
-            complex(g0),
-            complex(decay),
-            complex(c_prev),
-            complex(c_curr),
-        )
-
-else:
-
-    def g_sweep(r_values, g0, decay, c_prev, c_curr):
-        return _g_sweep_numpy(
-            np.asarray(r_values, dtype=complex),
-            complex(g0),
-            complex(decay),
-            complex(c_prev),
-            complex(c_curr),
-        )
-
-
-g_sweep.__doc__ = """Integrate the slaved-coherence lag ODE along the lag grid."""
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo slab propagation.
 #
 # Per time sample the probe envelope is swept through nsl slices; each
 # slice advances the field exactly for its frozen ground coherence
 # (midpoint field sampling) and steps the coherence with a second-order
-# exponential integrator.
+# exponential integrator.  With k_h = b_half*fcoef*|d| and
+# k_f = b_full*fcoef*|d|, a slice maps its drive-frame input x to
+#   y[t]     = e_full*x[t] + k_f*rho[t]
+#   s[t]     = |d|*(e_half*x[t] + k_h*rho[t])
+#   rho[t+1] = erho*rho[t] + alpha*s[t] + beta*s[t-1]
+# starting from the slaved state rho[0] = nfac*|d|*x[0]/gtilde,
+# s[-1] = |d|*x[0].
 # ---------------------------------------------------------------------------
 
 
-def _mc_batch_loop(probe, drive, out, nsl, e_full, e_half, b_full, b_half,
-                   fcoef, erho, alpha, beta, nfac, gtilde):
-    nreal, nt = probe.shape
-    for r in range(nreal):
-        rho = np.zeros(nsl, dtype=np.complex128)
-        s_prev = np.zeros(nsl, dtype=np.complex128)
-        w = probe[r, 0]
-        d0 = drive[r, 0]
-        for j in range(nsl):
-            s = w * np.conj(d0)
-            rho[j] = nfac * s / gtilde
-            s_prev[j] = s
-            w = e_full * w + b_full * (fcoef * d0 * rho[j])
-        for t in range(nt):
-            w = probe[r, t]
-            d = drive[r, t]
-            for j in range(nsl):
-                src = fcoef * d * rho[j]
-                w_mid = e_half * w + b_half * src
-                w_out = e_full * w + b_full * src
-                s = w_mid * np.conj(d)
-                rho[j] = erho * rho[j] + alpha * s + beta * s_prev[j]
-                s_prev[j] = s
-                w = w_out
-            out[r, t] = w
+def _slice_filter(x, dmod, e_full, e_half, b_full, b_half,
+                  fcoef, erho, alpha, beta, nfac, gtilde):
+    k_h = b_half * fcoef * dmod
+    k_f = b_full * fcoef * dmod
+    a = np.array([1.0, -(erho + alpha * dmod * k_h), -beta * dmod * k_h])
+    b = e_full * a + k_f * dmod * e_half * np.array([0.0, alpha, beta])
+    rho0 = nfac * dmod * x[0] / gtilde
+    s0 = dmod * (e_half * x[0] + k_h * rho0)
+    rho1 = erho * rho0 + alpha * s0 + beta * dmod * x[0]
+    y0 = e_full * x[0] + k_f * rho0
+    zi = np.array([k_f * rho0, k_f * rho1 - b[1] * x[0] + a[1] * y0])
+    y, _ = lfilter(b, a, x, zi=zi)
+    return y
+
+
+def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
+             fcoef, erho, alpha, beta, nfac, gtilde):
+    """Propagate a batch of probe envelopes through the sliced medium.
+
+    Each realization's drive must have a constant modulus (phase-only
+    noise); the slab then runs as ``nsl`` filters along time in the
+    drive frame.  Realizations run one at a time, so the temporaries
+    stay the size of one envelope rather than of the batch.
+    """
+    probe = np.asarray(probe, dtype=complex)
+    drive = np.asarray(drive, dtype=complex)
+    coeffs = (e_full, e_half, b_full, b_half, fcoef, erho, alpha, beta, nfac, gtilde)
+    out = np.empty_like(probe)
+    for r in range(probe.shape[0]):
+        d = drive[r]
+        mod = np.abs(d)
+        dmod = mod[0]
+        if np.max(np.abs(mod - dmod)) > 1e-12 * dmod:
+            raise InvalidParameterError(
+                "the drive modulus must be constant in time (phase-only drive noise)"
+            )
+        u = np.exp(1j * np.angle(d))
+        y = probe[r] * np.conj(u)
+        for _ in range(nsl):
+            y = _slice_filter(y, dmod, *coeffs)
+        out[r] = y * u
     return out
-
-
-def _mc_batch_numpy(probe, drive, out, nsl, e_full, e_half, b_full, b_half,
-                    fcoef, erho, alpha, beta, nfac, gtilde):
-    nreal, nt = probe.shape
-    rho = np.zeros((nreal, nsl), dtype=complex)
-    s_prev = np.zeros((nreal, nsl), dtype=complex)
-    w = probe[:, 0].copy()
-    d0 = drive[:, 0]
-    for j in range(nsl):
-        s = w * np.conj(d0)
-        rho[:, j] = nfac * s / gtilde
-        s_prev[:, j] = s
-        w = e_full * w + b_full * (fcoef * d0 * rho[:, j])
-    for t in range(nt):
-        w = probe[:, t].copy()
-        d = drive[:, t]
-        dc = np.conj(d)
-        for j in range(nsl):
-            src = fcoef * d * rho[:, j]
-            w_mid = e_half * w + b_half * src
-            w = e_full * w + b_full * src
-            s = w_mid * dc
-            rho[:, j] = erho * rho[:, j] + alpha * s + beta * s_prev[:, j]
-            s_prev[:, j] = s
-        out[:, t] = w
-    return out
-
-
-if USE_NUMBA:
-    _mc_batch_compiled = njit(cache=True)(_mc_batch_loop)
-
-    def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
-                 fcoef, erho, alpha, beta, nfac, gtilde):
-        probe = np.ascontiguousarray(probe, dtype=np.complex128)
-        drive = np.ascontiguousarray(drive, dtype=np.complex128)
-        out = np.empty_like(probe)
-        return _mc_batch_compiled(
-            probe, drive, out, nsl,
-            complex(e_full), complex(e_half), complex(b_full), complex(b_half),
-            complex(fcoef), complex(erho), complex(alpha), complex(beta),
-            complex(nfac), complex(gtilde),
-        )
-
-else:
-
-    def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
-                 fcoef, erho, alpha, beta, nfac, gtilde):
-        probe = np.asarray(probe, dtype=complex)
-        drive = np.asarray(drive, dtype=complex)
-        out = np.empty_like(probe)
-        return _mc_batch_numpy(
-            probe, drive, out, nsl,
-            complex(e_full), complex(e_half), complex(b_full), complex(b_half),
-            complex(fcoef), complex(erho), complex(alpha), complex(beta),
-            complex(nfac), complex(gtilde),
-        )
-
-
-mc_batch.__doc__ = """Propagate a batch of probe envelopes through the sliced medium."""

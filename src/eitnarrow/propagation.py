@@ -16,7 +16,7 @@ per frequency to exp(Re kappa L), matching the Fourier route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -270,15 +270,7 @@ def doppler_average_transfer(
         weights /= weights.sum()
         total = np.zeros(grid.count)
         for shift, weight in zip(shifts, weights):
-            fv = FieldConfig(
-                omega_d=f.omega_d,
-                omega_p=f.omega_p,
-                delta_p=f.delta_p + shift,
-                delta_ac=f.delta_ac + shift,
-                rho_aa=f.rho_aa,
-                rho_bb=f.rho_bb,
-                rho_cc=f.rho_cc,
-            )
+            fv = replace(f, delta_p=f.delta_p + shift, delta_ac=f.delta_ac + shift)
             total += weight * np.exp(
                 transfer_exponent(m, fv, grid.omegas, False, convention).real * m.length
             )

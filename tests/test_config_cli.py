@@ -123,6 +123,42 @@ def test_cli_sweep_too_small_exits_2(tmp_path, capsys):
     assert "error: sweep-too-small:" in capsys.readouterr().err
 
 
+def _bad_spectrum_csv(tmp_path):
+    rows = [f"{float(i)!r},1.0" for i in range(10)]
+    rows[4] = "4.0,n/a"
+    return write_config(tmp_path, "omega_rad_s,density\n" + "\n".join(rows) + "\n", "bad.csv")
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        pytest.param(None, ["--seed", "-1", "--quick", "mc"], id="negative-seed"),
+        pytest.param(None, ["--seed", str(2**64), "--quick", "mc"], id="seed-too-large"),
+        pytest.param(None, ["mc", "--realizations", "3"], id="realizations-flag"),
+        pytest.param("[mc]\nrealizations = 0\n", ["--quick", "mc"], id="realizations"),
+        pytest.param("[mc]\nslices = 0\n", ["--quick", "mc"], id="slices"),
+        pytest.param("[input]\nspan_factor = -1\n", ["figure2"], id="negative-span"),
+        pytest.param("[input]\nspan_factor = 0\n", ["propagate"], id="zero-span"),
+        pytest.param("[medium]\nlength_cm = nan\n", ["figure2"], id="nan-length"),
+        pytest.param("[mc]\ndt_us = inf\n", ["--quick", "mc"], id="infinite-dt"),
+        pytest.param("[mc]\ndt_us = 0\n", ["--quick", "mc"], id="zero-dt"),
+        pytest.param(None, ["fit", "--input", "BAD_CSV"], id="unparsable-fit-row"),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
+    """Invalid values are rejected at the configuration boundary: exit 2,
+    a single ``error:`` line and no traceback."""
+    argv = [_bad_spectrum_csv(tmp_path) if a == "BAD_CSV" else a for a in argv]
+    if config is not None:
+        argv = ["--config", write_config(tmp_path, config)] + argv
+    rc = main(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_figure2_artifacts_and_numbers(tmp_path, capsys):
     out = str(tmp_path / "f2")
     rc = main(["--out", out, "figure2"])

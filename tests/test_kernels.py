@@ -1,25 +1,53 @@
-"""Numba kernels versus the pure numpy/scipy fallbacks."""
+"""The filter-cascade kernels against plain-loop oracles."""
 
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
-import eitnarrow
-from eitnarrow.kernels import (
-    USE_NUMBA,
-    _g_sweep_loop,
-    _g_sweep_numpy,
-    _mc_batch_loop,
-    _mc_batch_numpy,
-    _phi12,
-    g_sweep,
-    g_sweep_coefficients,
-    mc_batch,
-)
+from eitnarrow.config import load_config
+from eitnarrow.errors import InvalidParameterError
+from eitnarrow.kernels import _phi12, g_sweep, g_sweep_coefficients, mc_batch
+from eitnarrow.mc import _slab_coefficients
+
+
+def _g_sweep_loop(r_values, g0, decay, c_prev, c_curr):
+    n = r_values.size
+    out = np.empty(n, dtype=np.complex128)
+    g = g0
+    out[0] = g
+    for k in range(n - 1):
+        g = decay * g + c_prev * r_values[k] + c_curr * r_values[k + 1]
+        out[k + 1] = g
+    return out
+
+
+def _mc_batch_loop(probe, drive, out, nsl, e_full, e_half, b_full, b_half,
+                   fcoef, erho, alpha, beta, nfac, gtilde):
+    nreal, nt = probe.shape
+    for r in range(nreal):
+        rho = np.zeros(nsl, dtype=np.complex128)
+        s_prev = np.zeros(nsl, dtype=np.complex128)
+        w = probe[r, 0]
+        d0 = drive[r, 0]
+        for j in range(nsl):
+            s = w * np.conj(d0)
+            rho[j] = nfac * s / gtilde
+            s_prev[j] = s
+            w = e_full * w + b_full * (fcoef * d0 * rho[j])
+        for t in range(nt):
+            w = probe[r, t]
+            d = drive[r, t]
+            for j in range(nsl):
+                src = fcoef * d * rho[j]
+                w_mid = e_half * w + b_half * src
+                w_out = e_full * w + b_full * src
+                s = w_mid * np.conj(d)
+                rho[j] = erho * rho[j] + alpha * s + beta * s_prev[j]
+                s_prev[j] = s
+                w = w_out
+            out[r, t] = w
+    return out
 
 
 def _random_r(n=400, seed=0):
@@ -61,121 +89,87 @@ def test_g_sweep_solves_the_lag_ode():
 def test_g_sweep_loop_and_filter_agree():
     r = _random_r()
     decay, c_prev, c_curr = g_sweep_coefficients(2.0 + 1.0j, 0.3 - 0.1j, 0.01)
-    a = _g_sweep_loop(r.astype(np.complex128), 0.5 + 0.1j, decay, c_prev, c_curr)
-    b = _g_sweep_numpy(r, 0.5 + 0.1j, decay, c_prev, c_curr)
+    a = _g_sweep_loop(r, 0.5 + 0.1j, decay, c_prev, c_curr)
+    b = g_sweep(r, 0.5 + 0.1j, decay, c_prev, c_curr)
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
 
-def _mc_args(seed=1):
+_MC_COEFFS = dict(
+    e_full=0.93 - 0.01j,
+    e_half=0.965 - 0.005j,
+    b_full=0.07,
+    b_half=0.035,
+    fcoef=-0.02 + 0.001j,
+    erho=0.95 + 0.02j,
+    alpha=0.01 - 0.002j,
+    beta=-0.001j,
+    nfac=-0.3 + 0.05j,
+    gtilde=5.0 + 1.0j,
+)
+
+
+def _mc_probe(seed, nreal=3, nt=256):
     rng = np.random.default_rng(seed)
-    nreal, nt = 3, 256
-    probe = rng.normal(size=(nreal, nt)) + 1j * rng.normal(size=(nreal, nt))
-    drive = np.full((nreal, nt), 10.0 + 0.0j)
-    coeffs = dict(
-        e_full=0.93 - 0.01j,
-        e_half=0.965 - 0.005j,
-        b_full=0.07,
-        b_half=0.035,
-        fcoef=-0.02 + 0.001j,
-        erho=0.95 + 0.02j,
-        alpha=0.01 - 0.002j,
-        beta=-0.001j,
-        nfac=-0.3 + 0.05j,
-        gtilde=5.0 + 1.0j,
-    )
-    return probe, drive, coeffs
+    return rng.normal(size=(nreal, nt)) + 1j * rng.normal(size=(nreal, nt))
 
 
-def test_mc_batch_loop_and_numpy_agree():
-    probe, drive, c = _mc_args()
-    out_a = _mc_batch_loop(
-        probe.astype(np.complex128), drive.astype(np.complex128),
-        np.empty_like(probe, dtype=np.complex128), 4, **c,
-    )
-    out_b = _mc_batch_numpy(
-        probe, drive, np.empty_like(probe), 4, **c,
-    )
-    assert np.max(np.abs(out_a - out_b)) < 1e-10 * np.max(np.abs(out_a))
+def _constant_drive(probe):
+    return np.full(probe.shape, 10.0 + 0.0j)
+
+
+def _phase_noisy_drive(probe):
+    # constant modulus, a different |d| per realization, random-walk phase
+    rng = np.random.default_rng(5)
+    moduli = np.array([10.0, 4.0, 25.0])[:, None]
+    phase = np.cumsum(rng.normal(scale=0.3, size=probe.shape), axis=1)
+    return moduli * np.exp(-1j * phase)
+
+
+def _zero_drive(probe):
+    return np.zeros(probe.shape, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "make_drive",
+    [
+        pytest.param(_constant_drive, id="constant"),
+        pytest.param(_phase_noisy_drive, id="phase-noisy"),
+        pytest.param(_zero_drive, id="zero"),
+    ],
+)
+def test_mc_batch_matches_the_loop(make_drive):
+    probe = _mc_probe(seed=1)
+    drive = make_drive(probe)
+    ref = _mc_batch_loop(probe, drive, np.empty_like(probe), 4, **_MC_COEFFS)
+    out = mc_batch(probe, drive, 4, **_MC_COEFFS)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mc_batch_rejects_a_varying_drive_modulus():
+    probe = _mc_probe(seed=3)
+    drive = _constant_drive(probe)
+    drive[1, 100] *= 1.01
+    with pytest.raises(InvalidParameterError):
+        mc_batch(probe, drive, 4, **_MC_COEFFS)
 
 
 def test_public_kernels_match_reference_paths():
-    """Whichever backend is active, the public entry points agree with
-    the pure reference implementations."""
+    """At the physical coefficients of the default configuration (slab
+    of 8 slices, 0.1 us steps, phase-noisy drive) the public kernels
+    agree with the reference loops."""
     r = _random_r(seed=2)
     decay, c_prev, c_curr = g_sweep_coefficients(1.5 + 0.5j, 0.2 + 0.1j, 0.02)
     a = g_sweep(r, 0.1 + 0.0j, decay, c_prev, c_curr)
-    b = _g_sweep_numpy(r, 0.1 + 0.0j, decay, c_prev, c_curr)
-    assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(b))
+    b = _g_sweep_loop(r, 0.1 + 0.0j, decay, c_prev, c_curr)
+    assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
-    probe, drive, c = _mc_args(seed=3)
-    out = mc_batch(probe, drive, 4, *c.values())
-    ref = _mc_batch_numpy(probe, drive, np.empty_like(probe), 4, **c)
-    assert np.max(np.abs(out - ref)) < 1e-10 * np.max(np.abs(ref))
-
-
-def _run_child(code, **env_vars):
-    """Run ``code`` in a fresh interpreter that imports the same eitnarrow
-    as this process, installed or not; ``env_vars`` are set on top of this
-    process's environment."""
-    src = str(Path(eitnarrow.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env.pop("EITNARROW_DISABLE_NUMBA", None)
-    env.update(env_vars)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_disable_flag_selects_the_fallback():
-    """EITNARROW_DISABLE_NUMBA=1 switches the backend off and the two
-    backends produce matching envelopes."""
-    code = (
-        "import os, numpy as np\n"
-        "from eitnarrow.kernels import USE_NUMBA, g_sweep, g_sweep_coefficients\n"
-        "assert not USE_NUMBA\n"
-        "rng = np.random.default_rng(7)\n"
-        "r = rng.normal(size=200) + 1j * rng.normal(size=200)\n"
-        "d, cp, cc = g_sweep_coefficients(2.0 + 1.0j, 0.3 - 0.1j, 0.01)\n"
-        "g = g_sweep(r, 0.2 + 0.0j, d, cp, cc)\n"
-        "print(repr(complex(g[-1])))\n"
-    )
-    proc = _run_child(code, EITNARROW_DISABLE_NUMBA="1")
-    assert proc.returncode == 0, proc.stderr
-    fallback_last = complex(eval(proc.stdout.strip()))
-    rng = np.random.default_rng(7)
-    r = rng.normal(size=200) + 1j * rng.normal(size=200)
-    d, cp, cc = g_sweep_coefficients(2.0 + 1.0j, 0.3 - 0.1j, 0.01)
-    here_last = complex(g_sweep(r, 0.2 + 0.0j, d, cp, cc)[-1])
-    assert abs(fallback_last - here_last) < 1e-10 * abs(here_last)
-
-
-def test_numba_backend_active_by_default():
-    """numba is used exactly when it is importable and the disable flag
-    is not set to 1/true/yes; otherwise the fallback is selected."""
-    disabled = os.environ.get("EITNARROW_DISABLE_NUMBA", "").lower() in (
-        "1", "true", "yes"
-    )
-    importable = importlib.util.find_spec("numba") is not None
-    assert USE_NUMBA == (importable and not disabled)
-
-    # a child in which numba cannot be imported takes the ImportError
-    # fallback and computes with the numpy/scipy sweep
-    code = (
-        "import sys\n"
-        "sys.modules['numba'] = None\n"
-        "import numpy as np\n"
-        "from eitnarrow.kernels import (\n"
-        "    USE_NUMBA, _g_sweep_numpy, g_sweep, g_sweep_coefficients)\n"
-        "assert not USE_NUMBA\n"
-        "rng = np.random.default_rng(7)\n"
-        "r = rng.normal(size=200) + 1j * rng.normal(size=200)\n"
-        "d, cp, cc = g_sweep_coefficients(2.0 + 1.0j, 0.3 - 0.1j, 0.01)\n"
-        "a = g_sweep(r, 0.2 + 0.0j, d, cp, cc)\n"
-        "b = _g_sweep_numpy(r, 0.2 + 0.0j, d, cp, cc)\n"
-        "assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))\n"
-    )
-    proc = _run_child(code)
-    assert proc.returncode == 0, proc.stderr
+    cfg = load_config()
+    fields = replace(cfg.fields, omega_p=0.05 * abs(cfg.fields.omega_d))
+    nsl = 8
+    coeffs = _slab_coefficients(cfg.medium, fields, True, cfg.medium.length / nsl, 1e-7)
+    probe = abs(fields.omega_p) * _mc_probe(seed=3, nt=2000)
+    phase = np.cumsum(np.random.default_rng(4).normal(scale=0.05, size=probe.shape), axis=1)
+    drive = fields.omega_d * np.exp(-1j * phase)
+    out = mc_batch(probe, drive, nsl, *coeffs)
+    ref = _mc_batch_loop(probe, drive, np.empty_like(probe), nsl, *coeffs)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
