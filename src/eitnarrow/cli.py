@@ -554,8 +554,17 @@ def _mc_vs_analytic(cfg: RunConfig, mc_cfg: McConfig, result) -> tuple[float, in
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors follow the exit-code contract:
+    they raise ``ConfigError`` (one ``error: usage:`` line, exit 2)
+    instead of printing the usage block.  Subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigError(" ".join(message.split()), code="usage")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eitnarrow",
         description="EIT spectral narrowing of noisy light: figures, sweeps and checks.",
     )
@@ -583,8 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config, seed=args.seed)
         if args.command == "figure2":
             return cmd_figure2(cfg, args.out, args.quick, args.off_resonance_only)

@@ -184,18 +184,26 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
     return merged
 
 
+# bound on the magnitude of a float key: far beyond any physical value in
+# the listed units, and small enough that the squares and products formed
+# from the parameters stay finite
+MAX_MAGNITUDE = 1e30
+
+
 def _number(resolved, sec, key) -> float:
     raw = resolved[sec][key]
     try:
         if (sec, key) in _INTS:
             return int(raw)
         value = float(raw)
-        if np.isfinite(value):
+        if abs(value) <= MAX_MAGNITUDE:
             return value
     except ValueError:
         pass
     raise ConfigError(
-        f"key {key!r} in [{sec}] must be a finite number, got {raw!r}", code="bad-number"
+        f"key {key!r} in [{sec}] must be a finite number of magnitude at most "
+        f"{MAX_MAGNITUDE:g}, got {raw!r}",
+        code="bad-number",
     )
 
 
@@ -281,8 +289,9 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     if grid_points < 8 or z_steps < 1:
         raise ConfigError("grid_points >= 8 and z_steps >= 1 required", code="bad-parameter")
     span_factor = num("input", "span_factor")
-    if span_factor <= 0:
-        raise ConfigError("span_factor must be positive", code="bad-parameter")
+    input_fwhm = num("input", "fwhm_khz") * TWO_PI * 1e3
+    if span_factor <= 0 or input_fwhm <= 0:
+        raise ConfigError("span_factor and fwhm_khz must be positive", code="bad-parameter")
     mc_realizations = int(num("mc", "realizations"))
     mc_slices = int(num("mc", "slices"))
     if mc_realizations < 8 or mc_slices < 1:
@@ -301,7 +310,7 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         doppler=doppler,
         convention=convention,
         input_shape=input_shape,
-        input_fwhm=num("input", "fwhm_khz") * TWO_PI * 1e3,
+        input_fwhm=input_fwhm,
         grid_points=grid_points,
         span_factor=span_factor,
         z_steps=z_steps,

@@ -85,7 +85,12 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
         # working precision
         col = np.linalg.norm(jac, axis=0)
         col[col == 0] = 1.0
-        step, *_ = np.linalg.lstsq(jac / col, -resid, rcond=None)
+        try:
+            step, *_ = np.linalg.lstsq(jac / col, -resid, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            # a non-finite model, e.g. a width so small against the grid
+            # offsets that width**2 underflows and the model is 0/0
+            raise FitFailedError(f"{model} fit failed: {exc}") from exc
         step = step / col
         if np.linalg.norm(step) <= STEP_TOL * max(np.linalg.norm(p), 1e-300):
             converged = True

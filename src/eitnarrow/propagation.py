@@ -31,7 +31,13 @@ from .medium import (
     optical_depth,
     transfer_exponent,
 )
-from .spectral import CorrelationFunction, FrequencyGrid, Spectrum, _trapezoid_weights
+from .spectral import (
+    CorrelationFunction,
+    FrequencyGrid,
+    Spectrum,
+    _chirp_sum,
+    _trapezoid_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -115,34 +121,37 @@ def _auto_tau_grid(p: PropagationProblem) -> tuple[float, int]:
     return dtau, count
 
 
-def _two_sided_correlation(s: Spectrum, taus: np.ndarray) -> np.ndarray:
-    weights = _trapezoid_weights(s.grid.count, s.grid.step)
-    kernel = np.exp(-1j * np.outer(taus, s.omegas))
-    return kernel @ (weights * s.density)
+def _slave_row(p: PropagationProblem, dtau: float, size: int) -> np.ndarray:
+    """Row vector mapping R on the lag grid tau_0 + j*dtau to the slaved
+    initial condition G(tau_0) = slave_row @ R.
+
+    G(tau_0) = integral nfac I_omega/(gtilde - i omega) e^{-i omega tau_0},
+    with I_omega recovered from R by the inverse lag transform
+    (1/2pi) sum_j w_j R(tau_j) e^{i omega tau_j}; the two phases combine
+    into e^{i omega j dtau}.
+    """
+    rates = complex_rates(p.medium, p.fields, p.doppler)
+    g = p.input_spectrum.grid
+    omegas = p.input_spectrum.omegas
+    g0_weights = (
+        _trapezoid_weights(g.count, g.step)
+        * rates.n_factor
+        / (rates.gamma_cb_eff - 1j * omegas)
+    )
+    w_tau = _trapezoid_weights(size, dtau)
+    return _chirp_sum(g0_weights, g.start, g.step, 0.0, dtau, size, 1) * w_tau / (2.0 * np.pi)
 
 
-def _integrate_correlation(p: PropagationProblem, taus, r0, z_steps) -> tuple[np.ndarray, np.ndarray]:
+def _integrate_correlation(
+    p: PropagationProblem, slave_row, dtau, r0, z_steps
+) -> tuple[np.ndarray, np.ndarray]:
     m, f = p.medium, p.fields
     rates = complex_rates(m, f, p.doppler)
     gtilde = rates.gamma_cb_eff
     nfac = rates.n_factor
     b_pump = gtilde - m.gamma_cb  # |Omega_d|^2/Gamma_ab + |Omega_p|^2/Gamma_ca
     pref = 0.5 * convention_factor(p.convention) * coupling_eta(m)
-    dtau = float(taus[1] - taus[0])
     decay, c_prev, c_curr = g_sweep_coefficients(gtilde, nfac, dtau)
-
-    # slaved initial condition at the start of the lag grid:
-    # G(tau_0) = integral nfac I_omega/(gtilde - i omega) e^{-i omega tau_0},
-    # with I_omega recovered from R by the inverse lag transform, fused
-    # into a single row vector so that G(tau_0) = slave_row @ R.
-    s = p.input_spectrum
-    w_omega = _trapezoid_weights(s.grid.count, s.grid.step)
-    w_tau = _trapezoid_weights(taus.size, dtau)
-    inv_kernel = np.exp(1j * np.outer(s.omegas, taus)) * w_tau / (2.0 * np.pi)
-    g0_weights = (w_omega * nfac / (gtilde - 1j * s.omegas)) * np.exp(
-        -1j * s.omegas * taus[0]
-    )
-    slave_row = g0_weights @ inv_kernel
 
     def derivative(r):
         g0 = slave_row @ r
@@ -183,9 +192,14 @@ def propagate_correlation(
         )
     pad = int(np.ceil(settle / dtau))
     total = count + pad
-    taus = np.arange(-(total - 1), total) * dtau  # two-sided grid
+    # two-sided lag grid tau_j = (j - center) * dtau, j < 2*total - 1
     center = total - 1
-    r0 = _two_sided_correlation(p.input_spectrum, taus)
+    size = 2 * total - 1
+    g = p.input_spectrum.grid
+    r0 = _chirp_sum(
+        _trapezoid_weights(g.count, g.step) * p.input_spectrum.density,
+        g.start, g.step, -center * dtau, dtau, size, -1,
+    )
     r0_peak = abs(r0[center])
     if r0_peak <= 0:
         raise InvalidParameterError("input correlation is identically zero")
@@ -195,8 +209,9 @@ def propagate_correlation(
         )
 
     keep = slice(center - (count - 1), center + count)  # trimmed two-sided range
-    r_coarse, _ = _integrate_correlation(p, taus, r0, p.z_steps)
-    r_fine, g_fine = _integrate_correlation(p, taus, r0, 2 * p.z_steps)
+    slave_row = _slave_row(p, dtau, size)
+    r_coarse, _ = _integrate_correlation(p, slave_row, dtau, r0, p.z_steps)
+    r_fine, g_fine = _integrate_correlation(p, slave_row, dtau, r0, 2 * p.z_steps)
     residual = float(
         np.max(np.abs(r_fine[keep] - r_coarse[keep])) / np.abs(r_fine[center])
     )

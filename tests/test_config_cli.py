@@ -1,13 +1,19 @@
 """Configuration loading, CLI exit codes, artifacts and determinism."""
 
+import contextlib
 import filecmp
+import io
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitnarrow.cli import main
-from eitnarrow.config import DEFAULTS, config_digest, load_config
+from eitnarrow.config import _ENUMS, _INTS, DEFAULTS, config_digest, load_config
 from eitnarrow.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
@@ -139,10 +145,17 @@ def _bad_spectrum_csv(tmp_path):
         pytest.param("[mc]\nslices = 0\n", ["--quick", "mc"], id="slices"),
         pytest.param("[input]\nspan_factor = -1\n", ["figure2"], id="negative-span"),
         pytest.param("[input]\nspan_factor = 0\n", ["propagate"], id="zero-span"),
+        pytest.param("[input]\nfwhm_khz = 0\n", ["figure2"], id="zero-input-width"),
+        pytest.param("[fields]\nomega_d_mhz = 1e300\n", ["figure2"], id="huge-drive"),
         pytest.param("[medium]\nlength_cm = nan\n", ["figure2"], id="nan-length"),
         pytest.param("[mc]\ndt_us = inf\n", ["--quick", "mc"], id="infinite-dt"),
         pytest.param("[mc]\ndt_us = 0\n", ["--quick", "mc"], id="zero-dt"),
         pytest.param(None, ["fit", "--input", "BAD_CSV"], id="unparsable-fit-row"),
+        pytest.param(None, ["--seed", "abc", "mc"], id="non-integer-seed"),
+        pytest.param(None, [], id="missing-subcommand"),
+        pytest.param(None, ["figure9"], id="unknown-subcommand"),
+        pytest.param(None, ["mc", "--realizations", "x"], id="non-integer-realizations"),
+        pytest.param(None, ["fit"], id="fit-without-input"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
@@ -157,6 +170,71 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_underflowing_fit_exits_1_with_one_error_line(tmp_path, capsys):
+    """A drive so weak that the fitted width squared underflows: the fit
+    reports the failed least-squares step instead of a traceback."""
+    path = write_config(tmp_path, "[fields]\nomega_d_mhz = 4e-155\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.strip().splitlines() == [
+        "error: invariant: lorentzian fit failed: SVD did not converge in Linear Least Squares"
+    ]
+
+
+_FUZZED_KEYS = [
+    (sec, key)
+    for sec in ("mc", "input", "fields")
+    for key in DEFAULTS[sec]
+    if (sec, key) not in _ENUMS
+]
+_ODD_TOKENS = st.sampled_from(["", "x", "1e", "0x10", "1_000", "--", "1,5"])
+# integer sizes stay small so every example is cheap to run; configs are
+# not bounded above in size (ROADMAP item 4)
+_INT_VALUES = st.one_of(st.integers(-50, 4000).map(str), _ODD_TOKENS)
+_FLOAT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e4, 1e4).map(repr),
+    st.integers(-5, 5).map(str),
+    _ODD_TOKENS,
+)
+
+
+@st.composite
+def _config_text(draw):
+    chosen = draw(st.sets(st.sampled_from(_FUZZED_KEYS), max_size=4))
+    sections: dict[str, list[str]] = {}
+    for sec, key in sorted(chosen):
+        value = draw(_INT_VALUES if (sec, key) in _INTS else _FLOAT_VALUES)
+        sections.setdefault(sec, []).append(f"{key} = {value}")
+    return "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.one_of(st.none(), st.integers(-(2**66), 2**66).map(str), st.text(max_size=6)),
+    config=_config_text(),
+    command=st.sampled_from(["figure2", "figure3", "propagate"]),
+)
+def test_exit_contract_holds_for_fuzzed_inputs(seed, config, command):
+    """Any seed token and any numeric [mc]/[input]/[fields] value ends in
+    exit 0-3, at most one ``error:`` line and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--out", os.path.join(tmp, "o"), "--quick"]
+        if seed is not None:
+            argv += ["--seed", seed]
+        if config:
+            argv += ["--config", write_config(Path(tmp), config)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv + [command])
+    err = stderr.getvalue()
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == (0 if rc == 0 else 1)
 
 
 def test_figure2_artifacts_and_numbers(tmp_path, capsys):
@@ -312,6 +390,13 @@ def test_csv_outputs_are_byte_identical_across_runs(tmp_path, capsys):
                 continue
             a, b = os.path.join(a_dir, name), os.path.join(b_dir, name)
             assert filecmp.cmp(a, b, shallow=False), f"{sub}/{name} differs"
+
+
+def test_help_flag_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: eitnarrow" in capsys.readouterr().out
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
 """Grids, model lineshapes, FWHM estimation and transform pairs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from eitnarrow.errors import (
 )
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
+    _chirp_sum,
     CorrelationFunction,
     FrequencyGrid,
     Spectrum,
@@ -132,6 +135,51 @@ def test_truncation_warning_on_wide_density():
     grid = FrequencyGrid.centered(step=1.0, count=64)
     with pytest.warns(TruncationWarning):
         spectrum_to_correlation(Spectrum(0.0, grid, np.ones(64)), 0.01, 16)
+
+
+def _dense_sum(v, x0, dx, y0, dy, m, sign):
+    # oracle: the direct sum through the dense phase matrix
+    x = x0 + dx * np.arange(len(v))
+    y = y0 + dy * np.arange(m)
+    return np.exp(sign * 1j * np.outer(y, x)) @ v
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize(
+    "n, m, x0, y0",
+    [
+        pytest.param(64, 257, 0.0, 0.0, id="even-n<m"),
+        pytest.param(301, 40, -1.5e5, 0.0, id="odd-even-n>m"),
+        pytest.param(127, 1001, -3.0e5, -2.5e-4, id="odd-n<m-offsets"),
+        pytest.param(1200, 333, 0.0, 1.7e-5, id="even-odd-n>m-offsets"),
+    ],
+)
+def test_chirp_sum_matches_the_dense_sum(n, m, x0, y0, sign):
+    rng = np.random.default_rng(n + m)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    dx = 2.0 * abs(x0) / (n - 1) if x0 else 731.0
+    dy = np.pi / (8.0 * (abs(x0) + n * dx))
+    fast = _chirp_sum(v, x0, dx, y0, dy, m, sign)
+    dense = _dense_sum(v, x0, dx, y0, dy, m, sign)
+    assert fast.shape == (m,)
+    assert np.max(np.abs(fast - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_lag_transform_memory_stays_linear():
+    """One spectrum_to_correlation call at the validate scale (1201
+    frequencies, 10 391 lags): the dense phase matrix alone would take
+    about 200 MB, the chirp-z evaluation under 1 MB."""
+    grid = FrequencyGrid.spanning(6.0e5, 1201)
+    s = gaussian_spectrum(0.0, 1.0e5, grid)
+    dtau = np.pi / (8.0 * abs(grid.omegas[-1]))
+    tracemalloc.start()
+    try:
+        r = spectrum_to_correlation(s, dtau, 10391)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.values.size == 10391
+    assert peak < 20e6
 
 
 def test_round_trip_gaussian():
