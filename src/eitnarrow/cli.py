@@ -4,9 +4,11 @@ Subcommands: ``figure2``, ``figure3``, ``figure4``, ``validate``,
 ``propagate``, ``mc``, ``fit``.  Global flags: ``--config PATH``,
 ``--out DIR``, ``--seed N``, ``--quick``.
 
-Exit codes: 0 success, 1 failed acceptance/invariant, 2 usage or
-configuration error, 3 numerical-resolution error.  Failures print a
-single machine-parsable line ``error: <code>: <detail>`` on stderr.
+Exit codes: 0 success, 1 failed acceptance/invariant, 2 usage,
+configuration or derived-parameter error, 3 numerical-resolution error
+(including a width the grid does not resolve).  Failures print a single
+machine-parsable line ``error: <code>: <detail>`` on stderr; warnings
+print as ``warning: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,42 +29,26 @@ from .artifacts import (
     write_svg_plot,
     write_table_csv,
 )
+from .checks import run_checks
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
     EitNarrowError,
+    InvalidParameterError,
     ResolutionError,
 )
 from .fitting import fit_lineshape, linear_fit
 from .medium import (
     FieldConfig,
     closed_form_width,
-    complex_rates,
     eit_transmission_scan,
     eit_width,
     optical_depth,
-    thick_filter_hwhm,
 )
 from .mc import McConfig, ensemble_beat_spectrum
 from .noise import PhaseNoiseModel
-from .propagation import (
-    PropagationProblem,
-    adiabatic_rate_check,
-    narrowing_factor,
-    propagate_correlation,
-    propagate_spectrum,
-    thick_medium_spectrum,
-)
-from .spectral import (
-    GAUSSIAN_FWHM_FACTOR,
-    FrequencyGrid,
-    Spectrum,
-    correlation_to_spectrum,
-    fwhm_estimate,
-    gaussian_spectrum,
-    lorentzian_spectrum,
-    spectrum_to_correlation,
-)
+from .propagation import adiabatic_rate_check, narrowing_factor, propagate_spectrum
+from .spectral import FrequencyGrid, Spectrum, fwhm_estimate
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,20 +57,8 @@ def _khz(omega: float) -> float:
     return omega / (TWO_PI * 1e3)
 
 
-def _input_spectrum(cfg: RunConfig, grid: FrequencyGrid) -> Spectrum:
-    if cfg.input_shape == "gaussian":
-        return gaussian_spectrum(0.0, cfg.input_fwhm / GAUSSIAN_FWHM_FACTOR, grid)
-    return lorentzian_spectrum(0.0, cfg.input_fwhm / 2.0, grid)
-
-
 def _input_grid(cfg: RunConfig) -> FrequencyGrid:
     return FrequencyGrid.spanning(cfg.span_factor * cfg.input_fwhm, cfg.grid_points)
-
-
-def _output_grid(cfg: RunConfig, fields: FieldConfig | None = None) -> FrequencyGrid:
-    f = fields if fields is not None else cfg.fields
-    hwhm = thick_filter_hwhm(cfg.medium, abs(f.omega_d) ** 2 + abs(f.omega_p) ** 2)
-    return FrequencyGrid.spanning(2.0 * cfg.span_factor * hwhm, cfg.grid_points)
 
 
 def _fit_curve(fit, grid: FrequencyGrid) -> np.ndarray:
@@ -96,30 +71,19 @@ def _fit_curve(fit, grid: FrequencyGrid) -> np.ndarray:
 def cmd_figure2(cfg: RunConfig, out: str, quick: bool, off_resonance_only: bool) -> int:
     """Input (off-resonance) vs transmitted (on-resonance) beat spectra."""
     wide = _input_grid(cfg)
-    s_in = _input_spectrum(cfg, wide)
+    s_in = cfg.input_spectrum(wide)
     fit_in = fit_lineshape(s_in, "gaussian")
     files: list[tuple] = [("figure2_input.csv", s_in, None)]
     print(f"input fwhm: {_khz(fit_in.fwhm):.4f} kHz (gaussian fit)")
 
     if not off_resonance_only:
-        fine = _output_grid(cfg)
-        s_fine_in = _input_spectrum(cfg, fine)
-        result = propagate_spectrum(
-            PropagationProblem(
-                cfg.medium, cfg.fields, s_fine_in,
-                doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-            )
-        )
+        fine = cfg.output_grid()
+        result = propagate_spectrum(cfg.problem(cfg.input_spectrum(fine)))
         fit_out = fit_lineshape(result.spectrum, "lorentzian")
         target = closed_form_width(
             cfg.medium, abs(cfg.fields.omega_d) ** 2 + abs(cfg.fields.omega_p) ** 2
         )
-        wide_out = propagate_spectrum(
-            PropagationProblem(
-                cfg.medium, cfg.fields, s_in,
-                doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-            )
-        ).spectrum
+        wide_out = propagate_spectrum(cfg.problem(s_in)).spectrum
         files += [
             ("figure2_output.csv", result.spectrum, None),
             ("figure2_fit_input.csv", Spectrum(0.0, wide, _fit_curve(fit_in, wide)), None),
@@ -158,7 +122,7 @@ def cmd_figure3(cfg: RunConfig, out: str, quick: bool) -> int:
     spectrum on a shared frequency axis."""
     ensure_out_dir(out)
     if cfg.medium.length == 0:
-        grid = FrequencyGrid.spanning(cfg.span_factor * cfg.input_fwhm, cfg.grid_points)
+        grid = _input_grid(cfg)
         scan = eit_transmission_scan(cfg.medium, cfg.fields, grid, cfg.doppler, cfg.convention)
         write_table_csv(
             os.path.join(out, "figure3_scan.csv"),
@@ -170,17 +134,11 @@ def cmd_figure3(cfg: RunConfig, out: str, quick: bool) -> int:
         print("note: no-resonance (zero-length medium, scan is flat)")
         return 0
 
-    grid = _output_grid(cfg)
+    grid = cfg.output_grid()
     scan = eit_transmission_scan(cfg.medium, cfg.fields, grid, cfg.doppler, cfg.convention)
     width_eit = eit_width(scan)
 
-    s_in = _input_spectrum(cfg, grid)
-    result = propagate_spectrum(
-        PropagationProblem(
-            cfg.medium, cfg.fields, s_in,
-            doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-        )
-    )
+    result = propagate_spectrum(cfg.problem(cfg.input_spectrum(grid)))
     noise_norm = result.spectrum.density / result.spectrum.density.max()
     fit_noise = fit_lineshape(Spectrum(0.0, grid, noise_norm), "lorentzian")
     ratio = fit_noise.fwhm / width_eit
@@ -227,10 +185,7 @@ def cmd_figure4(cfg: RunConfig, out: str, quick: bool) -> int:
     rows = []
     for omega_d in sweep:
         f = replace(cfg.fields, omega_d=omega_d)
-        problem = PropagationProblem(
-            cfg.medium, f, _input_spectrum(cfg, _output_grid(cfg, f)),
-            doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-        )
+        problem = cfg.problem(cfg.input_spectrum(cfg.output_grid(f)), f)
         report = adiabatic_rate_check(problem)
         if not report.valid:
             print(
@@ -271,14 +226,8 @@ def cmd_figure4(cfg: RunConfig, out: str, quick: bool) -> int:
 
 def cmd_propagate(cfg: RunConfig, out: str, quick: bool) -> int:
     """Propagate the configured input spectrum and write the output."""
-    grid = _output_grid(cfg)
-    s_in = _input_spectrum(cfg, grid)
-    result = propagate_spectrum(
-        PropagationProblem(
-            cfg.medium, cfg.fields, s_in,
-            doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-        )
-    )
+    s_in = cfg.input_spectrum(cfg.output_grid())
+    result = propagate_spectrum(cfg.problem(s_in))
     fit = fit_lineshape(result.spectrum, "lorentzian")
     ensure_out_dir(out)
     write_spectrum_csv(os.path.join(out, "propagate_input.csv"), s_in, cfg.digest)
@@ -308,7 +257,7 @@ def _mc_shaping(cfg: RunConfig) -> Spectrum:
     nyquist = np.pi / cfg.mc_dt
     half = min(cfg.span_factor * cfg.input_fwhm, 0.95 * nyquist)
     grid = FrequencyGrid.spanning(half, 513)
-    return _input_spectrum(cfg, grid)
+    return cfg.input_spectrum(grid)
 
 
 def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> int:
@@ -390,163 +339,17 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# validate
-# ---------------------------------------------------------------------------
-
-
-def _validate_configs(cfg: RunConfig):
-    """Three canonical configurations with a moderate scale separation so
-    the (tau, z) route stays cheap."""
-    m = cfg.medium
-    base = replace(m, gamma_cb=0.0)
-    drive = abs(cfg.fields.omega_d)
-    on_res = FieldConfig(omega_d=drive)
-    detuned = FieldConfig(omega_d=drive, delta_p=0.1 * m.doppler_width)
-    rates = complex_rates(base, on_res, cfg.doppler)
-    decaying = replace(m, gamma_cb=0.2 * rates.gamma_cb_eff.real)
-    return [(base, on_res), (base, detuned), (decaying, on_res)]
-
-
-def _route_deviation(cfg: RunConfig, medium, fields) -> float:
-    rates = complex_rates(medium, fields, cfg.doppler)
-    scale = rates.gamma_cb_eff.real
-    grid = FrequencyGrid.spanning(120.0 * scale, 1201)
-    s_in = gaussian_spectrum(0.0, 20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid)
-    p = PropagationProblem(
-        medium, fields, s_in,
-        doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-    )
-    corr = propagate_correlation(p)
-    fourier = propagate_spectrum(p).spectrum
-    r_ref = spectrum_to_correlation(fourier, corr.beat.lag_step, corr.beat.values.size)
-    r0 = abs(r_ref.values[0])
-    return float(np.max(np.abs(corr.beat.values - r_ref.values)) / r0)
-
-
 def cmd_validate(cfg: RunConfig, out: str, quick: bool) -> int:
     """Reduced-scale invariant suite; exit 0 iff every check passes."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str):
-        checks.append((name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-    for i, (medium, fields) in enumerate(_validate_configs(cfg), 1):
-        dev = _route_deviation(cfg, medium, fields)
-        record(f"route-equivalence-{i}", dev < 1e-3, f"max deviation {dev:.3e}")
-
-    # passivity + transfer bounded by 1
-    grid = _output_grid(cfg)
-    s_in = _input_spectrum(cfg, grid)
-    p = PropagationProblem(
-        cfg.medium, cfg.fields, s_in,
-        doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-    )
-    out_spec = propagate_spectrum(p).spectrum
-    ok = bool(np.all(out_spec.density <= s_in.density * (1.0 + 1e-12)))
-    record("passivity", ok, "output density <= input density pointwise")
-
-    # transfer independent of the input shape
-    alt = lorentzian_spectrum(0.0, cfg.input_fwhm / 2.0, grid)
-    t1 = out_spec.density / s_in.density
-    p_alt = PropagationProblem(
-        cfg.medium, cfg.fields, alt,
-        doppler=cfg.doppler, convention=cfg.convention, z_steps=cfg.z_steps,
-    )
-    t2 = propagate_spectrum(p_alt).spectrum.density / alt.density
-    dev = float(np.max(np.abs(t1 - t2) / t2))
-    record("shape-independence", dev < 1e-9, f"transfer ratio deviation {dev:.3e}")
-
-    # closed-form filter identity (paper convention, gamma_cb = 0)
-    med0 = replace(cfg.medium, gamma_cb=0.0)
-    f0 = FieldConfig(omega_d=cfg.fields.omega_d)
-    thick = thick_medium_spectrum(med0, abs(f0.omega_d) ** 2, s_in)
-    full = propagate_spectrum(
-        PropagationProblem(med0, f0, s_in, doppler=True, convention="paper")
-    ).spectrum
-    dev = float(np.max(np.abs(thick.density - full.density) / full.density.max()))
-    record("closed-form-identity", dev < 1e-6, f"max deviation {dev:.3e}")
-
-    # Wiener-Khinchin round trip
-    wk_grid = FrequencyGrid.spanning(8.0 * cfg.input_fwhm, 1501)
-    wk_in = gaussian_spectrum(0.0, cfg.input_fwhm / GAUSSIAN_FWHM_FACTOR, wk_grid)
-    dtau = np.pi / (8.0 * abs(wk_grid.omegas[-1]))
-    n_tau = int(np.ceil(30.0 / (cfg.input_fwhm * dtau)))
-    corr = spectrum_to_correlation(wk_in, dtau, n_tau)
-    back = correlation_to_spectrum(corr, wk_grid)
-    dev = float(np.max(np.abs(back.density - wk_in.density)) / wk_in.density.max())
-    record("wiener-khinchin-roundtrip", dev < 1e-6, f"max deviation {dev:.3e}")
-
-    # fit exactness on synthetic lineshapes
-    lor = lorentzian_spectrum(0.0, cfg.input_fwhm / 2.0, wk_grid)
-    fit = fit_lineshape(lor, "lorentzian")
-    dev = abs(fit.width - cfg.input_fwhm / 2.0) / (cfg.input_fwhm / 2.0)
-    record("fit-exactness", dev < 1e-6, f"relative parameter error {dev:.3e}")
-
+    records = []
+    for record in run_checks(cfg, quick):
+        print(record.line)
+        records.append(record)
     if quick:
         print("quick mode: monte-carlo checks skipped")
-    else:
-        mc_cfg = _reduced_mc_config(cfg)
-        result = ensemble_beat_spectrum(mc_cfg)
-        dev, sig = _mc_vs_analytic(cfg, mc_cfg, result)
-        record(
-            "mc-vs-analytic",
-            dev <= 3.0,
-            f"worst band deviation {dev:.2f} sigma (limit 3), {sig} bands",
-        )
-
-    failed = [name for name, ok, _ in checks if not ok]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 1 if failed else 0
-
-
-def _reduced_mc_config(cfg: RunConfig) -> McConfig:
-    """Gentle optical depth and moderate rates so the Monte-Carlo check
-    stays well inside the validate-time budget."""
-    medium = replace(
-        cfg.medium, number_density=cfg.medium.number_density / 10.0, gamma_cb=0.0
-    )
-    drive = abs(cfg.fields.omega_d)
-    # a genuinely weak probe: the slaved coherence carries the probe's
-    # own power broadening, which would bias the analytic comparison
-    fields = FieldConfig(omega_d=drive, omega_p=1e-3 * drive)
-    rates = complex_rates(medium, fields, cfg.doppler)
-    g = rates.gamma_cb_eff.real
-    dt = 0.005 / g
-    shaping_grid = FrequencyGrid.spanning(min(40.0 * g, 0.9 * np.pi / dt), 257)
-    shaping = gaussian_spectrum(0.0, 10.0 * g / GAUSSIAN_FWHM_FACTOR, shaping_grid)
-    return McConfig(
-        medium=medium,
-        fields=fields,
-        noise=PhaseNoiseModel(diffusion=0.0, shaping=shaping, seed=cfg.seed),
-        dt=dt,
-        duration=60.0 / g,
-        realizations=64,
-        slices=cfg.mc_slices,
-        doppler=cfg.doppler,
-        seed=cfg.seed,
-    )
-
-
-def _mc_vs_analytic(cfg: RunConfig, mc_cfg: McConfig, result) -> tuple[float, int]:
-    from .mc import band_average_transfer, windowed_reference
-    from .medium import transmission
-
-    mask = result.input_density > 0.02 * result.input_density.max()
-    n_bands = 16
-    analytic_bins = transmission(
-        mc_cfg.medium, mc_cfg.fields, result.spectrum.omegas, mc_cfg.doppler, "derived"
-    )
-    ref_bins = windowed_reference(result, analytic_bins)
-    centers, values, errs = band_average_transfer(result, mask, n_bands)
-    groups = np.array_split(np.flatnonzero(mask), n_bands)
-    weights = result.input_density
-    refs = np.array(
-        [np.sum(ref_bins[g] * weights[g]) / np.sum(weights[g]) for g in groups]
-    )
-    sig = np.abs(values - refs) / np.maximum(errs, 1e-300)
-    return float(sig.max()), n_bands
+    passed = sum(r.passed for r in records)
+    print(f"{passed}/{len(records)} checks passed")
+    return 0 if passed == len(records) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +394,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {' '.join(str(message).split())}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # every warning of the command, each time it is raised, as one
+    # ``warning:`` line on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        return _run(argv)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config, seed=args.seed)
@@ -616,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResolutionError as exc:
         print(f"error: resolution: {exc}", file=sys.stderr)
         return 3
+    except InvalidParameterError as exc:
+        print(f"error: bad-parameter: {exc}", file=sys.stderr)
+        return 2
     except EitNarrowError as exc:
         print(f"error: invariant: {exc}", file=sys.stderr)
         return 1

@@ -65,9 +65,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OpticallyThinError
-from .medium import AtomicMedium, FieldConfig, convention_factor, drive_for_target_width
-from .errors import InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, OpticallyThinError
+from .medium import (
+    AtomicMedium,
+    FieldConfig,
+    convention_factor,
+    drive_for_target_width,
+    thick_filter_hwhm,
+)
+from .propagation import PropagationProblem
+from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
+from .spectral import gaussian_spectrum, lorentzian_spectrum
 
 TWO_PI = 2.0 * np.pi
 
@@ -161,6 +169,31 @@ class RunConfig:
     seed: int
     resolved: dict  # section -> key -> string, fully resolved
     digest: str  # short hash of the resolved configuration
+
+    def input_spectrum(self, grid: FrequencyGrid) -> Spectrum:
+        """The configured input beat spectrum sampled on ``grid``."""
+        if self.input_shape == "gaussian":
+            return gaussian_spectrum(0.0, self.input_fwhm / GAUSSIAN_FWHM_FACTOR, grid)
+        return lorentzian_spectrum(0.0, self.input_fwhm / 2.0, grid)
+
+    def output_grid(self, fields: FieldConfig | None = None) -> FrequencyGrid:
+        """Grid resolving the transmitted line: ``span_factor`` times the
+        thick-filter half width on each side."""
+        f = fields if fields is not None else self.fields
+        hwhm = thick_filter_hwhm(self.medium, abs(f.omega_d) ** 2 + abs(f.omega_p) ** 2)
+        return FrequencyGrid.spanning(2.0 * self.span_factor * hwhm, self.grid_points)
+
+    def problem(self, spectrum: Spectrum, fields: FieldConfig | None = None) -> PropagationProblem:
+        """Propagation of ``spectrum`` through the configured medium, with
+        the configured fields unless ``fields`` replaces them."""
+        return PropagationProblem(
+            self.medium,
+            fields if fields is not None else self.fields,
+            spectrum,
+            doppler=self.doppler,
+            convention=self.convention,
+            z_steps=self.z_steps,
+        )
 
 
 def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:

@@ -9,10 +9,6 @@ class InvalidParameterError(EitNarrowError):
     """A physical or numerical parameter violates its precondition."""
 
 
-class UnresolvedWidthError(EitNarrowError):
-    """The spectrum never falls below half maximum on at least one side."""
-
-
 class MultimodalSpectrumError(EitNarrowError):
     """More than one disjoint region above half maximum."""
 
@@ -45,6 +41,10 @@ class ResolutionError(EitNarrowError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class UnresolvedWidthError(ResolutionError):
+    """The spectrum never falls below half maximum on at least one side."""
 
 
 class ConfigError(EitNarrowError):

@@ -75,9 +75,15 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
     else:
         p = _self_initialize(s, model)
 
-    yfit, jac = fun(w, *p)
+    # a width so small that its square (or the square of the model's
+    # denominator) underflows makes the model or its Jacobian 0/0; report
+    # that as a failed fit before LAPACK sees it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yfit, jac = fun(w, *p)
     resid = yfit - y
     cost = resid @ resid
+    if not (np.isfinite(cost) and np.isfinite(jac).all()):
+        raise FitFailedError(f"{model} fit failed: not finite at the initial guess")
     converged = False
     for _ in range(MAX_ITER):
         # column-scale the Jacobian: parameters mix O(1) amplitudes with

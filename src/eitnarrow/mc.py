@@ -79,7 +79,6 @@ class McEnsembleResult:
     spectrum: Spectrum  # ensemble-mean transmitted beat spectrum
     stderr: np.ndarray  # per-bin standard error of the mean
     input_density: np.ndarray  # ensemble-mean input spectrum (same grid)
-    input_stderr: np.ndarray
     transfer: np.ndarray  # ratio of ensemble-mean densities
     per_real_in: np.ndarray  # per-realization input periodograms
     per_real_out: np.ndarray  # per-realization output periodograms
@@ -254,14 +253,12 @@ def ensemble_beat_spectrum(cfg: McConfig, chunk: int = 32) -> McEnsembleResult:
     mean_in = p_in.mean(axis=0)
     nr = cfg.realizations
     err_out = p_out.std(axis=0, ddof=1) / np.sqrt(nr)
-    err_in = p_in.std(axis=0, ddof=1) / np.sqrt(nr)
     with np.errstate(divide="ignore", invalid="ignore"):
         transfer = np.where(mean_in > 0, mean_out / np.where(mean_in > 0, mean_in, 1.0), np.nan)
     return McEnsembleResult(
         spectrum=Spectrum(0.0, grid, mean_out),
         stderr=err_out,
         input_density=mean_in,
-        input_stderr=err_in,
         transfer=transfer,
         per_real_in=p_in,
         per_real_out=p_out,

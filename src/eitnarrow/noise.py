@@ -62,9 +62,6 @@ class FieldSeries:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.envelope.size)
 
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.envelope) ** 2))
-
 
 def sample_phase_trajectory(
     model: PhaseNoiseModel, dt: float, n: int, realization: int = 0

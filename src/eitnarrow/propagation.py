@@ -39,6 +39,10 @@ from .spectral import (
     _trapezoid_weights,
 )
 
+# largest z-step halving residual, relative to R(0), that the (tau, z)
+# route accepts
+HALVING_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class PropagationProblem:
@@ -48,8 +52,6 @@ class PropagationProblem:
     doppler: bool = True
     convention: str = "paper"
     z_steps: int = 64
-    tau_step: float = 0.0  # 0 -> choose from the grid Nyquist criterion
-    tau_count: int = 0  # 0 -> choose from the correlation decay
 
     def __post_init__(self):
         if self.z_steps < 1:
@@ -59,7 +61,6 @@ class PropagationProblem:
 @dataclass(frozen=True)
 class SpectrumResult:
     spectrum: Spectrum  # I_omega at z = L
-    rho_omega: np.ndarray  # slaved coherence spectrum at z = L
     kappa: np.ndarray  # per-frequency exponent [1/m]
 
 
@@ -91,9 +92,7 @@ def propagate_spectrum(p: PropagationProblem) -> SpectrumResult:
     s = p.input_spectrum
     kappa = transfer_exponent(p.medium, p.fields, s.omegas, p.doppler, p.convention)
     density = s.density * np.exp(kappa.real * p.medium.length)
-    rates = complex_rates(p.medium, p.fields, p.doppler)
-    rho_omega = rates.n_factor * density / (rates.gamma_cb_eff - 1j * s.omegas)
-    return SpectrumResult(Spectrum(s.carrier, s.grid, density), rho_omega, kappa)
+    return SpectrumResult(Spectrum(s.carrier, s.grid, density), kappa)
 
 
 def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spectrum:
@@ -109,9 +108,7 @@ def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spec
 def _auto_tau_grid(p: PropagationProblem) -> tuple[float, int]:
     s = p.input_spectrum
     omega_max = max(abs(s.grid.start), abs(s.omegas[-1]))
-    dtau = p.tau_step if p.tau_step > 0 else np.pi / (8.0 * omega_max)
-    if p.tau_count > 0:
-        return dtau, p.tau_count
+    dtau = np.pi / (8.0 * omega_max)
     # long enough for the narrowed output correlation to decay
     rates = complex_rates(p.medium, p.fields, p.doppler)
     slow = min(rates.gamma_cb_eff.real, omega_max)
@@ -172,11 +169,9 @@ def _integrate_correlation(
     return r, g
 
 
-def propagate_correlation(
-    p: PropagationProblem, check_tol: float = 1e-4
-) -> CorrelationResult:
+def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
     """(tau, z) route; raises ResolutionError if halving the z step still
-    changes the answer by more than ``check_tol`` relative to R(0)."""
+    changes the answer by more than ``HALVING_TOL`` relative to R(0)."""
     dtau, count = _auto_tau_grid(p)
     horizon = (count - 1) * dtau
     # the slaved initial condition at the grid edge carries a transient
@@ -215,7 +210,7 @@ def propagate_correlation(
     residual = float(
         np.max(np.abs(r_fine[keep] - r_coarse[keep])) / np.abs(r_fine[center])
     )
-    if residual > check_tol:
+    if residual > HALVING_TOL:
         raise ResolutionError(
             f"z-step halving changed R by {residual:.3e} relative to R(0)",
             residual=residual,

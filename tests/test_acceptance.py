@@ -16,11 +16,11 @@ import time
 import numpy as np
 import pytest
 
+from eitnarrow.checks import route_deviations, wiener_khinchin_error
 from eitnarrow.cli import main
 from eitnarrow.fitting import fit_lineshape, linear_fit
 from eitnarrow.mc import McConfig, ensemble_beat_spectrum, windowed_reference
 from eitnarrow.medium import (
-    AtomicMedium,
     FieldConfig,
     closed_form_width,
     complex_rates,
@@ -36,38 +36,18 @@ from eitnarrow.noise import PhaseNoiseModel
 from eitnarrow.propagation import (
     PropagationProblem,
     adiabatic_rate_check,
-    propagate_correlation,
     propagate_spectrum,
 )
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
     FrequencyGrid,
     Spectrum,
-    correlation_to_spectrum,
     gaussian_spectrum,
-    lorentzian_spectrum,
-    spectrum_to_correlation,
 )
+from paper_params import TWO_PI, paper_medium
 
-TWO_PI = 2.0 * np.pi
 INPUT_FWHM = TWO_PI * 980e3
 TARGET_WIDTH = TWO_PI * 4.6e3
-
-
-def paper_medium(**overrides) -> AtomicMedium:
-    """N = 3e11 cm^-3, L = 2.5 cm, Delta_W = 2 pi 500 MHz."""
-    params = dict(
-        number_density=3e17,
-        wavelength=794.98e-9,
-        gamma_r=3.61e7,
-        gamma_ab=2e7,
-        gamma_ac=2e7,
-        gamma_cb=0.0,
-        doppler_width=TWO_PI * 500e6,
-        length=0.025,
-    )
-    params.update(overrides)
-    return AtomicMedium(**params)
 
 
 def emit(capsys, line: str):
@@ -250,32 +230,12 @@ def test_criterion_4_noise_width_equals_eit_width(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _route_deviation(medium, fields) -> float:
-    scale = complex_rates(medium, fields).gamma_cb_eff.real
-    grid = FrequencyGrid.spanning(120.0 * scale, 1201)
-    s_in = gaussian_spectrum(0.0, 20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid)
-    p = PropagationProblem(medium, fields, s_in, z_steps=64)
-    corr = propagate_correlation(p)
-    fourier = propagate_spectrum(p).spectrum
-    reference = spectrum_to_correlation(
-        fourier, corr.beat.lag_step, corr.beat.values.size
-    )
-    return float(
-        np.max(np.abs(corr.beat.values - reference.values))
-        / abs(reference.values[0])
-    )
-
-
 def test_criterion_5_route_equivalence(capsys):
+    """On resonance, probe detuned by 0.1 Delta_W, and a ground decay of
+    0.2 times the power broadening, at the paper's medium and drive."""
     m = paper_medium()
     drive = drive_for_target_width(m, TARGET_WIDTH)
-    broadening = complex_rates(m, FieldConfig(omega_d=drive)).gamma_cb_eff.real
-    configs = [
-        (m, FieldConfig(omega_d=drive)),
-        (m, FieldConfig(omega_d=drive, delta_p=0.1 * m.doppler_width)),
-        (paper_medium(gamma_cb=0.2 * broadening), FieldConfig(omega_d=drive)),
-    ]
-    devs = [_route_deviation(mm, ff) for mm, ff in configs]
+    devs = route_deviations(m, drive, doppler=True, convention="paper", z_steps=64)
     ok = all(d < 1e-3 for d in devs)
     detail = ", ".join(f"{d:.2e}" for d in devs)
     emit(
@@ -426,12 +386,7 @@ def test_criterion_8_fit_and_wiener_khinchin_exactness(capsys):
         abs(fit_l.center - center_l) / hwhm,
         abs(fit_l.amplitude - 1.2) / 1.2,
     )
-    wk_in = gaussian_spectrum(0.0, omega_w, grid)
-    dtau = np.pi / (8.0 * abs(grid.omegas[-1]))
-    n_tau = int(np.ceil(30.0 / (INPUT_FWHM * dtau)))
-    corr = spectrum_to_correlation(wk_in, dtau, n_tau)
-    back = correlation_to_spectrum(corr, grid)
-    err_wk = float(np.max(np.abs(back.density - wk_in.density)) / wk_in.density.max())
+    err_wk = wiener_khinchin_error(INPUT_FWHM)
     ok = err_g < 1e-6 and err_l < 1e-6 and err_wk < 1e-6
     emit(
         capsys,

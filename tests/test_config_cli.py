@@ -4,6 +4,7 @@ import contextlib
 import filecmp
 import io
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitnarrow import checks
 from eitnarrow.cli import main
 from eitnarrow.config import _ENUMS, _INTS, DEFAULTS, config_digest, load_config
 from eitnarrow.errors import ConfigError
@@ -147,6 +149,7 @@ def _bad_spectrum_csv(tmp_path):
         pytest.param("[input]\nspan_factor = 0\n", ["propagate"], id="zero-span"),
         pytest.param("[input]\nfwhm_khz = 0\n", ["figure2"], id="zero-input-width"),
         pytest.param("[fields]\nomega_d_mhz = 1e300\n", ["figure2"], id="huge-drive"),
+        pytest.param("[fields]\nomega_d_mhz = 1e-200\n", ["figure2"], id="vanishing-drive"),
         pytest.param("[medium]\nlength_cm = nan\n", ["figure2"], id="nan-length"),
         pytest.param("[mc]\ndt_us = inf\n", ["--quick", "mc"], id="infinite-dt"),
         pytest.param("[mc]\ndt_us = 0\n", ["--quick", "mc"], id="zero-dt"),
@@ -173,15 +176,39 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
 
 
 def test_underflowing_fit_exits_1_with_one_error_line(tmp_path, capsys):
-    """A drive so weak that the fitted width squared underflows: the fit
-    reports the failed least-squares step instead of a traceback."""
-    path = write_config(tmp_path, "[fields]\nomega_d_mhz = 4e-155\n")
+    """A drive so weak that the fitted width squared (4e-155 MHz) or the
+    Jacobian's squared denominator (3.9e-59 MHz) underflows: the fit
+    fails before the least-squares step, with no warning and no
+    traceback."""
+    for drive in ("4e-155", "3.9e-59"):
+        path = write_config(tmp_path, f"[fields]\nomega_d_mhz = {drive}\n")
+        rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.strip().splitlines() == [
+            "error: invariant: lorentzian fit failed: not finite at the initial guess"
+        ]
+
+
+def test_unresolved_width_exits_3_with_one_error_line(tmp_path, capsys):
+    """A grid too narrow for the input line is a resolution error."""
+    path = write_config(tmp_path, "[input]\nspan_factor = 0.1\n")
     rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rc == 3
     assert err.strip().splitlines() == [
-        "error: invariant: lorentzian fit failed: SVD did not converge in Linear Least Squares"
+        "error: resolution: density never falls below half maximum"
     ]
+
+
+def test_warnings_print_as_one_line_on_every_run(tmp_path, capsys):
+    path = write_config(tmp_path, "[fields]\nomega_p_mhz = 1\n")
+    for _ in range(2):
+        rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 0
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: probe Rabi frequency is not small")
 
 
 _FUZZED_KEYS = [
@@ -235,6 +262,7 @@ def test_exit_contract_holds_for_fuzzed_inputs(seed, config, command):
     assert "Traceback" not in err
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(errors) == (0 if rc == 0 else 1)
+    assert all(ln.startswith(("error:", "warning:")) for ln in err.splitlines())
 
 
 def test_figure2_artifacts_and_numbers(tmp_path, capsys):
@@ -326,12 +354,32 @@ def test_propagate_command(tmp_path, capsys):
     assert os.path.isfile(os.path.join(out, "propagate_output.csv"))
 
 
+# the names `--quick validate` prints, in order; perfbench parses them
+QUICK_CHECKS = ["route-equivalence-1", "route-equivalence-2", "route-equivalence-3", "passivity",
+                "shape-independence", "closed-form-identity", "wiener-khinchin-roundtrip",
+                "fit-exactness"]
+
+
 def test_validate_quick(tmp_path, capsys):
     rc = main(["--quick", "--out", str(tmp_path / "v"), "validate"])
     assert rc == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
     assert "monte-carlo checks skipped" in text
+    assert re.findall(r"^PASS ([\w-]+): ", text, re.MULTILINE) == QUICK_CHECKS
+
+
+def test_validate_reports_a_failed_check(tmp_path, capsys, monkeypatch):
+    """The helper is looked up at run time, so a failing value reaches
+    the printed record, the summary and the exit code."""
+    monkeypatch.setattr(checks, "wiener_khinchin_error", lambda fwhm: 1.0)
+    rc = main(["--quick", "--out", str(tmp_path / "v"), "validate"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL wiener-khinchin-roundtrip: max deviation 1.000e+00"
+    ]
+    assert lines[-1] == "7/8 checks passed"
 
 
 def test_fit_command_round_trip(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eitnarrow.checks import band_transfer_vs_reference
 from eitnarrow.errors import InvalidParameterError
 from eitnarrow.medium import (
     AtomicMedium,
@@ -16,7 +17,6 @@ from eitnarrow.mc import (
     ensemble_beat_spectrum,
     integrate_slice,
     slice_convergence,
-    windowed_reference,
 )
 from eitnarrow.noise import FieldSeries, PhaseNoiseModel
 from eitnarrow.spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, gaussian_spectrum
@@ -176,18 +176,10 @@ def test_transfer_vs_analytic_in_bands():
     """Band-averaged Monte-Carlo transfer tracks the window-convolved
     exp(Re kappa L) reference within a generous multiple of the
     realization scatter."""
-    result = ensemble_beat_spectrum(reduced_config(realizations=64))
-    m, f = reduced_medium(), reduced_fields()
-    mask = result.input_density > 0.05 * result.input_density.max()
-    n_bands = 8
-    analytic_bins = transmission(m, f, result.spectrum.omegas, convention="derived")
-    ref_bins = windowed_reference(result, analytic_bins)
-    groups = np.array_split(np.flatnonzero(mask), n_bands)
-    weights = result.input_density
-    refs = np.array(
-        [np.sum(ref_bins[g] * weights[g]) / np.sum(weights[g]) for g in groups]
+    cfg = reduced_config(realizations=64)
+    values, refs, errs = band_transfer_vs_reference(
+        ensemble_beat_spectrum(cfg), cfg, 0.05, 8
     )
-    centers, values, errs = band_average_transfer(result, mask, n_bands)
     assert np.all(np.abs(values - refs) <= np.maximum(5.0 * errs, 0.01))
 
 

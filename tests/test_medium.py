@@ -5,7 +5,6 @@ import pytest
 
 from eitnarrow.errors import InvalidParameterError, OpticallyThinError, SingularRateError
 from eitnarrow.medium import (
-    AtomicMedium,
     FieldConfig,
     closed_form_width,
     complex_rates,
@@ -20,23 +19,7 @@ from eitnarrow.medium import (
     wing_transmission,
 )
 from eitnarrow.spectral import FrequencyGrid
-
-TWO_PI = 2.0 * np.pi
-
-
-def paper_medium(**overrides) -> AtomicMedium:
-    params = dict(
-        number_density=3e17,  # 3e11 cm^-3
-        wavelength=794.98e-9,
-        gamma_r=3.61e7,
-        gamma_ab=2e7,
-        gamma_ac=2e7,
-        gamma_cb=0.0,
-        doppler_width=TWO_PI * 500e6,
-        length=0.025,
-    )
-    params.update(overrides)
-    return AtomicMedium(**params)
+from paper_params import TWO_PI, paper_medium
 
 
 def drive_fields(omega_d=TWO_PI * 2.3e6, **overrides) -> FieldConfig:
