@@ -30,7 +30,7 @@ from .artifacts import (
     write_table_csv,
 )
 from .checks import run_checks
-from .config import RunConfig, load_config
+from .config import RunConfig, check_mc_size, load_config
 from .errors import (
     ConfigError,
     EitNarrowError,
@@ -262,8 +262,8 @@ def _mc_shaping(cfg: RunConfig) -> Spectrum:
 
 def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> int:
     """Monte-Carlo ensemble beat spectrum of the transmitted probe."""
-    if realizations is not None and realizations < 8:
-        raise ConfigError("--realizations must be at least 8", code="bad-parameter")
+    if realizations is not None:
+        check_mc_size(realizations, cfg.mc_dt, cfg.mc_duration)
     n_real = realizations if realizations is not None else cfg.mc_realizations
     if quick:
         n_real = min(n_real, 32)

@@ -54,6 +54,11 @@ Recognized sections and keys (defaults in parentheses):
 
 [run]
     seed (12345)
+
+The size keys are bounded above (``SIZE_RANGES``), as are the samples
+per Monte-Carlo realization, ``duration_ms / dt_us``
+(``MAX_MC_SAMPLES``), and their product with ``realizations``
+(``MAX_MC_ELEMENTS``).
 """
 
 from __future__ import annotations
@@ -223,11 +228,31 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
 MAX_MAGNITUDE = 1e30
 
 
+# allowed range of each size key: the upper bounds lie far above every
+# shipped and tested configuration and keep the arrays a run allocates
+# within a few GB
+SIZE_RANGES = {
+    ("input", "grid_points"): (8, 10**6),
+    ("propagation", "z_steps"): (1, 10**5),
+    ("mc", "realizations"): (8, 10**5),
+    ("mc", "slices"): (1, 10**4),
+    ("sweep", "points"): (1, 10**4),
+}
+MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us
+MAX_MC_ELEMENTS = 10**8  # realizations * duration_ms / dt_us
+
+
 def _number(resolved, sec, key) -> float:
     raw = resolved[sec][key]
-    try:
-        if (sec, key) in _INTS:
+    if (sec, key) in _INTS:
+        try:
             return int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"key {key!r} in [{sec}] must be an integer, got {raw!r}",
+                code="bad-number",
+            ) from None
+    try:
         value = float(raw)
         if abs(value) <= MAX_MAGNITUDE:
             return value
@@ -238,6 +263,33 @@ def _number(resolved, sec, key) -> float:
         f"{MAX_MAGNITUDE:g}, got {raw!r}",
         code="bad-number",
     )
+
+
+def _size(sec: str, key: str, value: int) -> int:
+    low, high = SIZE_RANGES[(sec, key)]
+    if not low <= value <= high:
+        raise ConfigError(
+            f"{key} must lie in [{low}, {high}], got {value}", code="bad-parameter"
+        )
+    return value
+
+
+def check_mc_size(realizations: int, dt: float, duration: float) -> None:
+    """Reject a Monte-Carlo ensemble whose realization count, samples per
+    realization (``duration / dt``) or their product is out of range."""
+    _size("mc", "realizations", realizations)
+    samples = duration / dt
+    if samples > MAX_MC_SAMPLES:
+        raise ConfigError(
+            f"duration_ms / dt_us = {samples:.4g} samples exceeds {MAX_MC_SAMPLES:.0e}",
+            code="bad-parameter",
+        )
+    if realizations * samples > MAX_MC_ELEMENTS:
+        raise ConfigError(
+            f"realizations * duration_ms / dt_us = {realizations * samples:.4g} "
+            f"exceeds {MAX_MC_ELEMENTS:.0e}",
+            code="bad-parameter",
+        )
 
 
 def _enum(resolved, sec, key) -> str:
@@ -310,29 +362,26 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), code="bad-parameter") from exc
 
-    points = int(num("sweep", "points"))
-    if points < 1:
-        raise ConfigError("sweep needs at least one point", code="bad-parameter")
+    size = lambda sec, key: _size(sec, key, num(sec, key))  # noqa: E731
     sweep = np.linspace(
-        num("sweep", "omega_d_min_mhz"), num("sweep", "omega_d_max_mhz"), points
+        num("sweep", "omega_d_min_mhz"),
+        num("sweep", "omega_d_max_mhz"),
+        size("sweep", "points"),
     ) * TWO_PI * 1e6
 
-    grid_points = int(num("input", "grid_points"))
-    z_steps = int(num("propagation", "z_steps"))
-    if grid_points < 8 or z_steps < 1:
-        raise ConfigError("grid_points >= 8 and z_steps >= 1 required", code="bad-parameter")
+    grid_points = size("input", "grid_points")
+    z_steps = size("propagation", "z_steps")
     span_factor = num("input", "span_factor")
     input_fwhm = num("input", "fwhm_khz") * TWO_PI * 1e3
     if span_factor <= 0 or input_fwhm <= 0:
         raise ConfigError("span_factor and fwhm_khz must be positive", code="bad-parameter")
-    mc_realizations = int(num("mc", "realizations"))
-    mc_slices = int(num("mc", "slices"))
-    if mc_realizations < 8 or mc_slices < 1:
-        raise ConfigError("realizations >= 8 and slices >= 1 required", code="bad-parameter")
+    mc_realizations = num("mc", "realizations")
+    mc_slices = size("mc", "slices")
     mc_dt = num("mc", "dt_us") * 1e-6
     mc_duration = num("mc", "duration_ms") * 1e-3
     if mc_dt <= 0 or mc_duration <= 0:
         raise ConfigError("dt_us and duration_ms must be positive", code="bad-parameter")
+    check_mc_size(mc_realizations, mc_dt, mc_duration)
     seed = int(num("run", "seed"))
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}", code="bad-parameter")
@@ -360,4 +409,4 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     )
 
 
-__all__ = ["DEFAULTS", "RunConfig", "config_digest", "load_config"]
+__all__ = ["DEFAULTS", "RunConfig", "check_mc_size", "config_digest", "load_config"]

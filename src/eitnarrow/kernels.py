@@ -1,14 +1,14 @@
-"""Hot numeric kernels, each a cascade of exact IIR filters.
+"""Hot numeric kernels: linear recurrences with constant coefficients,
+each solved exactly without a Python loop over its samples.
 
-Both kernels are linear recurrences with constant coefficients, so each
-runs as ``scipy.signal.lfilter`` calls.
+The lag sweep is a first-order recurrence along the lag grid.  Its
+closed form is a power-weighted cumulative sum, evaluated with
+``np.cumsum`` in chunks short enough that the weights cannot overflow.
 
-The lag sweep is a first-order recurrence along the lag grid.
-
-The Monte-Carlo slab is linear time-invariant in the drive frame.  The
-drive noise is phase-only, so each realization's drive is
-``d(t) = |d| u(t)`` with a constant modulus and ``|u| = 1``.  In the
-frame ``x = w conj(u)`` the drive phase cancels from every slice:
+The Monte-Carlo slab is linear time-invariant in the drive frame and
+runs as a cascade of ``scipy.signal.lfilter`` calls.  The drive noise
+is phase-only, so each realization's drive is ``d(t) = |d| u(t)`` with
+a constant modulus and ``|u| = 1``.  In the frame ``x = w conj(u)`` the drive phase cancels from every slice:
 the slaved source ``fcoef d rho`` and the coherence drive
 ``w_mid conj(d)`` carry only ``|d|``.  Each slice is therefore a
 second-order filter in time (ground coherence plus the previous
@@ -16,6 +16,8 @@ source sample), and the slab is ``nsl`` of them in series.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -42,28 +44,66 @@ def _phi12(x: complex) -> tuple[complex, complex]:
 # correlation sweep: G' = nfac * R(tau) - gtilde * G, exponential integrator
 # with piecewise-linear source:
 #   G[k+1] = decay*G[k] + c_prev*R[k] + c_curr*R[k+1]
+# whose closed form, with u[j] = c_prev*R[j-1] + c_curr*R[j], is
+#   G[k] = decay^k * (G[0] + sum_{1<=j<=k} decay^-j * u[j]).
+# The sum runs as a cumulative sum over chunks of at most CHUNK_EXPONENT /
+# |ln|decay|| lags, restarting from the last G of the previous chunk, so
+# that decay^-j stays far from overflow.
 # ---------------------------------------------------------------------------
 
+CHUNK_EXPONENT = 300.0
 
-def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float):
+
+class LagSweep(NamedTuple):
+    """Coefficients of the lag recurrence and its table of powers."""
+
+    c_prev: complex
+    c_curr: complex
+    powers: np.ndarray  # rows decay**k and decay**-k, 0 <= k <= one chunk
+
+
+def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float, size: int) -> LagSweep:
+    """Coefficients of the lag sweep over ``size`` lags of step ``dtau``."""
     x = -gtilde * dtau
+    rate = abs(x.real)  # |ln|decay||
+    if rate > CHUNK_EXPONENT:
+        raise InvalidParameterError(
+            f"|Re gtilde| * dtau = {rate:.3g} exceeds {CHUNK_EXPONENT:g}: "
+            "the lag step is far longer than the coherence time"
+        )
     phi1, phi2 = _phi12(x)
-    decay = np.exp(x)
-    c_prev = dtau * nfac * (phi1 - phi2)
-    c_curr = dtau * nfac * phi2
-    return complex(decay), complex(c_prev), complex(c_curr)
+    decay = complex(np.exp(x))
+    chunk = max(1, size - 1)
+    if rate * chunk > CHUNK_EXPONENT:
+        chunk = int(CHUNK_EXPONENT / rate)
+    up = decay ** np.arange(chunk + 1)
+    return LagSweep(
+        complex(dtau * nfac * (phi1 - phi2)),
+        complex(dtau * nfac * phi2),
+        np.stack([up, 1.0 / up]),
+    )
 
 
-def g_sweep(r_values, g0, decay, c_prev, c_curr):
-    """Integrate the slaved-coherence lag ODE along the lag grid."""
+def g_sweep(r_values, g0, sweep: LagSweep):
+    """Integrate the slaved-coherence lag ODE along the lag grid.
+
+    The rounding error is the recurrence's own, about
+    eps * max|G| / (1 - |decay|).
+    """
     r_values = np.asarray(r_values, dtype=complex)
-    b = np.array([c_curr, c_prev], dtype=complex)
-    a = np.array([1.0, -decay], dtype=complex)
-    zi = np.array([decay * g0 + c_prev * r_values[0]], dtype=complex)
-    tail, _ = lfilter(b, a, r_values[1:], zi=zi)
+    up, down = sweep.powers
     out = np.empty(r_values.size, dtype=complex)
     out[0] = g0
-    out[1:] = tail
+    u = sweep.c_prev * r_values[:-1]
+    u += sweep.c_curr * r_values[1:]
+    step = up.size - 1
+    for lo in range(0, u.size, step):
+        seg = u[lo:lo + step]
+        seg *= down[1:seg.size + 1]
+        block = out[lo + 1:lo + 1 + seg.size]
+        np.cumsum(seg, out=block)
+        block += out[lo]
+        block *= up[1:seg.size + 1]
     return out
 
 

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from eitnarrow import checks
 from eitnarrow.cli import main
-from eitnarrow.config import _ENUMS, _INTS, DEFAULTS, config_digest, load_config
+from eitnarrow.config import (
+    _ENUMS,
+    _INTS,
+    DEFAULTS,
+    SIZE_RANGES,
+    config_digest,
+    load_config,
+)
 from eitnarrow.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
@@ -84,6 +91,25 @@ def test_bad_enum_and_bad_number(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, "[medium]\nlength_cm = long\n"))
     assert err.value.code == "bad-number"
+
+
+def test_integer_key_in_float_notation_is_named_an_integer(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, "[input]\ngrid_points = 1e20\n"))
+    assert err.value.code == "bad-number"
+    assert "'grid_points' in [input] must be an integer, got '1e20'" in str(err.value)
+
+
+def test_size_keys_are_bounded_above(tmp_path):
+    # 500 samples per realization keep the largest ensemble in bounds
+    extra = {"mc": "duration_ms = 0.05\n"}
+    for (sec, key), (_, high) in SIZE_RANGES.items():
+        text = f"[{sec}]\n{extra.get(sec, '')}{key} = "
+        cfg = load_config(write_config(tmp_path, f"{text}{high}\n"))
+        assert cfg.resolved[sec][key] == str(high)
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, f"{text}{high + 1}\n"))
+        assert err.value.code == "bad-parameter"
 
 
 def test_bad_physical_parameter(tmp_path):
@@ -159,6 +185,15 @@ def _bad_spectrum_csv(tmp_path):
         pytest.param(None, ["figure9"], id="unknown-subcommand"),
         pytest.param(None, ["mc", "--realizations", "x"], id="non-integer-realizations"),
         pytest.param(None, ["fit"], id="fit-without-input"),
+        pytest.param("[input]\ngrid_points = 1000000000000000\n", ["figure2"], id="huge-grid"),
+        pytest.param("[input]\ngrid_points = 1e20\n", ["figure2"], id="float-grid-points"),
+        pytest.param("[propagation]\nz_steps = 100001\n", ["figure2"], id="huge-z-steps"),
+        pytest.param("[mc]\nrealizations = 100001\n", ["--quick", "mc"], id="huge-realizations"),
+        pytest.param(None, ["mc", "--realizations", "100001"], id="huge-realizations-flag"),
+        pytest.param("[mc]\nslices = 10001\n", ["--quick", "mc"], id="huge-slices"),
+        pytest.param("[sweep]\npoints = 10001\n", ["figure4"], id="huge-sweep"),
+        pytest.param("[mc]\ndt_us = 1e-6\n", ["figure2"], id="huge-sample-count"),
+        pytest.param("[mc]\nrealizations = 20000\n", ["--quick", "mc"], id="huge-ensemble"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
@@ -218,9 +253,14 @@ _FUZZED_KEYS = [
     if (sec, key) not in _ENUMS
 ]
 _ODD_TOKENS = st.sampled_from(["", "x", "1e", "0x10", "1_000", "--", "1,5"])
-# integer sizes stay small so every example is cheap to run; configs are
-# not bounded above in size (ROADMAP item 4)
-_INT_VALUES = st.one_of(st.integers(-50, 4000).map(str), _ODD_TOKENS)
+# accepted integer sizes stay small so every example is cheap to run;
+# sizes above every bound are rejected before any work starts
+_ABOVE_SIZE_BOUNDS = max(high for _, high in SIZE_RANGES.values()) + 1
+_INT_VALUES = st.one_of(
+    st.integers(-50, 4000).map(str),
+    st.integers(_ABOVE_SIZE_BOUNDS, 10**30).map(str),
+    _ODD_TOKENS,
+)
 _FLOAT_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.floats(-1e4, 1e4).map(repr),

@@ -7,7 +7,13 @@ import pytest
 
 from eitnarrow.config import load_config
 from eitnarrow.errors import InvalidParameterError
-from eitnarrow.kernels import _phi12, g_sweep, g_sweep_coefficients, mc_batch
+from eitnarrow.kernels import (
+    CHUNK_EXPONENT,
+    _phi12,
+    g_sweep,
+    g_sweep_coefficients,
+    mc_batch,
+)
 from eitnarrow.mc import _slab_coefficients
 
 
@@ -80,18 +86,56 @@ def test_g_sweep_solves_the_lag_ode():
     taus = dtau * np.arange(2000)
     r = np.exp(-lam * taus)
     g0 = nfac / (gtilde - lam)  # particular solution at tau = 0
-    decay, c_prev, c_curr = g_sweep_coefficients(gtilde, nfac, dtau)
-    g = g_sweep(r, g0, decay, c_prev, c_curr)
+    g = g_sweep(r, g0, g_sweep_coefficients(gtilde, nfac, dtau, r.size))
     exact = nfac * np.exp(-lam * taus) / (gtilde - lam)
     assert np.max(np.abs(g - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
+def _sweep_pair(r, g0, gtilde, nfac, dtau):
+    """The public sweep and the loop oracle on the same coefficients."""
+    sweep = g_sweep_coefficients(gtilde, nfac, dtau, r.size)
+    decay = sweep.powers[0, 1]
+    assert decay == np.exp(-gtilde * dtau)
+    return g_sweep(r, g0, sweep), _g_sweep_loop(r, g0, decay, sweep.c_prev, sweep.c_curr)
+
+
 def test_g_sweep_loop_and_filter_agree():
     r = _random_r()
-    decay, c_prev, c_curr = g_sweep_coefficients(2.0 + 1.0j, 0.3 - 0.1j, 0.01)
-    a = _g_sweep_loop(r, 0.5 + 0.1j, decay, c_prev, c_curr)
-    b = g_sweep(r, 0.5 + 0.1j, decay, c_prev, c_curr)
+    b, a = _sweep_pair(r, 0.5 + 0.1j, 2.0 + 1.0j, 0.3 - 0.1j, 0.01)
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
+
+
+def test_g_sweep_crosses_chunks():
+    """At gtilde*dtau = 5 one unchunked power-weighted sum over 20 000
+    lags would overflow (|decay|^-j reaches e^100000); the chunked sum
+    carries G across about 330 chunk boundaries."""
+    r = _random_r(n=20_000, seed=7)
+    gtilde, dtau = 5.0 + 2.0j, 1.0
+    sweep = g_sweep_coefficients(gtilde, 0.3 - 0.1j, dtau, r.size)
+    assert sweep.powers.shape[1] - 1 < r.size // 100
+    b, a = _sweep_pair(r, 0.5 + 0.1j, gtilde, 0.3 - 0.1j, dtau)
+    assert np.all(np.isfinite(b))
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_g_sweep_with_decay_near_one():
+    """|decay| -> 1 (gtilde*dtau = 1e-5): one chunk spans the grid and
+    G sums all 20 000 lags of source with almost no decay."""
+    r = _random_r(n=20_000, seed=8) + 3.0
+    b, a = _sweep_pair(r, 0.5 + 0.1j, 1.0 + 0.4j, 0.3 - 0.1j, 1e-5)
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_g_sweep_rejects_a_lag_step_beyond_one_chunk():
+    """Past |Re gtilde|*dtau = CHUNK_EXPONENT a single lag would need a
+    weight |decay|^-1 above e^300, so the sweep refuses the step."""
+    sweep = g_sweep_coefficients(CHUNK_EXPONENT + 0j, 0.3, 1.0, 100)
+    assert sweep.powers.shape == (2, 2)
+    r = _random_r(n=100, seed=9) * 1e100
+    b, a = _sweep_pair(r, 0.5, CHUNK_EXPONENT + 1j, 0.3, 1.0)
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    with pytest.raises(InvalidParameterError):
+        g_sweep_coefficients(1.01 * CHUNK_EXPONENT + 0j, 0.3, 1.0, 100)
 
 
 _MC_COEFFS = dict(
@@ -158,9 +202,7 @@ def test_public_kernels_match_reference_paths():
     of 8 slices, 0.1 us steps, phase-noisy drive) the public kernels
     agree with the reference loops."""
     r = _random_r(seed=2)
-    decay, c_prev, c_curr = g_sweep_coefficients(1.5 + 0.5j, 0.2 + 0.1j, 0.02)
-    a = g_sweep(r, 0.1 + 0.0j, decay, c_prev, c_curr)
-    b = _g_sweep_loop(r, 0.1 + 0.0j, decay, c_prev, c_curr)
+    a, b = _sweep_pair(r, 0.1 + 0.0j, 1.5 + 0.5j, 0.2 + 0.1j, 0.02)
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
     cfg = load_config()
