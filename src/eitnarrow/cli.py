@@ -278,7 +278,6 @@ def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> i
         doppler=cfg.doppler,
         seed=cfg.seed,
         drive_diffusion=cfg.mc_drive_diffusion,
-        full_integration=cfg.mc_full_integration,
     )
     result = ensemble_beat_spectrum(mc_cfg)
     ensure_out_dir(out)

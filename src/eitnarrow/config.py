@@ -45,7 +45,6 @@ Recognized sections and keys (defaults in parentheses):
     dt_us (0.1)
     duration_ms (1.0)
     drive_diffusion_khz (0)
-    full_integration (off)      on | off
 
 [sweep]
     omega_d_min_mhz (2.0)
@@ -122,7 +121,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "dt_us": "0.1",
         "duration_ms": "1.0",
         "drive_diffusion_khz": "0",
-        "full_integration": "off",
     },
     "sweep": {
         "omega_d_min_mhz": "2.0",
@@ -138,7 +136,6 @@ _ENUMS = {
     ("medium", "doppler_mode"): ("on", "off"),
     ("input", "shape"): ("gaussian", "lorentzian"),
     ("propagation", "exponent_convention"): ("paper", "derived"),
-    ("mc", "full_integration"): ("on", "off"),
 }
 
 _INTS = {
@@ -169,7 +166,6 @@ class RunConfig:
     mc_dt: float  # s
     mc_duration: float  # s
     mc_drive_diffusion: float  # rad^2/s
-    mc_full_integration: bool
     sweep_omega_d: np.ndarray  # rad/s
     seed: int
     resolved: dict  # section -> key -> string, fully resolved
@@ -326,7 +322,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     convention = _enum(resolved, "propagation", "exponent_convention")
     convention_factor(convention)
     input_shape = _enum(resolved, "input", "shape")
-    full_integration = _enum(resolved, "mc", "full_integration") == "on"
 
     try:
         medium = AtomicMedium(
@@ -401,7 +396,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         mc_dt=mc_dt,
         mc_duration=mc_duration,
         mc_drive_diffusion=num("mc", "drive_diffusion_khz") * TWO_PI * 1e3,
-        mc_full_integration=full_integration,
         sweep_omega_d=sweep,
         seed=seed,
         resolved=resolved,

@@ -4,7 +4,9 @@ Stochastic probe envelopes are pushed through a thinly sliced medium:
 optical coherences are adiabatically slaved to the instantaneous fields,
 the ground coherence of each slice is integrated as an ODE, and the
 probe advances across each slice with the exact frozen-coefficient
-exponential (field sampled at mid-slice).
+exponential (field sampled at mid-slice).  The error of slaving the
+optical coherences is bounded in closed form by
+``propagation.adiabatic_rate_check`` (``AdiabaticReport.slaving_error``).
 
 The per-field equations carry the full coupling, so the density transfer
 realized here corresponds to the "derived" exponent convention
@@ -40,9 +42,6 @@ class McConfig:
     doppler: bool = True
     seed: int = 0
     drive_diffusion: float = 0.0  # D_d for the optional noisy-drive mode
-    # integrate the optical coherences as ODEs instead of slaving them;
-    # spot-check mode, only practical at small grid sizes
-    full_integration: bool = False
 
     def __post_init__(self):
         if self.slices < 1:
@@ -65,13 +64,6 @@ class McConfig:
             )
         if self.drive_diffusion < 0:
             raise InvalidParameterError("drive diffusion must be >= 0")
-        if self.full_integration:
-            fast = rates.gamma_ab.real
-            if self.dt * fast > 0.1:
-                raise InvalidParameterError(
-                    "full integration needs dt to resolve the optical "
-                    f"coherence rate (dt*Re Gamma_ab = {self.dt * fast:.3g} > 0.1)"
-                )
 
 
 @dataclass(frozen=True)
@@ -161,62 +153,14 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
     return float(np.exp(rate * cfg.medium.length))
 
 
-def _full_batch(probe: np.ndarray, drive: np.ndarray, cfg: McConfig) -> np.ndarray:
-    """Spot-check propagation integrating all three coherences as ODEs
-    (no adiabatic slaving).  Frozen fields within a time step, Euler in
-    z; accurate only for well-resolved, small configurations."""
-    m, f = cfg.medium, cfg.fields
-    rates = complex_rates(m, f, cfg.doppler)
-    eta = coupling_eta(m)
-    gab, gca, gcb = rates.gamma_ab, rates.gamma_ca, complex(m.gamma_cb)
-    nreal, nt = probe.shape
-    nsl = cfg.slices
-    dz = m.length / nsl
-    dt = cfg.dt
-
-    def deriv(rab, rca, rcb, w, d):
-        dab = -gab * rab + 1j * (w * f.n_ab - d * rcb)
-        dca = -gca * rca + 1j * (np.conj(d) * f.n_ca + np.conj(w) * rcb)
-        dcb = -gcb * rcb - 1j * np.conj(d) * rab + 1j * w * rca
-        return dab, dca, dcb
-
-    out = np.empty_like(probe)
-    # slaved steady state as the initial condition
-    rab = np.zeros((nreal, nsl), dtype=complex)
-    rca = np.zeros((nreal, nsl), dtype=complex)
-    rcb = np.zeros((nreal, nsl), dtype=complex)
-    w = probe[:, 0].copy()
-    d0 = drive[:, 0]
-    for j in range(nsl):
-        s = w * np.conj(d0)
-        rcb[:, j] = rates.n_factor * s / rates.gamma_cb_eff
-        rab[:, j] = 1j * (w * f.n_ab - d0 * rcb[:, j]) / gab
-        rca[:, j] = 1j * (np.conj(d0) * f.n_ca + np.conj(w) * rcb[:, j]) / gca
-        w = w + dz * (-1j * eta * rab[:, j])
-    for t in range(nt):
-        w = probe[:, t].copy()
-        d = drive[:, t]
-        for j in range(nsl):
-            w_in = w
-            w = w + dz * (-1j * eta * rab[:, j])
-            a0, c0, b0 = rab[:, j], rca[:, j], rcb[:, j]
-            k1 = deriv(a0, c0, b0, w_in, d)
-            k2 = deriv(a0 + 0.5 * dt * k1[0], c0 + 0.5 * dt * k1[1], b0 + 0.5 * dt * k1[2], w_in, d)
-            k3 = deriv(a0 + 0.5 * dt * k2[0], c0 + 0.5 * dt * k2[1], b0 + 0.5 * dt * k2[2], w_in, d)
-            k4 = deriv(a0 + dt * k3[0], c0 + dt * k3[1], b0 + dt * k3[2], w_in, d)
-            rab[:, j] = a0 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            rca[:, j] = c0 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            rcb[:, j] = b0 + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        out[:, t] = w
-    return out
-
-
-def ensemble_beat_spectrum(cfg: McConfig, chunk: int = 32) -> McEnsembleResult:
+def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     """Ensemble-averaged beat spectrum of the transmitted probe.
 
+    Realizations run one at a time: each is synthesized, propagated and
+    reduced to its input and output periodograms before the next, so
+    memory holds one envelope pair beside the periodogram tables.
     Deterministic for a fixed seed: realization r always draws from the
-    stream seed^r regardless of chunking, and the reduction order is
-    fixed.
+    stream seed^r, and the reduction order is fixed.
     """
     rates = complex_rates(cfg.medium, cfg.fields, cfg.doppler)
     g = rates.gamma_cb_eff.real
@@ -233,22 +177,14 @@ def ensemble_beat_spectrum(cfg: McConfig, chunk: int = 32) -> McEnsembleResult:
 
     p_in = np.empty((cfg.realizations, n_keep))
     p_out = np.empty((cfg.realizations, n_keep))
-    for lo in range(0, cfg.realizations, chunk):
-        hi = min(lo + chunk, cfg.realizations)
-        probe = np.empty((hi - lo, n_total), dtype=complex)
-        drive = np.empty((hi - lo, n_total), dtype=complex)
-        for i, r in enumerate(range(lo, hi)):
-            probe[i] = synthesize_probe_field(noise, amp, cfg.dt, n_total, r).envelope
-            drive[i] = _drive_envelope(cfg, n_total, r)
-        if cfg.full_integration:
-            out = _full_batch(probe, drive, cfg)
-        else:
-            out = mc_batch(probe, drive, cfg.slices, *coeffs)
-        for i, r in enumerate(range(lo, hi)):
-            p_in[r] = periodogram(probe[i, burn:], cfg.dt, window="hann").density
-            p_out[r] = periodogram(out[i, burn:], cfg.dt, window="hann").density
+    for r in range(cfg.realizations):
+        probe = synthesize_probe_field(noise, amp, cfg.dt, n_total, r).envelope
+        drive = _drive_envelope(cfg, n_total, r)
+        out = mc_batch(probe[None, :], drive[None, :], cfg.slices, *coeffs)[0]
+        spec_in = periodogram(probe[burn:], cfg.dt, window="hann")
+        p_in[r] = spec_in.density
+        p_out[r] = periodogram(out[burn:], cfg.dt, window="hann").density
 
-    grid = periodogram(np.zeros(n_keep, dtype=complex) + 1.0, cfg.dt).grid
     mean_out = p_out.mean(axis=0)
     mean_in = p_in.mean(axis=0)
     nr = cfg.realizations
@@ -256,7 +192,7 @@ def ensemble_beat_spectrum(cfg: McConfig, chunk: int = 32) -> McEnsembleResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         transfer = np.where(mean_in > 0, mean_out / np.where(mean_in > 0, mean_in, 1.0), np.nan)
     return McEnsembleResult(
-        spectrum=Spectrum(0.0, grid, mean_out),
+        spectrum=Spectrum(0.0, spec_in.grid, mean_out),
         stderr=err_out,
         input_density=mean_in,
         transfer=transfer,
@@ -314,12 +250,12 @@ def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> n
     return num / np.maximum(den, 1e-300)
 
 
-def slice_convergence(cfg: McConfig, chunk: int = 32) -> tuple[np.ndarray, np.ndarray, float]:
+def slice_convergence(cfg: McConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Transfer with the configured slice count versus double the count;
     returns both transfers and their max relative difference (over bins
     with meaningful input power)."""
-    res1 = ensemble_beat_spectrum(cfg, chunk)
-    res2 = ensemble_beat_spectrum(replace(cfg, slices=2 * cfg.slices), chunk)
+    res1 = ensemble_beat_spectrum(cfg)
+    res2 = ensemble_beat_spectrum(replace(cfg, slices=2 * cfg.slices))
     mask = res1.input_density > 1e-3 * res1.input_density.max()
     rel = float(
         np.max(np.abs(res2.transfer[mask] - res1.transfer[mask]) / np.maximum(res1.transfer[mask], 1e-300))

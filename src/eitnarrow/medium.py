@@ -143,6 +143,26 @@ def transfer_exponent(
     return kappa
 
 
+def _dynamic_exponent(
+    m: AtomicMedium, f: FieldConfig, omega, doppler: bool, convention: str
+) -> np.ndarray:
+    """kappa(omega) with the optical coherence rho_ab kept dynamic.
+
+    The linear-response Lambda susceptibility (Fleischhauer, Imamoglu &
+    Marangos, Rev. Mod. Phys. 77, 633 (2005)): the optical rate
+    Gamma_ab - i omega stands where ``transfer_exponent`` slaves rho_ab
+    with Gamma_ab, and putting Gamma_ab back gives it exactly.
+    """
+    c = convention_factor(convention)
+    rates = complex_rates(m, f, doppler)
+    omega = np.asarray(omega, dtype=float)
+    # gamma_cb_eff without the drive's power broadening |Omega_d|^2/Gamma_ab
+    ground = m.gamma_cb + abs(f.omega_p) ** 2 / rates.gamma_ca - 1j * omega
+    denom = (rates.gamma_ab - 1j * omega) * ground + abs(f.omega_d) ** 2
+    num = c * coupling_eta(m) * rates.n_factor * rates.gamma_ab * (m.gamma_cb - 1j * omega)
+    return num / denom
+
+
 def transmission(
     m: AtomicMedium,
     f: FieldConfig,

@@ -27,6 +27,7 @@ from .kernels import LagSweep, g_sweep, g_sweep_coefficients
 from .medium import (
     AtomicMedium,
     FieldConfig,
+    _dynamic_exponent,
     complex_rates,
     convention_factor,
     coupling_eta,
@@ -79,6 +80,7 @@ class AdiabaticReport:
     kappa_zero: complex  # full exponent at omega = 0 [1/m]
     validity_ratio: float  # |Omega_d|^2 / |Gamma_ab * Gamma_cb|
     valid: bool  # ratio >= 10
+    slaving_error: float  # max |T_dynamic - T_slaved| over the input grid
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def _slave_row(p: PropagationProblem, dtau: float, size: int) -> np.ndarray:
 
 def _integrate_correlation(
     p: PropagationProblem, slave_row, sweep: LagSweep, r0, z_steps
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     m = p.medium
     rates = complex_rates(m, p.fields, p.doppler)
     b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab + |Omega_p|^2/Gamma_ca
@@ -171,8 +173,7 @@ def _integrate_correlation(
         v = advance(r, v, dz / 3.0)
         v = advance(r, v, dz / 2.0)
         r = advance(r, v, dz)
-    g = g_sweep(r, slave_row @ r, sweep)
-    return r, g
+    return r
 
 
 def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
@@ -212,8 +213,8 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
     keep = slice(center - (count - 1), center + count)  # trimmed two-sided range
     slave_row = _slave_row(p, dtau, size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
-    r_coarse, _ = _integrate_correlation(p, slave_row, sweep, r0, p.z_steps)
-    r_fine, g_fine = _integrate_correlation(p, slave_row, sweep, r0, 2 * p.z_steps)
+    r_coarse = _integrate_correlation(p, slave_row, sweep, r0, p.z_steps)
+    r_fine = _integrate_correlation(p, slave_row, sweep, r0, 2 * p.z_steps)
     residual = float(
         np.max(np.abs(r_fine[keep] - r_coarse[keep])) / np.abs(r_fine[center])
     )
@@ -223,6 +224,7 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
             residual=residual,
         )
     half = slice(center, center + count)  # tau in [0, horizon]
+    g_fine = g_sweep(r_fine, slave_row @ r_fine, sweep)
     return CorrelationResult(
         beat=CorrelationFunction(dtau, r_fine[half]),
         coherence=CorrelationFunction(dtau, g_fine[half]),
@@ -231,8 +233,11 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
 
 
 def adiabatic_rate_check(p: PropagationProblem) -> AdiabaticReport:
-    """Compare the scalar adiabatic-limit rate with kappa(0) and report
-    the validity ratio |Omega_d|^2 / |Gamma_ab Gamma_cb|."""
+    """Compare the scalar adiabatic-limit rate with kappa(0), report the
+    validity ratio |Omega_d|^2 / |Gamma_ab Gamma_cb|, and bound the error
+    of slaving the optical coherence: the largest change of the density
+    transfer exp(Re kappa L) on the input grid when rho_ab is kept
+    dynamic instead."""
     m, f = p.medium, p.fields
     rates = complex_rates(m, f, p.doppler)
     c = convention_factor(p.convention)
@@ -242,11 +247,18 @@ def adiabatic_rate_check(p: PropagationProblem) -> AdiabaticReport:
     )
     denom = abs(rates.gamma_ab) * m.gamma_cb
     ratio = float(np.inf) if denom == 0 else abs(f.omega_d) ** 2 / denom
+    omegas = p.input_spectrum.omegas
+    slaved = transfer_exponent(m, f, omegas, p.doppler, p.convention)
+    dynamic = _dynamic_exponent(m, f, omegas, p.doppler, p.convention)
+    slaving_error = np.max(
+        np.abs(np.exp(dynamic.real * m.length) - np.exp(slaved.real * m.length))
+    )
     return AdiabaticReport(
         adiabatic_rate=complex(rate),
         kappa_zero=kappa0,
         validity_ratio=ratio,
         valid=ratio >= 10.0,
+        slaving_error=float(slaving_error),
     )
 
 

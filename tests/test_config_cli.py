@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitnarrow import checks
+from eitnarrow import config as config_module
 from eitnarrow.cli import main
 from eitnarrow.config import (
     _ENUMS,
@@ -125,6 +126,21 @@ def test_defaults_table_is_complete():
         assert set(cfg.resolved[sec]) == set(DEFAULTS[sec])
 
 
+def test_module_docstring_lists_exactly_the_default_keys():
+    """The key table in the ``config`` docstring names every key of
+    ``DEFAULTS`` under its section, and no other."""
+    documented: dict[str, set[str]] = {}
+    section = None
+    for line in config_module.__doc__.splitlines():
+        heading = re.fullmatch(r"\[(\w+)\]", line)
+        entry = re.match(r" {4}(\w+(?:, \w+)*)", line)
+        if heading:
+            section = documented.setdefault(heading.group(1), set())
+        elif entry and section is not None:
+            section.update(entry.group(1).split(", "))
+    assert documented == {sec: set(keys) for sec, keys in DEFAULTS.items()}
+
+
 # ---------------------------------------------------------------------------
 # CLI behaviour and exit codes
 # ---------------------------------------------------------------------------
@@ -194,6 +210,7 @@ def _bad_spectrum_csv(tmp_path):
         pytest.param("[sweep]\npoints = 10001\n", ["figure4"], id="huge-sweep"),
         pytest.param("[mc]\ndt_us = 1e-6\n", ["figure2"], id="huge-sample-count"),
         pytest.param("[mc]\nrealizations = 20000\n", ["--quick", "mc"], id="huge-ensemble"),
+        pytest.param("[mc]\nfull_integration = on\n", ["propagate"], id="removed-key"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):

@@ -189,47 +189,12 @@ def test_slice_convergence():
     assert rel < 0.05
 
 
-def test_full_integration_matches_slaved_scheme():
-    """Integrating the optical coherences as ODEs reproduces the slaved
-    transfer on a homogeneous low-depth configuration."""
-    drive = TWO_PI * 0.5e6
-    f = FieldConfig(omega_d=drive, omega_p=0.05 * drive)
-    m = reduced_medium(number_density=1e14)
-    g = complex_rates(m, f, doppler=False).gamma_cb_eff.real
-    dt = 0.08 / complex_rates(m, f, doppler=False).gamma_ab.real
-    shaping_grid = FrequencyGrid.spanning(10.0 * g, 129)
-    shaping = gaussian_spectrum(0.0, 4.0 * g / GAUSSIAN_FWHM_FACTOR, shaping_grid)
-    common = dict(
-        medium=m,
-        fields=f,
-        noise=PhaseNoiseModel(diffusion=0.0, shaping=shaping, seed=5),
-        dt=dt,
-        duration=25.0 / g,
-        realizations=8,
-        slices=4,
-        doppler=False,
-        seed=5,
-    )
-    slaved = ensemble_beat_spectrum(McConfig(**common))
-    full = ensemble_beat_spectrum(McConfig(**common, full_integration=True))
-    mask = slaved.input_density > 0.05 * slaved.input_density.max()
-    assert np.allclose(full.transfer[mask], slaved.transfer[mask], atol=0.03)
-
-
 def test_drive_noise_mode_runs_and_stays_deterministic():
     cfg = reduced_config(realizations=8, drive_diffusion=1e3)
     a = ensemble_beat_spectrum(cfg)
     b = ensemble_beat_spectrum(cfg)
     assert np.array_equal(a.spectrum.density, b.spectrum.density)
     assert 0.0 < a.drive_depletion
-
-
-def test_chunking_does_not_change_the_result():
-    cfg = reduced_config(realizations=16)
-    a = ensemble_beat_spectrum(cfg, chunk=16)
-    b = ensemble_beat_spectrum(cfg, chunk=5)
-    assert np.array_equal(a.spectrum.density, b.spectrum.density)
-    assert np.array_equal(a.per_real_out, b.per_real_out)
 
 
 def test_band_average_requires_enough_bins():
