@@ -29,7 +29,6 @@ from .spectral import (
     FitResult,
     FrequencyGrid,
     Spectrum,
-    coherence_time,
     correlation_to_spectrum,
     fwhm_estimate,
     gaussian_spectrum,
@@ -106,7 +105,6 @@ __all__ = [
     "band_average_transfer",
     "beat_series",
     "closed_form_width",
-    "coherence_time",
     "complex_rates",
     "correlation_to_spectrum",
     "coupling_eta",

@@ -118,7 +118,6 @@ def _reduced_mc_config(cfg: RunConfig) -> McConfig:
         realizations=64,
         slices=cfg.mc_slices,
         doppler=cfg.doppler,
-        seed=cfg.seed,
     )
 
 

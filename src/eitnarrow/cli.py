@@ -68,7 +68,7 @@ def _fit_curve(fit, grid: FrequencyGrid) -> np.ndarray:
     return fit.amplitude * fit.width**2 / (w**2 + fit.width**2)
 
 
-def cmd_figure2(cfg: RunConfig, out: str, quick: bool, off_resonance_only: bool) -> int:
+def cmd_figure2(cfg: RunConfig, out: str, off_resonance_only: bool) -> int:
     """Input (off-resonance) vs transmitted (on-resonance) beat spectra."""
     wide = _input_grid(cfg)
     s_in = cfg.input_spectrum(wide)
@@ -117,7 +117,7 @@ def cmd_figure2(cfg: RunConfig, out: str, quick: bool, off_resonance_only: bool)
     return 0
 
 
-def cmd_figure3(cfg: RunConfig, out: str, quick: bool) -> int:
+def cmd_figure3(cfg: RunConfig, out: str) -> int:
     """Monochromatic EIT scan against the normalized transmitted-noise
     spectrum on a shared frequency axis."""
     ensure_out_dir(out)
@@ -170,7 +170,7 @@ def cmd_figure3(cfg: RunConfig, out: str, quick: bool) -> int:
     return 0
 
 
-def cmd_figure4(cfg: RunConfig, out: str, quick: bool) -> int:
+def cmd_figure4(cfg: RunConfig, out: str) -> int:
     """Fitted output width versus drive power |Omega_d|^2."""
     sweep = cfg.sweep_omega_d
     if sweep.size < 6:
@@ -224,7 +224,7 @@ def cmd_figure4(cfg: RunConfig, out: str, quick: bool) -> int:
     return 0
 
 
-def cmd_propagate(cfg: RunConfig, out: str, quick: bool) -> int:
+def cmd_propagate(cfg: RunConfig, out: str) -> int:
     """Propagate the configured input spectrum and write the output."""
     s_in = cfg.input_spectrum(cfg.output_grid())
     result = propagate_spectrum(cfg.problem(s_in))
@@ -276,8 +276,6 @@ def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> i
         realizations=n_real,
         slices=cfg.mc_slices,
         doppler=cfg.doppler,
-        seed=cfg.seed,
-        drive_diffusion=cfg.mc_drive_diffusion,
     )
     result = ensemble_beat_spectrum(mc_cfg)
     ensure_out_dir(out)
@@ -318,7 +316,12 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
     if rows.ndim != 2 or rows.shape[0] < 8 or rows.shape[1] < 2:
         raise ConfigError(f"not a spectrum CSV: {path}", code="bad-parameter")
     omegas, density = rows[:, 0], rows[:, 1]
-    step = float(omegas[1] - omegas[0])
+    steps = np.diff(omegas)
+    step = float(steps[0])
+    if not np.all(np.abs(steps - step) <= 1e-6 * abs(step)):
+        raise ConfigError(
+            f"the first column of {path} is not a uniform frequency grid", code="bad-parameter"
+        )
     grid = FrequencyGrid(start=float(omegas[0]), step=step, count=omegas.size)
     spectrum = Spectrum(0.0, grid, density)
     models = [model] if model != "auto" else ["gaussian", "lorentzian"]
@@ -411,15 +414,15 @@ def _run(argv: list[str] | None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config, seed=args.seed)
         if args.command == "figure2":
-            return cmd_figure2(cfg, args.out, args.quick, args.off_resonance_only)
+            return cmd_figure2(cfg, args.out, args.off_resonance_only)
         if args.command == "figure3":
-            return cmd_figure3(cfg, args.out, args.quick)
+            return cmd_figure3(cfg, args.out)
         if args.command == "figure4":
-            return cmd_figure4(cfg, args.out, args.quick)
+            return cmd_figure4(cfg, args.out)
         if args.command == "validate":
             return cmd_validate(cfg, args.out, args.quick)
         if args.command == "propagate":
-            return cmd_propagate(cfg, args.out, args.quick)
+            return cmd_propagate(cfg, args.out)
         if args.command == "mc":
             return cmd_mc(cfg, args.out, args.quick, args.realizations)
         if args.command == "fit":

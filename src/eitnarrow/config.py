@@ -44,7 +44,6 @@ Recognized sections and keys (defaults in parentheses):
     slices (8)
     dt_us (0.1)
     duration_ms (1.0)
-    drive_diffusion_khz (0)
 
 [sweep]
     omega_d_min_mhz (2.0)
@@ -120,7 +119,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "slices": "8",
         "dt_us": "0.1",
         "duration_ms": "1.0",
-        "drive_diffusion_khz": "0",
     },
     "sweep": {
         "omega_d_min_mhz": "2.0",
@@ -165,7 +163,6 @@ class RunConfig:
     mc_slices: int
     mc_dt: float  # s
     mc_duration: float  # s
-    mc_drive_diffusion: float  # rad^2/s
     sweep_omega_d: np.ndarray  # rad/s
     seed: int
     resolved: dict  # section -> key -> string, fully resolved
@@ -395,7 +392,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         mc_slices=mc_slices,
         mc_dt=mc_dt,
         mc_duration=mc_duration,
-        mc_drive_diffusion=num("mc", "drive_diffusion_khz") * TWO_PI * 1e3,
         sweep_omega_d=sweep,
         seed=seed,
         resolved=resolved,

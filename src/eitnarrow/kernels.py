@@ -5,14 +5,13 @@ The lag sweep is a first-order recurrence along the lag grid.  Its
 closed form is a power-weighted cumulative sum, evaluated with
 ``np.cumsum`` in chunks short enough that the weights cannot overflow.
 
-The Monte-Carlo slab is linear time-invariant in the drive frame and
-runs as a cascade of ``scipy.signal.lfilter`` calls.  The drive noise
-is phase-only, so each realization's drive is ``d(t) = |d| u(t)`` with
-a constant modulus and ``|u| = 1``.  In the frame ``x = w conj(u)`` the drive phase cancels from every slice:
-the slaved source ``fcoef d rho`` and the coherence drive
-``w_mid conj(d)`` carry only ``|d|``.  Each slice is therefore a
-second-order filter in time (ground coherence plus the previous
-source sample), and the slab is ``nsl`` of them in series.
+The Monte-Carlo slab is linear time-invariant and runs as a cascade of
+``scipy.signal.lfilter`` calls.  The drive ``d`` is constant, so the
+slaved coherence is proportional to ``conj(d)`` and the source
+``fcoef d rho`` carries only ``|d|``: the drive phase cancels from every
+slice.  Each slice is therefore a second-order filter in time (ground
+coherence plus the previous source sample), and the slab is ``nsl`` of
+them in series.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def g_sweep(r_values, g0, sweep: LagSweep):
 # slice advances the field exactly for its frozen ground coherence
 # (midpoint field sampling) and steps the coherence with a second-order
 # exponential integrator.  With k_h = b_half*fcoef*|d| and
-# k_f = b_full*fcoef*|d|, a slice maps its drive-frame input x to
+# k_f = b_full*fcoef*|d|, a slice maps its input x to
 #   y[t]     = e_full*x[t] + k_f*rho[t]
 #   s[t]     = |d|*(e_half*x[t] + k_h*rho[t])
 #   rho[t+1] = erho*rho[t] + alpha*s[t] + beta*s[t-1]
@@ -140,28 +139,11 @@ def _slice_filter(x, dmod, e_full, e_half, b_full, b_half,
 
 def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
              fcoef, erho, alpha, beta, nfac, gtilde):
-    """Propagate a batch of probe envelopes through the sliced medium.
-
-    Each realization's drive must have a constant modulus (phase-only
-    noise); the slab then runs as ``nsl`` filters along time in the
-    drive frame.  Realizations run one at a time, so the temporaries
-    stay the size of one envelope rather than of the batch.
-    """
-    probe = np.asarray(probe, dtype=complex)
-    drive = np.asarray(drive, dtype=complex)
+    """Propagate one probe envelope through ``nsl`` slices lit by the
+    constant drive ``drive``; only ``|drive|`` enters."""
+    y = np.asarray(probe, dtype=complex)
+    dmod = abs(drive)
     coeffs = (e_full, e_half, b_full, b_half, fcoef, erho, alpha, beta, nfac, gtilde)
-    out = np.empty_like(probe)
-    for r in range(probe.shape[0]):
-        d = drive[r]
-        mod = np.abs(d)
-        dmod = mod[0]
-        if np.max(np.abs(mod - dmod)) > 1e-12 * dmod:
-            raise InvalidParameterError(
-                "the drive modulus must be constant in time (phase-only drive noise)"
-            )
-        u = np.exp(1j * np.angle(d))
-        y = probe[r] * np.conj(u)
-        for _ in range(nsl):
-            y = _slice_filter(y, dmod, *coeffs)
-        out[r] = y * u
-    return out
+    for _ in range(nsl):
+        y = _slice_filter(y, dmod, *coeffs)
+    return y

@@ -1,9 +1,11 @@
 """Time-domain Monte-Carlo oracle for the analytic propagation chain.
 
-Stochastic probe envelopes are pushed through a thinly sliced medium:
-optical coherences are adiabatically slaved to the instantaneous fields,
-the ground coherence of each slice is integrated as an ODE, and the
-probe advances across each slice with the exact frozen-coefficient
+Stochastic probe envelopes are pushed through a thinly sliced medium
+lit by the paper's monochromatic drive ``fields.omega_d``, held constant
+in time and along the cell (weak-probe regime).  The optical
+coherences are adiabatically slaved to the instantaneous fields, the
+ground coherence of each slice is integrated as an ODE, and the probe
+advances across each slice with the exact frozen-coefficient
 exponential (field sampled at mid-slice).  The error of slaving the
 optical coherences is bounded in closed form by
 ``propagation.adiabatic_rate_check`` (``AdiabaticReport.slaving_error``).
@@ -23,11 +25,8 @@ import numpy as np
 from .errors import InvalidParameterError
 from .kernels import _phi12, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
-from .noise import FieldSeries, PhaseNoiseModel, sample_phase_trajectory, synthesize_probe_field
+from .noise import FieldSeries, PhaseNoiseModel, synthesize_probe_field
 from .spectral import Spectrum, periodogram
-
-# drive-noise realizations draw from a disjoint stream block
-_DRIVE_STREAM_OFFSET = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,6 @@ class McConfig:
     realizations: int = 200
     slices: int = 8
     doppler: bool = True
-    seed: int = 0
-    drive_diffusion: float = 0.0  # D_d for the optional noisy-drive mode
 
     def __post_init__(self):
         if self.slices < 1:
@@ -62,8 +59,6 @@ class McConfig:
             raise InvalidParameterError(
                 "duration shorter than 20 coherence times of the output line"
             )
-        if self.drive_diffusion < 0:
-            raise InvalidParameterError("drive diffusion must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,38 +98,21 @@ def _slab_coefficients(m: AtomicMedium, f: FieldConfig, doppler: bool, dz: float
 
 def integrate_slice(
     probe: FieldSeries,
-    drive: FieldSeries,
     m: AtomicMedium,
     f: FieldConfig,
     thickness: float,
     doppler: bool = True,
-) -> tuple[FieldSeries, FieldSeries]:
-    """Advance a probe/drive pair across one medium slice.
-
-    The drive is frozen (weak-probe regime); it is returned unchanged.
-    """
-    if probe.dt != drive.dt or probe.envelope.size != drive.envelope.size:
-        raise InvalidParameterError("probe and drive grids must match")
+) -> FieldSeries:
+    """Advance a probe across one medium slice lit by the constant drive
+    ``f.omega_d`` (frozen in the weak-probe regime)."""
     if thickness <= 0:
         raise InvalidParameterError("slice thickness must be positive")
     rates = complex_rates(m, f, doppler)
     if probe.dt * rates.gamma_cb_eff.real > 0.1:
         raise InvalidParameterError("dt does not resolve the coherence rate")
     coeffs = _slab_coefficients(m, f, doppler, thickness, probe.dt)
-    out = mc_batch(probe.envelope[None, :], drive.envelope[None, :], 1, *coeffs)
-    return (
-        FieldSeries(probe.dt, out[0], probe.carrier_offset),
-        drive,
-    )
-
-
-def _drive_envelope(cfg: McConfig, n: int, realization: int) -> np.ndarray:
-    amp = complex(cfg.fields.omega_d)
-    if cfg.drive_diffusion <= 0:
-        return np.full(n, amp)
-    model = PhaseNoiseModel(diffusion=cfg.drive_diffusion, seed=cfg.seed)
-    phi = sample_phase_trajectory(model, cfg.dt, n, realization + _DRIVE_STREAM_OFFSET)
-    return amp * np.exp(-1j * phi)
+    out = mc_batch(probe.envelope, f.omega_d, 1, *coeffs)
+    return FieldSeries(probe.dt, out, probe.carrier_offset)
 
 
 def _implied_drive_depletion(cfg: McConfig) -> float:
@@ -159,8 +137,8 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     Realizations run one at a time: each is synthesized, propagated and
     reduced to its input and output periodograms before the next, so
     memory holds one envelope pair beside the periodogram tables.
-    Deterministic for a fixed seed: realization r always draws from the
-    stream seed^r, and the reduction order is fixed.
+    Deterministic for a fixed noise seed: realization r always draws
+    from the stream seed^r, and the reduction order is fixed.
     """
     rates = complex_rates(cfg.medium, cfg.fields, cfg.doppler)
     g = rates.gamma_cb_eff.real
@@ -169,18 +147,13 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     n_total = n_keep + burn
     dz = cfg.medium.length / cfg.slices
     coeffs = _slab_coefficients(cfg.medium, cfg.fields, cfg.doppler, dz, cfg.dt)
-
-    noise = PhaseNoiseModel(
-        diffusion=cfg.noise.diffusion, shaping=cfg.noise.shaping, seed=cfg.seed
-    )
     amp = abs(cfg.fields.omega_p)
 
     p_in = np.empty((cfg.realizations, n_keep))
     p_out = np.empty((cfg.realizations, n_keep))
     for r in range(cfg.realizations):
-        probe = synthesize_probe_field(noise, amp, cfg.dt, n_total, r).envelope
-        drive = _drive_envelope(cfg, n_total, r)
-        out = mc_batch(probe[None, :], drive[None, :], cfg.slices, *coeffs)[0]
+        probe = synthesize_probe_field(cfg.noise, amp, cfg.dt, n_total, r).envelope
+        out = mc_batch(probe, cfg.fields.omega_d, cfg.slices, *coeffs)
         spec_in = periodogram(probe[burn:], cfg.dt, window="hann")
         p_in[r] = spec_in.density
         p_out[r] = periodogram(out[burn:], cfg.dt, window="hann").density

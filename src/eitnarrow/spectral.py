@@ -177,15 +177,6 @@ def fwhm_estimate(s: Spectrum) -> float:
     return float(right - left)
 
 
-def coherence_time(width: float, kind: str = "output") -> float:
-    """Characteristic coherence time 2/width for a spectral width."""
-    if kind not in ("input", "output"):
-        raise InvalidParameterError(f"unknown width kind {kind!r}")
-    if width <= 0:
-        raise InvalidParameterError("width must be positive")
-    return 2.0 / width
-
-
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:
     w = np.full(n, step)
     w[0] = w[-1] = step / 2.0

@@ -280,7 +280,6 @@ def test_criterion_6_phase_noise_independence(capsys):
             duration=100.0 / scale,
             realizations=200,
             slices=8,
-            seed=seed,
         )
         return ensemble_beat_spectrum(cfg)
 

@@ -179,6 +179,13 @@ def _bad_spectrum_csv(tmp_path):
     return write_config(tmp_path, "omega_rad_s,density\n" + "\n".join(rows) + "\n", "bad.csv")
 
 
+def _uneven_spectrum_csv(tmp_path):
+    """A Lorentzian of FWHM 40 000 rad/s on a grid whose step grows."""
+    omegas = np.cumsum(np.linspace(1e3, 3e3, 81)).tolist()
+    rows = [f"{w - 8e4!r},{1.0 / (1.0 + ((w - 8e4) / 2e4) ** 2)!r}" for w in omegas]
+    return write_config(tmp_path, "omega_rad_s,density\n" + "\n".join(rows) + "\n", "uneven.csv")
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [
@@ -211,12 +218,17 @@ def _bad_spectrum_csv(tmp_path):
         pytest.param("[mc]\ndt_us = 1e-6\n", ["figure2"], id="huge-sample-count"),
         pytest.param("[mc]\nrealizations = 20000\n", ["--quick", "mc"], id="huge-ensemble"),
         pytest.param("[mc]\nfull_integration = on\n", ["propagate"], id="removed-key"),
+        pytest.param(
+            "[mc]\ndrive_diffusion_khz = 1\n", ["propagate"], id="removed-drive-noise-key"
+        ),
+        pytest.param(None, ["fit", "--input", "UNEVEN_CSV"], id="non-uniform-fit-input"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     """Invalid values are rejected at the configuration boundary: exit 2,
     a single ``error:`` line and no traceback."""
-    argv = [_bad_spectrum_csv(tmp_path) if a == "BAD_CSV" else a for a in argv]
+    csvs = {"BAD_CSV": _bad_spectrum_csv, "UNEVEN_CSV": _uneven_spectrum_csv}
+    argv = [csvs[a](tmp_path) if a in csvs else a for a in argv]
     if config is not None:
         argv = ["--config", write_config(tmp_path, config)] + argv
     rc = main(["--out", str(tmp_path / "o")] + argv)

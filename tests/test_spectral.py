@@ -17,7 +17,6 @@ from eitnarrow.spectral import (
     CorrelationFunction,
     FrequencyGrid,
     Spectrum,
-    coherence_time,
     correlation_to_spectrum,
     fwhm_estimate,
     gaussian_spectrum,
@@ -93,17 +92,6 @@ def test_fwhm_estimate_multimodal():
     two_peaks = np.exp(-((w - 5.0) ** 2)) + np.exp(-((w + 5.0) ** 2))
     with pytest.raises(MultimodalSpectrumError):
         fwhm_estimate(Spectrum(0.0, grid, two_peaks))
-
-
-def test_coherence_time():
-    assert coherence_time(2.0, "input") == 1.0
-    gamma = TWO_PI * 4.6e3 / 2.0  # HWHM of the 4.6 kHz FWHM line
-    assert coherence_time(gamma, "output") == pytest.approx(2.0 / gamma)
-    assert coherence_time(gamma, "output") == pytest.approx(1.384e-4, rel=1e-3)
-    with pytest.raises(InvalidParameterError):
-        coherence_time(-1.0)
-    with pytest.raises(InvalidParameterError):
-        coherence_time(1.0, "sideways")
 
 
 def test_gaussian_correlation_pair():
