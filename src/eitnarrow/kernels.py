@@ -5,13 +5,14 @@ The lag sweep is a first-order recurrence along the lag grid.  Its
 closed form is a power-weighted cumulative sum, evaluated with
 ``np.cumsum`` in chunks short enough that the weights cannot overflow.
 
-The Monte-Carlo slab is linear time-invariant and runs as a cascade of
-``scipy.signal.lfilter`` calls.  The drive ``d`` is constant, so the
-slaved coherence is proportional to ``conj(d)`` and the source
-``fcoef d rho`` carries only ``|d|``: the drive phase cancels from every
-slice.  Each slice is therefore a second-order filter in time (ground
-coherence plus the previous source sample), and the slab is ``nsl`` of
-them in series.
+The Monte-Carlo slab is linear time-invariant.  The drive ``d`` is
+constant, so the slaved coherence is proportional to ``conj(d)`` and the
+source ``fcoef d rho`` carries only ``|d|``: the drive phase cancels
+from every slice.  Each slice's ground coherence obeys a second-order
+recurrence in time, solved as a unit-lower-triangular banded system
+(LAPACK ``ztbtrs``, forward substitution); the slice output is then a
+sum of its input and that coherence, and the slab is ``nsl`` slices in
+series.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidParameterError
 
@@ -118,32 +118,38 @@ def g_sweep(r_values, g0, sweep: LagSweep):
 #   s[t]     = |d|*(e_half*x[t] + k_h*rho[t])
 #   rho[t+1] = erho*rho[t] + alpha*s[t] + beta*s[t-1]
 # starting from the slaved state rho[0] = nfac*|d|*x[0]/gtilde,
-# s[-1] = |d|*x[0].
+# s[-1] = |d|*x[0].  Eliminating s leaves a recurrence in rho alone,
+#   rho[t] - c1*rho[t-1] - c2*rho[t-2] = src[t],
+#   c1 = erho + alpha*|d|*k_h,  c2 = beta*|d|*k_h,
+#   src[0] = rho[0],  src[1] = |d|*(alpha*e_half + beta)*x[0],
+#   src[t] = |d|*e_half*(alpha*x[t-1] + beta*x[t-2])  for t >= 2,
+# a unit-lower-triangular banded system with two subdiagonals.
 # ---------------------------------------------------------------------------
-
-
-def _slice_filter(x, dmod, e_full, e_half, b_full, b_half,
-                  fcoef, erho, alpha, beta, nfac, gtilde):
-    k_h = b_half * fcoef * dmod
-    k_f = b_full * fcoef * dmod
-    a = np.array([1.0, -(erho + alpha * dmod * k_h), -beta * dmod * k_h])
-    b = e_full * a + k_f * dmod * e_half * np.array([0.0, alpha, beta])
-    rho0 = nfac * dmod * x[0] / gtilde
-    s0 = dmod * (e_half * x[0] + k_h * rho0)
-    rho1 = erho * rho0 + alpha * s0 + beta * dmod * x[0]
-    y0 = e_full * x[0] + k_f * rho0
-    zi = np.array([k_f * rho0, k_f * rho1 - b[1] * x[0] + a[1] * y0])
-    y, _ = lfilter(b, a, x, zi=zi)
-    return y
 
 
 def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
              fcoef, erho, alpha, beta, nfac, gtilde):
     """Propagate one probe envelope through ``nsl`` slices lit by the
     constant drive ``drive``; only ``|drive|`` enters."""
+    # scipy.linalg costs about 0.3 s to import and only the MC needs it
+    from scipy.linalg.lapack import ztbtrs
+
     y = np.asarray(probe, dtype=complex)
     dmod = abs(drive)
-    coeffs = (e_full, e_half, b_full, b_half, fcoef, erho, alpha, beta, nfac, gtilde)
+    k_h = b_half * fcoef * dmod
+    k_f = b_full * fcoef * dmod
+    # LAPACK lower band storage: band[i - j, j] = A[i, j]
+    band = np.empty((3, y.size), dtype=complex, order="F")
+    band[0] = 1.0
+    band[1] = -(erho + alpha * dmod * k_h)
+    band[2] = -beta * dmod * k_h
+    src = np.empty((y.size, 1), dtype=complex, order="F")
+    col = src[:, 0]
     for _ in range(nsl):
-        y = _slice_filter(y, dmod, *coeffs)
+        col[0] = nfac * dmod * y[0] / gtilde
+        col[1] = dmod * (alpha * e_half + beta) * y[0]
+        col[2:] = alpha * y[1:-1] + beta * y[:-2]
+        col[2:] *= dmod * e_half
+        rho, _ = ztbtrs(band, src, uplo="L", diag="U", overwrite_b=1)
+        y = e_full * y + k_f * rho[:, 0]
     return y

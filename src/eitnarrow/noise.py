@@ -51,8 +51,8 @@ class FieldSeries:
     def __post_init__(self):
         env = np.asarray(self.envelope, dtype=complex)
         object.__setattr__(self, "envelope", env)
-        if self.dt <= 0:
-            raise InvalidParameterError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise InvalidParameterError("dt must be finite and positive")
         if env.ndim != 1 or env.size < 2:
             raise InvalidParameterError("need at least two samples")
         if not np.all(np.isfinite(env)):

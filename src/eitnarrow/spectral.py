@@ -3,18 +3,19 @@
 All frequencies are angular (rad/s); conversions from Hz happen at the
 I/O boundary.  Spectrum <-> correlation transforms are trapezoid sums
 over uniform grids of arbitrary (non power-of-two) length, evaluated as
-chirp-z transforms: O((N+M) log(N+M)) time and O(N+M) memory for N
-frequencies and M lags, equal to the direct quadrature up to round-off
-(about 1e-12 relative).
+Bluestein chirp convolutions on ``numpy.fft``: O((N+M) log(N+M)) time and
+O(N+M) memory for N frequencies and M lags, equal to the direct
+quadrature up to round-off (about 1e-12 of the largest output at
+1201 x 10 391).
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import (
     InvalidParameterError,
@@ -39,9 +40,15 @@ class FrequencyGrid:
     count: int
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not (np.isfinite(self.start) and np.isfinite(self.step)):
+            raise InvalidParameterError("grid start and step must be finite")
+        if not self.step > 0:
             raise InvalidParameterError("grid step must be positive")
-        if self.count < 8:
+        try:
+            count = operator.index(self.count)
+        except TypeError:
+            raise InvalidParameterError("grid count must be an integer") from None
+        if count < 8:
             raise InvalidParameterError("grid needs at least 8 points")
 
     @classmethod
@@ -98,8 +105,8 @@ class CorrelationFunction:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
-        if self.lag_step <= 0:
-            raise InvalidParameterError("lag step must be positive")
+        if not (np.isfinite(self.lag_step) and self.lag_step > 0):
+            raise InvalidParameterError("lag step must be finite and positive")
         if v.ndim != 1 or v.size < 2:
             raise InvalidParameterError("need at least two lag samples")
 
@@ -187,14 +194,27 @@ def _chirp_sum(v, x0, dx, y0, dy, m, sign):
     """out[j] = sum_k v[k] exp(sign*i*(x0 + k*dx)*(y0 + j*dy)) for j < m.
 
     The direct sum over two uniform grids, evaluated as a chirp-z
-    transform (Bluestein) in O((n+m) log(n+m)) time and O(n+m) memory.
-    The linear phases k*dx*y0 and x0*(y0 + j*dy) are applied outside the
-    transform, so only the exp(sign*i*dx*dy*k*j) term goes through it.
+    transform (Bluestein 1970) in O((n+m) log(n+m)) time and O(n+m)
+    memory.  The linear phases k*dx*y0 and x0*(y0 + j*dy) are applied
+    outside the transform, so only exp(sign*i*dx*dy*k*j) goes through it.
+    With k*j = (k^2 + j^2 - (j-k)^2)/2 and the chirp c[k] =
+    exp(0.5j*sign*dx*dy*k^2), that term is c[j] * sum_k (c[k] u[k])
+    conj(c[j-k]): a linear convolution with conj(c) at lags -(n-1)..m-1,
+    done as a cyclic one of power-of-two length.  The chirp's phase is
+    formed in real arithmetic from the exact integers k^2.
     """
-    k = np.arange(len(v))
+    n = len(v)
+    k = np.arange(max(n, m))
+    chirp = np.exp(1j * ((0.5 * sign * dx * dy) * (k * k).astype(float)))
+    size = 1 << (n + m - 2).bit_length()  # next power of two >= n+m-1
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
+    u = v * np.exp(sign * 1j * (dx * y0) * k[:n])
+    u *= chirp[:n]
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))[:m]
     y = y0 + dy * np.arange(m)
-    chirped = czt(v * np.exp(sign * 1j * (dx * y0) * k), m, w=np.exp(sign * 1j * dx * dy))
-    return chirped * np.exp(sign * 1j * x0 * y)
+    return chirp[:m] * conv * np.exp(sign * 1j * x0 * y)
 
 
 def spectrum_to_correlation(s: Spectrum, dtau: float, n: int) -> CorrelationFunction:

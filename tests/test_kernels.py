@@ -1,4 +1,4 @@
-"""The filter-cascade kernels against plain-loop oracles."""
+"""The recurrence kernels against plain-loop oracles."""
 
 from dataclasses import replace
 
@@ -166,16 +166,37 @@ def _mc_pair(probe, drive, nsl, *coeffs, **kw):
     return out, ref
 
 
+def _default_mc_slab():
+    """Fields and slab coefficients of the default ``mc`` command: probe
+    at 0.05 of the drive, 8 slices, 0.1 us steps."""
+    cfg = load_config()
+    fields = replace(cfg.fields, omega_p=0.05 * abs(cfg.fields.omega_d))
+    coeffs = _slab_coefficients(cfg.medium, fields, True, cfg.medium.length / 8, 1e-7)
+    return fields, coeffs
+
+
 @pytest.mark.parametrize(
-    "drive",
+    "drive, nt",
     [
-        pytest.param(10.0 + 0.0j, id="constant"),
-        pytest.param(10.0 * np.exp(0.7j), id="complex"),
-        pytest.param(0.0j, id="zero"),
+        pytest.param(10.0 + 0.0j, 256, id="constant"),
+        pytest.param(10.0 * np.exp(0.7j), 256, id="complex"),
+        pytest.param(0.0j, 256, id="zero"),
+        # the first two rows of the banded system carry the slaved start
+        pytest.param(10.0 * np.exp(0.7j), 2, id="length-2"),
+        pytest.param(10.0 * np.exp(0.7j), 3, id="length-3"),
     ],
 )
-def test_mc_batch_matches_the_loop(drive):
-    out, ref = _mc_pair(_mc_probe(seed=1), drive, 4, **_MC_COEFFS)
+def test_mc_batch_matches_the_loop(drive, nt):
+    out, ref = _mc_pair(_mc_probe(seed=1, nt=nt), drive, 4, **_MC_COEFFS)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mc_batch_matches_the_loop_at_the_mc_scale():
+    """One realization of the default ``mc`` run: 10 736 samples (10 000
+    kept plus the burn-in) through 8 slices."""
+    fields, coeffs = _default_mc_slab()
+    probe = abs(fields.omega_p) * _mc_probe(seed=4, nreal=1, nt=10_736)
+    out, ref = _mc_pair(probe, fields.omega_d, 8, *coeffs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -187,10 +208,7 @@ def test_public_kernels_match_reference_paths():
     a, b = _sweep_pair(r, 0.1 + 0.0j, 1.5 + 0.5j, 0.2 + 0.1j, 0.02)
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
-    cfg = load_config()
-    fields = replace(cfg.fields, omega_p=0.05 * abs(cfg.fields.omega_d))
-    nsl = 8
-    coeffs = _slab_coefficients(cfg.medium, fields, True, cfg.medium.length / nsl, 1e-7)
+    fields, coeffs = _default_mc_slab()
     probe = abs(fields.omega_p) * _mc_probe(seed=3, nt=2000)
-    out, ref = _mc_pair(probe, fields.omega_d * np.exp(0.7j), nsl, *coeffs)
+    out, ref = _mc_pair(probe, fields.omega_d * np.exp(0.7j), 8, *coeffs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

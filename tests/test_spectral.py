@@ -11,6 +11,7 @@ from eitnarrow.errors import (
     TruncationWarning,
     UnresolvedWidthError,
 )
+from eitnarrow.noise import FieldSeries
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
     _chirp_sum,
@@ -40,6 +41,30 @@ def test_grid_invariants():
         FrequencyGrid(start=0.0, step=0.0, count=100)
     with pytest.raises(InvalidParameterError):
         FrequencyGrid(start=0.0, step=1.0, count=4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: FrequencyGrid(0.0, float("nan"), 10), id="grid-nan-step"),
+        pytest.param(lambda: FrequencyGrid(0.0, float("inf"), 10), id="grid-inf-step"),
+        pytest.param(lambda: FrequencyGrid(float("inf"), 1.0, 10), id="grid-inf-start"),
+        pytest.param(lambda: FrequencyGrid(float("nan"), 1.0, 10), id="grid-nan-start"),
+        pytest.param(lambda: FrequencyGrid(0.0, 1.0, 10.5), id="grid-fractional-count"),
+        pytest.param(lambda: FrequencyGrid(0.0, 1.0, 10.0), id="grid-float-count"),
+        pytest.param(lambda: CorrelationFunction(float("nan"), np.ones(4)), id="lag-nan-step"),
+        pytest.param(lambda: CorrelationFunction(float("inf"), np.ones(4)), id="lag-inf-step"),
+        pytest.param(lambda: FieldSeries(float("nan"), np.ones(4)), id="series-nan-dt"),
+        pytest.param(lambda: FieldSeries(float("inf"), np.ones(4)), id="series-inf-dt"),
+    ],
+)
+def test_containers_reject_non_finite_steps_and_fractional_counts(make):
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
+def test_grid_count_accepts_numpy_integers():
+    assert FrequencyGrid(0.0, 1.0, np.int64(10)).omegas.size == 10
 
 
 def test_gaussian_peak_and_unit_offset():
@@ -151,6 +176,37 @@ def test_chirp_sum_matches_the_dense_sum(n, m, x0, y0, sign):
     dense = _dense_sum(v, x0, dx, y0, dy, m, sign)
     assert fast.shape == (m,)
     assert np.max(np.abs(fast - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def _dense_sum_long_double(v, x0, dx, y0, dy, rows, sign):
+    # oracle in extended precision on the sampled output rows
+    ld = np.longdouble
+    x = ld(x0) + ld(dx) * np.arange(len(v), dtype=ld)
+    re, im = v.real.astype(ld), v.imag.astype(ld)
+    out = np.empty(len(rows), dtype=complex)
+    for i, j in enumerate(rows):
+        phase = sign * x * (ld(y0) + ld(dy) * ld(j))
+        c, s = np.cos(phase), np.sin(phase)
+        out[i] = complex(float(np.sum(re * c - im * s)), float(np.sum(re * s + im * c)))
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(1201, 10391), (10391, 1201)])
+def test_chirp_sum_accuracy_at_the_validate_scale(n, m):
+    """The validate grids: 1201 frequencies and 10 391 lags, both ways
+    round.  Forming the chirp's phase from the exact integers k^2 keeps
+    the error near 1e-12 of the largest output, where a chirp raised to
+    the power k^2/2 in complex arithmetic reached 1e-10."""
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x0 = -6.0e5
+    dx = 2.0 * abs(x0) / (n - 1)
+    dy = np.pi / (8.0 * abs(x0))
+    y0 = -(m // 2) * dy
+    fast = _chirp_sum(v, x0, dx, y0, dy, m, -1)
+    rows = rng.choice(m, 250, replace=False)
+    dense = _dense_sum_long_double(v, x0, dx, y0, dy, rows, -1)
+    assert np.max(np.abs(fast[rows] - dense)) <= 1e-11 * np.max(np.abs(fast))
 
 
 def test_lag_transform_memory_stays_linear():
