@@ -9,8 +9,10 @@ The Monte-Carlo slab is linear time-invariant.  The drive ``d`` is
 constant, so the slaved coherence is proportional to ``conj(d)`` and the
 source ``fcoef d rho`` carries only ``|d|``: the drive phase cancels
 from every slice.  Each slice's ground coherence obeys a second-order
-recurrence in time, solved as a unit-lower-triangular banded system
-(LAPACK ``ztbtrs``, forward substitution); the slice output is then a
+recurrence in time.  Its characteristic polynomial factors into a slow
+pole and a fast one, two first-order recurrences run one after the
+other: the fast one by log-step doubling, the slow one by the same
+chunked cumulative sum as the lag sweep.  The slice output is then a
 sum of its input and that coherence, and the slab is ``nsl`` slices in
 series.
 """
@@ -53,6 +55,46 @@ def _phi12(x: complex) -> tuple[complex, complex]:
 CHUNK_EXPONENT = 300.0
 
 
+def _power_table(decay: complex, rate: float, count: int) -> np.ndarray:
+    """Rows ``decay**k`` and ``decay**-k`` for ``0 <= k <= chunk``, the
+    chunk of a scan over ``count`` steps.
+
+    ``rate`` is ``|ln|decay||``; a chunk spans at most
+    ``CHUNK_EXPONENT / rate`` steps, so ``|decay|**-k`` stays below
+    ``e**CHUNK_EXPONENT``.  The powers are a running product: its
+    rounding grows with ``k`` but stays near ``1e-14`` relative over
+    10^4 steps, and it costs a fraction of a complex ``**``.
+    """
+    chunk = max(1, count)
+    if rate * chunk > CHUNK_EXPONENT:
+        chunk = int(CHUNK_EXPONENT / rate)
+    up = np.full(chunk + 1, decay, dtype=complex)
+    up[0] = 1.0
+    up = np.cumprod(up)
+    return np.stack([up, 1.0 / up])
+
+
+def _power_scan(u, carry, powers, out):
+    """``out[j] = decay*out[j-1] + u[j]`` with ``out[-1] = carry``.
+
+    Runs as ``out[j] = decay^(j+1) * (carry + sum_{i<=j} decay^-(i+1) u[i])``
+    over chunks of the ``powers`` table, each restarting from the last
+    value of the one before.  ``u`` is overwritten.
+    """
+    up, down = powers
+    step = up.size - 1
+    for lo in range(0, u.size, step):
+        seg = u[lo:lo + step]
+        seg *= down[1:seg.size + 1]
+        block = out[lo:lo + seg.size]
+        np.cumsum(seg, out=block)
+        if carry:  # skipped when zero: the slab starts from rest
+            block += carry
+        block *= up[1:seg.size + 1]
+        carry = block[-1]
+    return out
+
+
 class LagSweep(NamedTuple):
     """Coefficients of the lag recurrence and its table of powers."""
 
@@ -72,14 +114,10 @@ def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float, size: int)
         )
     phi1, phi2 = _phi12(x)
     decay = complex(np.exp(x))
-    chunk = max(1, size - 1)
-    if rate * chunk > CHUNK_EXPONENT:
-        chunk = int(CHUNK_EXPONENT / rate)
-    up = decay ** np.arange(chunk + 1)
     return LagSweep(
         complex(dtau * nfac * (phi1 - phi2)),
         complex(dtau * nfac * phi2),
-        np.stack([up, 1.0 / up]),
+        _power_table(decay, rate, size - 1),
     )
 
 
@@ -90,19 +128,11 @@ def g_sweep(r_values, g0, sweep: LagSweep):
     eps * max|G| / (1 - |decay|).
     """
     r_values = np.asarray(r_values, dtype=complex)
-    up, down = sweep.powers
     out = np.empty(r_values.size, dtype=complex)
     out[0] = g0
     u = sweep.c_prev * r_values[:-1]
     u += sweep.c_curr * r_values[1:]
-    step = up.size - 1
-    for lo in range(0, u.size, step):
-        seg = u[lo:lo + step]
-        seg *= down[1:seg.size + 1]
-        block = out[lo + 1:lo + 1 + seg.size]
-        np.cumsum(seg, out=block)
-        block += out[lo]
-        block *= up[1:seg.size + 1]
+    _power_scan(u, out[0], sweep.powers, out[1:])
     return out
 
 
@@ -115,41 +145,62 @@ def g_sweep(r_values, g0, sweep: LagSweep):
 # exponential integrator.  With k_h = b_half*fcoef*|d| and
 # k_f = b_full*fcoef*|d|, a slice maps its input x to
 #   y[t]     = e_full*x[t] + k_f*rho[t]
-#   s[t]     = |d|*(e_half*x[t] + k_h*rho[t])
-#   rho[t+1] = erho*rho[t] + alpha*s[t] + beta*s[t-1]
+#   q[t]     = |d|*(e_half*x[t] + k_h*rho[t])
+#   rho[t+1] = erho*rho[t] + alpha*q[t] + beta*q[t-1]
 # starting from the slaved state rho[0] = nfac*|d|*x[0]/gtilde,
-# s[-1] = |d|*x[0].  Eliminating s leaves a recurrence in rho alone,
+# q[-1] = |d|*x[0].  Eliminating q leaves a recurrence in rho alone,
 #   rho[t] - c1*rho[t-1] - c2*rho[t-2] = src[t],
 #   c1 = erho + alpha*|d|*k_h,  c2 = beta*|d|*k_h,
 #   src[0] = rho[0],  src[1] = |d|*(alpha*e_half + beta)*x[0],
 #   src[t] = |d|*e_half*(alpha*x[t-1] + beta*x[t-2])  for t >= 2,
-# a unit-lower-triangular banded system with two subdiagonals.
+# with rho[-1] = rho[-2] = 0.  The characteristic polynomial factors as
+#   1 - c1/z - c2/z^2 = (1 - s/z)(1 - f/z),  s + f = c1,  s*f = -c2,
+# with s the root of larger modulus, so rho is src passed through the
+# fast pole f and then the slow pole s.  The fast pole runs by log-step
+# doubling, src[k:] += f^k src[:-k] for k = 1, 2, 4, ..., until |f|^k drops
+# below 2^-60 (the rest of its tail is below rounding) or k reaches the
+# length (the prefix is then complete).  The slow pole runs as the
+# chunked cumulative sum of the lag sweep.
 # ---------------------------------------------------------------------------
+
+FAST_POLE_CUTOFF = 2.0**-60
 
 
 def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
              fcoef, erho, alpha, beta, nfac, gtilde):
     """Propagate one probe envelope through ``nsl`` slices lit by the
     constant drive ``drive``; only ``|drive|`` enters."""
-    # scipy.linalg costs about 0.3 s to import and only the MC needs it
-    from scipy.linalg.lapack import ztbtrs
-
-    y = np.asarray(probe, dtype=complex)
+    y = np.array(probe, dtype=complex)
+    n = y.size
     dmod = abs(drive)
     k_h = b_half * fcoef * dmod
     k_f = b_full * fcoef * dmod
-    # LAPACK lower band storage: band[i - j, j] = A[i, j]
-    band = np.empty((3, y.size), dtype=complex, order="F")
-    band[0] = 1.0
-    band[1] = -(erho + alpha * dmod * k_h)
-    band[2] = -beta * dmod * k_h
-    src = np.empty((y.size, 1), dtype=complex, order="F")
-    col = src[:, 0]
+    c1 = complex(erho + alpha * dmod * k_h)
+    c2 = complex(beta * dmod * k_h)
+    # roots of z^2 - c1 z - c2; the sign that adds moduli avoids cancellation
+    root = np.sqrt(c1 * c1 + 4.0 * c2)
+    s = 0.5 * (c1 + root if abs(c1 + root) >= abs(c1 - root) else c1 - root)
+    f = -c2 / s
+    powers = _power_table(s, abs(np.log(abs(s))), n)
+    a_src = alpha * dmod * e_half
+    b_src = beta * dmod * e_half
+    # every pass writes into these two buffers: fresh temporaries of
+    # this size cost about 15 % more per slice
+    src = np.empty(n, dtype=complex)
+    tmp = np.empty(n, dtype=complex)
     for _ in range(nsl):
-        col[0] = nfac * dmod * y[0] / gtilde
-        col[1] = dmod * (alpha * e_half + beta) * y[0]
-        col[2:] = alpha * y[1:-1] + beta * y[:-2]
-        col[2:] *= dmod * e_half
-        rho, _ = ztbtrs(band, src, uplo="L", diag="U", overwrite_b=1)
-        y = e_full * y + k_f * rho[:, 0]
+        src[0] = nfac * dmod * y[0] / gtilde
+        src[1] = dmod * (alpha * e_half + beta) * y[0]
+        np.multiply(y[1:-1], a_src, out=src[2:])
+        np.multiply(y[:-2], b_src, out=tmp[2:])
+        src[2:] += tmp[2:]
+        k, fk = 1, f
+        while k < n and abs(fk) >= FAST_POLE_CUTOFF:
+            np.multiply(src[:-k], fk, out=tmp[k:])
+            src[k:] += tmp[k:]
+            k, fk = 2 * k, fk * fk
+        rho = _power_scan(src, 0.0, powers, tmp)
+        rho *= k_f
+        y *= e_full
+        y += rho
     return y

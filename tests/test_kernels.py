@@ -175,19 +175,30 @@ def _default_mc_slab():
     return fields, coeffs
 
 
+# poles of the slab's rho-recurrence: slow s (larger modulus), fast f
+_FAST_POLE = dict(alpha=-1.43, beta=1.3, erho=0.9 + 0.02j)
+
+
 @pytest.mark.parametrize(
-    "drive, nt",
+    "drive, nt, changed",
     [
-        pytest.param(10.0 + 0.0j, 256, id="constant"),
-        pytest.param(10.0 * np.exp(0.7j), 256, id="complex"),
-        pytest.param(0.0j, 256, id="zero"),
-        # the first two rows of the banded system carry the slaved start
-        pytest.param(10.0 * np.exp(0.7j), 2, id="length-2"),
-        pytest.param(10.0 * np.exp(0.7j), 3, id="length-3"),
+        pytest.param(10.0 + 0.0j, 256, {}, id="constant"),
+        pytest.param(10.0 * np.exp(0.7j), 256, {}, id="complex"),
+        pytest.param(0.0j, 256, {}, id="zero"),
+        # the first two rows of the recurrence carry the slaved start
+        pytest.param(10.0 * np.exp(0.7j), 2, {}, id="length-2"),
+        pytest.param(10.0 * np.exp(0.7j), 3, {}, id="length-3"),
+        # s = 0.4993+0.0203j, f = -1.3e-5-1.4e-4j: |ln|s||*2000 = 1390, so the
+        # slow pole's cumulative sum restarts across 5 chunks
+        pytest.param(10.0 + 0.0j, 2000, dict(erho=0.5 + 0.02j), id="chunks"),
+        # s = 0.8954+0.0371j, f = 0.4050-0.0371j (|f| = 0.41): the fast
+        # pole runs 6 doubling levels before |f|^64 < 2^-60
+        pytest.param(20.0 + 0.0j, 256, _FAST_POLE, id="fast-pole"),
+        pytest.param(20.0 * np.exp(0.7j), 256, _FAST_POLE, id="fast-pole-complex"),
     ],
 )
-def test_mc_batch_matches_the_loop(drive, nt):
-    out, ref = _mc_pair(_mc_probe(seed=1, nt=nt), drive, 4, **_MC_COEFFS)
+def test_mc_batch_matches_the_loop(drive, nt, changed):
+    out, ref = _mc_pair(_mc_probe(seed=1, nt=nt), drive, 4, **dict(_MC_COEFFS, **changed))
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
