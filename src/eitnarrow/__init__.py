@@ -72,6 +72,7 @@ from .propagation import (
 from .mc import (
     McConfig,
     band_average_transfer,
+    bloch_medium,
     ensemble_beat_spectrum,
     integrate_slice,
     slice_convergence,
@@ -104,6 +105,7 @@ __all__ = [
     "adiabatic_rate_check",
     "band_average_transfer",
     "beat_series",
+    "bloch_medium",
     "closed_form_width",
     "complex_rates",
     "correlation_to_spectrum",

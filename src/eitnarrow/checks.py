@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import RunConfig
 from .fitting import fit_lineshape
-from .mc import McConfig, McEnsembleResult, band_average_transfer, ensemble_beat_spectrum
-from .mc import windowed_reference
+from .mc import McConfig, McEnsembleResult, band_average_transfer, bloch_medium
+from .mc import ensemble_beat_spectrum, windowed_reference
 from .medium import AtomicMedium, FieldConfig, complex_rates, transmission
 from .noise import PhaseNoiseModel
 from .propagation import PropagationProblem, propagate_correlation, propagate_spectrum
@@ -37,9 +37,7 @@ class CheckRecord:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def route_deviations(
-    medium: AtomicMedium, drive: float, doppler: bool, convention: str, z_steps: int
-) -> list[float]:
+def route_deviations(medium: AtomicMedium, drive: float, z_steps: int) -> list[float]:
     """Largest difference between the (tau, z) route's beat correlation
     and the transform of the Fourier route's output, relative to R(0),
     on resonance, with the probe detuned by 0.1 Delta_W, and with a
@@ -48,14 +46,14 @@ def route_deviations(
     base = replace(medium, gamma_cb=0.0)
     on_res = FieldConfig(omega_d=drive)
     detuned = FieldConfig(omega_d=drive, delta_p=0.1 * medium.doppler_width)
-    broadening = complex_rates(base, on_res, doppler).gamma_cb_eff.real
+    broadening = complex_rates(base, on_res).gamma_cb_eff.real
     decaying = replace(medium, gamma_cb=0.2 * broadening)
     devs = []
     for m, f in ((base, on_res), (base, detuned), (decaying, on_res)):
-        scale = complex_rates(m, f, doppler).gamma_cb_eff.real
+        scale = complex_rates(m, f).gamma_cb_eff.real
         grid = FrequencyGrid.spanning(120.0 * scale, 1201)
         s_in = gaussian_spectrum(0.0, 20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid)
-        p = PropagationProblem(m, f, s_in, doppler=doppler, convention=convention, z_steps=z_steps)
+        p = PropagationProblem(m, f, s_in, z_steps=z_steps)
         corr = propagate_correlation(p)
         fourier = propagate_spectrum(p).spectrum
         ref = spectrum_to_correlation(fourier, corr.beat.lag_step, corr.beat.values.size)
@@ -81,12 +79,12 @@ def band_transfer_vs_reference(
 
     The bins whose ensemble input power exceeds ``floor`` times the peak
     are split into ``n_bands`` contiguous bands.  Returns the Monte-Carlo
-    band transfer, the input-weighted mean of the window-convolved
-    derived-convention transfer over each band, and the band standard
-    errors."""
+    band transfer, the input-weighted mean over each band of the
+    window-convolved transfer of ``bloch_medium(cfg.medium)``, and the
+    band standard errors."""
     weights = result.input_density
     mask = weights > floor * weights.max()
-    analytic = transmission(cfg.medium, cfg.fields, result.spectrum.omegas, cfg.doppler, "derived")
+    analytic = transmission(bloch_medium(cfg.medium), cfg.fields, result.spectrum.omegas)
     ref_bins = windowed_reference(result, analytic)
     _, values, errs = band_average_transfer(result, mask, n_bands)
     groups = np.array_split(np.flatnonzero(mask), n_bands)
@@ -104,7 +102,7 @@ def _reduced_mc_config(cfg: RunConfig) -> McConfig:
     # a genuinely weak probe: the slaved coherence carries the probe's
     # own power broadening, which would bias the analytic comparison
     fields = FieldConfig(omega_d=drive, omega_p=1e-3 * drive)
-    rates = complex_rates(medium, fields, cfg.doppler)
+    rates = complex_rates(medium, fields)
     g = rates.gamma_cb_eff.real
     dt = 0.005 / g
     shaping_grid = FrequencyGrid.spanning(min(40.0 * g, 0.9 * np.pi / dt), 257)
@@ -117,16 +115,13 @@ def _reduced_mc_config(cfg: RunConfig) -> McConfig:
         duration=60.0 / g,
         realizations=64,
         slices=cfg.mc_slices,
-        doppler=cfg.doppler,
     )
 
 
 def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
     """The reduced-scale invariant suite; ``quick`` leaves out the
     Monte-Carlo check."""
-    devs = route_deviations(
-        cfg.medium, abs(cfg.fields.omega_d), cfg.doppler, cfg.convention, cfg.z_steps
-    )
+    devs = route_deviations(cfg.medium, abs(cfg.fields.omega_d), cfg.z_steps)
     for i, dev in enumerate(devs, 1):
         yield CheckRecord(f"route-equivalence-{i}", dev < 1e-3, dev, f"max deviation {dev:.3e}")
 
@@ -148,13 +143,11 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
         "shape-independence", dev < 1e-9, dev, f"transfer ratio deviation {dev:.3e}"
     )
 
-    # closed-form filter identity (paper convention, gamma_cb = 0)
-    med0 = replace(cfg.medium, gamma_cb=0.0)
+    # closed-form filter identity (gamma_cb = 0, Doppler substitution on)
+    med0 = replace(cfg.medium, gamma_cb=0.0, doppler=True)
     f0 = FieldConfig(omega_d=cfg.fields.omega_d)
     thick = thick_medium_spectrum(med0, abs(f0.omega_d) ** 2, s_in)
-    full = propagate_spectrum(
-        PropagationProblem(med0, f0, s_in, doppler=True, convention="paper")
-    ).spectrum
+    full = propagate_spectrum(PropagationProblem(med0, f0, s_in)).spectrum
     dev = float(np.max(np.abs(thick.density - full.density) / full.density.max()))
     yield CheckRecord("closed-form-identity", dev < 1e-6, dev, f"max deviation {dev:.3e}")
 

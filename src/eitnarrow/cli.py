@@ -123,7 +123,7 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
     ensure_out_dir(out)
     if cfg.medium.length == 0:
         grid = _input_grid(cfg)
-        scan = eit_transmission_scan(cfg.medium, cfg.fields, grid, cfg.doppler, cfg.convention)
+        scan = eit_transmission_scan(cfg.medium, cfg.fields, grid)
         write_table_csv(
             os.path.join(out, "figure3_scan.csv"),
             ["delta_rad_s", "transmission"],
@@ -135,7 +135,7 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
         return 0
 
     grid = cfg.output_grid()
-    scan = eit_transmission_scan(cfg.medium, cfg.fields, grid, cfg.doppler, cfg.convention)
+    scan = eit_transmission_scan(cfg.medium, cfg.fields, grid)
     width_eit = eit_width(scan)
 
     result = propagate_spectrum(cfg.problem(cfg.input_spectrum(grid)))
@@ -275,7 +275,6 @@ def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> i
         duration=cfg.mc_duration,
         realizations=n_real,
         slices=cfg.mc_slices,
-        doppler=cfg.doppler,
     )
     result = ensemble_beat_spectrum(mc_cfg)
     ensure_out_dir(out)

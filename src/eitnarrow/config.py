@@ -53,6 +53,11 @@ Recognized sections and keys (defaults in parentheses):
 [run]
     seed (12345)
 
+``exponent_convention`` and ``doppler_mode`` become properties of the
+medium: ``AtomicMedium.exponent_factor`` (``EXPONENT_FACTORS``: paper 1,
+derived 2) and ``AtomicMedium.doppler``, which every route and closed
+form reads.
+
 The size keys are bounded above (``SIZE_RANGES``), as are the samples
 per Monte-Carlo realization, ``duration_ms / dt_us``
 (``MAX_MC_SAMPLES``), and their product with ``realizations``
@@ -69,13 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, OpticallyThinError
-from .medium import (
-    AtomicMedium,
-    FieldConfig,
-    convention_factor,
-    drive_for_target_width,
-    thick_filter_hwhm,
-)
+from .medium import AtomicMedium, FieldConfig, drive_for_target_width, thick_filter_hwhm
 from .propagation import PropagationProblem
 from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
 from .spectral import gaussian_spectrum, lorentzian_spectrum
@@ -130,10 +129,13 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
 }
 
+# ``AtomicMedium.exponent_factor`` of each ``exponent_convention``
+EXPONENT_FACTORS = {"paper": 1.0, "derived": 2.0}
+
 _ENUMS = {
     ("medium", "doppler_mode"): ("on", "off"),
     ("input", "shape"): ("gaussian", "lorentzian"),
-    ("propagation", "exponent_convention"): ("paper", "derived"),
+    ("propagation", "exponent_convention"): tuple(EXPONENT_FACTORS),
 }
 
 _INTS = {
@@ -152,8 +154,6 @@ class RunConfig:
 
     medium: AtomicMedium
     fields: FieldConfig
-    doppler: bool
-    convention: str
     input_shape: str
     input_fwhm: float  # rad/s
     grid_points: int
@@ -185,12 +185,7 @@ class RunConfig:
         """Propagation of ``spectrum`` through the configured medium, with
         the configured fields unless ``fields`` replaces them."""
         return PropagationProblem(
-            self.medium,
-            fields if fields is not None else self.fields,
-            spectrum,
-            doppler=self.doppler,
-            convention=self.convention,
-            z_steps=self.z_steps,
+            self.medium, fields if fields is not None else self.fields, spectrum, self.z_steps
         )
 
 
@@ -315,9 +310,8 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         resolved["run"]["seed"] = str(int(seed))
 
     num = lambda sec, key: _number(resolved, sec, key)  # noqa: E731
+    exponent_factor = EXPONENT_FACTORS[_enum(resolved, "propagation", "exponent_convention")]
     doppler = _enum(resolved, "medium", "doppler_mode") == "on"
-    convention = _enum(resolved, "propagation", "exponent_convention")
-    convention_factor(convention)
     input_shape = _enum(resolved, "input", "shape")
 
     try:
@@ -330,6 +324,8 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             gamma_cb=num("medium", "gamma_cb_hz") * TWO_PI,
             doppler_width=num("medium", "doppler_fwhm_mhz") * TWO_PI * 1e6,
             length=num("medium", "length_cm") * 1e-2,
+            exponent_factor=exponent_factor,
+            doppler=doppler,
         )
         omega_d = num("fields", "omega_d_mhz") * TWO_PI * 1e6
         if omega_d == 0:
@@ -381,8 +377,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     return RunConfig(
         medium=medium,
         fields=fields,
-        doppler=doppler,
-        convention=convention,
         input_shape=input_shape,
         input_fwhm=input_fwhm,
         grid_points=grid_points,

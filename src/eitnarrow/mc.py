@@ -10,10 +10,11 @@ exponential (field sampled at mid-slice).  The error of slaving the
 optical coherences is bounded in closed form by
 ``propagation.adiabatic_rate_check`` (``AdiabaticReport.slaving_error``).
 
-The per-field equations carry the full coupling, so the density transfer
-realized here corresponds to the "derived" exponent convention
-(kappa = 2 eta ...); comparisons against the Fourier route must use that
-convention.
+The per-field Bloch equations carry the full coupling, so the density
+exponent realized here is always 2 eta (exponent factor 2), whatever the
+medium's ``exponent_factor``.  ``bloch_medium`` states this once: the
+slab takes its coupling from it, and analytic references for the slab
+are computed on it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class McConfig:
     duration: float
     realizations: int = 200
     slices: int = 8
-    doppler: bool = True
 
     def __post_init__(self):
         if self.slices < 1:
@@ -49,7 +49,7 @@ class McConfig:
             raise InvalidParameterError("dt and duration must be positive")
         if abs(self.fields.omega_p) <= 0:
             raise InvalidParameterError("Monte-Carlo runs need a nonzero probe")
-        rates = complex_rates(self.medium, self.fields, self.doppler)
+        rates = complex_rates(self.medium, self.fields)
         g = rates.gamma_cb_eff.real
         if self.dt * g > 0.1:
             raise InvalidParameterError(
@@ -73,9 +73,15 @@ class McEnsembleResult:
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
-def _slab_coefficients(m: AtomicMedium, f: FieldConfig, doppler: bool, dz: float, dt: float):
-    rates = complex_rates(m, f, doppler)
-    eta = coupling_eta(m)
+def bloch_medium(m: AtomicMedium) -> AtomicMedium:
+    """``m`` with the exponent factor 2 that the slab's Bloch equations
+    realize."""
+    return replace(m, exponent_factor=2.0)
+
+
+def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
+    rates = complex_rates(m, f)
+    eta = 0.5 * coupling_eta(bloch_medium(m))  # coupling of the per-field equations
     a = eta * f.n_ab / rates.gamma_ab  # homogeneous field advance rate [1/m]
     fcoef = -eta / rates.gamma_ab
     e_full = np.exp(a * dz)
@@ -97,20 +103,16 @@ def _slab_coefficients(m: AtomicMedium, f: FieldConfig, doppler: bool, dz: float
 
 
 def integrate_slice(
-    probe: FieldSeries,
-    m: AtomicMedium,
-    f: FieldConfig,
-    thickness: float,
-    doppler: bool = True,
+    probe: FieldSeries, m: AtomicMedium, f: FieldConfig, thickness: float
 ) -> FieldSeries:
     """Advance a probe across one medium slice lit by the constant drive
     ``f.omega_d`` (frozen in the weak-probe regime)."""
     if thickness <= 0:
         raise InvalidParameterError("slice thickness must be positive")
-    rates = complex_rates(m, f, doppler)
+    rates = complex_rates(m, f)
     if probe.dt * rates.gamma_cb_eff.real > 0.1:
         raise InvalidParameterError("dt does not resolve the coherence rate")
-    coeffs = _slab_coefficients(m, f, doppler, thickness, probe.dt)
+    coeffs = _slab_coefficients(m, f, thickness, probe.dt)
     out = mc_batch(probe.envelope, f.omega_d, 1, *coeffs)
     return FieldSeries(probe.dt, out, probe.carrier_offset)
 
@@ -118,7 +120,7 @@ def integrate_slice(
 def _implied_drive_depletion(cfg: McConfig) -> float:
     """Drive power transmission implied by the steady weak-probe
     coherences; reported as a diagnostic, never fed back into the run."""
-    rates = complex_rates(cfg.medium, cfg.fields, cfg.doppler)
+    rates = complex_rates(cfg.medium, cfg.fields)
     f = cfg.fields
     s = f.omega_p * np.conj(f.omega_d)
     rho_cb = rates.n_factor * s / rates.gamma_cb_eff
@@ -127,7 +129,8 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
     if od2 == 0:
         return 1.0
     # d|Omega_d|^2/dz = 2 Re(Omega_d^* (-i eta rho_ca^*))
-    rate = 2.0 * np.real(np.conj(f.omega_d) * (-1j) * coupling_eta(cfg.medium) * np.conj(rho_ca)) / od2
+    eta = 0.5 * coupling_eta(bloch_medium(cfg.medium))
+    rate = 2.0 * np.real(np.conj(f.omega_d) * (-1j) * eta * np.conj(rho_ca)) / od2
     return float(np.exp(rate * cfg.medium.length))
 
 
@@ -140,13 +143,13 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     Deterministic for a fixed noise seed: realization r always draws
     from the stream seed^r, and the reduction order is fixed.
     """
-    rates = complex_rates(cfg.medium, cfg.fields, cfg.doppler)
+    rates = complex_rates(cfg.medium, cfg.fields)
     g = rates.gamma_cb_eff.real
     burn = int(np.ceil(5.0 / (g * cfg.dt))) if g > 0 else 0
     n_keep = int(round(cfg.duration / cfg.dt))
     n_total = n_keep + burn
     dz = cfg.medium.length / cfg.slices
-    coeffs = _slab_coefficients(cfg.medium, cfg.fields, cfg.doppler, dz, cfg.dt)
+    coeffs = _slab_coefficients(cfg.medium, cfg.fields, dz, cfg.dt)
     amp = abs(cfg.fields.omega_p)
 
     p_in = np.empty((cfg.realizations, n_keep))
@@ -240,6 +243,7 @@ __all__ = [
     "McConfig",
     "McEnsembleResult",
     "band_average_transfer",
+    "bloch_medium",
     "ensemble_beat_spectrum",
     "integrate_slice",
     "slice_convergence",

@@ -4,11 +4,16 @@ Complex dephasing rates, the coupling constant eta, the effective
 ground-coherence rate, per-frequency transfer exponents, EIT
 transmission scans and the closed-form thick-medium width.
 
-Two prefactor conventions exist for the per-frequency exponent: the
-reduction of the correlation-propagation equations gives 2*eta, while
-the quoted thick-medium filter uses eta.  ``convention`` selects
-"derived" (2*eta) or "paper" (eta); the discrepancy is reported, never
-silently reconciled.
+Two model choices are properties of the medium, so every route and
+every closed form follows them from one place:
+
+* ``exponent_factor`` scales the coupling ``coupling_eta``.  The quoted
+  thick-medium filter uses eta (factor 1), while the reduction of the
+  correlation-propagation equations gives 2*eta (factor 2).  Since eta
+  is linear in the number density, factor 2 at density N equals factor
+  1 at 2N.
+* ``doppler`` applies the substitution gamma -> Delta_W to both optical
+  coherences in ``complex_rates``; off, the homogeneous widths apply.
 """
 
 from __future__ import annotations
@@ -22,18 +27,6 @@ from .errors import InvalidParameterError, OpticallyThinError, SingularRateError
 from .fitting import fit_lineshape
 from .spectral import FrequencyGrid, Spectrum
 
-CONVENTIONS = {"paper": 1.0, "derived": 2.0}
-
-
-def convention_factor(convention: str) -> float:
-    try:
-        return CONVENTIONS[convention]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown exponent convention {convention!r}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class AtomicMedium:
     """Vapor-cell parameters.  Rates in 1/s, lengths in m."""
@@ -46,10 +39,14 @@ class AtomicMedium:
     gamma_cb: float  # ground coherence decay [1/s]
     doppler_width: float  # Delta_W [rad/s]
     length: float  # cell length L [m]
+    exponent_factor: float = 1.0  # eta prefactor: 1 quoted filter, 2 Bloch reduction
+    doppler: bool = True  # gamma -> Delta_W on the optical coherences
 
     def __post_init__(self):
         if self.number_density <= 0 or self.wavelength <= 0 or self.length < 0:
             raise InvalidParameterError("N and lambda must be positive, L >= 0")
+        if not self.exponent_factor > 0:
+            raise InvalidParameterError("exponent_factor must be positive")
         for name in ("gamma_r", "gamma_ab", "gamma_ac", "gamma_cb", "doppler_width"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
@@ -99,15 +96,17 @@ class ComplexRates:
 
 
 def coupling_eta(m: AtomicMedium) -> float:
-    """Field-medium coupling eta = 3 lambda^2 N gamma_r / (8 pi)."""
-    return 3.0 * m.wavelength**2 * m.number_density * m.gamma_r / (8.0 * np.pi)
+    """Field-medium coupling eta = 3 lambda^2 N gamma_r / (8 pi), times
+    the medium's ``exponent_factor``."""
+    eta = 3.0 * m.wavelength**2 * m.number_density * m.gamma_r / (8.0 * np.pi)
+    return m.exponent_factor * eta
 
 
-def complex_rates(m: AtomicMedium, f: FieldConfig, doppler: bool = True) -> ComplexRates:
+def complex_rates(m: AtomicMedium, f: FieldConfig) -> ComplexRates:
     """Dephasing rates with the Doppler substitution gamma -> Delta_W
-    applied to both optical coherences when ``doppler`` is on."""
-    g_ab = m.doppler_width if doppler else m.gamma_ab
-    g_ac = m.doppler_width if doppler else m.gamma_ac
+    applied to both optical coherences when ``m.doppler`` is on."""
+    g_ab = m.doppler_width if m.doppler else m.gamma_ab
+    g_ac = m.doppler_width if m.doppler else m.gamma_ac
     gamma_ab = g_ab + 1j * f.delta_p
     gamma_ca = g_ac - 1j * f.delta_ac
     if gamma_ab == 0 or gamma_ca == 0:
@@ -121,31 +120,20 @@ def complex_rates(m: AtomicMedium, f: FieldConfig, doppler: bool = True) -> Comp
     return ComplexRates(gamma_ab, gamma_ca, gamma_cb_eff, n_factor)
 
 
-def transfer_exponent(
-    m: AtomicMedium,
-    f: FieldConfig,
-    omega,
-    doppler: bool = True,
-    convention: str = "paper",
-) -> np.ndarray:
+def transfer_exponent(m: AtomicMedium, f: FieldConfig, omega) -> np.ndarray:
     """Per-frequency propagation exponent kappa(omega) [1/m].
 
     The spectral density transfer over a length z is exp(Re kappa * z).
     """
-    c = convention_factor(convention)
-    rates = complex_rates(m, f, doppler)
+    rates = complex_rates(m, f)
     omega = np.asarray(omega, dtype=float)
     denom = rates.gamma_cb_eff - 1j * omega
     if np.any(np.abs(denom) == 0):
         raise SingularRateError("transfer denominator vanishes on the grid")
-    eta = coupling_eta(m)
-    kappa = c * eta * (m.gamma_cb - 1j * omega) * rates.n_factor / denom
-    return kappa
+    return coupling_eta(m) * (m.gamma_cb - 1j * omega) * rates.n_factor / denom
 
 
-def _dynamic_exponent(
-    m: AtomicMedium, f: FieldConfig, omega, doppler: bool, convention: str
-) -> np.ndarray:
+def _dynamic_exponent(m: AtomicMedium, f: FieldConfig, omega) -> np.ndarray:
     """kappa(omega) with the optical coherence rho_ab kept dynamic.
 
     The linear-response Lambda susceptibility (Fleischhauer, Imamoglu &
@@ -153,35 +141,24 @@ def _dynamic_exponent(
     Gamma_ab - i omega stands where ``transfer_exponent`` slaves rho_ab
     with Gamma_ab, and putting Gamma_ab back gives it exactly.
     """
-    c = convention_factor(convention)
-    rates = complex_rates(m, f, doppler)
+    rates = complex_rates(m, f)
     omega = np.asarray(omega, dtype=float)
     # gamma_cb_eff without the drive's power broadening |Omega_d|^2/Gamma_ab
     ground = m.gamma_cb + abs(f.omega_p) ** 2 / rates.gamma_ca - 1j * omega
     denom = (rates.gamma_ab - 1j * omega) * ground + abs(f.omega_d) ** 2
-    num = c * coupling_eta(m) * rates.n_factor * rates.gamma_ab * (m.gamma_cb - 1j * omega)
+    num = coupling_eta(m) * rates.n_factor * rates.gamma_ab * (m.gamma_cb - 1j * omega)
     return num / denom
 
 
-def transmission(
-    m: AtomicMedium,
-    f: FieldConfig,
-    omega,
-    doppler: bool = True,
-    convention: str = "paper",
-) -> np.ndarray:
+def transmission(m: AtomicMedium, f: FieldConfig, omega) -> np.ndarray:
     """Spectral density transfer exp(Re kappa(omega) * L)."""
-    kappa = transfer_exponent(m, f, omega, doppler, convention)
-    return np.exp(kappa.real * m.length)
+    return np.exp(transfer_exponent(m, f, omega).real * m.length)
 
 
-def wing_transmission(
-    m: AtomicMedium, f: FieldConfig, doppler: bool = True, convention: str = "paper"
-) -> float:
+def wing_transmission(m: AtomicMedium, f: FieldConfig) -> float:
     """omega -> infinity transfer limit (bare resonant absorption)."""
-    c = convention_factor(convention)
-    rates = complex_rates(m, f, doppler)
-    return float(np.exp(c * coupling_eta(m) * rates.n_factor.real * m.length))
+    rates = complex_rates(m, f)
+    return float(np.exp(coupling_eta(m) * rates.n_factor.real * m.length))
 
 
 @dataclass(frozen=True)
@@ -194,16 +171,12 @@ class TransmissionScan:
 
 
 def eit_transmission_scan(
-    m: AtomicMedium,
-    f: FieldConfig,
-    grid: FrequencyGrid,
-    doppler: bool = True,
-    convention: str = "paper",
+    m: AtomicMedium, f: FieldConfig, grid: FrequencyGrid
 ) -> TransmissionScan:
     """Transmission T(delta) of a monochromatic probe scanned across the
     two-photon resonance."""
-    t = transmission(m, f, grid.omegas, doppler, convention)
-    return TransmissionScan(grid, t, wing_transmission(m, f, doppler, convention))
+    t = transmission(m, f, grid.omegas)
+    return TransmissionScan(grid, t, wing_transmission(m, f))
 
 
 def eit_width(scan: TransmissionScan) -> float:

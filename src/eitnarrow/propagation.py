@@ -29,10 +29,10 @@ from .medium import (
     FieldConfig,
     _dynamic_exponent,
     complex_rates,
-    convention_factor,
     coupling_eta,
     optical_depth,
     transfer_exponent,
+    transmission,
 )
 from .spectral import (
     CorrelationFunction,
@@ -52,8 +52,6 @@ class PropagationProblem:
     medium: AtomicMedium
     fields: FieldConfig
     input_spectrum: Spectrum
-    doppler: bool = True
-    convention: str = "paper"
     z_steps: int = 64
 
     def __post_init__(self):
@@ -86,7 +84,7 @@ class AdiabaticReport:
 @dataclass(frozen=True)
 class DopplerAverageReport:
     grid: FrequencyGrid
-    averaged: np.ndarray  # velocity-averaged transfer
+    averaged: np.ndarray  # transfer of the velocity-averaged exponent
     substituted: np.ndarray  # transfer with the gamma -> Delta_W substitution
     max_relative_deviation: float
 
@@ -94,7 +92,7 @@ class DopplerAverageReport:
 def propagate_spectrum(p: PropagationProblem) -> SpectrumResult:
     """Fourier-route propagation to z = L."""
     s = p.input_spectrum
-    kappa = transfer_exponent(p.medium, p.fields, s.omegas, p.doppler, p.convention)
+    kappa = transfer_exponent(p.medium, p.fields, s.omegas)
     density = s.density * np.exp(kappa.real * p.medium.length)
     return SpectrumResult(Spectrum(s.carrier, s.grid, density), kappa)
 
@@ -114,7 +112,7 @@ def _auto_tau_grid(p: PropagationProblem) -> tuple[float, int]:
     omega_max = max(abs(s.grid.start), abs(s.omegas[-1]))
     dtau = np.pi / (8.0 * omega_max)
     # long enough for the narrowed output correlation to decay
-    rates = complex_rates(p.medium, p.fields, p.doppler)
+    rates = complex_rates(p.medium, p.fields)
     slow = min(rates.gamma_cb_eff.real, omega_max)
     if slow <= 0:
         raise InvalidParameterError("cannot choose a lag range automatically")
@@ -131,7 +129,7 @@ def _slave_row(p: PropagationProblem, dtau: float, size: int) -> np.ndarray:
     (1/2pi) sum_j w_j R(tau_j) e^{i omega tau_j}; the two phases combine
     into e^{i omega j dtau}.
     """
-    rates = complex_rates(p.medium, p.fields, p.doppler)
+    rates = complex_rates(p.medium, p.fields)
     g = p.input_spectrum.grid
     omegas = p.input_spectrum.omegas
     g0_weights = (
@@ -147,9 +145,9 @@ def _integrate_correlation(
     p: PropagationProblem, slave_row, sweep: LagSweep, r0, z_steps
 ) -> np.ndarray:
     m = p.medium
-    rates = complex_rates(m, p.fields, p.doppler)
+    rates = complex_rates(m, p.fields)
     b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab + |Omega_p|^2/Gamma_ca
-    pref = 0.5 * convention_factor(p.convention) * coupling_eta(m)
+    pref = 0.5 * coupling_eta(m)
     # L r = pref*((nfac r - b G) + (conj(nfac) r - conj(b) conj(G[::-1])))
     #     = a r - t - conj(t[::-1]) with t = pref*b*G
     a = 2.0 * pref * rates.n_factor.real
@@ -186,7 +184,7 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
     # length 5/Re Gamma_cb_eff and trim it before returning, so the
     # transient never enters the reported lags (directly at -tau or via
     # the Hermitian companion at +tau)
-    rates = complex_rates(p.medium, p.fields, p.doppler)
+    rates = complex_rates(p.medium, p.fields)
     settle = 5.0 / rates.gamma_cb_eff.real if rates.gamma_cb_eff.real > 0 else 0.0
     if settle > horizon:
         raise InvalidParameterError(
@@ -239,17 +237,14 @@ def adiabatic_rate_check(p: PropagationProblem) -> AdiabaticReport:
     transfer exp(Re kappa L) on the input grid when rho_ab is kept
     dynamic instead."""
     m, f = p.medium, p.fields
-    rates = complex_rates(m, f, p.doppler)
-    c = convention_factor(p.convention)
-    rate = c * coupling_eta(m) * rates.n_factor * m.gamma_cb / rates.gamma_cb_eff
-    kappa0 = complex(
-        transfer_exponent(m, f, np.array([0.0]), p.doppler, p.convention)[0]
-    )
+    rates = complex_rates(m, f)
+    rate = coupling_eta(m) * rates.n_factor * m.gamma_cb / rates.gamma_cb_eff
+    kappa0 = complex(transfer_exponent(m, f, np.array([0.0]))[0])
     denom = abs(rates.gamma_ab) * m.gamma_cb
     ratio = float(np.inf) if denom == 0 else abs(f.omega_d) ** 2 / denom
     omegas = p.input_spectrum.omegas
-    slaved = transfer_exponent(m, f, omegas, p.doppler, p.convention)
-    dynamic = _dynamic_exponent(m, f, omegas, p.doppler, p.convention)
+    slaved = transfer_exponent(m, f, omegas)
+    dynamic = _dynamic_exponent(m, f, omegas)
     slaving_error = np.max(
         np.abs(np.exp(dynamic.real * m.length) - np.exp(slaved.real * m.length))
     )
@@ -266,44 +261,38 @@ def doppler_average_transfer(
     m: AtomicMedium,
     f: FieldConfig,
     grid: FrequencyGrid,
-    nodes: int = 201,
-    convention: str = "paper",
+    nodes: int = 1001,
     rtol: float = 1e-3,
 ) -> DopplerAverageReport:
-    """Velocity average of the transfer as a cross-check of the
+    """Velocity average of the exponent as a cross-check of the
     gamma -> Delta_W substitution.
 
     Each velocity class shifts both one-photon detunings by the same
     amount (two-photon detuning untouched) and uses the homogeneous
-    widths; the transmitted densities are averaged with Gaussian weight.
-    Node doubling must agree within ``rtol`` or a ResolutionError is
-    raised.
+    widths.  All classes act on the same field, so the medium's exponent
+    is the Gaussian-weighted average <kappa_v> over the classes and the
+    transfer is exp(Re <kappa_v> L).  Node doubling must agree within
+    ``rtol`` or a ResolutionError is raised; the nodes span +-4 sigma of
+    the velocity profile and must resolve gamma_ab.
     """
     # at zero Doppler width the substitution degenerates to the
     # homogeneous rates
-    substituted = np.exp(
-        transfer_exponent(m, f, grid.omegas, m.doppler_width > 0, convention).real
-        * m.length
-    )
+    substituted = transmission(replace(m, doppler=m.doppler_width > 0), f, grid.omegas)
+    hom = replace(m, doppler=False)
 
     def averaged_with(n):
         if m.doppler_width == 0:
-            hom = np.exp(
-                transfer_exponent(m, f, grid.omegas, False, convention).real * m.length
-            )
-            return hom
+            return transmission(hom, f, grid.omegas)
         sigma = m.doppler_width / (2.0 * np.sqrt(2.0 * np.log(2.0)))
         shifts = np.linspace(-4.0 * sigma, 4.0 * sigma, n)
         weights = np.exp(-0.5 * (shifts / sigma) ** 2)
         weights *= _trapezoid_weights(n, shifts[1] - shifts[0])
         weights /= weights.sum()
-        total = np.zeros(grid.count)
+        rate = np.zeros(grid.count)
         for shift, weight in zip(shifts, weights):
             fv = replace(f, delta_p=f.delta_p + shift, delta_ac=f.delta_ac + shift)
-            total += weight * np.exp(
-                transfer_exponent(m, fv, grid.omegas, False, convention).real * m.length
-            )
-        return total
+            rate += weight * transfer_exponent(hom, fv, grid.omegas).real
+        return np.exp(rate * m.length)
 
     coarse = averaged_with(nodes)
     fine = averaged_with(2 * nodes - 1)

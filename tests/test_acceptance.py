@@ -19,7 +19,7 @@ import pytest
 from eitnarrow.checks import route_deviations, wiener_khinchin_error
 from eitnarrow.cli import main
 from eitnarrow.fitting import fit_lineshape, linear_fit
-from eitnarrow.mc import McConfig, ensemble_beat_spectrum, windowed_reference
+from eitnarrow.mc import McConfig, bloch_medium, ensemble_beat_spectrum, windowed_reference
 from eitnarrow.medium import (
     FieldConfig,
     closed_form_width,
@@ -235,7 +235,7 @@ def test_criterion_5_route_equivalence(capsys):
     0.2 times the power broadening, at the paper's medium and drive."""
     m = paper_medium()
     drive = drive_for_target_width(m, TARGET_WIDTH)
-    devs = route_deviations(m, drive, doppler=True, convention="paper", z_steps=64)
+    devs = route_deviations(m, drive, z_steps=64)
     ok = all(d < 1e-3 for d in devs)
     detail = ", ".join(f"{d:.2e}" for d in devs)
     emit(
@@ -293,7 +293,7 @@ def test_criterion_6_phase_noise_independence(capsys):
     z_pair = np.max(
         np.abs(t_lo - t_hi)[mask] / np.sqrt(s_lo**2 + s_hi**2)[mask]
     )
-    analytic = transmission(m, f, run_lo.spectrum.omegas, convention="derived")
+    analytic = transmission(bloch_medium(m), f, run_lo.spectrum.omegas)
     z_lo = np.max(np.abs(t_lo - windowed_reference(run_lo, analytic))[mask] / s_lo[mask])
     z_hi = np.max(np.abs(t_hi - windowed_reference(run_hi, analytic))[mask] / s_hi[mask])
     runtime = time.perf_counter() - t0

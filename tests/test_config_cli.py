@@ -423,6 +423,54 @@ def test_propagate_command(tmp_path, capsys):
     assert os.path.isfile(os.path.join(out, "propagate_output.csv"))
 
 
+def test_model_switches_are_properties_of_the_medium(tmp_path):
+    m = load_config().medium
+    assert (m.exponent_factor, m.doppler) == (1.0, True)
+    path = write_config(
+        tmp_path, "[medium]\ndoppler_mode = off\n[propagation]\nexponent_convention = derived\n"
+    )
+    m = load_config(path).medium
+    assert (m.exponent_factor, m.doppler) == (2.0, False)
+
+
+def _stdout_and_csv_bodies(tmp_path, capsys, name, config_text, command):
+    out = tmp_path / name
+    path = write_config(tmp_path, config_text, name=f"{name}.ini")
+    assert main(["--config", path, "--out", str(out), command]) == 0
+    bodies = {
+        csv.name: [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+        for csv in sorted(out.glob("*.csv"))
+    }
+    return capsys.readouterr().out, bodies
+
+
+@pytest.mark.parametrize("command", ["figure2", "propagate"])
+def test_derived_convention_equals_paper_at_double_density(tmp_path, capsys, command):
+    """eta is linear in the density and doubling it is exact, so the
+    derived convention (2 eta) at the default density prints and writes
+    the same numbers as the paper convention (eta) at twice the density,
+    auto drive and closed-form width included.  Only the config digest
+    in the ``#`` headers differs."""
+    derived = _stdout_and_csv_bodies(
+        tmp_path, capsys, "derived", "[propagation]\nexponent_convention = derived\n", command
+    )
+    doubled = _stdout_and_csv_bodies(
+        tmp_path, capsys, "doubled", "[medium]\ndensity_cm3 = 6e11\n", command
+    )
+    assert derived[1]
+    assert derived == doubled
+
+
+def test_closed_form_identity_holds_under_the_derived_convention(tmp_path):
+    path = write_config(tmp_path, "[propagation]\nexponent_convention = derived\n")
+    record = next(
+        r for r in checks.run_checks(load_config(path), quick=True)
+        if r.name == "closed-form-identity"
+    )
+    assert record.passed
+    assert record.value <= 1e-6
+
+
 # the names `--quick validate` prints, in order; perfbench parses them
 QUICK_CHECKS = ["route-equivalence-1", "route-equivalence-2", "route-equivalence-3", "passivity",
                 "shape-independence", "closed-form-identity", "wiener-khinchin-roundtrip",

@@ -171,7 +171,7 @@ def _default_mc_slab():
     at 0.05 of the drive, 8 slices, 0.1 us steps."""
     cfg = load_config()
     fields = replace(cfg.fields, omega_p=0.05 * abs(cfg.fields.omega_d))
-    coeffs = _slab_coefficients(cfg.medium, fields, True, cfg.medium.length / 8, 1e-7)
+    coeffs = _slab_coefficients(cfg.medium, fields, cfg.medium.length / 8, 1e-7)
     return fields, coeffs
 
 

@@ -44,10 +44,10 @@ def test_optical_depth_reference_value():
 def test_complex_rates_doppler_substitution():
     m = paper_medium()
     f = drive_fields(delta_p=1.0e5, delta_ac=-2.0e5)
-    r = complex_rates(m, f, doppler=True)
+    r = complex_rates(m, f)
     assert r.gamma_ab == m.doppler_width + 1j * f.delta_p
     assert r.gamma_ca == m.doppler_width - 1j * f.delta_ac
-    hom = complex_rates(m, f, doppler=False)
+    hom = complex_rates(paper_medium(doppler=False), f)
     assert hom.gamma_ab == m.gamma_ab + 1j * f.delta_p
 
 
@@ -70,9 +70,9 @@ def test_n_factor_ground_state_atoms():
 
 
 def test_singular_rates_rejected():
-    m = paper_medium(doppler_width=0.0, gamma_ab=0.0)
+    m = paper_medium(doppler_width=0.0, gamma_ab=0.0, doppler=False)
     with pytest.raises(SingularRateError):
-        complex_rates(m, drive_fields(), doppler=False)
+        complex_rates(m, drive_fields())
 
 
 def test_kappa_zero_vanishes_for_perfect_ground_coherence():
@@ -81,13 +81,13 @@ def test_kappa_zero_vanishes_for_perfect_ground_coherence():
 
 
 def test_kappa_wing_asymptote_derived_convention():
-    m = paper_medium()
+    m = paper_medium(exponent_factor=2.0)
     f = drive_fields()
-    eta = coupling_eta(m)
+    eta = coupling_eta(paper_medium())
     big = np.array([1e12])
-    kappa = transfer_exponent(m, f, big, convention="derived")
+    kappa = transfer_exponent(m, f, big)
     assert kappa[0] == pytest.approx(-2.0 * eta / m.doppler_width, rel=1e-3)
-    wing = wing_transmission(m, f, convention="derived")
+    wing = wing_transmission(m, f)
     assert wing == pytest.approx(np.exp(-2.0 * eta * m.length / m.doppler_width))
 
 
@@ -101,8 +101,8 @@ def test_kappa_algebraic_reduction_on_resonance():
     g = abs(f.omega_d) ** 2 / m.doppler_width
     rng = np.random.default_rng(17)
     w = rng.uniform(-20.0 * g, 20.0 * g, 10)
-    for conv, c in (("paper", 1.0), ("derived", 2.0)):
-        kappa = transfer_exponent(m, f, w, convention=conv)
+    for c in (1.0, 2.0):
+        kappa = transfer_exponent(paper_medium(exponent_factor=c), f, w)
         expected = -c * eta * w**2 / (m.doppler_width * (g**2 + w**2))
         assert np.allclose(kappa.real, expected, rtol=1e-12)
 
@@ -119,9 +119,26 @@ def test_transmission_endpoints_evenness_monotonicity():
     assert t_pos[-1] > wing_transmission(m, f)
 
 
-def test_unknown_convention_rejected():
-    with pytest.raises(InvalidParameterError):
-        transmission(paper_medium(), drive_fields(), np.array([0.0]), convention="mixed")
+def test_non_positive_exponent_factor_rejected():
+    for factor in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidParameterError):
+            paper_medium(exponent_factor=factor)
+
+
+def test_exponent_factor_two_equals_doubled_density():
+    """eta is linear in N and scaling by 2 is exact, so factor 2 at N
+    gives the same bits as factor 1 at 2N in every exponent and closed
+    form."""
+    derived = paper_medium(exponent_factor=2.0)
+    doubled = paper_medium(number_density=2.0 * derived.number_density)
+    f = drive_fields(delta_p=1.0e5)
+    w = np.linspace(-5e6, 5e6, 101)
+    assert np.array_equal(transfer_exponent(derived, f, w), transfer_exponent(doubled, f, w))
+    assert wing_transmission(derived, f) == wing_transmission(doubled, f)
+    assert optical_depth(derived) == optical_depth(doubled)
+    osq = abs(f.omega_d) ** 2
+    assert closed_form_width(derived, osq) == closed_form_width(doubled, osq)
+    assert thick_filter_hwhm(derived, osq) == thick_filter_hwhm(doubled, osq)
 
 
 def test_closed_form_width_anchors():

@@ -7,19 +7,19 @@ import pytest
 
 import eitnarrow.propagation as propagation
 from eitnarrow.config import load_config
-from eitnarrow.errors import InvalidParameterError
+from eitnarrow.errors import InvalidParameterError, ResolutionError
 from eitnarrow.kernels import g_sweep, g_sweep_coefficients
 from eitnarrow.medium import (
     FieldConfig,
     _dynamic_exponent,
     complex_rates,
-    convention_factor,
     coupling_eta,
     drive_for_target_width,
     thick_filter_hwhm,
-    transfer_exponent,
+    transmission,
     wing_transmission,
 )
+from eitnarrow.mc import bloch_medium
 from eitnarrow.propagation import (
     PropagationProblem,
     adiabatic_rate_check,
@@ -83,8 +83,9 @@ def test_output_transfer_equals_exponent():
     assert np.all(result.spectrum.density <= s.density)  # passivity
 
 
-def test_thick_filter_center_wing_and_identity():
-    m = paper_medium()
+@pytest.mark.parametrize("factor", [1.0, 2.0], ids=["paper", "derived"])
+def test_thick_filter_center_wing_and_identity(factor):
+    m = paper_medium(exponent_factor=factor)
     f = paper_fields()
     osq = abs(f.omega_d) ** 2
     grid = FrequencyGrid.spanning(TWO_PI * 2e6, 2001)
@@ -92,13 +93,11 @@ def test_thick_filter_center_wing_and_identity():
     thick = thick_medium_spectrum(m, osq, s)
     # omega = 0 passes untouched
     assert thick.density[1000] == s.density[1000]
-    # the wing limit is the bare resonant absorption exp(-eta L / Delta_W)
+    # the wing limit is the bare resonant absorption exp(-c eta L / Delta_W)
     transfer = thick.density / np.maximum(s.density, 1e-300)
     assert transfer[0] == pytest.approx(wing_transmission(m, f), rel=1e-2)
-    # identity with the full paper-convention transfer (gamma_cb = 0)
-    full = propagate_spectrum(
-        PropagationProblem(m, f, s, convention="paper")
-    ).spectrum
+    # identity with the full transfer at the same factor (gamma_cb = 0)
+    full = propagate_spectrum(PropagationProblem(m, f, s)).spectrum
     assert np.max(np.abs(thick.density - full.density)) < 1e-6 * full.density.max()
 
 
@@ -127,10 +126,10 @@ def _classical_rk4(p, slave_row, sweep, r0, z_steps):
     """The z-march with the k1..k4 stages of classical RK4, as the
     route ran it before its Horner form."""
     m = p.medium
-    rates = complex_rates(m, p.fields, p.doppler)
+    rates = complex_rates(m, p.fields)
     nfac = rates.n_factor
     b_pump = rates.gamma_cb_eff - m.gamma_cb
-    pref = 0.5 * convention_factor(p.convention) * coupling_eta(m)
+    pref = 0.5 * coupling_eta(m)
 
     def derivative(r):
         g = g_sweep(r, slave_row @ r, sweep)
@@ -171,7 +170,7 @@ def test_horner_march_matches_classical_rk4(case):
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
     center = half.size - 1
     slave_row = propagation._slave_row(p, dtau, r0.size)
-    rates = complex_rates(p.medium, p.fields, p.doppler)
+    rates = complex_rates(p.medium, p.fields)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
     for z_steps in (p.z_steps, 2 * p.z_steps):
         r = propagation._integrate_correlation(p, slave_row, sweep, r0, z_steps)
@@ -233,14 +232,14 @@ def test_dynamic_exponent_solves_the_first_order_bloch_equations(doppler):
         i conj(d) rho_ab + (gamma_cb - i omega) rho_cb = 0,
     and the field advances as dw/dz = -i eta rho_ab, so the derived
     (2 eta) density exponent is 2 (-i eta rho_ab / w)."""
-    m = paper_medium(gamma_cb=TWO_PI * 3e3)
+    m = paper_medium(gamma_cb=TWO_PI * 3e3, doppler=doppler)
     f = FieldConfig(
         omega_d=TWO_PI * 2e6 * np.exp(0.3j),
         delta_p=TWO_PI * 5e6,
         delta_ac=-TWO_PI * 3e6,
     )
     gamma_ab = (m.doppler_width if doppler else m.gamma_ab) + 1j * f.delta_p
-    width = complex_rates(m, f, doppler).gamma_cb_eff.real
+    width = complex_rates(m, f).gamma_cb_eff.real
     omegas = np.concatenate([
         np.linspace(-50.0 * width, 50.0 * width, 101),
         np.linspace(-3.0 * abs(gamma_ab), 3.0 * abs(gamma_ab), 60),
@@ -255,26 +254,25 @@ def test_dynamic_exponent_solves_the_first_order_bloch_equations(doppler):
     rhs[:, 0, 0] = 1j * f.n_ab  # per unit probe amplitude
     rho_ab = np.linalg.solve(mat, rhs)[:, 0, 0]
     oracle = 2.0 * (-1j) * coupling_eta(m) * rho_ab
-    kappa = _dynamic_exponent(m, f, omegas, doppler, "derived")
+    kappa = _dynamic_exponent(bloch_medium(m), f, omegas)
     assert np.all(np.abs(kappa - oracle) <= 1e-12 * np.abs(oracle))
 
 
 def test_slaving_error_bounds_a_low_density_homogeneous_medium():
     """Homogeneous, N = 1e14 m^-3, |Omega_d| = 2 pi 0.5 MHz, derived
-    convention: the input reaches a quarter of Gamma_ab, so slaving the
-    optical coherence visibly moves the transfer, but by at most 0.03
-    over the bins holding more than 5 % of the input power."""
-    m = paper_medium(number_density=1e14)
+    convention (exponent factor 2): the input reaches a quarter of
+    Gamma_ab, so slaving the optical coherence visibly moves the
+    transfer, but by at most 0.03 over the bins holding more than 5 % of
+    the input power."""
+    m = paper_medium(number_density=1e14, exponent_factor=2.0, doppler=False)
     drive = TWO_PI * 0.5e6
     f = FieldConfig(omega_d=drive, omega_p=0.05 * drive)
-    g = complex_rates(m, f, doppler=False).gamma_cb_eff.real
+    g = complex_rates(m, f).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(10.0 * g, 129)
     s = gaussian_spectrum(0.0, 4.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
     mask = s.density > 0.05 * s.density.max()
     strong = FrequencyGrid(float(grid.omegas[mask][0]), grid.step, int(mask.sum()))
-    p = PropagationProblem(
-        m, f, Spectrum(0.0, strong, s.density[mask]), doppler=False, convention="derived"
-    )
+    p = PropagationProblem(m, f, Spectrum(0.0, strong, s.density[mask]))
     error = adiabatic_rate_check(p).slaving_error
     assert 1e-3 < error <= 0.03
 
@@ -293,20 +291,37 @@ def test_doppler_average_cross_check():
     # zero Doppler width: the average is exactly the homogeneous transfer
     m0 = paper_medium(doppler_width=0.0)
     grid = FrequencyGrid.spanning(TWO_PI * 100e3, 101)
-    kappa = np.exp(transfer_exponent(m0, f, grid.omegas, False).real * m0.length)
+    homogeneous = transmission(replace(m0, doppler=False), f, grid.omegas)
     report0 = doppler_average_transfer(m0, f, grid, nodes=51)
-    assert np.array_equal(report0.averaged, kappa)
+    assert np.array_equal(report0.averaged, homogeneous)
     # symmetric velocity distribution: transfer even in omega
     m = paper_medium()
     g = complex_rates(m, f).gamma_cb_eff.real
     sym_grid = FrequencyGrid.spanning(20.0 * g, 101)
-    report = doppler_average_transfer(m, f, sym_grid, nodes=201)
+    report = doppler_average_transfer(m, f, sym_grid)
     assert np.allclose(report.averaged, report.averaged[::-1], rtol=1e-10)
-    # the average agrees at line center but departs in the wings, where
-    # the substitution under-counts far-detuned velocity classes; the
+    # the average agrees at line center but departs in the wings; the
     # report surfaces that deviation rather than hiding it
     assert report.averaged[50] == pytest.approx(report.substituted[50], abs=1e-6)
     assert report.max_relative_deviation > 0.0
+    # 201 nodes over +-4 sigma are spaced wider than gamma_ab: node
+    # doubling exposes the unconverged quadrature
+    with pytest.raises(ResolutionError):
+        doppler_average_transfer(m, f, sym_grid, nodes=201)
+
+
+def test_doppler_average_at_the_default_config():
+    """Averaging the exponent over the velocity classes keeps full
+    transparency at line centre and closes the wings on the default
+    output grid, where the gamma -> Delta_W substitution still
+    transmits about 2e-3."""
+    cfg = load_config()
+    grid = cfg.output_grid()
+    report = doppler_average_transfer(cfg.medium, cfg.fields, grid)
+    assert abs(report.averaged[grid.count // 2] - 1.0) <= 1e-12
+    assert report.averaged[0] < 1e-6
+    assert report.averaged[-1] < 1e-6
+    assert report.substituted[0] > 1e-3
 
 
 def test_output_lineshape_near_lorentzian_scale():
