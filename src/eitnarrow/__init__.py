@@ -40,7 +40,6 @@ from .fitting import fit_lineshape, linear_fit
 from .noise import (
     FieldSeries,
     PhaseNoiseModel,
-    beat_series,
     realization_rng,
     sample_phase_trajectory,
     synthesize_probe_field,
@@ -104,7 +103,6 @@ __all__ = [
     "UnresolvedWidthError",
     "adiabatic_rate_check",
     "band_average_transfer",
-    "beat_series",
     "bloch_medium",
     "closed_form_width",
     "complex_rates",

@@ -37,7 +37,6 @@ Recognized sections and keys (defaults in parentheses):
 
 [propagation]
     exponent_convention (paper) paper | derived
-    z_steps (64)
 
 [mc]
     realizations (200)
@@ -111,7 +110,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "propagation": {
         "exponent_convention": "paper",
-        "z_steps": "64",
     },
     "mc": {
         "realizations": "200",
@@ -140,7 +138,6 @@ _ENUMS = {
 
 _INTS = {
     ("input", "grid_points"),
-    ("propagation", "z_steps"),
     ("mc", "realizations"),
     ("mc", "slices"),
     ("sweep", "points"),
@@ -158,7 +155,6 @@ class RunConfig:
     input_fwhm: float  # rad/s
     grid_points: int
     span_factor: float
-    z_steps: int
     mc_realizations: int
     mc_slices: int
     mc_dt: float  # s
@@ -185,7 +181,7 @@ class RunConfig:
         """Propagation of ``spectrum`` through the configured medium, with
         the configured fields unless ``fields`` replaces them."""
         return PropagationProblem(
-            self.medium, fields if fields is not None else self.fields, spectrum, self.z_steps
+            self.medium, fields if fields is not None else self.fields, spectrum
         )
 
 
@@ -221,7 +217,6 @@ MAX_MAGNITUDE = 1e30
 # within a few GB
 SIZE_RANGES = {
     ("input", "grid_points"): (8, 10**6),
-    ("propagation", "z_steps"): (1, 10**5),
     ("mc", "realizations"): (8, 10**5),
     ("mc", "slices"): (1, 10**4),
     ("sweep", "points"): (1, 10**4),
@@ -358,7 +353,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     ) * TWO_PI * 1e6
 
     grid_points = size("input", "grid_points")
-    z_steps = size("propagation", "z_steps")
     span_factor = num("input", "span_factor")
     input_fwhm = num("input", "fwhm_khz") * TWO_PI * 1e3
     if span_factor <= 0 or input_fwhm <= 0:
@@ -381,7 +375,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         input_fwhm=input_fwhm,
         grid_points=grid_points,
         span_factor=span_factor,
-        z_steps=z_steps,
         mc_realizations=mc_realizations,
         mc_slices=mc_slices,
         mc_dt=mc_dt,

@@ -114,7 +114,7 @@ def integrate_slice(
         raise InvalidParameterError("dt does not resolve the coherence rate")
     coeffs = _slab_coefficients(m, f, thickness, probe.dt)
     out = mc_batch(probe.envelope, f.omega_d, 1, *coeffs)
-    return FieldSeries(probe.dt, out, probe.carrier_offset)
+    return FieldSeries(probe.dt, out)
 
 
 def _implied_drive_depletion(cfg: McConfig) -> float:

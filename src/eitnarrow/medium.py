@@ -14,6 +14,7 @@ every closed form follows them from one place:
   1 at 2N.
 * ``doppler`` applies the substitution gamma -> Delta_W to both optical
   coherences in ``complex_rates``; off, the homogeneous widths apply.
+  The closed forms follow it through ``optical_width``.
 """
 
 from __future__ import annotations
@@ -102,12 +103,17 @@ def coupling_eta(m: AtomicMedium) -> float:
     return m.exponent_factor * eta
 
 
+def optical_width(m: AtomicMedium) -> float:
+    """Width of the a-b coherence: Delta_W with the Doppler substitution
+    on, gamma_ab with it off."""
+    return m.doppler_width if m.doppler else m.gamma_ab
+
+
 def complex_rates(m: AtomicMedium, f: FieldConfig) -> ComplexRates:
     """Dephasing rates with the Doppler substitution gamma -> Delta_W
     applied to both optical coherences when ``m.doppler`` is on."""
-    g_ab = m.doppler_width if m.doppler else m.gamma_ab
     g_ac = m.doppler_width if m.doppler else m.gamma_ac
-    gamma_ab = g_ab + 1j * f.delta_p
+    gamma_ab = optical_width(m) + 1j * f.delta_p
     gamma_ca = g_ac - 1j * f.delta_ac
     if gamma_ab == 0 or gamma_ca == 0:
         raise SingularRateError("optical dephasing rate is zero")
@@ -189,10 +195,11 @@ def eit_width(scan: TransmissionScan) -> float:
 
 
 def optical_depth(m: AtomicMedium) -> float:
-    """Dimensionless thick-medium parameter eta*L/Delta_W."""
-    if m.doppler_width <= 0:
-        raise InvalidParameterError("Doppler width must be positive")
-    return coupling_eta(m) * m.length / m.doppler_width
+    """Dimensionless thick-medium parameter eta*L/Delta_W; here and in the
+    closed forms below Delta_W stands for ``optical_width``."""
+    if optical_width(m) <= 0:
+        raise InvalidParameterError("optical width must be positive")
+    return coupling_eta(m) * m.length / optical_width(m)
 
 
 def closed_form_width(m: AtomicMedium, omega_sq: float) -> float:
@@ -205,7 +212,7 @@ def closed_form_width(m: AtomicMedium, omega_sq: float) -> float:
             f"eta*L/Delta_W = {d:.4g} <= 1; the medium is optically thin "
             "and the narrowing formula does not apply"
         )
-    return omega_sq / (m.doppler_width * np.sqrt(d - 1.0))
+    return omega_sq / (optical_width(m) * np.sqrt(d - 1.0))
 
 
 def drive_for_target_width(m: AtomicMedium, width: float) -> float:
@@ -215,7 +222,7 @@ def drive_for_target_width(m: AtomicMedium, width: float) -> float:
     d = optical_depth(m)
     if d <= 1.0:
         raise OpticallyThinError("medium is optically thin")
-    return float(np.sqrt(width * m.doppler_width * np.sqrt(d - 1.0)))
+    return float(np.sqrt(width * optical_width(m) * np.sqrt(d - 1.0)))
 
 
 def thick_filter_hwhm(m: AtomicMedium, omega_sq: float) -> float:
@@ -226,5 +233,5 @@ def thick_filter_hwhm(m: AtomicMedium, omega_sq: float) -> float:
         raise OpticallyThinError(
             "filter never drops to half maximum (eta*L/Delta_W <= ln 2)"
         )
-    a = omega_sq / m.doppler_width
+    a = omega_sq / optical_width(m)
     return float(a * np.sqrt(np.log(2.0) / (d - np.log(2.0))))

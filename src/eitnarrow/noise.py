@@ -46,7 +46,6 @@ class FieldSeries:
 
     dt: float  # s
     envelope: np.ndarray = field(repr=False)
-    carrier_offset: float = 0.0  # rad/s
 
     def __post_init__(self):
         env = np.asarray(self.envelope, dtype=complex)
@@ -57,10 +56,6 @@ class FieldSeries:
             raise InvalidParameterError("need at least two samples")
         if not np.all(np.isfinite(env)):
             raise InvalidParameterError("envelope must be finite")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.envelope.size)
 
 
 def sample_phase_trajectory(
@@ -113,15 +108,3 @@ def synthesize_probe_field(
         phi = sample_phase_trajectory(model, dt, n, realization)
         env = amplitude * np.exp(-1j * phi)
     return FieldSeries(dt=dt, envelope=env)
-
-
-def beat_series(probe: FieldSeries, reference: FieldSeries) -> FieldSeries:
-    """Heterodyne beat: probe envelope times conjugate reference, with
-    the carrier-offset difference folded into the envelope."""
-    if probe.dt != reference.dt or probe.envelope.size != reference.envelope.size:
-        raise InvalidParameterError("probe and reference grids must match")
-    delta = probe.carrier_offset - reference.carrier_offset
-    env = probe.envelope * np.conj(reference.envelope)
-    if delta != 0.0:
-        env = env * np.exp(-1j * delta * probe.times)
-    return FieldSeries(dt=probe.dt, envelope=env, carrier_offset=0.0)

@@ -7,9 +7,9 @@ Two independent routes through the medium:
 * a (tau, z) integration of the coupled correlation equations, kept as
   a numerical cross-check.  At each z stage the slaved-coherence lag ODE
   is solved with an exact exponential integrator and the correlation is
-  advanced in z with classical RK4.  The z-derivative is real-linear in
-  R and does not depend on z, so RK4 is exactly the degree-4 Taylor
-  polynomial of exp(dz L); each step evaluates it in Horner form.
+  advanced in z by the Taylor polynomial of exp(dz L) in Horner form: the
+  z-derivative L is real-linear in R and z-independent (RK4 is the
+  degree-4 case).  There is one step per unit of max |kappa(omega)| L.
 
 Correlations are conjugate correlations <S*(t) S(t+tau)>, so R(0) is
 real-positive and the density transfer of the (tau, z) system reduces
@@ -31,6 +31,7 @@ from .medium import (
     complex_rates,
     coupling_eta,
     optical_depth,
+    optical_width,
     transfer_exponent,
     transmission,
 )
@@ -46,17 +47,18 @@ from .spectral import (
 # route accepts
 HALVING_TOL = 1e-4
 
+# the z-march: degree of one Taylor step, the |kappa| dz it spans, and
+# the most steps the route takes before calling the medium too deep
+TAYLOR_DEGREE = 12
+STEP_REACH = 1.0
+MAX_STEPS = 10**4
+
 
 @dataclass(frozen=True)
 class PropagationProblem:
     medium: AtomicMedium
     fields: FieldConfig
     input_spectrum: Spectrum
-    z_steps: int = 64
-
-    def __post_init__(self):
-        if self.z_steps < 1:
-            raise InvalidParameterError("need at least one z step")
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,9 @@ def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spec
     """Closed-form thick-medium filter applied to an input spectrum."""
     if omega_sq <= 0:
         raise InvalidParameterError("|Omega|^2 must be positive")
-    a = omega_sq / m.doppler_width
+    width = optical_width(m)
     w = s.omegas
-    exponent = -coupling_eta(m) * m.length * w**2 / (m.doppler_width * (a**2 + w**2))
+    exponent = -coupling_eta(m) * m.length * w**2 / (width * ((omega_sq / width) ** 2 + w**2))
     return Spectrum(s.carrier, s.grid, s.density * np.exp(exponent))
 
 
@@ -141,8 +143,22 @@ def _slave_row(p: PropagationProblem, dtau: float, size: int) -> np.ndarray:
     return _chirp_sum(g0_weights, g.start, g.step, 0.0, dtau, size, 1) * w_tau / (2.0 * np.pi)
 
 
+def _step_count(p: PropagationProblem) -> int:
+    """Coarse z-step count: max |kappa(omega)| L over the input grid, one
+    step per ``STEP_REACH``; a ResolutionError beyond ``MAX_STEPS``."""
+    kappa = transfer_exponent(p.medium, p.fields, p.input_spectrum.omegas)
+    reach = float(np.max(np.abs(kappa))) * p.medium.length / STEP_REACH
+    # a NaN or infinite reach fails the comparison too
+    if not reach <= MAX_STEPS:
+        raise ResolutionError(
+            f"the medium needs {reach:.3e} z steps (max |kappa| L), more than {MAX_STEPS}",
+            residual=reach,
+        )
+    return max(1, int(np.ceil(reach)))
+
+
 def _integrate_correlation(
-    p: PropagationProblem, slave_row, sweep: LagSweep, r0, z_steps
+    p: PropagationProblem, slave_row, sweep: LagSweep, r0, steps
 ) -> np.ndarray:
     m = p.medium
     rates = complex_rates(m, p.fields)
@@ -163,20 +179,21 @@ def _integrate_correlation(
         out += r
         return out
 
-    # classical RK4 in Horner form (see the module docstring)
+    # Taylor polynomial of exp(dz L) in Horner form (see the module docstring)
     r = r0.astype(complex)
-    dz = m.length / z_steps
-    for _ in range(z_steps):
-        v = advance(r, r, dz / 4.0)
-        v = advance(r, v, dz / 3.0)
-        v = advance(r, v, dz / 2.0)
-        r = advance(r, v, dz)
+    dz = m.length / steps
+    for _ in range(steps):
+        v = r
+        for j in range(TAYLOR_DEGREE, 0, -1):
+            v = advance(r, v, dz / j)
+        r = v
     return r
 
 
 def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
-    """(tau, z) route; raises ResolutionError if halving the z step still
-    changes the answer by more than ``HALVING_TOL`` relative to R(0)."""
+    """(tau, z) route; raises ResolutionError beyond ``MAX_STEPS`` z steps
+    or if halving the z step changes R by more than ``HALVING_TOL`` R(0)."""
+    steps = _step_count(p)
     dtau, count = _auto_tau_grid(p)
     horizon = (count - 1) * dtau
     # the slaved initial condition at the grid edge carries a transient
@@ -211,8 +228,8 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
     keep = slice(center - (count - 1), center + count)  # trimmed two-sided range
     slave_row = _slave_row(p, dtau, size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
-    r_coarse = _integrate_correlation(p, slave_row, sweep, r0, p.z_steps)
-    r_fine = _integrate_correlation(p, slave_row, sweep, r0, 2 * p.z_steps)
+    r_coarse = _integrate_correlation(p, slave_row, sweep, r0, steps)
+    r_fine = _integrate_correlation(p, slave_row, sweep, r0, 2 * steps)
     residual = float(
         np.max(np.abs(r_fine[keep] - r_coarse[keep])) / np.abs(r_fine[center])
     )

@@ -235,7 +235,7 @@ def test_criterion_5_route_equivalence(capsys):
     0.2 times the power broadening, at the paper's medium and drive."""
     m = paper_medium()
     drive = drive_for_target_width(m, TARGET_WIDTH)
-    devs = route_deviations(m, drive, z_steps=64)
+    devs = route_deviations(m, drive)
     ok = all(d < 1e-3 for d in devs)
     detail = ", ".join(f"{d:.2e}" for d in devs)
     emit(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from eitnarrow import checks
 from eitnarrow import config as config_module
+from eitnarrow import propagation
 from eitnarrow.cli import main
 from eitnarrow.config import (
     _ENUMS,
@@ -210,7 +211,7 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param(None, ["fit"], id="fit-without-input"),
         pytest.param("[input]\ngrid_points = 1000000000000000\n", ["figure2"], id="huge-grid"),
         pytest.param("[input]\ngrid_points = 1e20\n", ["figure2"], id="float-grid-points"),
-        pytest.param("[propagation]\nz_steps = 100001\n", ["figure2"], id="huge-z-steps"),
+        pytest.param("[propagation]\nz_steps = 64\n", ["figure2"], id="removed-z-steps-key"),
         pytest.param("[mc]\nrealizations = 100001\n", ["--quick", "mc"], id="huge-realizations"),
         pytest.param(None, ["mc", "--realizations", "100001"], id="huge-realizations-flag"),
         pytest.param("[mc]\nslices = 10001\n", ["--quick", "mc"], id="huge-slices"),
@@ -469,6 +470,49 @@ def test_closed_form_identity_holds_under_the_derived_convention(tmp_path):
     )
     assert record.passed
     assert record.value <= 1e-6
+
+
+@pytest.mark.parametrize("convention", ["paper", "derived"])
+def test_closed_form_identity_holds_without_doppler(tmp_path, monkeypatch, convention):
+    """The closed forms read gamma_ab when the Doppler substitution is
+    off, as the exponent does.  The route check is stubbed out: it runs
+    at a depth of about 1000 here and is not what this test is about."""
+    monkeypatch.setattr(checks, "route_deviations", lambda medium, drive: [])
+    path = write_config(
+        tmp_path,
+        f"[medium]\ndoppler_mode = off\n[propagation]\nexponent_convention = {convention}\n",
+    )
+    record = next(
+        r for r in checks.run_checks(load_config(path), quick=True)
+        if r.name == "closed-form-identity"
+    )
+    assert record.passed
+    assert record.value <= 1e-6
+
+
+def test_figure2_without_doppler_matches_the_closed_form(tmp_path, capsys):
+    """With Doppler off the fitted width sits in the same Lorentzian band
+    over the closed form as with it on (+25 % to +50 %)."""
+    path = write_config(tmp_path, "[medium]\ndoppler_mode = off\n")
+    assert main(["--config", path, "--out", str(tmp_path / "f2"), "figure2"]) == 0
+    text = capsys.readouterr().out
+    deviation = float(text.split("fitted/closed-form deviation:")[1].split("%")[0])
+    assert 25.0 <= deviation <= 50.0
+
+
+def test_too_deep_medium_exits_3_before_marching(tmp_path, capsys, monkeypatch):
+    """At 1e15 cm^-3 the correlation route would need more than
+    ``MAX_STEPS`` z steps: one ``error: resolution:`` line, exit 3, and
+    no lag sweep is run."""
+    calls = []
+    monkeypatch.setattr(propagation, "g_sweep", lambda *args: calls.append(args))
+    path = write_config(tmp_path, "[medium]\ndensity_cm3 = 1e15\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "v"), "--quick", "validate"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: resolution: ")
+    assert calls == []
 
 
 # the names `--quick validate` prints, in order; perfbench parses them

@@ -1,4 +1,4 @@
-"""Phase diffusion statistics, shaped noise, beats and reproducibility."""
+"""Phase diffusion statistics, shaped noise and reproducibility."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from eitnarrow.errors import InvalidParameterError
 from eitnarrow.fitting import fit_lineshape
 from eitnarrow.noise import (
-    FieldSeries,
     PhaseNoiseModel,
-    beat_series,
     realization_rng,
     sample_phase_trajectory,
     synthesize_probe_field,
@@ -104,44 +102,6 @@ def test_stationarity_of_halves():
     diff = first - second
     se = np.std(diff) / np.sqrt(n_real) + 1e-30
     assert abs(np.mean(diff)) < 3.0 * se
-
-
-def test_beat_with_itself_is_constant_power():
-    model = PhaseNoiseModel(diffusion=1.0e4, seed=2)
-    field = synthesize_probe_field(model, 1.5, 1e-6, 512)
-    beat = beat_series(field, field)
-    assert np.allclose(beat.envelope, 1.5**2)
-
-
-def test_beat_carrier_offset_shifts_the_line():
-    dt = 1.0e-6
-    n = 1024
-    delta = TWO_PI * 50e3
-    probe = FieldSeries(dt, np.ones(n, dtype=complex), carrier_offset=delta)
-    ref = FieldSeries(dt, np.ones(n, dtype=complex), carrier_offset=0.0)
-    beat = beat_series(probe, ref)
-    s = periodogram(beat.envelope, dt)
-    peak = s.omegas[np.argmax(s.density)]
-    assert abs(abs(peak) - delta) <= s.grid.step
-
-
-def test_beat_against_coherent_reference_reproduces_probe_spectrum():
-    model = PhaseNoiseModel(diffusion=2.0e4, seed=9)
-    dt = 1.0e-6
-    n = 2048
-    probe = synthesize_probe_field(model, 1.0, dt, n)
-    ref = FieldSeries(dt, np.full(n, 1.0, dtype=complex))
-    beat = beat_series(probe, ref)
-    s_beat = periodogram(beat.envelope, dt)
-    s_probe = periodogram(probe.envelope, dt)
-    assert np.array_equal(s_beat.density, s_probe.density)
-
-
-def test_beat_grid_mismatch_rejected():
-    a = FieldSeries(1e-6, np.ones(64, dtype=complex))
-    b = FieldSeries(2e-6, np.ones(64, dtype=complex))
-    with pytest.raises(InvalidParameterError):
-        beat_series(a, b)
 
 
 def test_bit_identical_determinism():

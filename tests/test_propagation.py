@@ -16,6 +16,7 @@ from eitnarrow.medium import (
     coupling_eta,
     drive_for_target_width,
     thick_filter_hwhm,
+    transfer_exponent,
     transmission,
     wing_transmission,
 )
@@ -122,9 +123,11 @@ def test_coherence_decays_with_lag():
     assert gmag[-1] < 0.05 * gmag.max()
 
 
-def _classical_rk4(p, slave_row, sweep, r0, z_steps):
-    """The z-march with the k1..k4 stages of classical RK4, as the
-    route ran it before its Horner form."""
+def _dense_propagator(p, slave_row, sweep, size):
+    """exp(L M) for the cell length L, as a real 2n x 2n matrix acting on
+    (Re R, Im R): M is the real-linear z-derivative of the route, built
+    column by column, and the exponential is taken by scaling and
+    squaring of a Taylor series."""
     m = p.medium
     rates = complex_rates(m, p.fields)
     nfac = rates.n_factor
@@ -136,15 +139,24 @@ def _classical_rk4(p, slave_row, sweep, r0, z_steps):
         h = np.conj(g[::-1])
         return pref * ((nfac * r - b_pump * g) + (np.conj(nfac) * r - np.conj(b_pump) * h))
 
-    r = r0.astype(complex)
-    dz = m.length / z_steps
-    for _ in range(z_steps):
-        k1 = derivative(r)
-        k2 = derivative(r + 0.5 * dz * k1)
-        k3 = derivative(r + 0.5 * dz * k2)
-        k4 = derivative(r + dz * k3)
-        r = r + (dz / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return r
+    mat = np.empty((2 * size, 2 * size))
+    for k in range(2 * size):
+        e = np.zeros(size, dtype=complex)
+        e[k % size] = 1.0 if k < size else 1j
+        d = derivative(e)
+        mat[:size, k] = d.real
+        mat[size:, k] = d.imag
+    a = m.length * mat
+    squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.25))))
+    a /= 2.0**squarings
+    out = np.eye(2 * size)
+    term = np.eye(2 * size)
+    for j in range(1, 30):
+        term = term @ a / j
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def _small_problem(case):
@@ -157,35 +169,34 @@ def _small_problem(case):
         f = replace(f, delta_p=0.1 * m.doppler_width)
     grid = FrequencyGrid.spanning(40.0 * broadening, 201)
     s = gaussian_spectrum(0.0, 6.0 * broadening / GAUSSIAN_FWHM_FACTOR, grid)
-    return PropagationProblem(m, f, s, z_steps=8)
+    return PropagationProblem(m, f, s)
 
 
 @pytest.mark.parametrize("case", ["on-resonance", "decaying", "detuned"])
-def test_horner_march_matches_classical_rk4(case):
-    """The Horner-form z-march is classical RK4 up to rounding: R within
-    1e-12 of |R(0)| and G within 1e-12 of max|G|."""
+def test_taylor_march_matches_the_dense_exponential(case):
+    """At the step count the route chooses, the z-march agrees with the
+    exact propagator exp(L M) within 1e-10 of |R(0)| at z = L."""
     p = _small_problem(case)
     dtau, _ = propagation._auto_tau_grid(p)
-    half = spectrum_to_correlation(p.input_spectrum, dtau, 301).values
+    half = spectrum_to_correlation(p.input_spectrum, dtau, 151).values
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
     center = half.size - 1
     slave_row = propagation._slave_row(p, dtau, r0.size)
     rates = complex_rates(p.medium, p.fields)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
-    for z_steps in (p.z_steps, 2 * p.z_steps):
-        r = propagation._integrate_correlation(p, slave_row, sweep, r0, z_steps)
-        r_ref = _classical_rk4(p, slave_row, sweep, r0, z_steps)
-        g = g_sweep(r, slave_row @ r, sweep)
-        g_ref = g_sweep(r_ref, slave_row @ r_ref, sweep)
-        assert abs(r_ref[center]) < 0.99 * abs(r0[center])  # the march did work
-        assert np.max(np.abs(r - r_ref)) <= 1e-12 * abs(r_ref[center])
-        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    steps = propagation._step_count(p)
+    r = propagation._integrate_correlation(p, slave_row, sweep, r0, steps)
+    exact = _dense_propagator(p, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
+    r_ref = exact[: r0.size] + 1j * exact[r0.size :]
+    assert abs(r_ref[center]) < 0.99 * abs(r0[center])  # the march did work
+    assert np.max(np.abs(r - r_ref)) <= 1e-10 * abs(r_ref[center])
 
 
 def test_correlation_route_sweep_count(monkeypatch):
-    """One propagate_correlation evaluates the lag sweep four times per z
-    step of the coarse and the fine pass, plus once for the coherence of
-    the fine pass."""
+    """One propagate_correlation evaluates the lag sweep once per term of
+    the degree-12 Taylor step, for each z step of the coarse (N) and the
+    fine (2N) pass, plus once for the coherence of the fine pass; N = 7
+    for this problem."""
     calls = []
 
     def counting(*args):
@@ -198,9 +209,28 @@ def test_correlation_route_sweep_count(monkeypatch):
     g = complex_rates(m, f).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(120.0 * g, 1201)
     s = gaussian_spectrum(0.0, 20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
-    z_steps = 32
-    propagate_correlation(PropagationProblem(m, f, s, z_steps=z_steps))
-    assert len(calls) == 4 * (z_steps + 2 * z_steps) + 1
+    p = PropagationProblem(m, f, s)
+    assert propagation._step_count(p) == 7
+    propagate_correlation(p)
+    assert len(calls) == 12 * (7 + 2 * 7) + 1  # 253
+
+
+def test_step_count_follows_the_largest_exponent():
+    """With Doppler off the detuned route problem has a bare rate
+    |a L| of about 4 but max |kappa| L of about 1021 on its input grid;
+    the step count follows the latter."""
+    m = paper_medium(doppler=False)
+    drive = drive_for_target_width(m, TWO_PI * 4.6e3)
+    f = FieldConfig(omega_d=drive, delta_p=0.1 * m.doppler_width)
+    rates = complex_rates(m, f)
+    bare = abs(coupling_eta(m) * rates.n_factor.real * m.length)
+    scale = rates.gamma_cb_eff.real
+    grid = FrequencyGrid.spanning(120.0 * scale, 1201)
+    p = PropagationProblem(m, f, gaussian_spectrum(0.0, 20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid))
+    reach = np.max(np.abs(transfer_exponent(m, f, grid.omegas))) * m.length
+    assert 3.0 < bare < 5.0
+    assert 1000.0 < reach < 1050.0
+    assert propagation._step_count(p) == int(np.ceil(reach))
 
 
 def test_adiabatic_report_flags_validity():
