@@ -180,9 +180,8 @@ class RunConfig:
     def problem(self, spectrum: Spectrum, fields: FieldConfig | None = None) -> PropagationProblem:
         """Propagation of ``spectrum`` through the configured medium, with
         the configured fields unless ``fields`` replaces them."""
-        return PropagationProblem(
-            self.medium, fields if fields is not None else self.fields, spectrum
-        )
+        f = fields if fields is not None else self.fields
+        return PropagationProblem(self.medium, f, spectrum)
 
 
 def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
