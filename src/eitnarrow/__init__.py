@@ -38,7 +38,6 @@ from .spectral import (
 )
 from .fitting import fit_lineshape, linear_fit
 from .noise import (
-    FieldSeries,
     PhaseNoiseModel,
     realization_rng,
     sample_phase_trajectory,
@@ -85,7 +84,6 @@ __all__ = [
     "CorrelationFunction",
     "EitNarrowError",
     "FieldConfig",
-    "FieldSeries",
     "FitFailedError",
     "FitResult",
     "FrequencyGrid",

@@ -52,10 +52,10 @@ def route_deviations(medium: AtomicMedium, drive: float) -> list[float]:
     for m, f in ((base, on_res), (base, detuned), (decaying, on_res)):
         scale = complex_rates(m, f).gamma_cb_eff.real
         grid = FrequencyGrid.spanning(120.0 * scale, 1201)
-        s_in = gaussian_spectrum(0.0, 20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid)
+        s_in = gaussian_spectrum(20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid)
         p = PropagationProblem(m, f, s_in)
         corr = propagate_correlation(p)
-        fourier = propagate_spectrum(p).spectrum
+        fourier = propagate_spectrum(p)
         ref = spectrum_to_correlation(fourier, corr.beat.lag_step, corr.beat.values.size)
         devs.append(float(np.max(np.abs(corr.beat.values - ref.values)) / abs(ref.values[0])))
     return devs
@@ -65,7 +65,7 @@ def wiener_khinchin_error(fwhm: float) -> float:
     """Largest error, relative to the peak, of a Gaussian spectrum of
     the given FWHM sent to the lag domain and back."""
     grid = FrequencyGrid.spanning(8.0 * fwhm, 1501)
-    s_in = gaussian_spectrum(0.0, fwhm / GAUSSIAN_FWHM_FACTOR, grid)
+    s_in = gaussian_spectrum(fwhm / GAUSSIAN_FWHM_FACTOR, grid)
     dtau = np.pi / (8.0 * abs(grid.omegas[-1]))
     n_tau = int(np.ceil(30.0 / (fwhm * dtau)))
     back = correlation_to_spectrum(spectrum_to_correlation(s_in, dtau, n_tau), grid)
@@ -106,7 +106,7 @@ def _reduced_mc_config(cfg: RunConfig) -> McConfig:
     g = rates.gamma_cb_eff.real
     dt = 0.005 / g
     shaping_grid = FrequencyGrid.spanning(min(40.0 * g, 0.9 * np.pi / dt), 257)
-    shaping = gaussian_spectrum(0.0, 10.0 * g / GAUSSIAN_FWHM_FACTOR, shaping_grid)
+    shaping = gaussian_spectrum(10.0 * g / GAUSSIAN_FWHM_FACTOR, shaping_grid)
     return McConfig(
         medium=medium,
         fields=fields,
@@ -127,7 +127,7 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
 
     grid = cfg.output_grid()
     s_in = cfg.input_spectrum(grid)
-    out = propagate_spectrum(cfg.problem(s_in)).spectrum
+    out = propagate_spectrum(cfg.problem(s_in))
     t1 = out.density / s_in.density
     yield CheckRecord(
         "passivity",
@@ -136,8 +136,8 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
         "output density <= input density pointwise",
     )
 
-    alt = lorentzian_spectrum(0.0, cfg.input_fwhm / 2.0, grid)
-    t2 = propagate_spectrum(cfg.problem(alt)).spectrum.density / alt.density
+    alt = lorentzian_spectrum(cfg.input_fwhm / 2.0, grid)
+    t2 = propagate_spectrum(cfg.problem(alt)).density / alt.density
     dev = float(np.max(np.abs(t1 - t2) / t2))
     yield CheckRecord(
         "shape-independence", dev < 1e-9, dev, f"transfer ratio deviation {dev:.3e}"
@@ -147,7 +147,7 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
     med0 = replace(cfg.medium, gamma_cb=0.0)
     f0 = FieldConfig(omega_d=cfg.fields.omega_d)
     thick = thick_medium_spectrum(med0, abs(f0.omega_d) ** 2, s_in)
-    full = propagate_spectrum(PropagationProblem(med0, f0, s_in)).spectrum
+    full = propagate_spectrum(PropagationProblem(med0, f0, s_in))
     dev = float(np.max(np.abs(thick.density - full.density) / full.density.max()))
     yield CheckRecord("closed-form-identity", dev < 1e-6, dev, f"max deviation {dev:.3e}")
 
@@ -156,7 +156,7 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
 
     # fit exactness on a synthetic Lorentzian
     hwhm = cfg.input_fwhm / 2.0
-    lor = lorentzian_spectrum(0.0, hwhm, FrequencyGrid.spanning(8.0 * cfg.input_fwhm, 1501))
+    lor = lorentzian_spectrum(hwhm, FrequencyGrid.spanning(8.0 * cfg.input_fwhm, 1501))
     dev = abs(fit_lineshape(lor, "lorentzian").width - hwhm) / hwhm
     yield CheckRecord("fit-exactness", dev < 1e-6, dev, f"relative parameter error {dev:.3e}")
 

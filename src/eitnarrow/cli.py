@@ -30,7 +30,7 @@ from .artifacts import (
     write_table_csv,
 )
 from .checks import run_checks
-from .config import RunConfig, check_mc_size, load_config
+from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
     EitNarrowError,
@@ -78,16 +78,16 @@ def cmd_figure2(cfg: RunConfig, out: str, off_resonance_only: bool) -> int:
 
     if not off_resonance_only:
         fine = cfg.output_grid()
-        result = propagate_spectrum(cfg.problem(cfg.input_spectrum(fine)))
-        fit_out = fit_lineshape(result.spectrum, "lorentzian")
+        s_out = propagate_spectrum(cfg.problem(cfg.input_spectrum(fine)))
+        fit_out = fit_lineshape(s_out, "lorentzian")
         target = closed_form_width(
             cfg.medium, abs(cfg.fields.omega_d) ** 2 + abs(cfg.fields.omega_p) ** 2
         )
-        wide_out = propagate_spectrum(cfg.problem(s_in)).spectrum
+        wide_out = propagate_spectrum(cfg.problem(s_in))
         files += [
-            ("figure2_output.csv", result.spectrum, None),
-            ("figure2_fit_input.csv", Spectrum(0.0, wide, _fit_curve(fit_in, wide)), None),
-            ("figure2_fit_output.csv", Spectrum(0.0, fine, _fit_curve(fit_out, fine)), None),
+            ("figure2_output.csv", s_out, None),
+            ("figure2_fit_input.csv", Spectrum(wide, _fit_curve(fit_in, wide)), None),
+            ("figure2_fit_output.csv", Spectrum(fine, _fit_curve(fit_out, fine)), None),
         ]
         print(f"output fwhm: {_khz(fit_out.fwhm):.4f} kHz (lorentzian fit)")
         print(f"closed-form width prediction: {_khz(target):.4f} kHz")
@@ -138,9 +138,9 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
     scan = eit_transmission_scan(cfg.medium, cfg.fields, grid)
     width_eit = eit_width(scan)
 
-    result = propagate_spectrum(cfg.problem(cfg.input_spectrum(grid)))
-    noise_norm = result.spectrum.density / result.spectrum.density.max()
-    fit_noise = fit_lineshape(Spectrum(0.0, grid, noise_norm), "lorentzian")
+    s_out = propagate_spectrum(cfg.problem(cfg.input_spectrum(grid)))
+    noise_norm = s_out.density / s_out.density.max()
+    fit_noise = fit_lineshape(Spectrum(grid, noise_norm), "lorentzian")
     ratio = fit_noise.fwhm / width_eit
 
     write_table_csv(
@@ -150,7 +150,7 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
         cfg.digest,
     )
     write_spectrum_csv(
-        os.path.join(out, "figure3_noise.csv"), Spectrum(0.0, grid, noise_norm), cfg.digest
+        os.path.join(out, "figure3_noise.csv"), Spectrum(grid, noise_norm), cfg.digest
     )
     feature = np.clip(scan.transmission - scan.wing, 0.0, None)
     write_svg_plot(
@@ -194,7 +194,7 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
                 file=sys.stderr,
             )
             continue
-        fit = fit_lineshape(propagate_spectrum(problem).spectrum, "lorentzian")
+        fit = fit_lineshape(propagate_spectrum(problem), "lorentzian")
         rows.append((abs(omega_d) ** 2, fit.fwhm))
     if len(rows) < 2:
         raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
@@ -227,11 +227,11 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
 def cmd_propagate(cfg: RunConfig, out: str) -> int:
     """Propagate the configured input spectrum and write the output."""
     s_in = cfg.input_spectrum(cfg.output_grid())
-    result = propagate_spectrum(cfg.problem(s_in))
-    fit = fit_lineshape(result.spectrum, "lorentzian")
+    s_out = propagate_spectrum(cfg.problem(s_in))
+    fit = fit_lineshape(s_out, "lorentzian")
     ensure_out_dir(out)
     write_spectrum_csv(os.path.join(out, "propagate_input.csv"), s_in, cfg.digest)
-    write_spectrum_csv(os.path.join(out, "propagate_output.csv"), result.spectrum, cfg.digest)
+    write_spectrum_csv(os.path.join(out, "propagate_output.csv"), s_out, cfg.digest)
     write_sidecar(
         os.path.join(out, "propagate.meta.txt"),
         cfg.resolved,
@@ -260,13 +260,9 @@ def _mc_shaping(cfg: RunConfig) -> Spectrum:
     return cfg.input_spectrum(grid)
 
 
-def cmd_mc(cfg: RunConfig, out: str, quick: bool, realizations: int | None) -> int:
+def cmd_mc(cfg: RunConfig, out: str, quick: bool) -> int:
     """Monte-Carlo ensemble beat spectrum of the transmitted probe."""
-    if realizations is not None:
-        check_mc_size(realizations, cfg.mc_dt, cfg.mc_duration)
-    n_real = realizations if realizations is not None else cfg.mc_realizations
-    if quick:
-        n_real = min(n_real, 32)
+    n_real = min(cfg.mc_realizations, 32) if quick else cfg.mc_realizations
     mc_cfg = McConfig(
         medium=cfg.medium,
         fields=_mc_fields(cfg),
@@ -322,14 +318,14 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
             f"the first column of {path} is not a uniform frequency grid", code="bad-parameter"
         )
     grid = FrequencyGrid(start=float(omegas[0]), step=step, count=omegas.size)
-    spectrum = Spectrum(0.0, grid, density)
+    spectrum = Spectrum(grid, density)
     models = [model] if model != "auto" else ["gaussian", "lorentzian"]
     fits = [fit_lineshape(spectrum, m) for m in models]
     best = min(fits, key=lambda f: f.rms_residual)
     ensure_out_dir(out)
     write_spectrum_csv(
         os.path.join(out, "fit_curve.csv"),
-        Spectrum(0.0, grid, _fit_curve(best, grid)),
+        Spectrum(grid, _fit_curve(best, grid)),
         cfg.digest,
     )
     print(f"model: {best.model}")
@@ -385,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("figure4", help="output width vs drive power sweep")
     sub.add_parser("validate", help="run the invariant suite")
     sub.add_parser("propagate", help="propagate the configured input spectrum")
-    pmc = sub.add_parser("mc", help="Monte-Carlo ensemble beat spectrum")
-    pmc.add_argument("--realizations", type=int, default=None)
+    sub.add_parser("mc", help="Monte-Carlo ensemble beat spectrum")
     pfit = sub.add_parser("fit", help="fit a lineshape to a spectrum CSV")
     pfit.add_argument("--input", required=True, metavar="CSV")
     pfit.add_argument(
@@ -423,7 +418,7 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "propagate":
             return cmd_propagate(cfg, args.out)
         if args.command == "mc":
-            return cmd_mc(cfg, args.out, args.quick, args.realizations)
+            return cmd_mc(cfg, args.out, args.quick)
         if args.command == "fit":
             return cmd_fit(cfg, args.out, args.input, args.model)
         raise ConfigError(f"unknown command {args.command!r}", code="bad-command")

@@ -167,8 +167,8 @@ class RunConfig:
     def input_spectrum(self, grid: FrequencyGrid) -> Spectrum:
         """The configured input beat spectrum sampled on ``grid``."""
         if self.input_shape == "gaussian":
-            return gaussian_spectrum(0.0, self.input_fwhm / GAUSSIAN_FWHM_FACTOR, grid)
-        return lorentzian_spectrum(0.0, self.input_fwhm / 2.0, grid)
+            return gaussian_spectrum(self.input_fwhm / GAUSSIAN_FWHM_FACTOR, grid)
+        return lorentzian_spectrum(self.input_fwhm / 2.0, grid)
 
     def output_grid(self, fields: FieldConfig | None = None) -> FrequencyGrid:
         """Grid resolving the transmitted line: ``span_factor`` times the
@@ -256,24 +256,6 @@ def _size(sec: str, key: str, value: int) -> int:
     return value
 
 
-def check_mc_size(realizations: int, dt: float, duration: float) -> None:
-    """Reject a Monte-Carlo ensemble whose realization count, samples per
-    realization (``duration / dt``) or their product is out of range."""
-    _size("mc", "realizations", realizations)
-    samples = duration / dt
-    if samples > MAX_MC_SAMPLES:
-        raise ConfigError(
-            f"duration_ms / dt_us = {samples:.4g} samples exceeds {MAX_MC_SAMPLES:.0e}",
-            code="bad-parameter",
-        )
-    if realizations * samples > MAX_MC_ELEMENTS:
-        raise ConfigError(
-            f"realizations * duration_ms / dt_us = {realizations * samples:.4g} "
-            f"exceeds {MAX_MC_ELEMENTS:.0e}",
-            code="bad-parameter",
-        )
-
-
 def _enum(resolved, sec, key) -> str:
     raw = resolved[sec][key].lower()
     allowed = _ENUMS[(sec, key)]
@@ -356,13 +338,24 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     input_fwhm = num("input", "fwhm_khz") * TWO_PI * 1e3
     if span_factor <= 0 or input_fwhm <= 0:
         raise ConfigError("span_factor and fwhm_khz must be positive", code="bad-parameter")
-    mc_realizations = num("mc", "realizations")
+    mc_realizations = size("mc", "realizations")
     mc_slices = size("mc", "slices")
     mc_dt = num("mc", "dt_us") * 1e-6
     mc_duration = num("mc", "duration_ms") * 1e-3
     if mc_dt <= 0 or mc_duration <= 0:
         raise ConfigError("dt_us and duration_ms must be positive", code="bad-parameter")
-    check_mc_size(mc_realizations, mc_dt, mc_duration)
+    samples = mc_duration / mc_dt
+    if samples > MAX_MC_SAMPLES:
+        raise ConfigError(
+            f"duration_ms / dt_us = {samples:.4g} samples exceeds {MAX_MC_SAMPLES:.0e}",
+            code="bad-parameter",
+        )
+    if mc_realizations * samples > MAX_MC_ELEMENTS:
+        raise ConfigError(
+            f"realizations * duration_ms / dt_us = {mc_realizations * samples:.4g} "
+            f"exceeds {MAX_MC_ELEMENTS:.0e}",
+            code="bad-parameter",
+        )
     seed = int(num("run", "seed"))
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}", code="bad-parameter")
@@ -385,4 +378,4 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     )
 
 
-__all__ = ["DEFAULTS", "RunConfig", "check_mc_size", "config_digest", "load_config"]
+__all__ = ["DEFAULTS", "RunConfig", "config_digest", "load_config"]

@@ -28,8 +28,11 @@ class SingularRateError(EitNarrowError):
     """A complex dephasing rate or transfer denominator is zero."""
 
 
-class OpticallyThinError(EitNarrowError):
-    """The closed-form width formula requires eta*L/Delta_W > 1."""
+class OpticallyThinError(InvalidParameterError):
+    """The closed-form width formula requires eta*L/Delta_W > 1.
+
+    A derived parameter the physics rejects, hence an invalid parameter.
+    """
 
 
 class ResolutionError(EitNarrowError):

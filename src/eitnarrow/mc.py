@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .kernels import _phi12, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
-from .noise import FieldSeries, PhaseNoiseModel, synthesize_probe_field
+from .noise import PhaseNoiseModel, synthesize_probe_field
 from .spectral import Spectrum, periodogram
 
 
@@ -66,7 +66,6 @@ class McEnsembleResult:
     spectrum: Spectrum  # ensemble-mean transmitted beat spectrum
     stderr: np.ndarray  # per-bin standard error of the mean
     input_density: np.ndarray  # ensemble-mean input spectrum (same grid)
-    transfer: np.ndarray  # ratio of ensemble-mean densities
     per_real_in: np.ndarray  # per-realization input periodograms
     per_real_out: np.ndarray  # per-realization output periodograms
     realizations: int
@@ -103,18 +102,18 @@ def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
 
 
 def integrate_slice(
-    probe: FieldSeries, m: AtomicMedium, f: FieldConfig, thickness: float
-) -> FieldSeries:
-    """Advance a probe across one medium slice lit by the constant drive
-    ``f.omega_d`` (frozen in the weak-probe regime)."""
+    envelope: np.ndarray, dt: float, m: AtomicMedium, f: FieldConfig, thickness: float
+) -> np.ndarray:
+    """Advance a probe envelope sampled at step ``dt`` across one medium
+    slice lit by the constant drive ``f.omega_d`` (frozen in the
+    weak-probe regime)."""
     if thickness <= 0:
         raise InvalidParameterError("slice thickness must be positive")
     rates = complex_rates(m, f)
-    if probe.dt * rates.gamma_cb_eff.real > 0.1:
+    if dt * rates.gamma_cb_eff.real > 0.1:
         raise InvalidParameterError("dt does not resolve the coherence rate")
-    coeffs = _slab_coefficients(m, f, thickness, probe.dt)
-    out = mc_batch(probe.envelope, f.omega_d, 1, *coeffs)
-    return FieldSeries(probe.dt, out)
+    coeffs = _slab_coefficients(m, f, thickness, dt)
+    return mc_batch(envelope, f.omega_d, 1, *coeffs)
 
 
 def _implied_drive_depletion(cfg: McConfig) -> float:
@@ -155,7 +154,7 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     p_in = np.empty((cfg.realizations, n_keep))
     p_out = np.empty((cfg.realizations, n_keep))
     for r in range(cfg.realizations):
-        probe = synthesize_probe_field(cfg.noise, amp, cfg.dt, n_total, r).envelope
+        probe = synthesize_probe_field(cfg.noise, amp, cfg.dt, n_total, r)
         out = mc_batch(probe, cfg.fields.omega_d, cfg.slices, *coeffs)
         spec_in = periodogram(probe[burn:], cfg.dt, window="hann")
         p_in[r] = spec_in.density
@@ -165,13 +164,10 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     mean_in = p_in.mean(axis=0)
     nr = cfg.realizations
     err_out = p_out.std(axis=0, ddof=1) / np.sqrt(nr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        transfer = np.where(mean_in > 0, mean_out / np.where(mean_in > 0, mean_in, 1.0), np.nan)
     return McEnsembleResult(
-        spectrum=Spectrum(0.0, spec_in.grid, mean_out),
+        spectrum=Spectrum(spec_in.grid, mean_out),
         stderr=err_out,
         input_density=mean_in,
-        transfer=transfer,
         per_real_in=p_in,
         per_real_out=p_out,
         realizations=nr,
@@ -227,16 +223,16 @@ def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> n
 
 
 def slice_convergence(cfg: McConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Transfer with the configured slice count versus double the count;
-    returns both transfers and their max relative difference (over bins
-    with meaningful input power)."""
+    """Transfer (ratio of ensemble-mean densities) with the configured
+    slice count versus double the count, on the bins with meaningful
+    input power; returns both transfers and their max relative
+    difference."""
     res1 = ensemble_beat_spectrum(cfg)
     res2 = ensemble_beat_spectrum(replace(cfg, slices=2 * cfg.slices))
     mask = res1.input_density > 1e-3 * res1.input_density.max()
-    rel = float(
-        np.max(np.abs(res2.transfer[mask] - res1.transfer[mask]) / np.maximum(res1.transfer[mask], 1e-300))
-    )
-    return res1.transfer, res2.transfer, rel
+    t1, t2 = (r.spectrum.density[mask] / r.input_density[mask] for r in (res1, res2))
+    rel = float(np.max(np.abs(t2 - t1) / np.maximum(t1, 1e-300)))
+    return t1, t2, rel
 
 
 __all__ = [

@@ -190,7 +190,7 @@ def eit_width(scan: TransmissionScan) -> float:
     feature = np.clip(scan.transmission - scan.wing, 0.0, None)
     if feature.max() <= 0:
         raise InvalidParameterError("scan shows no transparency feature")
-    fit = fit_lineshape(Spectrum(0.0, scan.grid, feature), "lorentzian")
+    fit = fit_lineshape(Spectrum(scan.grid, feature), "lorentzian")
     return fit.fwhm
 
 

@@ -3,7 +3,9 @@
 Two synthesis modes: pure phase diffusion (Wiener phase, Lorentzian line
 of HWHM D) and a stationary Gaussian-process surrogate shaped to a
 target spectral density (the modulator's limited response bandwidth is
-modeled by the resulting spectrum, not from first principles).
+modeled by the resulting spectrum, not from first principles).  A model
+with a shaping uses the second mode and must set no diffusion.
+``synthesize_probe_field`` returns the complex envelope as an array.
 
 RNG: numpy Philox (counter based); realization r of a model with seed s
 uses the stream keyed by s XOR r, so ensembles are reproducible and
@@ -12,7 +14,7 @@ order independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,8 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PhaseNoiseModel:
-    """White frequency-noise diffusion plus optional spectral shaping."""
+    """White frequency-noise diffusion or, in its place, a spectral
+    shaping."""
 
     diffusion: float  # D [rad^2/s]
     shaping: Spectrum | None = None
@@ -38,24 +41,10 @@ class PhaseNoiseModel:
     def __post_init__(self):
         if self.diffusion < 0:
             raise InvalidParameterError("diffusion constant must be >= 0")
-
-
-@dataclass(frozen=True)
-class FieldSeries:
-    """Complex field envelope sampled at a fixed step."""
-
-    dt: float  # s
-    envelope: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        env = np.asarray(self.envelope, dtype=complex)
-        object.__setattr__(self, "envelope", env)
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise InvalidParameterError("dt must be finite and positive")
-        if env.ndim != 1 or env.size < 2:
-            raise InvalidParameterError("need at least two samples")
-        if not np.all(np.isfinite(env)):
-            raise InvalidParameterError("envelope must be finite")
+        if self.diffusion > 0 and self.shaping is not None:
+            raise InvalidParameterError(
+                "a shaped model takes its spectrum from the shaping; diffusion must be 0"
+            )
 
 
 def sample_phase_trajectory(
@@ -98,13 +87,12 @@ def synthesize_probe_field(
     dt: float,
     n: int,
     realization: int = 0,
-) -> FieldSeries:
-    """Noisy probe envelope with the model's spectral statistics."""
-    if dt <= 0 or n < 2:
-        raise InvalidParameterError("need dt > 0 and n >= 2")
+) -> np.ndarray:
+    """Noisy probe envelope, sampled at step ``dt``, with the model's
+    spectral statistics."""
+    if not (np.isfinite(dt) and dt > 0) or n < 2:
+        raise InvalidParameterError("need a finite dt > 0 and n >= 2")
     if model.shaping is not None:
-        env = _shaped_envelope(model, amplitude, dt, n, realization)
-    else:
-        phi = sample_phase_trajectory(model, dt, n, realization)
-        env = amplitude * np.exp(-1j * phi)
-    return FieldSeries(dt=dt, envelope=env)
+        return _shaped_envelope(model, amplitude, dt, n, realization)
+    phi = sample_phase_trajectory(model, dt, n, realization)
+    return amplitude * np.exp(-1j * phi)

@@ -62,12 +62,6 @@ class PropagationProblem:
 
 
 @dataclass(frozen=True)
-class SpectrumResult:
-    spectrum: Spectrum  # I_omega at z = L
-    kappa: np.ndarray  # per-frequency exponent [1/m]
-
-
-@dataclass(frozen=True)
 class CorrelationResult:
     beat: CorrelationFunction  # R(tau, L), tau >= 0
     coherence: CorrelationFunction  # G(tau, L), tau >= 0
@@ -76,8 +70,6 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class AdiabaticReport:
-    adiabatic_rate: complex  # scalar z-rate of the adiabatic limit [1/m]
-    kappa_zero: complex  # full exponent at omega = 0 [1/m]
     validity_ratio: float  # |Omega_d|^2 / |Gamma_ab * Gamma_cb|
     valid: bool  # ratio >= 10
     slaving_error: float  # max |T_dynamic - T_slaved| over the input grid
@@ -85,18 +77,16 @@ class AdiabaticReport:
 
 @dataclass(frozen=True)
 class DopplerAverageReport:
-    grid: FrequencyGrid
     averaged: np.ndarray  # transfer of the velocity-averaged exponent
     substituted: np.ndarray  # transfer with the gamma -> Delta_W substitution
     max_relative_deviation: float
 
 
-def propagate_spectrum(p: PropagationProblem) -> SpectrumResult:
-    """Fourier-route propagation to z = L."""
+def propagate_spectrum(p: PropagationProblem) -> Spectrum:
+    """Fourier-route propagation: I_omega at z = L."""
     s = p.input_spectrum
     kappa = transfer_exponent(p.medium, p.fields, s.omegas)
-    density = s.density * np.exp(kappa.real * p.medium.length)
-    return SpectrumResult(Spectrum(s.carrier, s.grid, density), kappa)
+    return Spectrum(s.grid, s.density * np.exp(kappa.real * p.medium.length))
 
 
 def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spectrum:
@@ -106,7 +96,7 @@ def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spec
     width = optical_width(m)
     w = s.omegas
     exponent = -coupling_eta(m) * m.length * w**2 / (width * ((omega_sq / width) ** 2 + w**2))
-    return Spectrum(s.carrier, s.grid, s.density * np.exp(exponent))
+    return Spectrum(s.grid, s.density * np.exp(exponent))
 
 
 def _auto_tau_grid(p: PropagationProblem) -> tuple[float, int]:
@@ -248,15 +238,12 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
 
 
 def adiabatic_rate_check(p: PropagationProblem) -> AdiabaticReport:
-    """Compare the scalar adiabatic-limit rate with kappa(0), report the
-    validity ratio |Omega_d|^2 / |Gamma_ab Gamma_cb|, and bound the error
-    of slaving the optical coherence: the largest change of the density
-    transfer exp(Re kappa L) on the input grid when rho_ab is kept
-    dynamic instead."""
+    """Report the validity ratio |Omega_d|^2 / |Gamma_ab Gamma_cb| and
+    bound the error of slaving the optical coherence: the largest change
+    of the density transfer exp(Re kappa L) on the input grid when rho_ab
+    is kept dynamic instead."""
     m, f = p.medium, p.fields
     rates = complex_rates(m, f)
-    rate = coupling_eta(m) * rates.n_factor * m.gamma_cb / rates.gamma_cb_eff
-    kappa0 = complex(transfer_exponent(m, f, np.array([0.0]))[0])
     denom = abs(rates.gamma_ab) * m.gamma_cb
     ratio = float(np.inf) if denom == 0 else abs(f.omega_d) ** 2 / denom
     omegas = p.input_spectrum.omegas
@@ -266,8 +253,6 @@ def adiabatic_rate_check(p: PropagationProblem) -> AdiabaticReport:
         np.abs(np.exp(dynamic.real * m.length) - np.exp(slaved.real * m.length))
     )
     return AdiabaticReport(
-        adiabatic_rate=complex(rate),
-        kappa_zero=kappa0,
         validity_ratio=ratio,
         valid=ratio >= 10.0,
         slaving_error=float(slaving_error),
@@ -321,7 +306,7 @@ def doppler_average_transfer(
             residual=err,
         )
     deviation = float(np.max(np.abs(fine - substituted)) / np.max(substituted))
-    return DopplerAverageReport(grid, fine, substituted, deviation)
+    return DopplerAverageReport(fine, substituted, deviation)
 
 
 def narrowing_factor(input_fwhm: float, output_fwhm: float) -> float:
@@ -335,7 +320,6 @@ __all__ = [
     "CorrelationResult",
     "DopplerAverageReport",
     "PropagationProblem",
-    "SpectrumResult",
     "adiabatic_rate_check",
     "doppler_average_transfer",
     "narrowing_factor",

@@ -1,7 +1,8 @@
 """Frequency grids, spectra, correlation functions and their transforms.
 
 All frequencies are angular (rad/s); conversions from Hz happen at the
-I/O boundary.  Spectrum <-> correlation transforms are trapezoid sums
+I/O boundary.  Spectra are baseband: a grid holds offsets from the
+carrier, and no route needs the carrier's absolute frequency.  Spectrum <-> correlation transforms are trapezoid sums
 over uniform grids of arbitrary (non power-of-two) length, evaluated as
 Bluestein chirp convolutions on ``numpy.fft``: O((N+M) log(N+M)) time and
 O(N+M) memory for N frequencies and M lags, equal to the direct
@@ -72,7 +73,6 @@ class FrequencyGrid:
 class Spectrum:
     """Nonnegative spectral density samples on a frequency grid."""
 
-    carrier: float  # absolute carrier frequency omega_0 [rad/s]
     grid: FrequencyGrid
     density: np.ndarray = field(repr=False)
 
@@ -136,20 +136,20 @@ class FitResult:
         return 2.0 * self.width
 
 
-def gaussian_spectrum(carrier: float, omega_w: float, grid: FrequencyGrid) -> Spectrum:
-    """exp(-(omega - omega_0)^2 / omega_w^2) sampled on ``grid``."""
+def gaussian_spectrum(omega_w: float, grid: FrequencyGrid) -> Spectrum:
+    """exp(-omega^2 / omega_w^2) sampled on ``grid``."""
     if omega_w <= 0:
         raise InvalidParameterError("omega_w must be positive")
     w = grid.omegas
-    return Spectrum(carrier, grid, np.exp(-((w / omega_w) ** 2)))
+    return Spectrum(grid, np.exp(-((w / omega_w) ** 2)))
 
 
-def lorentzian_spectrum(carrier: float, gamma_n: float, grid: FrequencyGrid) -> Spectrum:
-    """gamma_n^2 / ((omega - omega_0)^2 + gamma_n^2) sampled on ``grid``."""
+def lorentzian_spectrum(gamma_n: float, grid: FrequencyGrid) -> Spectrum:
+    """gamma_n^2 / (omega^2 + gamma_n^2) sampled on ``grid``."""
     if gamma_n <= 0:
         raise InvalidParameterError("gamma_n must be positive")
     w = grid.omegas
-    return Spectrum(carrier, grid, gamma_n**2 / (w**2 + gamma_n**2))
+    return Spectrum(grid, gamma_n**2 / (w**2 + gamma_n**2))
 
 
 def _cross(w0, y0, w1, y1, half):
@@ -251,12 +251,10 @@ def correlation_to_spectrum(r: CorrelationFunction, grid: FrequencyGrid) -> Spec
     density = sums.real / np.pi
     # round-off can leave tiny negative values; clip them
     density = np.clip(density, 0.0, None)
-    return Spectrum(0.0, grid, density)
+    return Spectrum(grid, density)
 
 
-def periodogram(
-    envelope: np.ndarray, dt: float, carrier: float = 0.0, window: str = "boxcar"
-) -> Spectrum:
+def periodogram(envelope: np.ndarray, dt: float, window: str = "boxcar") -> Spectrum:
     """Periodogram of a complex envelope, normalized so the density
     integral equals the (window-weighted) mean power of the series.
 
@@ -277,4 +275,4 @@ def periodogram(
     density = (np.abs(spec) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
     freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
     grid = FrequencyGrid(start=float(freqs[0]), step=float(freqs[1] - freqs[0]), count=n)
-    return Spectrum(carrier, grid, density)
+    return Spectrum(grid, density)

@@ -192,7 +192,7 @@ def _uneven_spectrum_csv(tmp_path):
     [
         pytest.param(None, ["--seed", "-1", "--quick", "mc"], id="negative-seed"),
         pytest.param(None, ["--seed", str(2**64), "--quick", "mc"], id="seed-too-large"),
-        pytest.param(None, ["mc", "--realizations", "3"], id="realizations-flag"),
+        pytest.param(None, ["mc", "--realizations", "32"], id="removed-realizations-flag"),
         pytest.param("[mc]\nrealizations = 0\n", ["--quick", "mc"], id="realizations"),
         pytest.param("[mc]\nslices = 0\n", ["--quick", "mc"], id="slices"),
         pytest.param("[input]\nspan_factor = -1\n", ["figure2"], id="negative-span"),
@@ -207,13 +207,12 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param(None, ["--seed", "abc", "mc"], id="non-integer-seed"),
         pytest.param(None, [], id="missing-subcommand"),
         pytest.param(None, ["figure9"], id="unknown-subcommand"),
-        pytest.param(None, ["mc", "--realizations", "x"], id="non-integer-realizations"),
+        pytest.param("[mc]\nrealizations = x\n", ["--quick", "mc"], id="non-integer-realizations"),
         pytest.param(None, ["fit"], id="fit-without-input"),
         pytest.param("[input]\ngrid_points = 1000000000000000\n", ["figure2"], id="huge-grid"),
         pytest.param("[input]\ngrid_points = 1e20\n", ["figure2"], id="float-grid-points"),
         pytest.param("[propagation]\nz_steps = 64\n", ["figure2"], id="removed-z-steps-key"),
         pytest.param("[mc]\nrealizations = 100001\n", ["--quick", "mc"], id="huge-realizations"),
-        pytest.param(None, ["mc", "--realizations", "100001"], id="huge-realizations-flag"),
         pytest.param("[mc]\nslices = 10001\n", ["--quick", "mc"], id="huge-slices"),
         pytest.param("[sweep]\npoints = 10001\n", ["figure4"], id="huge-sweep"),
         pytest.param("[mc]\ndt_us = 1e-6\n", ["figure2"], id="huge-sample-count"),
@@ -223,6 +222,19 @@ def _uneven_spectrum_csv(tmp_path):
             "[mc]\ndrive_diffusion_khz = 1\n", ["propagate"], id="removed-drive-noise-key"
         ),
         pytest.param(None, ["fit", "--input", "UNEVEN_CSV"], id="non-uniform-fit-input"),
+        *(
+            pytest.param(
+                "[medium]\nlength_cm = 0\n[fields]\nomega_d_mhz = 5\n",
+                argv,
+                id=f"thin-medium-{name}",
+            )
+            for name, argv in (
+                ("propagate", ["propagate"]),
+                ("figure2", ["figure2"]),
+                ("figure4", ["figure4"]),
+                ("validate", ["--quick", "validate"]),
+            )
+        ),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
@@ -613,3 +625,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "eitnarrow" in capsys.readouterr().out
+
+
+def test_thin_medium_and_removed_flag_carry_their_error_codes(tmp_path, capsys):
+    """An optically thin medium is a derived parameter the physics
+    rejects (``bad-parameter``); ``mc --realizations`` is gone, so the
+    parser rejects it (``usage``).  Both exit 2."""
+    path = write_config(tmp_path, "[medium]\nlength_cm = 0\n[fields]\nomega_d_mhz = 5\n")
+    out = str(tmp_path / "o")
+    assert main(["--config", path, "--out", out, "propagate"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: bad-parameter: filter never drops to half maximum (eta*L/Delta_W <= ln 2)"
+    ]
+    assert main(["--out", out, "mc", "--realizations", "32"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: usage: unrecognized arguments: --realizations 32"
+    ]

@@ -75,7 +75,7 @@ def test_singular_rates_rejected():
         complex_rates(m, drive_fields())
 
 
-def test_kappa_zero_vanishes_for_perfect_ground_coherence():
+def test_line_centre_kappa_vanishes_for_perfect_ground_coherence():
     kappa = transfer_exponent(paper_medium(), drive_fields(), np.array([0.0]))
     assert kappa[0] == 0.0
 

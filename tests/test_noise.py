@@ -20,8 +20,7 @@ def test_zero_diffusion_zero_phase():
     model = PhaseNoiseModel(diffusion=0.0, seed=4)
     phi = sample_phase_trajectory(model, dt=1e-6, n=256)
     assert np.all(phi == 0.0)
-    field = synthesize_probe_field(model, 2.0, 1e-6, 256)
-    assert np.allclose(field.envelope, 2.0)
+    assert np.allclose(synthesize_probe_field(model, 2.0, 1e-6, 256), 2.0)
 
 
 def test_wiener_variance_at_one_millisecond():
@@ -50,10 +49,9 @@ def test_pure_diffusion_linewidth_is_2d():
     acc = None
     n_real = 200
     for r in range(n_real):
-        field = synthesize_probe_field(model, 1.0, dt, n, realization=r)
-        s = periodogram(field.envelope, dt)
+        s = periodogram(synthesize_probe_field(model, 1.0, dt, n, realization=r), dt)
         acc = s.density if acc is None else acc + s.density
-    mean = type(s)(0.0, s.grid, acc / n_real)
+    mean = type(s)(s.grid, acc / n_real)
     fit = fit_lineshape(mean, "lorentzian")
     assert abs(fit.fwhm - 2.0 * d) < 0.10 * 2.0 * d
 
@@ -62,17 +60,16 @@ def test_shaped_field_matches_target_width():
     """Gaussian-shaped synthesis reproduces a 980 kHz FWHM line to 5%."""
     fwhm = TWO_PI * 980e3
     omega_w = fwhm / (2.0 * np.sqrt(np.log(2.0)))
-    target = gaussian_spectrum(0.0, omega_w, FrequencyGrid.spanning(3.0 * fwhm, 513))
+    target = gaussian_spectrum(omega_w, FrequencyGrid.spanning(3.0 * fwhm, 513))
     model = PhaseNoiseModel(diffusion=0.0, shaping=target, seed=8)
     dt = 1.0e-7
     n = 16384
     acc = None
     n_real = 100
     for r in range(n_real):
-        field = synthesize_probe_field(model, 1.0, dt, n, realization=r)
-        s = periodogram(field.envelope, dt)
+        s = periodogram(synthesize_probe_field(model, 1.0, dt, n, realization=r), dt)
         acc = s.density if acc is None else acc + s.density
-    mean = type(s)(0.0, s.grid, acc / n_real)
+    mean = type(s)(s.grid, acc / n_real)
     # per-bin noise defeats the half-max initializer; give a coarse guess
     init = FitResult("gaussian", 0.0, 2.0 * omega_w, float(mean.density.max()), 0.0)
     fit = fit_lineshape(mean, "gaussian", init=init)
@@ -80,10 +77,20 @@ def test_shaped_field_matches_target_width():
 
 
 def test_shaping_beyond_nyquist_rejected():
-    target = gaussian_spectrum(0.0, 1.0e6, FrequencyGrid.spanning(5.0e6, 65))
+    target = gaussian_spectrum(1.0e6, FrequencyGrid.spanning(5.0e6, 65))
     model = PhaseNoiseModel(diffusion=0.0, shaping=target, seed=0)
     with pytest.raises(InvalidParameterError):
         synthesize_probe_field(model, 1.0, dt=1.0e-5, n=64)
+
+
+def test_diffusion_beside_a_shaping_rejected():
+    """A shaped model draws its spectrum from the shaping alone, so a
+    nonzero diffusion beside it would be dropped without a word."""
+    target = gaussian_spectrum(1.0e6, FrequencyGrid.spanning(5.0e6, 65))
+    with pytest.raises(InvalidParameterError):
+        PhaseNoiseModel(diffusion=1.0e4, shaping=target)
+    PhaseNoiseModel(diffusion=0.0, shaping=target)
+    PhaseNoiseModel(diffusion=1.0e4)
 
 
 def test_stationarity_of_halves():
@@ -96,7 +103,7 @@ def test_stationarity_of_halves():
     first = np.empty(n_real)
     second = np.empty(n_real)
     for r in range(n_real):
-        env = synthesize_probe_field(model, 1.0, dt, n, realization=r).envelope
+        env = synthesize_probe_field(model, 1.0, dt, n, realization=r)
         first[r] = np.mean(np.abs(env[: n // 2]) ** 2)
         second[r] = np.mean(np.abs(env[n // 2 :]) ** 2)
     diff = first - second
@@ -109,8 +116,8 @@ def test_bit_identical_determinism():
     a = synthesize_probe_field(model, 1.0, 1e-6, 1000, realization=5)
     b = synthesize_probe_field(model, 1.0, 1e-6, 1000, realization=5)
     c = synthesize_probe_field(model, 1.0, 1e-6, 1000, realization=6)
-    assert np.array_equal(a.envelope, b.envelope)
-    assert not np.array_equal(a.envelope, c.envelope)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_realization_streams_are_independent():

@@ -11,7 +11,7 @@ from eitnarrow.errors import (
     TruncationWarning,
     UnresolvedWidthError,
 )
-from eitnarrow.noise import FieldSeries
+from eitnarrow.noise import PhaseNoiseModel, synthesize_probe_field
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
     _chirp_sum,
@@ -54,8 +54,14 @@ def test_grid_invariants():
         pytest.param(lambda: FrequencyGrid(0.0, 1.0, 10.0), id="grid-float-count"),
         pytest.param(lambda: CorrelationFunction(float("nan"), np.ones(4)), id="lag-nan-step"),
         pytest.param(lambda: CorrelationFunction(float("inf"), np.ones(4)), id="lag-inf-step"),
-        pytest.param(lambda: FieldSeries(float("nan"), np.ones(4)), id="series-nan-dt"),
-        pytest.param(lambda: FieldSeries(float("inf"), np.ones(4)), id="series-inf-dt"),
+        pytest.param(
+            lambda: synthesize_probe_field(PhaseNoiseModel(0.0), 1.0, float("nan"), 4),
+            id="series-nan-dt",
+        ),
+        pytest.param(
+            lambda: synthesize_probe_field(PhaseNoiseModel(0.0), 1.0, float("inf"), 4),
+            id="series-inf-dt",
+        ),
     ],
 )
 def test_containers_reject_non_finite_steps_and_fractional_counts(make):
@@ -69,7 +75,7 @@ def test_grid_count_accepts_numpy_integers():
 
 def test_gaussian_peak_and_unit_offset():
     grid = FrequencyGrid.centered(step=0.25, count=65)
-    s = gaussian_spectrum(0.0, 4.0, grid)
+    s = gaussian_spectrum(4.0, grid)
     assert s.density[32] == 1.0
     # omega = +/- omega_w -> 1/e
     i = np.argmin(np.abs(grid.omegas - 4.0))
@@ -79,7 +85,7 @@ def test_gaussian_peak_and_unit_offset():
 def test_gaussian_fwhm_factor():
     omega_w = 2.0 * np.pi * 588.5e3
     grid = FrequencyGrid.spanning(4.0 * omega_w, 4001)
-    s = gaussian_spectrum(0.0, omega_w, grid)
+    s = gaussian_spectrum(omega_w, grid)
     est = fwhm_estimate(s)
     assert abs(est - GAUSSIAN_FWHM_FACTOR * omega_w) < grid.step
     # the derived input width: omega_w = FWHM/(2 sqrt(ln 2)) with FWHM 980 kHz
@@ -89,7 +95,7 @@ def test_gaussian_fwhm_factor():
 def test_lorentzian_peak_half_max_and_fwhm():
     gamma = TWO_PI * 4.6e3
     grid = FrequencyGrid.spanning(40.0 * gamma, 8001)
-    s = lorentzian_spectrum(0.0, gamma, grid)
+    s = lorentzian_spectrum(gamma, grid)
     assert s.density.max() == 1.0
     i = np.argmin(np.abs(grid.omegas - gamma))
     assert s.density[i] == pytest.approx(0.5, abs=1e-3)
@@ -100,15 +106,15 @@ def test_lorentzian_peak_half_max_and_fwhm():
 def test_model_constructors_reject_nonpositive_width():
     grid = FrequencyGrid.centered(step=1.0, count=16)
     with pytest.raises(InvalidParameterError):
-        gaussian_spectrum(0.0, 0.0, grid)
+        gaussian_spectrum(0.0, grid)
     with pytest.raises(InvalidParameterError):
-        lorentzian_spectrum(0.0, -1.0, grid)
+        lorentzian_spectrum(-1.0, grid)
 
 
 def test_fwhm_estimate_flat_spectrum_unresolved():
     grid = FrequencyGrid.centered(step=1.0, count=32)
     with pytest.raises(UnresolvedWidthError):
-        fwhm_estimate(Spectrum(0.0, grid, np.ones(32)))
+        fwhm_estimate(Spectrum(grid, np.ones(32)))
 
 
 def test_fwhm_estimate_multimodal():
@@ -116,13 +122,13 @@ def test_fwhm_estimate_multimodal():
     w = grid.omegas
     two_peaks = np.exp(-((w - 5.0) ** 2)) + np.exp(-((w + 5.0) ** 2))
     with pytest.raises(MultimodalSpectrumError):
-        fwhm_estimate(Spectrum(0.0, grid, two_peaks))
+        fwhm_estimate(Spectrum(grid, two_peaks))
 
 
 def test_gaussian_correlation_pair():
     omega_w = 3.0e4
     grid = FrequencyGrid.spanning(8.0 * omega_w, 2001)
-    s = gaussian_spectrum(0.0, omega_w, grid)
+    s = gaussian_spectrum(omega_w, grid)
     taus = np.linspace(0.0, 6.0 / omega_w, 40)
     r = spectrum_to_correlation(s, taus[1], taus.size)
     expected = np.abs(r.values[0]) * np.exp(-(omega_w**2) * r.lags**2 / 4.0)
@@ -132,7 +138,7 @@ def test_gaussian_correlation_pair():
 def test_lorentzian_correlation_pair():
     gamma = 2.0e3
     grid = FrequencyGrid.spanning(4000.0 * gamma, 400001)
-    s = lorentzian_spectrum(0.0, gamma, grid)
+    s = lorentzian_spectrum(gamma, grid)
     r = spectrum_to_correlation(s, 0.1 / gamma, 30)
     expected = np.abs(r.values[0]) * np.exp(-gamma * r.lags)
     assert np.allclose(np.abs(r.values), expected, rtol=2e-3)
@@ -140,14 +146,14 @@ def test_lorentzian_correlation_pair():
 
 def test_zero_spectrum_zero_correlation():
     grid = FrequencyGrid.centered(step=1.0, count=64)
-    r = spectrum_to_correlation(Spectrum(0.0, grid, np.zeros(64)), 0.01, 16)
+    r = spectrum_to_correlation(Spectrum(grid, np.zeros(64)), 0.01, 16)
     assert np.all(r.values == 0)
 
 
 def test_truncation_warning_on_wide_density():
     grid = FrequencyGrid.centered(step=1.0, count=64)
     with pytest.warns(TruncationWarning):
-        spectrum_to_correlation(Spectrum(0.0, grid, np.ones(64)), 0.01, 16)
+        spectrum_to_correlation(Spectrum(grid, np.ones(64)), 0.01, 16)
 
 
 def _dense_sum(v, x0, dx, y0, dy, m, sign):
@@ -214,7 +220,7 @@ def test_lag_transform_memory_stays_linear():
     frequencies, 10 391 lags): the dense phase matrix alone would take
     about 200 MB, the chirp-z evaluation under 1 MB."""
     grid = FrequencyGrid.spanning(6.0e5, 1201)
-    s = gaussian_spectrum(0.0, 1.0e5, grid)
+    s = gaussian_spectrum(1.0e5, grid)
     dtau = np.pi / (8.0 * abs(grid.omegas[-1]))
     tracemalloc.start()
     try:
@@ -229,7 +235,7 @@ def test_lag_transform_memory_stays_linear():
 def test_round_trip_gaussian():
     omega_w = 1.0e5
     grid = FrequencyGrid.spanning(8.0 * omega_w, 1501)
-    s = gaussian_spectrum(0.0, omega_w, grid)
+    s = gaussian_spectrum(omega_w, grid)
     dtau = np.pi / (8.0 * abs(grid.omegas[-1]))
     n = int(np.ceil(16.0 / (omega_w * dtau)))
     r = spectrum_to_correlation(s, dtau, n)
@@ -240,7 +246,7 @@ def test_round_trip_gaussian():
 def test_parseval():
     omega_w = 1.0e5
     grid = FrequencyGrid.spanning(8.0 * omega_w, 1501)
-    s = gaussian_spectrum(0.0, omega_w, grid)
+    s = gaussian_spectrum(omega_w, grid)
     r = spectrum_to_correlation(s, 1e-7, 8)
     assert abs(r.values[0].real - s.integral()) < 1e-8 * s.integral()
 
@@ -280,4 +286,4 @@ def test_periodogram_normalization_and_windows():
 def test_spectrum_rejects_negative_density():
     grid = FrequencyGrid.centered(step=1.0, count=16)
     with pytest.raises(InvalidParameterError):
-        Spectrum(0.0, grid, np.full(16, -1.0))
+        Spectrum(grid, np.full(16, -1.0))
