@@ -50,7 +50,6 @@ from .medium import (
     complex_rates,
     coupling_eta,
     drive_for_target_width,
-    eit_transmission_scan,
     eit_width,
     optical_depth,
     thick_filter_hwhm,
@@ -59,7 +58,6 @@ from .medium import (
     wing_transmission,
 )
 from .propagation import (
-    PropagationProblem,
     adiabatic_rate_check,
     doppler_average_transfer,
     narrowing_factor,
@@ -92,7 +90,6 @@ __all__ = [
     "MultimodalSpectrumError",
     "OpticallyThinError",
     "PhaseNoiseModel",
-    "PropagationProblem",
     "ResolutionError",
     "RunConfig",
     "SingularRateError",
@@ -108,7 +105,6 @@ __all__ = [
     "coupling_eta",
     "doppler_average_transfer",
     "drive_for_target_width",
-    "eit_transmission_scan",
     "eit_width",
     "ensemble_beat_spectrum",
     "fit_lineshape",

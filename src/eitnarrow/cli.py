@@ -41,9 +41,10 @@ from .fitting import fit_lineshape, linear_fit
 from .medium import (
     FieldConfig,
     closed_form_width,
-    eit_transmission_scan,
     eit_width,
     optical_depth,
+    transmission,
+    wing_transmission,
 )
 from .mc import McConfig, ensemble_beat_spectrum
 from .noise import PhaseNoiseModel
@@ -68,51 +69,47 @@ def _fit_curve(fit, grid: FrequencyGrid) -> np.ndarray:
     return fit.amplitude * fit.width**2 / (w**2 + fit.width**2)
 
 
-def cmd_figure2(cfg: RunConfig, out: str, off_resonance_only: bool) -> int:
-    """Input (off-resonance) vs transmitted (on-resonance) beat spectra."""
+def cmd_figure2(cfg: RunConfig, out: str) -> int:
+    """Input beat spectrum against the spectrum transmitted by the cell."""
     wide = _input_grid(cfg)
     s_in = cfg.input_spectrum(wide)
     fit_in = fit_lineshape(s_in, "gaussian")
-    files: list[tuple] = [("figure2_input.csv", s_in, None)]
+    fine = cfg.output_grid()
+    s_out = propagate_spectrum(cfg.medium, cfg.fields, cfg.input_spectrum(fine))
+    fit_out = fit_lineshape(s_out, "lorentzian")
+    target = closed_form_width(
+        cfg.medium, abs(cfg.fields.omega_d) ** 2 + abs(cfg.fields.omega_p) ** 2
+    )
+    wide_out = propagate_spectrum(cfg.medium, cfg.fields, s_in)
     print(f"input fwhm: {_khz(fit_in.fwhm):.4f} kHz (gaussian fit)")
-
-    if not off_resonance_only:
-        fine = cfg.output_grid()
-        s_out = propagate_spectrum(cfg.problem(cfg.input_spectrum(fine)))
-        fit_out = fit_lineshape(s_out, "lorentzian")
-        target = closed_form_width(
-            cfg.medium, abs(cfg.fields.omega_d) ** 2 + abs(cfg.fields.omega_p) ** 2
-        )
-        wide_out = propagate_spectrum(cfg.problem(s_in))
-        files += [
-            ("figure2_output.csv", s_out, None),
-            ("figure2_fit_input.csv", Spectrum(wide, _fit_curve(fit_in, wide)), None),
-            ("figure2_fit_output.csv", Spectrum(fine, _fit_curve(fit_out, fine)), None),
-        ]
-        print(f"output fwhm: {_khz(fit_out.fwhm):.4f} kHz (lorentzian fit)")
-        print(f"closed-form width prediction: {_khz(target):.4f} kHz")
-        print(
-            "fitted/closed-form deviation: "
-            f"{100.0 * (fit_out.fwhm - target) / target:+.1f}%"
-        )
-        print(f"narrowing factor: {narrowing_factor(fit_in.fwhm, fit_out.fwhm):.1f}")
+    print(f"output fwhm: {_khz(fit_out.fwhm):.4f} kHz (lorentzian fit)")
+    print(f"closed-form width prediction: {_khz(target):.4f} kHz")
+    print(
+        "fitted/closed-form deviation: "
+        f"{100.0 * (fit_out.fwhm - target) / target:+.1f}%"
+    )
+    print(f"narrowing factor: {narrowing_factor(fit_in.fwhm, fit_out.fwhm):.1f}")
 
     ensure_out_dir(out)
-    for name, spec, err in files:
-        write_spectrum_csv(os.path.join(out, name), spec, cfg.digest, err)
-    if not off_resonance_only:
-        peak_in = s_in.density.max()
-        peak_out = wide_out.density.max()
-        write_svg_plot(
-            os.path.join(out, "figure2.svg"),
-            [
-                ("input (normalized)", wide.omegas, s_in.density / peak_in),
-                ("output (normalized)", wide.omegas, wide_out.density / peak_out),
-            ],
-            "Beat spectra before and after the cell",
-            "offset from carrier [rad/s]",
-            "normalized spectral density",
-        )
+    for name, spec in (
+        ("figure2_input.csv", s_in),
+        ("figure2_output.csv", s_out),
+        ("figure2_fit_input.csv", Spectrum(wide, _fit_curve(fit_in, wide))),
+        ("figure2_fit_output.csv", Spectrum(fine, _fit_curve(fit_out, fine))),
+    ):
+        write_spectrum_csv(os.path.join(out, name), spec, cfg.digest)
+    peak_in = s_in.density.max()
+    peak_out = wide_out.density.max()
+    write_svg_plot(
+        os.path.join(out, "figure2.svg"),
+        [
+            ("input (normalized)", wide.omegas, s_in.density / peak_in),
+            ("output (normalized)", wide.omegas, wide_out.density / peak_out),
+        ],
+        "Beat spectra before and after the cell",
+        "offset from carrier [rad/s]",
+        "normalized spectral density",
+    )
     write_sidecar(os.path.join(out, "figure2.meta.txt"), cfg.resolved, cfg.digest)
     return 0
 
@@ -123,11 +120,10 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
     ensure_out_dir(out)
     if cfg.medium.length == 0:
         grid = _input_grid(cfg)
-        scan = eit_transmission_scan(cfg.medium, cfg.fields, grid)
         write_table_csv(
             os.path.join(out, "figure3_scan.csv"),
             ["delta_rad_s", "transmission"],
-            zip(grid.omegas, scan.transmission),
+            zip(grid.omegas, transmission(cfg.medium, cfg.fields, grid.omegas)),
             cfg.digest,
         )
         write_sidecar(os.path.join(out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
@@ -135,10 +131,10 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
         return 0
 
     grid = cfg.output_grid()
-    scan = eit_transmission_scan(cfg.medium, cfg.fields, grid)
-    width_eit = eit_width(scan)
+    width_eit = eit_width(cfg.medium, cfg.fields, grid)
+    scan = transmission(cfg.medium, cfg.fields, grid.omegas)
 
-    s_out = propagate_spectrum(cfg.problem(cfg.input_spectrum(grid)))
+    s_out = propagate_spectrum(cfg.medium, cfg.fields, cfg.input_spectrum(grid))
     noise_norm = s_out.density / s_out.density.max()
     fit_noise = fit_lineshape(Spectrum(grid, noise_norm), "lorentzian")
     ratio = fit_noise.fwhm / width_eit
@@ -146,13 +142,13 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
     write_table_csv(
         os.path.join(out, "figure3_scan.csv"),
         ["delta_rad_s", "transmission"],
-        zip(grid.omegas, scan.transmission),
+        zip(grid.omegas, scan),
         cfg.digest,
     )
     write_spectrum_csv(
         os.path.join(out, "figure3_noise.csv"), Spectrum(grid, noise_norm), cfg.digest
     )
-    feature = np.clip(scan.transmission - scan.wing, 0.0, None)
+    feature = np.clip(scan - wing_transmission(cfg.medium, cfg.fields), 0.0, None)
     write_svg_plot(
         os.path.join(out, "figure3.svg"),
         [
@@ -185,8 +181,8 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
     rows = []
     for omega_d in sweep:
         f = replace(cfg.fields, omega_d=omega_d)
-        problem = cfg.problem(cfg.input_spectrum(cfg.output_grid(f)), f)
-        report = adiabatic_rate_check(problem)
+        s_in = cfg.input_spectrum(cfg.output_grid(f))
+        report = adiabatic_rate_check(cfg.medium, f, s_in.omegas)
         if not report.valid:
             print(
                 f"warning: point |Omega_d| = {_khz(omega_d) / 1e3:.4f} MHz excluded "
@@ -194,7 +190,7 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
                 file=sys.stderr,
             )
             continue
-        fit = fit_lineshape(propagate_spectrum(problem), "lorentzian")
+        fit = fit_lineshape(propagate_spectrum(cfg.medium, f, s_in), "lorentzian")
         rows.append((abs(omega_d) ** 2, fit.fwhm))
     if len(rows) < 2:
         raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
@@ -227,7 +223,7 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
 def cmd_propagate(cfg: RunConfig, out: str) -> int:
     """Propagate the configured input spectrum and write the output."""
     s_in = cfg.input_spectrum(cfg.output_grid())
-    s_out = propagate_spectrum(cfg.problem(s_in))
+    s_out = propagate_spectrum(cfg.medium, cfg.fields, s_in)
     fit = fit_lineshape(s_out, "lorentzian")
     ensure_out_dir(out)
     write_spectrum_csv(os.path.join(out, "propagate_input.csv"), s_in, cfg.digest)
@@ -282,11 +278,11 @@ def cmd_mc(cfg: RunConfig, out: str, quick: bool) -> int:
         cfg.resolved,
         cfg.digest,
         extra={
-            "realizations": str(result.realizations),
+            "realizations": str(mc_cfg.realizations),
             "implied_drive_power_transmission": repr(result.drive_depletion),
         },
     )
-    print(f"realizations: {result.realizations}")
+    print(f"realizations: {mc_cfg.realizations}")
     print(f"implied drive power transmission: {result.drive_depletion:.4f}")
     try:
         fwhm = fwhm_estimate(result.spectrum)
@@ -375,8 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quick", action="store_true", help="reduced-scale run")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p2 = sub.add_parser("figure2", help="input vs transmitted beat spectra")
-    p2.add_argument("--off-resonance-only", action="store_true")
+    sub.add_parser("figure2", help="input vs transmitted beat spectra")
     sub.add_parser("figure3", help="EIT scan vs transmitted-noise spectrum")
     sub.add_parser("figure4", help="output width vs drive power sweep")
     sub.add_parser("validate", help="run the invariant suite")
@@ -408,7 +403,7 @@ def _run(argv: list[str] | None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config, seed=args.seed)
         if args.command == "figure2":
-            return cmd_figure2(cfg, args.out, args.off_resonance_only)
+            return cmd_figure2(cfg, args.out)
         if args.command == "figure3":
             return cmd_figure3(cfg, args.out)
         if args.command == "figure4":

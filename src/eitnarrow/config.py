@@ -74,7 +74,6 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, OpticallyThinError
 from .medium import AtomicMedium, FieldConfig, drive_for_target_width, thick_filter_hwhm
-from .propagation import PropagationProblem
 from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
 from .spectral import gaussian_spectrum, lorentzian_spectrum
 
@@ -176,12 +175,6 @@ class RunConfig:
         f = fields if fields is not None else self.fields
         hwhm = thick_filter_hwhm(self.medium, abs(f.omega_d) ** 2 + abs(f.omega_p) ** 2)
         return FrequencyGrid.spanning(2.0 * self.span_factor * hwhm, self.grid_points)
-
-    def problem(self, spectrum: Spectrum, fields: FieldConfig | None = None) -> PropagationProblem:
-        """Propagation of ``spectrum`` through the configured medium, with
-        the configured fields unless ``fields`` replaces them."""
-        f = fields if fields is not None else self.fields
-        return PropagationProblem(self.medium, f, spectrum)
 
 
 def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:

@@ -68,7 +68,6 @@ class McEnsembleResult:
     input_density: np.ndarray  # ensemble-mean input spectrum (same grid)
     per_real_in: np.ndarray  # per-realization input periodograms
     per_real_out: np.ndarray  # per-realization output periodograms
-    realizations: int
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
@@ -162,15 +161,13 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
 
     mean_out = p_out.mean(axis=0)
     mean_in = p_in.mean(axis=0)
-    nr = cfg.realizations
-    err_out = p_out.std(axis=0, ddof=1) / np.sqrt(nr)
+    err_out = p_out.std(axis=0, ddof=1) / np.sqrt(cfg.realizations)
     return McEnsembleResult(
         spectrum=Spectrum(spec_in.grid, mean_out),
         stderr=err_out,
         input_density=mean_in,
         per_real_in=p_in,
         per_real_out=p_out,
-        realizations=nr,
         drive_depletion=_implied_drive_depletion(cfg),
     )
 
@@ -192,7 +189,7 @@ def band_average_transfer(
         raise InvalidParameterError("fewer masked bins than requested bands")
     omegas = result.spectrum.omegas
     groups = np.array_split(idx, n_bands)
-    nr = result.realizations
+    nr = result.per_real_out.shape[0]
     centers = np.empty(n_bands)
     values = np.empty(n_bands)
     errs = np.empty(n_bands)

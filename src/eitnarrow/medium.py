@@ -1,8 +1,8 @@
 """Three-level Lambda medium parameterization.
 
 Complex dephasing rates, the coupling constant eta, the effective
-ground-coherence rate, per-frequency transfer exponents, EIT
-transmission scans and the closed-form thick-medium width.
+ground-coherence rate, per-frequency transfer exponents, the EIT
+transmission width and the closed-form thick-medium width.
 
 Two model choices are properties of the medium, so every route and
 every closed form follows them from one place:
@@ -167,30 +167,14 @@ def wing_transmission(m: AtomicMedium, f: FieldConfig) -> float:
     return float(np.exp(coupling_eta(m) * rates.n_factor.real * m.length))
 
 
-@dataclass(frozen=True)
-class TransmissionScan:
-    """Monochromatic-probe EIT transmission versus two-photon detuning."""
-
-    grid: FrequencyGrid
-    transmission: np.ndarray
-    wing: float  # T at infinite detuning
-
-
-def eit_transmission_scan(
-    m: AtomicMedium, f: FieldConfig, grid: FrequencyGrid
-) -> TransmissionScan:
-    """Transmission T(delta) of a monochromatic probe scanned across the
-    two-photon resonance."""
-    t = transmission(m, f, grid.omegas)
-    return TransmissionScan(grid, t, wing_transmission(m, f))
-
-
-def eit_width(scan: TransmissionScan) -> float:
-    """Fitted FWHM of the EIT feature T(delta) - T(inf) [rad/s]."""
-    feature = np.clip(scan.transmission - scan.wing, 0.0, None)
+def eit_width(m: AtomicMedium, f: FieldConfig, grid: FrequencyGrid) -> float:
+    """Fitted FWHM [rad/s] of the EIT feature T(delta) - T(inf) that a
+    monochromatic probe scanned across the two-photon resonance sees on
+    ``grid``."""
+    feature = np.clip(transmission(m, f, grid.omegas) - wing_transmission(m, f), 0.0, None)
     if feature.max() <= 0:
         raise InvalidParameterError("scan shows no transparency feature")
-    fit = fit_lineshape(Spectrum(scan.grid, feature), "lorentzian")
+    fit = fit_lineshape(Spectrum(grid, feature), "lorentzian")
     return fit.fwhm
 
 

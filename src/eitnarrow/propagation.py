@@ -26,11 +26,11 @@ from .errors import InvalidParameterError, ResolutionError
 from .kernels import LagSweep, g_sweep, g_sweep_coefficients
 from .medium import (
     AtomicMedium,
+    ComplexRates,
     FieldConfig,
     _dynamic_exponent,
     complex_rates,
     coupling_eta,
-    optical_depth,
     optical_width,
     transfer_exponent,
     transmission,
@@ -55,13 +55,6 @@ MAX_STEPS = 10**4
 
 
 @dataclass(frozen=True)
-class PropagationProblem:
-    medium: AtomicMedium
-    fields: FieldConfig
-    input_spectrum: Spectrum
-
-
-@dataclass(frozen=True)
 class CorrelationResult:
     beat: CorrelationFunction  # R(tau, L), tau >= 0
     coherence: CorrelationFunction  # G(tau, L), tau >= 0
@@ -82,11 +75,10 @@ class DopplerAverageReport:
     max_relative_deviation: float
 
 
-def propagate_spectrum(p: PropagationProblem) -> Spectrum:
+def propagate_spectrum(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Spectrum:
     """Fourier-route propagation: I_omega at z = L."""
-    s = p.input_spectrum
-    kappa = transfer_exponent(p.medium, p.fields, s.omegas)
-    return Spectrum(s.grid, s.density * np.exp(kappa.real * p.medium.length))
+    kappa = transfer_exponent(m, f, s.omegas)
+    return Spectrum(s.grid, s.density * np.exp(kappa.real * m.length))
 
 
 def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spectrum:
@@ -99,12 +91,10 @@ def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spec
     return Spectrum(s.grid, s.density * np.exp(exponent))
 
 
-def _auto_tau_grid(p: PropagationProblem) -> tuple[float, int]:
-    s = p.input_spectrum
-    omega_max = max(abs(s.grid.start), abs(s.omegas[-1]))
+def _auto_tau_grid(rates: ComplexRates, grid: FrequencyGrid) -> tuple[float, int]:
+    omega_max = max(abs(grid.start), abs(grid.omegas[-1]))
     dtau = np.pi / (8.0 * omega_max)
     # long enough for the narrowed output correlation to decay
-    rates = complex_rates(p.medium, p.fields)
     slow = min(rates.gamma_cb_eff.real, omega_max)
     if slow <= 0:
         raise InvalidParameterError("cannot choose a lag range automatically")
@@ -112,7 +102,7 @@ def _auto_tau_grid(p: PropagationProblem) -> tuple[float, int]:
     return dtau, count
 
 
-def _slave_row(p: PropagationProblem, dtau: float, size: int) -> np.ndarray:
+def _slave_row(rates: ComplexRates, g: FrequencyGrid, dtau: float, size: int) -> np.ndarray:
     """Row vector mapping R on the lag grid tau_0 + j*dtau to the slaved
     initial condition G(tau_0) = slave_row @ R.
 
@@ -121,23 +111,20 @@ def _slave_row(p: PropagationProblem, dtau: float, size: int) -> np.ndarray:
     (1/2pi) sum_j w_j R(tau_j) e^{i omega tau_j}; the two phases combine
     into e^{i omega j dtau}.
     """
-    rates = complex_rates(p.medium, p.fields)
-    g = p.input_spectrum.grid
-    omegas = p.input_spectrum.omegas
     g0_weights = (
         _trapezoid_weights(g.count, g.step)
         * rates.n_factor
-        / (rates.gamma_cb_eff - 1j * omegas)
+        / (rates.gamma_cb_eff - 1j * g.omegas)
     )
     w_tau = _trapezoid_weights(size, dtau)
     return _chirp_sum(g0_weights, g.start, g.step, 0.0, dtau, size, 1) * w_tau / (2.0 * np.pi)
 
 
-def _step_count(p: PropagationProblem) -> int:
-    """Coarse z-step count: max |kappa(omega)| L over the input grid, one
+def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> int:
+    """Coarse z-step count: max |kappa(omega)| L over ``omegas``, one
     step per ``STEP_REACH``; a ResolutionError beyond ``MAX_STEPS``."""
-    kappa = transfer_exponent(p.medium, p.fields, p.input_spectrum.omegas)
-    reach = float(np.max(np.abs(kappa))) * p.medium.length / STEP_REACH
+    kappa = transfer_exponent(m, f, omegas)
+    reach = float(np.max(np.abs(kappa))) * m.length / STEP_REACH
     # a NaN or infinite reach fails the comparison too
     if not reach <= MAX_STEPS:
         raise ResolutionError(
@@ -148,10 +135,8 @@ def _step_count(p: PropagationProblem) -> int:
 
 
 def _integrate_correlation(
-    p: PropagationProblem, slave_row, sweep: LagSweep, r0, steps
+    m: AtomicMedium, rates: ComplexRates, slave_row, sweep: LagSweep, r0, steps
 ) -> np.ndarray:
-    m = p.medium
-    rates = complex_rates(m, p.fields)
     b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab + |Omega_p|^2/Gamma_ca
     pref = 0.5 * coupling_eta(m)
     # L r = pref*((nfac r - b G) + (conj(nfac) r - conj(b) conj(G[::-1])))
@@ -180,18 +165,18 @@ def _integrate_correlation(
     return r
 
 
-def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
+def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> CorrelationResult:
     """(tau, z) route; raises ResolutionError beyond ``MAX_STEPS`` z steps
     or if halving the z step changes R by more than ``HALVING_TOL`` R(0)."""
-    steps = _step_count(p)
-    dtau, count = _auto_tau_grid(p)
+    steps = _step_count(m, f, s.omegas)
+    rates = complex_rates(m, f)
+    dtau, count = _auto_tau_grid(rates, s.grid)
     horizon = (count - 1) * dtau
     # the slaved initial condition at the grid edge carries a transient
     # decaying at Re Gamma_cb_eff; pad the lag grid by the settling
     # length 5/Re Gamma_cb_eff and trim it before returning, so the
     # transient never enters the reported lags (directly at -tau or via
     # the Hermitian companion at +tau)
-    rates = complex_rates(p.medium, p.fields)
     settle = 5.0 / rates.gamma_cb_eff.real if rates.gamma_cb_eff.real > 0 else 0.0
     if settle > horizon:
         raise InvalidParameterError(
@@ -202,9 +187,9 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
     # two-sided lag grid tau_j = (j - center) * dtau, j < 2*total - 1
     center = total - 1
     size = 2 * total - 1
-    g = p.input_spectrum.grid
+    g = s.grid
     r0 = _chirp_sum(
-        _trapezoid_weights(g.count, g.step) * p.input_spectrum.density,
+        _trapezoid_weights(g.count, g.step) * s.density,
         g.start, g.step, -center * dtau, dtau, size, -1,
     )
     r0_peak = abs(r0[center])
@@ -216,10 +201,10 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
         )
 
     keep = slice(center - (count - 1), center + count)  # trimmed two-sided range
-    slave_row = _slave_row(p, dtau, size)
+    slave_row = _slave_row(rates, g, dtau, size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
-    r_coarse = _integrate_correlation(p, slave_row, sweep, r0, steps)
-    r_fine = _integrate_correlation(p, slave_row, sweep, r0, 2 * steps)
+    r_coarse = _integrate_correlation(m, rates, slave_row, sweep, r0, steps)
+    r_fine = _integrate_correlation(m, rates, slave_row, sweep, r0, 2 * steps)
     residual = float(
         np.max(np.abs(r_fine[keep] - r_coarse[keep])) / np.abs(r_fine[center])
     )
@@ -237,16 +222,14 @@ def propagate_correlation(p: PropagationProblem) -> CorrelationResult:
     )
 
 
-def adiabatic_rate_check(p: PropagationProblem) -> AdiabaticReport:
+def adiabatic_rate_check(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> AdiabaticReport:
     """Report the validity ratio |Omega_d|^2 / |Gamma_ab Gamma_cb| and
     bound the error of slaving the optical coherence: the largest change
-    of the density transfer exp(Re kappa L) on the input grid when rho_ab
+    of the density transfer exp(Re kappa L) over ``omegas`` when rho_ab
     is kept dynamic instead."""
-    m, f = p.medium, p.fields
     rates = complex_rates(m, f)
     denom = abs(rates.gamma_ab) * m.gamma_cb
     ratio = float(np.inf) if denom == 0 else abs(f.omega_d) ** 2 / denom
-    omegas = p.input_spectrum.omegas
     slaved = transfer_exponent(m, f, omegas)
     dynamic = _dynamic_exponent(m, f, omegas)
     slaving_error = np.max(
@@ -319,11 +302,9 @@ __all__ = [
     "AdiabaticReport",
     "CorrelationResult",
     "DopplerAverageReport",
-    "PropagationProblem",
     "adiabatic_rate_check",
     "doppler_average_transfer",
     "narrowing_factor",
-    "optical_depth",
     "propagate_correlation",
     "propagate_spectrum",
     "thick_medium_spectrum",

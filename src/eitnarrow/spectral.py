@@ -2,12 +2,13 @@
 
 All frequencies are angular (rad/s); conversions from Hz happen at the
 I/O boundary.  Spectra are baseband: a grid holds offsets from the
-carrier, and no route needs the carrier's absolute frequency.  Spectrum <-> correlation transforms are trapezoid sums
-over uniform grids of arbitrary (non power-of-two) length, evaluated as
-Bluestein chirp convolutions on ``numpy.fft``: O((N+M) log(N+M)) time and
-O(N+M) memory for N frequencies and M lags, equal to the direct
-quadrature up to round-off (about 1e-12 of the largest output at
-1201 x 10 391).
+carrier, and no route needs the carrier's absolute frequency.
+
+Spectrum <-> correlation transforms are trapezoid sums over uniform
+grids of arbitrary (non power-of-two) length, evaluated as Bluestein
+chirp convolutions on ``numpy.fft``: O((N+M) log(N+M)) time and O(N+M)
+memory for N frequencies and M lags, equal to the direct quadrature up
+to round-off (about 1e-12 of the largest output at 1201 x 10 391).
 """
 
 from __future__ import annotations

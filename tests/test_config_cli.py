@@ -193,6 +193,7 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param(None, ["--seed", "-1", "--quick", "mc"], id="negative-seed"),
         pytest.param(None, ["--seed", str(2**64), "--quick", "mc"], id="seed-too-large"),
         pytest.param(None, ["mc", "--realizations", "32"], id="removed-realizations-flag"),
+        pytest.param(None, ["figure2", "--off-resonance-only"], id="removed-off-resonance-flag"),
         pytest.param("[mc]\nrealizations = 0\n", ["--quick", "mc"], id="realizations"),
         pytest.param("[mc]\nslices = 0\n", ["--quick", "mc"], id="slices"),
         pytest.param("[input]\nspan_factor = -1\n", ["figure2"], id="negative-span"),
@@ -239,17 +240,18 @@ def _uneven_spectrum_csv(tmp_path):
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     """Invalid values are rejected at the configuration boundary: exit 2,
-    a single ``error:`` line and no traceback."""
+    a single ``error:`` line, no traceback and nothing on stdout."""
     csvs = {"BAD_CSV": _bad_spectrum_csv, "UNEVEN_CSV": _uneven_spectrum_csv}
     argv = [csvs[a](tmp_path) if a in csvs else a for a in argv]
     if config is not None:
         argv = ["--config", write_config(tmp_path, config)] + argv
     rc = main(["--out", str(tmp_path / "o")] + argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == 2
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert out == ""
 
 
 def test_underflowing_fit_exits_1_with_one_error_line(tmp_path, capsys):
@@ -369,17 +371,6 @@ def test_figure2_artifacts_and_numbers(tmp_path, capsys):
     with open(os.path.join(out, "figure2_output.csv")) as fh:
         header = fh.readline()
     assert header.startswith("#") and cfg_digest in header
-
-
-def test_figure2_off_resonance_only(tmp_path, capsys):
-    out = str(tmp_path / "f2o")
-    rc = main(["--out", out, "figure2", "--off-resonance-only"])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "input fwhm" in text
-    assert "output fwhm" not in text
-    assert os.path.isfile(os.path.join(out, "figure2_input.csv"))
-    assert not os.path.exists(os.path.join(out, "figure2_output.csv"))
 
 
 def test_figure3_width_ratio(tmp_path, capsys):

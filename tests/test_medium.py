@@ -10,7 +10,6 @@ from eitnarrow.medium import (
     complex_rates,
     coupling_eta,
     drive_for_target_width,
-    eit_transmission_scan,
     eit_width,
     optical_depth,
     thick_filter_hwhm,
@@ -185,8 +184,7 @@ def test_eit_scan_width_matches_thick_filter_scale():
     m = paper_medium()
     f = drive_fields()
     g = complex_rates(m, f).gamma_cb_eff.real
-    scan = eit_transmission_scan(m, f, FrequencyGrid.spanning(30.0 * g, 1201))
-    width = eit_width(scan)
+    width = eit_width(m, f, FrequencyGrid.spanning(30.0 * g, 1201))
     # optical thickness narrows the feature well below the bare
     # power-broadened width 2g, toward the thick-filter half-max width
     assert width < 2.0 * g
@@ -195,10 +193,11 @@ def test_eit_scan_width_matches_thick_filter_scale():
 
 def test_eit_width_requires_a_feature():
     m = paper_medium(length=0.0)
-    scan = eit_transmission_scan(m, drive_fields(), FrequencyGrid.spanning(1e6, 101))
-    assert np.all(scan.transmission == 1.0)
+    f = drive_fields()
+    grid = FrequencyGrid.spanning(1e6, 101)
+    assert np.all(transmission(m, f, grid.omegas) == 1.0)
     with pytest.raises(InvalidParameterError):
-        eit_width(scan)
+        eit_width(m, f, grid)
 
 
 def test_population_and_probe_warnings():

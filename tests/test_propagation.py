@@ -22,7 +22,6 @@ from eitnarrow.medium import (
 )
 from eitnarrow.mc import bloch_medium
 from eitnarrow.propagation import (
-    PropagationProblem,
     adiabatic_rate_check,
     doppler_average_transfer,
     narrowing_factor,
@@ -55,7 +54,7 @@ def test_zero_length_is_the_identity():
     m = paper_medium(length=0.0)
     grid = FrequencyGrid.spanning(TWO_PI * 5e6, 801)
     s = paper_input(grid)
-    out = propagate_spectrum(PropagationProblem(m, paper_fields(), s))
+    out = propagate_spectrum(m, paper_fields(), s)
     assert np.array_equal(out.density, s.density)
 
 
@@ -66,7 +65,7 @@ def test_paper_scale_narrowing():
     f = paper_fields()
     hwhm = thick_filter_hwhm(m, abs(f.omega_d) ** 2)
     grid = FrequencyGrid.spanning(12.0 * hwhm, 3001)
-    out = propagate_spectrum(PropagationProblem(m, f, paper_input(grid)))
+    out = propagate_spectrum(m, f, paper_input(grid))
     width = fwhm_estimate(out)
     assert width == pytest.approx(2.0 * hwhm, rel=0.2)
     assert narrowing_factor(TWO_PI * 980e3, width) > 100.0
@@ -77,7 +76,7 @@ def test_output_transfer_equals_exponent():
     f = paper_fields()
     grid = FrequencyGrid.spanning(TWO_PI * 200e3, 501)
     s = paper_input(grid)
-    out = propagate_spectrum(PropagationProblem(m, f, s))
+    out = propagate_spectrum(m, f, s)
     kappa = transfer_exponent(m, f, s.omegas)
     assert np.allclose(out.density, s.density * np.exp(kappa.real * m.length))
     assert np.all(out.density <= s.density)  # passivity
@@ -97,16 +96,15 @@ def test_thick_filter_center_wing_and_identity(factor):
     transfer = thick.density / np.maximum(s.density, 1e-300)
     assert transfer[0] == pytest.approx(wing_transmission(m, f), rel=1e-2)
     # identity with the full transfer at the same factor (gamma_cb = 0)
-    full = propagate_spectrum(PropagationProblem(m, f, s))
+    full = propagate_spectrum(m, f, s)
     assert np.max(np.abs(thick.density - full.density)) < 1e-6 * full.density.max()
 
 
 def test_correlation_route_rejects_zero_input():
     m = paper_medium()
     grid = FrequencyGrid.spanning(1e6, 201)
-    p = PropagationProblem(m, paper_fields(), Spectrum(grid, np.zeros(201)))
     with pytest.raises(InvalidParameterError):
-        propagate_correlation(p)
+        propagate_correlation(m, paper_fields(), Spectrum(grid, np.zeros(201)))
 
 
 def test_coherence_decays_with_lag():
@@ -117,18 +115,17 @@ def test_coherence_decays_with_lag():
     g = complex_rates(m, f).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(120.0 * g, 1201)
     s = gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
-    corr = propagate_correlation(PropagationProblem(m, f, s))
+    corr = propagate_correlation(m, f, s)
     gmag = np.abs(corr.coherence.values)
     assert gmag[-1] < 0.05 * gmag.max()
 
 
-def _dense_propagator(p, slave_row, sweep, size):
+def _dense_propagator(m, f, slave_row, sweep, size):
     """exp(L M) for the cell length L, as a real 2n x 2n matrix acting on
     (Re R, Im R): M is the real-linear z-derivative of the route, built
     column by column, and the exponential is taken by scaling and
     squaring of a Taylor series."""
-    m = p.medium
-    rates = complex_rates(m, p.fields)
+    rates = complex_rates(m, f)
     nfac = rates.n_factor
     b_pump = rates.gamma_cb_eff - m.gamma_cb
     pref = 0.5 * coupling_eta(m)
@@ -158,7 +155,7 @@ def _dense_propagator(p, slave_row, sweep, size):
     return out
 
 
-def _small_problem(case):
+def _small_case(case):
     m = paper_medium()
     f = paper_fields()
     broadening = complex_rates(m, f).gamma_cb_eff.real
@@ -168,24 +165,24 @@ def _small_problem(case):
         f = replace(f, delta_p=0.1 * m.doppler_width)
     grid = FrequencyGrid.spanning(40.0 * broadening, 201)
     s = gaussian_spectrum(6.0 * broadening / GAUSSIAN_FWHM_FACTOR, grid)
-    return PropagationProblem(m, f, s)
+    return m, f, s
 
 
 @pytest.mark.parametrize("case", ["on-resonance", "decaying", "detuned"])
 def test_taylor_march_matches_the_dense_exponential(case):
     """At the step count the route chooses, the z-march agrees with the
     exact propagator exp(L M) within 1e-10 of |R(0)| at z = L."""
-    p = _small_problem(case)
-    dtau, _ = propagation._auto_tau_grid(p)
-    half = spectrum_to_correlation(p.input_spectrum, dtau, 151).values
+    m, f, s = _small_case(case)
+    rates = complex_rates(m, f)
+    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
+    half = spectrum_to_correlation(s, dtau, 151).values
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
     center = half.size - 1
-    slave_row = propagation._slave_row(p, dtau, r0.size)
-    rates = complex_rates(p.medium, p.fields)
+    slave_row = propagation._slave_row(rates, s.grid, dtau, r0.size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
-    steps = propagation._step_count(p)
-    r = propagation._integrate_correlation(p, slave_row, sweep, r0, steps)
-    exact = _dense_propagator(p, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
+    steps = propagation._step_count(m, f, s.omegas)
+    r = propagation._integrate_correlation(m, rates, slave_row, sweep, r0, steps)
+    exact = _dense_propagator(m, f, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
     r_ref = exact[: r0.size] + 1j * exact[r0.size :]
     assert abs(r_ref[center]) < 0.99 * abs(r0[center])  # the march did work
     assert np.max(np.abs(r - r_ref)) <= 1e-10 * abs(r_ref[center])
@@ -195,7 +192,7 @@ def test_correlation_route_sweep_count(monkeypatch):
     """One propagate_correlation evaluates the lag sweep once per term of
     the degree-12 Taylor step, for each z step of the coarse (N) and the
     fine (2N) pass, plus once for the coherence of the fine pass; N = 7
-    for this problem."""
+    for this input."""
     calls = []
 
     def counting(*args):
@@ -208,14 +205,13 @@ def test_correlation_route_sweep_count(monkeypatch):
     g = complex_rates(m, f).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(120.0 * g, 1201)
     s = gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
-    p = PropagationProblem(m, f, s)
-    assert propagation._step_count(p) == 7
-    propagate_correlation(p)
+    assert propagation._step_count(m, f, s.omegas) == 7
+    propagate_correlation(m, f, s)
     assert len(calls) == 12 * (7 + 2 * 7) + 1  # 253
 
 
 def test_step_count_follows_the_largest_exponent():
-    """With Doppler off the detuned route problem has a bare rate
+    """With Doppler off the detuned route case has a bare rate
     |a L| of about 4 but max |kappa| L of about 1021 on its input grid;
     the step count follows the latter."""
     m = paper_medium(doppler=False)
@@ -225,24 +221,22 @@ def test_step_count_follows_the_largest_exponent():
     bare = abs(coupling_eta(m) * rates.n_factor.real * m.length)
     scale = rates.gamma_cb_eff.real
     grid = FrequencyGrid.spanning(120.0 * scale, 1201)
-    p = PropagationProblem(m, f, gaussian_spectrum(20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid))
     reach = np.max(np.abs(transfer_exponent(m, f, grid.omegas))) * m.length
     assert 3.0 < bare < 5.0
     assert 1000.0 < reach < 1050.0
-    assert propagation._step_count(p) == int(np.ceil(reach))
+    assert propagation._step_count(m, f, grid.omegas) == int(np.ceil(reach))
 
 
 def test_adiabatic_report_flags_validity():
     m = paper_medium()  # gamma_cb = 0 -> infinitely adiabatic
     f = paper_fields()
-    report = adiabatic_rate_check(PropagationProblem(m, f, paper_input(
-        FrequencyGrid.spanning(1e6, 64))))
+    omegas = FrequencyGrid.spanning(1e6, 64).omegas
+    report = adiabatic_rate_check(m, f, omegas)
     assert report.valid
     assert report.validity_ratio == np.inf
     # strong ground decoherence breaks adiabaticity: ratio < 10 -> invalid
     bad = paper_medium(gamma_cb=1e6)
-    report = adiabatic_rate_check(PropagationProblem(bad, f, paper_input(
-        FrequencyGrid.spanning(1e6, 64))))
+    report = adiabatic_rate_check(bad, f, omegas)
     assert report.validity_ratio < 10.0
     assert not report.valid
 
@@ -297,15 +291,13 @@ def test_slaving_error_bounds_a_low_density_homogeneous_medium():
     grid = FrequencyGrid.spanning(10.0 * g, 129)
     s = gaussian_spectrum(4.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
     mask = s.density > 0.05 * s.density.max()
-    strong = FrequencyGrid(float(grid.omegas[mask][0]), grid.step, int(mask.sum()))
-    p = PropagationProblem(m, f, Spectrum(strong, s.density[mask]))
-    error = adiabatic_rate_check(p).slaving_error
+    error = adiabatic_rate_check(m, f, grid.omegas[mask]).slaving_error
     assert 1e-3 < error <= 0.03
 
 
 def test_slaving_error_is_negligible_at_the_default_config():
     cfg = load_config()
-    report = adiabatic_rate_check(cfg.problem(cfg.input_spectrum(cfg.output_grid())))
+    report = adiabatic_rate_check(cfg.medium, cfg.fields, cfg.output_grid().omegas)
     assert report.slaving_error < 1e-4
 
 
@@ -357,7 +349,7 @@ def test_output_lineshape_near_lorentzian_scale():
     f = paper_fields()
     hwhm = thick_filter_hwhm(m, abs(f.omega_d) ** 2)
     grid = FrequencyGrid.spanning(12.0 * hwhm, 3001)
-    out = propagate_spectrum(PropagationProblem(m, f, paper_input(grid)))
+    out = propagate_spectrum(m, f, paper_input(grid))
     fit = fit_lineshape(out, "lorentzian")
     assert fit.fwhm == pytest.approx(0.85 * 2.0 * hwhm, rel=0.05)
 
@@ -374,6 +366,6 @@ def test_lorentzian_input_same_transfer():
     grid = FrequencyGrid.spanning(TWO_PI * 200e3, 501)
     g_in = paper_input(grid)
     l_in = lorentzian_spectrum(TWO_PI * 490e3, grid)
-    t_g = propagate_spectrum(PropagationProblem(m, f, g_in)).density / g_in.density
-    t_l = propagate_spectrum(PropagationProblem(m, f, l_in)).density / l_in.density
+    t_g = propagate_spectrum(m, f, g_in).density / g_in.density
+    t_l = propagate_spectrum(m, f, l_in).density / l_in.density
     assert np.allclose(t_g, t_l, rtol=1e-9)
