@@ -9,7 +9,9 @@ Two independent routes through the medium:
   is solved with an exact exponential integrator and the correlation is
   advanced in z by the Taylor polynomial of exp(dz L) in Horner form: the
   z-derivative L is real-linear in R and z-independent (RK4 is the
-  degree-4 case).  There is one step per unit of max |kappa(omega)| L.
+  degree-4 case).  There is one degree-36 step per 7 units of
+  max |kappa(omega)| L (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+  (2011)).
 
 Correlations are conjugate correlations <S*(t) S(t+tau)>, so R(0) is
 real-positive and the density transfer of the (tau, z) system reduces
@@ -47,11 +49,13 @@ from .spectral import (
 # route accepts
 HALVING_TOL = 1e-4
 
-# the z-march: degree of one Taylor step, the |kappa| dz it spans, and
-# the most steps the route takes before calling the medium too deep
-TAYLOR_DEGREE = 12
-STEP_REACH = 1.0
-MAX_STEPS = 10**4
+# the z-march: degree m of one Taylor step, the |kappa| dz = theta it
+# spans (truncation bound theta^(m+1)/(m+1)! = 1.35e-12 per step), and
+# the largest max |kappa| L the route marches before calling the medium
+# too deep
+TAYLOR_DEGREE = 36
+STEP_REACH = 7.0
+MAX_REACH = 1e4
 
 
 @dataclass(frozen=True)
@@ -121,17 +125,18 @@ def _slave_row(rates: ComplexRates, g: FrequencyGrid, dtau: float, size: int) ->
 
 
 def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> int:
-    """Coarse z-step count: max |kappa(omega)| L over ``omegas``, one
-    step per ``STEP_REACH``; a ResolutionError beyond ``MAX_STEPS``."""
+    """Coarse z-step count: ceil(max |kappa(omega)| L / ``STEP_REACH``)
+    over ``omegas``; a ResolutionError if max |kappa| L exceeds
+    ``MAX_REACH``."""
     kappa = transfer_exponent(m, f, omegas)
-    reach = float(np.max(np.abs(kappa))) * m.length / STEP_REACH
+    reach = float(np.max(np.abs(kappa))) * m.length
     # a NaN or infinite reach fails the comparison too
-    if not reach <= MAX_STEPS:
+    if not reach <= MAX_REACH:
         raise ResolutionError(
-            f"the medium needs {reach:.3e} z steps (max |kappa| L), more than {MAX_STEPS}",
+            f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}",
             residual=reach,
         )
-    return max(1, int(np.ceil(reach)))
+    return max(1, int(np.ceil(reach / STEP_REACH)))
 
 
 def _integrate_correlation(
@@ -166,8 +171,10 @@ def _integrate_correlation(
 
 
 def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> CorrelationResult:
-    """(tau, z) route; raises ResolutionError beyond ``MAX_STEPS`` z steps
-    or if halving the z step changes R by more than ``HALVING_TOL`` R(0)."""
+    """(tau, z) route in ceil(max |kappa| L / ``STEP_REACH``) Taylor steps
+    of degree ``TAYLOR_DEGREE``; raises ResolutionError if max |kappa| L
+    exceeds ``MAX_REACH`` or if halving the z step changes R by more than
+    ``HALVING_TOL`` R(0)."""
     steps = _step_count(m, f, s.omegas)
     rates = complex_rates(m, f)
     dtau, count = _auto_tau_grid(rates, s.grid)

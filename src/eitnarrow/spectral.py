@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,6 +256,15 @@ def correlation_to_spectrum(r: CorrelationFunction, grid: FrequencyGrid) -> Spec
     return Spectrum(grid, density)
 
 
+@lru_cache(maxsize=4)
+def _hann(n: int) -> np.ndarray:
+    """The n-point Hann window, built once per length and shared
+    read-only between calls."""
+    w = np.hanning(n)
+    w.flags.writeable = False
+    return w
+
+
 def periodogram(envelope: np.ndarray, dt: float, window: str = "boxcar") -> Spectrum:
     """Periodogram of a complex envelope, normalized so the density
     integral equals the (window-weighted) mean power of the series.
@@ -269,7 +279,7 @@ def periodogram(envelope: np.ndarray, dt: float, window: str = "boxcar") -> Spec
     if window == "boxcar":
         w = np.ones(n)
     elif window == "hann":
-        w = np.hanning(n)
+        w = _hann(n)
     else:
         raise InvalidParameterError(f"unknown window {window!r}")
     spec = np.fft.fftshift(np.fft.fft(x * w))

@@ -504,9 +504,9 @@ def test_figure2_without_doppler_matches_the_closed_form(tmp_path, capsys):
 
 
 def test_too_deep_medium_exits_3_before_marching(tmp_path, capsys, monkeypatch):
-    """At 1e15 cm^-3 the correlation route would need more than
-    ``MAX_STEPS`` z steps: one ``error: resolution:`` line, exit 3, and
-    no lag sweep is run."""
+    """At 1e15 cm^-3 the correlation route's max |kappa| L exceeds
+    ``MAX_REACH``: one ``error: resolution:`` line, exit 3, and no lag
+    sweep is run."""
     calls = []
     monkeypatch.setattr(propagation, "g_sweep", lambda *args: calls.append(args))
     path = write_config(tmp_path, "[medium]\ndensity_cm3 = 1e15\n")

@@ -50,6 +50,15 @@ def paper_input(grid: FrequencyGrid) -> Spectrum:
     return gaussian_spectrum(TWO_PI * 980e3 / GAUSSIAN_FWHM_FACTOR, grid)
 
 
+def _route_case():
+    """The on-resonance problem of the route-equivalence check."""
+    m = paper_medium()
+    f = paper_fields()
+    g = complex_rates(m, f).gamma_cb_eff.real
+    grid = FrequencyGrid.spanning(120.0 * g, 1201)
+    return m, f, gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
+
+
 def test_zero_length_is_the_identity():
     m = paper_medium(length=0.0)
     grid = FrequencyGrid.spanning(TWO_PI * 5e6, 801)
@@ -110,11 +119,7 @@ def test_correlation_route_rejects_zero_input():
 def test_coherence_decays_with_lag():
     """The slaved coherence correlation G(tau) decays over the output
     coherence scale."""
-    m = paper_medium()
-    f = paper_fields()
-    g = complex_rates(m, f).gamma_cb_eff.real
-    grid = FrequencyGrid.spanning(120.0 * g, 1201)
-    s = gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
+    m, f, s = _route_case()
     corr = propagate_correlation(m, f, s)
     gmag = np.abs(corr.coherence.values)
     assert gmag[-1] < 0.05 * gmag.max()
@@ -190,9 +195,9 @@ def test_taylor_march_matches_the_dense_exponential(case):
 
 def test_correlation_route_sweep_count(monkeypatch):
     """One propagate_correlation evaluates the lag sweep once per term of
-    the degree-12 Taylor step, for each z step of the coarse (N) and the
-    fine (2N) pass, plus once for the coherence of the fine pass; N = 7
-    for this input."""
+    the degree-36 Taylor step, for each z step of the coarse (N) and the
+    fine (2N) pass, plus once for the coherence of the fine pass; N = 1
+    for this input (max |kappa| L = 6.5)."""
     calls = []
 
     def counting(*args):
@@ -200,20 +205,38 @@ def test_correlation_route_sweep_count(monkeypatch):
         return g_sweep(*args)
 
     monkeypatch.setattr(propagation, "g_sweep", counting)
-    m = paper_medium()
-    f = paper_fields()
-    g = complex_rates(m, f).gamma_cb_eff.real
-    grid = FrequencyGrid.spanning(120.0 * g, 1201)
-    s = gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
-    assert propagation._step_count(m, f, s.omegas) == 7
+    m, f, s = _route_case()
+    assert propagation._step_count(m, f, s.omegas) == 1
     propagate_correlation(m, f, s)
-    assert len(calls) == 12 * (7 + 2 * 7) + 1  # 253
+    assert len(calls) == 36 * (1 + 2) + 1  # 109
+
+
+def test_single_taylor_step_matches_a_fine_march(monkeypatch):
+    """On the full-size on-resonance route problem the one z step the
+    route takes agrees with an 8-step march within 1e-10 of R(0)."""
+    args = []
+    real = propagation._integrate_correlation
+
+    def capture(*a):
+        args.append(a[:-1])
+        return real(*a)
+
+    monkeypatch.setattr(propagation, "_integrate_correlation", capture)
+    m, f, s = _route_case()
+    propagate_correlation(m, f, s)
+    m, rates, slave_row, sweep, r0 = args[0]
+    assert r0.size == 10391
+    one = real(m, rates, slave_row, sweep, r0, 1)
+    fine = real(m, rates, slave_row, sweep, r0, 8)
+    center = r0.size // 2
+    assert abs(fine[center]) < 0.99 * abs(r0[center])  # the march did work
+    assert np.max(np.abs(one - fine)) <= 1e-10 * abs(fine[center])
 
 
 def test_step_count_follows_the_largest_exponent():
     """With Doppler off the detuned route case has a bare rate
     |a L| of about 4 but max |kappa| L of about 1021 on its input grid;
-    the step count follows the latter."""
+    the step count follows the latter, one step per ``STEP_REACH``."""
     m = paper_medium(doppler=False)
     drive = drive_for_target_width(m, TWO_PI * 4.6e3)
     f = FieldConfig(omega_d=drive, delta_p=0.1 * m.doppler_width)
@@ -224,7 +247,8 @@ def test_step_count_follows_the_largest_exponent():
     reach = np.max(np.abs(transfer_exponent(m, f, grid.omegas))) * m.length
     assert 3.0 < bare < 5.0
     assert 1000.0 < reach < 1050.0
-    assert propagation._step_count(m, f, grid.omegas) == int(np.ceil(reach))
+    steps = propagation._step_count(m, f, grid.omegas)
+    assert steps == int(np.ceil(reach / propagation.STEP_REACH)) == 146
 
 
 def test_adiabatic_report_flags_validity():

@@ -283,6 +283,19 @@ def test_periodogram_normalization_and_windows():
         periodogram(x, dt, window="flat-top")
 
 
+def test_hann_periodogram_matches_a_fresh_window():
+    """The Hann window is built once per length: repeated calls at
+    several lengths give the bytes of a window built on the spot."""
+    rng = np.random.default_rng(5)
+    dt = 1e-4
+    for n in (512, 513, 512):
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = np.hanning(n)
+        spec = np.fft.fftshift(np.fft.fft(x * w))
+        expected = (np.abs(spec) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
+        assert np.array_equal(periodogram(x, dt, window="hann").density, expected)
+
+
 def test_spectrum_rejects_negative_density():
     grid = FrequencyGrid.centered(step=1.0, count=16)
     with pytest.raises(InvalidParameterError):
