@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     ResolutionError,
 )
-from .fitting import fit_lineshape, linear_fit
+from .fitting import _MODELS, fit_lineshape, linear_fit
 from .medium import (
     FieldConfig,
     closed_form_width,
@@ -62,13 +62,6 @@ def _input_grid(cfg: RunConfig) -> FrequencyGrid:
     return FrequencyGrid.spanning(cfg.span_factor * cfg.input_fwhm, cfg.grid_points)
 
 
-def _fit_curve(fit, grid: FrequencyGrid) -> np.ndarray:
-    w = grid.omegas - fit.center
-    if fit.model == "gaussian":
-        return fit.amplitude * np.exp(-((w / fit.width) ** 2))
-    return fit.amplitude * fit.width**2 / (w**2 + fit.width**2)
-
-
 def cmd_figure2(cfg: RunConfig, out: str) -> int:
     """Input beat spectrum against the spectrum transmitted by the cell."""
     wide = _input_grid(cfg)
@@ -90,12 +83,16 @@ def cmd_figure2(cfg: RunConfig, out: str) -> int:
     )
     print(f"narrowing factor: {narrowing_factor(fit_in.fwhm, fit_out.fwhm):.1f}")
 
+    fit_in_curve, fit_out_curve = (
+        Spectrum(g, _MODELS[fit.model](g.omegas, fit.amplitude, fit.center, fit.width)[0])
+        for g, fit in ((wide, fit_in), (fine, fit_out))
+    )
     ensure_out_dir(out)
     for name, spec in (
         ("figure2_input.csv", s_in),
         ("figure2_output.csv", s_out),
-        ("figure2_fit_input.csv", Spectrum(wide, _fit_curve(fit_in, wide))),
-        ("figure2_fit_output.csv", Spectrum(fine, _fit_curve(fit_out, fine))),
+        ("figure2_fit_input.csv", fit_in_curve),
+        ("figure2_fit_output.csv", fit_out_curve),
     ):
         write_spectrum_csv(os.path.join(out, name), spec, cfg.digest)
     peak_in = s_in.density.max()
@@ -318,12 +315,9 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
     models = [model] if model != "auto" else ["gaussian", "lorentzian"]
     fits = [fit_lineshape(spectrum, m) for m in models]
     best = min(fits, key=lambda f: f.rms_residual)
+    curve = _MODELS[best.model](grid.omegas, best.amplitude, best.center, best.width)[0]
     ensure_out_dir(out)
-    write_spectrum_csv(
-        os.path.join(out, "fit_curve.csv"),
-        Spectrum(grid, _fit_curve(best, grid)),
-        cfg.digest,
-    )
+    write_spectrum_csv(os.path.join(out, "fit_curve.csv"), Spectrum(grid, curve), cfg.digest)
     print(f"model: {best.model}")
     print(f"center: {float(best.center)!r} rad/s")
     print(f"width parameter: {float(best.width)!r} rad/s")

@@ -27,7 +27,7 @@ from .errors import InvalidParameterError
 from .kernels import _phi12, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
 from .noise import PhaseNoiseModel, synthesize_probe_field
-from .spectral import Spectrum, periodogram
+from .spectral import Spectrum, _hann, periodogram
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,7 @@ def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> n
     the input-weighted transfer with the window kernel makes the
     comparison exact in expectation."""
     n = analytic_bins.size
-    w = np.hanning(n)
-    kern = np.abs(np.fft.fftshift(np.fft.fft(w))) ** 2
+    kern = np.abs(np.fft.fftshift(np.fft.fft(_hann(n)))) ** 2
     kern /= kern.sum()
     kern = np.roll(kern, (n - 1) // 2 - int(np.argmax(kern)))
     num = np.convolve(analytic_bins * result.input_density, kern, mode="same")

@@ -1,5 +1,6 @@
 """Spectrum and correlation propagation routes and their cross-checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import eitnarrow.propagation as propagation
 from eitnarrow.config import load_config
-from eitnarrow.errors import InvalidParameterError, ResolutionError
+from eitnarrow.errors import InvalidParameterError, SingularRateError
 from eitnarrow.kernels import g_sweep, g_sweep_coefficients
 from eitnarrow.medium import (
     FieldConfig,
@@ -334,7 +335,7 @@ def test_doppler_average_cross_check():
     m0 = paper_medium(doppler_width=0.0)
     grid = FrequencyGrid.spanning(TWO_PI * 100e3, 101)
     homogeneous = transmission(replace(m0, doppler=False), f, grid.omegas)
-    report0 = doppler_average_transfer(m0, f, grid, nodes=51)
+    report0 = doppler_average_transfer(m0, f, grid)
     assert np.array_equal(report0.averaged, homogeneous)
     # symmetric velocity distribution: transfer even in omega
     m = paper_medium()
@@ -346,10 +347,59 @@ def test_doppler_average_cross_check():
     # report surfaces that deviation rather than hiding it
     assert report.averaged[50] == pytest.approx(report.substituted[50], abs=1e-6)
     assert report.max_relative_deviation > 0.0
-    # 201 nodes over +-4 sigma are spaced wider than gamma_ab: node
-    # doubling exposes the unconverged quadrature
-    with pytest.raises(ResolutionError):
-        doppler_average_transfer(m, f, sym_grid, nodes=201)
+
+
+def test_faddeeva_on_the_imaginary_axis():
+    """w(iy) = exp(y^2) erfc(y) for real y."""
+    for y in np.geomspace(1e-3, 10.0, 60):
+        exact = math.exp(y * y) * math.erfc(y)
+        assert abs(propagation._faddeeva(1j * y) - exact) <= 1e-12 * exact
+
+
+def _velocity_trapezoid(m, f, omegas):
+    """<kappa_v> by the 8 001-node trapezoid rule over +-8 sigma of the
+    velocity profile."""
+    hom = replace(m, doppler=False)
+    sigma = m.doppler_width / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    shifts = np.linspace(-8.0 * sigma, 8.0 * sigma, 8001)
+    weights = np.exp(-0.5 * (shifts / sigma) ** 2)
+    weights[[0, -1]] *= 0.5
+    weights /= weights.sum()
+    kappa = np.zeros(omegas.size, dtype=complex)
+    for shift, weight in zip(shifts, weights):
+        fv = replace(f, delta_p=f.delta_p + shift, delta_ac=f.delta_ac + shift)
+        kappa += weight * transfer_exponent(hom, fv, omegas)
+    return kappa
+
+
+@pytest.mark.parametrize("case", ["default", "gamma_cb", "detuned", "probe", "rho_cc"])
+def test_doppler_average_matches_a_velocity_quadrature(case):
+    """The closed-form average equals a fine +-8 sigma trapezoid within
+    1e-10 of max |kappa| on a 201-point output-width grid."""
+    cfg = load_config()
+    m, f = cfg.medium, cfg.fields
+    if case == "gamma_cb":
+        m = replace(m, gamma_cb=TWO_PI * 300.0)
+    elif case == "detuned":
+        f = replace(f, delta_p=TWO_PI * 5e6, delta_ac=-TWO_PI * 3e6)
+    elif case == "probe":
+        f = replace(f, omega_p=0.05 * abs(f.omega_d))
+    elif case == "rho_cc":
+        f = replace(f, rho_bb=0.7, rho_cc=0.3)
+    out = cfg.output_grid()
+    omegas = FrequencyGrid.spanning(out.count * out.step, 201).omegas
+    exact = propagation._doppler_averaged_exponent(m, f, omegas)
+    reference = _velocity_trapezoid(m, f, omegas)
+    assert np.max(np.abs(exact - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+def test_doppler_average_rejects_coincident_poles():
+    """Without optical dephasing, detuning or fields kappa_v has a double
+    pole at zero velocity shift, and its average is undefined."""
+    m = paper_medium(gamma_ab=0.0, gamma_ac=0.0, gamma_cb=1e3)
+    grid = FrequencyGrid.spanning(TWO_PI * 100e3, 11)
+    with pytest.raises(SingularRateError):
+        doppler_average_transfer(m, FieldConfig(omega_d=0.0), grid)
 
 
 def test_doppler_average_at_the_default_config():
