@@ -85,8 +85,7 @@ def band_transfer_vs_reference(
     mask = weights > floor * weights.max()
     analytic = transmission(bloch_medium(cfg.medium), cfg.fields, result.spectrum.omegas)
     ref_bins = windowed_reference(result, analytic)
-    _, values, errs = band_average_transfer(result, mask, n_bands)
-    groups = np.array_split(np.flatnonzero(mask), n_bands)
+    groups, values, errs = band_average_transfer(result, mask, n_bands)
     refs = np.array([np.sum(ref_bins[g] * weights[g]) / np.sum(weights[g]) for g in groups])
     return values, refs, errs
 

@@ -36,7 +36,7 @@ class OpticallyThinError(InvalidParameterError):
 
 
 class ResolutionError(EitNarrowError):
-    """A numerical route failed its step-halving convergence check.
+    """A numerical route failed a resolution check (e.g. the z Taylor tail).
 
     ``residual`` is the achieved disagreement.
     """

@@ -181,24 +181,21 @@ def band_average_transfer(
     band-power ratio (sum of output periodogram bins over sum of input
     bins); numerator and denominator share the same random amplitudes,
     so the ratio is tight and nearly unbiased even where single-bin
-    ratios would be heavy tailed.  Returns (band centers, band transfer
-    means, band standard errors).
+    ratios would be heavy tailed.  Returns (the bin indices of each band,
+    band transfer means, band standard errors).
     """
     idx = np.flatnonzero(mask)
     if idx.size < n_bands:
         raise InvalidParameterError("fewer masked bins than requested bands")
-    omegas = result.spectrum.omegas
     groups = np.array_split(idx, n_bands)
     nr = result.per_real_out.shape[0]
-    centers = np.empty(n_bands)
     values = np.empty(n_bands)
     errs = np.empty(n_bands)
     for i, g in enumerate(groups):
         q = result.per_real_out[:, g].sum(axis=1) / result.per_real_in[:, g].sum(axis=1)
-        centers[i] = omegas[g].mean()
         values[i] = q.mean()
         errs[i] = q.std(ddof=1) / np.sqrt(nr)
-    return centers, values, errs
+    return groups, values, errs
 
 
 def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> np.ndarray:

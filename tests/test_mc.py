@@ -151,7 +151,7 @@ def test_center_transfer_is_unity_within_three_sigma():
     w = result.spectrum.omegas
     g = complex_rates(reduced_medium(), reduced_fields()).gamma_cb_eff.real
     mask = np.abs(w) < 0.2 * g
-    centers, values, errs = band_average_transfer(result, mask, 1)
+    _, values, errs = band_average_transfer(result, mask, 1)
     assert abs(values[0] - 1.0) <= 3.0 * errs[0]
 
 

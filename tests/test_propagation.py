@@ -51,10 +51,22 @@ def paper_input(grid: FrequencyGrid) -> Spectrum:
     return gaussian_spectrum(TWO_PI * 980e3 / GAUSSIAN_FWHM_FACTOR, grid)
 
 
-def _route_case():
-    """The on-resonance problem of the route-equivalence check."""
+def _case_medium(case):
+    """Medium and fields of one route-equivalence problem: on resonance,
+    with a ground decay of 0.2 times the power broadening, or with the
+    probe detuned by 0.1 Delta_W."""
     m = paper_medium()
     f = paper_fields()
+    if case == "decaying":
+        m = replace(m, gamma_cb=0.2 * complex_rates(m, f).gamma_cb_eff.real)
+    elif case == "detuned":
+        f = replace(f, delta_p=0.1 * m.doppler_width)
+    return m, f
+
+
+def _route_case(case="on-resonance"):
+    """One problem of the route-equivalence check."""
+    m, f = _case_medium(case)
     g = complex_rates(m, f).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(120.0 * g, 1201)
     return m, f, gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
@@ -162,23 +174,27 @@ def _dense_propagator(m, f, slave_row, sweep, size):
 
 
 def _small_case(case):
-    m = paper_medium()
-    f = paper_fields()
-    broadening = complex_rates(m, f).gamma_cb_eff.real
-    if case == "decaying":
-        m = replace(m, gamma_cb=0.2 * broadening)
-    elif case == "detuned":
-        f = replace(f, delta_p=0.1 * m.doppler_width)
+    m, f = _case_medium(case)
+    broadening = complex_rates(paper_medium(), paper_fields()).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(40.0 * broadening, 201)
     s = gaussian_spectrum(6.0 * broadening / GAUSSIAN_FWHM_FACTOR, grid)
     return m, f, s
 
 
-@pytest.mark.parametrize("case", ["on-resonance", "decaying", "detuned"])
-def test_taylor_march_matches_the_dense_exponential(case):
+@pytest.mark.parametrize(
+    "case, stretch",
+    [("on-resonance", 1), ("decaying", 1), ("detuned", 1), ("decaying", 12)],
+    ids=["on-resonance", "decaying", "detuned", "decaying-12-steps"],
+)
+def test_taylor_march_matches_the_dense_exponential(case, stretch):
     """At the step count the route chooses, the z-march agrees with the
-    exact propagator exp(L M) within 1e-10 of |R(0)| at z = L."""
+    exact propagator exp(L M) within 1e-10 of |R(0)| at z = L; its
+    summed Taylor tail bounds that error and the change from halving the
+    step, and stays below 1e-10 itself.  Stretched 12-fold, the decaying
+    case takes 12 steps over which R(0) falls by 6e-14, so each step's
+    tail must be taken relative to the R(0) that step returns."""
     m, f, s = _small_case(case)
+    m = replace(m, length=stretch * m.length)
     rates = complex_rates(m, f)
     dtau, _ = propagation._auto_tau_grid(rates, s.grid)
     half = spectrum_to_correlation(s, dtau, 151).values
@@ -187,18 +203,22 @@ def test_taylor_march_matches_the_dense_exponential(case):
     slave_row = propagation._slave_row(rates, s.grid, dtau, r0.size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
     steps = propagation._step_count(m, f, s.omegas)
-    r = propagation._integrate_correlation(m, rates, slave_row, sweep, r0, steps)
+    assert steps == stretch
+    march = (m, rates, slave_row, sweep, r0)
+    r, residual = propagation._integrate_correlation(*march, steps)
     exact = _dense_propagator(m, f, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
     r_ref = exact[: r0.size] + 1j * exact[r0.size :]
     assert abs(r_ref[center]) < 0.99 * abs(r0[center])  # the march did work
-    assert np.max(np.abs(r - r_ref)) <= 1e-10 * abs(r_ref[center])
+    error = np.max(np.abs(r - r_ref)) / abs(r_ref[center])
+    assert error <= residual <= 1e-10
+    r_half, _ = propagation._integrate_correlation(*march, 2 * steps)
+    assert np.max(np.abs(r - r_half)) / abs(r_half[center]) <= residual
 
 
 def test_correlation_route_sweep_count(monkeypatch):
     """One propagate_correlation evaluates the lag sweep once per term of
-    the degree-36 Taylor step, for each z step of the coarse (N) and the
-    fine (2N) pass, plus once for the coherence of the fine pass; N = 1
-    for this input (max |kappa| L = 6.5)."""
+    the degree-36 Taylor step, for each of the N z steps, plus once for
+    the coherence; N = 1 for this input (max |kappa| L = 6.5)."""
     calls = []
 
     def counting(*args):
@@ -209,12 +229,13 @@ def test_correlation_route_sweep_count(monkeypatch):
     m, f, s = _route_case()
     assert propagation._step_count(m, f, s.omegas) == 1
     propagate_correlation(m, f, s)
-    assert len(calls) == 36 * (1 + 2) + 1  # 109
+    assert len(calls) == 36 * 1 + 1  # 37
 
 
 def test_single_taylor_step_matches_a_fine_march(monkeypatch):
-    """On the full-size on-resonance route problem the one z step the
-    route takes agrees with an 8-step march within 1e-10 of R(0)."""
+    """On each full-size route-equivalence problem the one z step the
+    route takes agrees with an 8-step march within 1e-10 of R(0), and
+    its Taylor tail bounds that difference."""
     args = []
     real = propagation._integrate_correlation
 
@@ -223,15 +244,19 @@ def test_single_taylor_step_matches_a_fine_march(monkeypatch):
         return real(*a)
 
     monkeypatch.setattr(propagation, "_integrate_correlation", capture)
-    m, f, s = _route_case()
-    propagate_correlation(m, f, s)
-    m, rates, slave_row, sweep, r0 = args[0]
-    assert r0.size == 10391
-    one = real(m, rates, slave_row, sweep, r0, 1)
-    fine = real(m, rates, slave_row, sweep, r0, 8)
-    center = r0.size // 2
-    assert abs(fine[center]) < 0.99 * abs(r0[center])  # the march did work
-    assert np.max(np.abs(one - fine)) <= 1e-10 * abs(fine[center])
+    for case in ("on-resonance", "decaying", "detuned"):
+        m, f, s = _route_case(case)
+        assert propagation._step_count(m, f, s.omegas) == 1
+        propagate_correlation(m, f, s)
+        m, rates, slave_row, sweep, r0 = args[-1]
+        assert r0.size == 10391
+        one, residual = real(m, rates, slave_row, sweep, r0, 1)
+        fine, _ = real(m, rates, slave_row, sweep, r0, 8)
+        center = r0.size // 2
+        assert abs(fine[center]) < 0.99 * abs(r0[center])  # the march did work
+        error = np.max(np.abs(one - fine)) / abs(fine[center])
+        assert error <= 1e-10
+        assert error <= residual
 
 
 def test_step_count_follows_the_largest_exponent():
