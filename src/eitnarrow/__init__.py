@@ -70,8 +70,6 @@ from .mc import (
     band_average_transfer,
     bloch_medium,
     ensemble_beat_spectrum,
-    integrate_slice,
-    slice_convergence,
     windowed_reference,
 )
 from .config import RunConfig, load_config
@@ -110,7 +108,6 @@ __all__ = [
     "fit_lineshape",
     "fwhm_estimate",
     "gaussian_spectrum",
-    "integrate_slice",
     "linear_fit",
     "load_config",
     "lorentzian_spectrum",
@@ -121,7 +118,6 @@ __all__ = [
     "propagate_spectrum",
     "realization_rng",
     "sample_phase_trajectory",
-    "slice_convergence",
     "spectrum_to_correlation",
     "synthesize_probe_field",
     "thick_filter_hwhm",

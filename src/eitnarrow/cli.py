@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 failed acceptance/invariant, 2 usage,
 configuration or derived-parameter error, 3 numerical-resolution error
 (including a width the grid does not resolve).  Failures print a single
 machine-parsable line ``error: <code>: <detail>`` on stderr; warnings
-print as ``warning: <message>`` lines.
+print as ``warning: <message>`` lines.  A stdout closed by its reader
+exits 1 with ``error: broken-pipe: ...`` (``eitnarrow validate | head -1``).
 """
 
 from __future__ import annotations
@@ -293,9 +294,9 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
     """Fit a model lineshape to a spectrum CSV."""
     if not os.path.isfile(path):
         raise ConfigError(f"spectrum file not found: {path}", code="config-not-found")
-    with open(path) as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    try:
+    try:  # a UnicodeDecodeError is a ValueError too
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
         rows = np.array(
             [[float(v) for v in ln.split(",")] for ln in lines[1:]]  # lines[0] is the header
         )
@@ -389,7 +390,15 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
-        return _run(argv)
+        try:
+            try:
+                return _run(argv)
+            finally:
+                sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        except BrokenPipeError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # silent exit flush
+            print(f"error: broken-pipe: {exc}", file=sys.stderr)
+            return 1
 
 
 def _run(argv: list[str] | None) -> int:
@@ -408,9 +417,7 @@ def _run(argv: list[str] | None) -> int:
             return cmd_propagate(cfg, args.out)
         if args.command == "mc":
             return cmd_mc(cfg, args.out, args.quick)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.out, args.input, args.model)
-        raise ConfigError(f"unknown command {args.command!r}", code="bad-command")
+        return cmd_fit(cfg, args.out, args.input, args.model)  # argparse allows no other
     except ConfigError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2

@@ -185,8 +185,8 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
         raise ConfigError(f"configuration file not found: {path}", code="config-not-found")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}", code="config-parse-error") from exc
     for sec in parser.sections():
         if sec not in merged:

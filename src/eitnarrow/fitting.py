@@ -61,8 +61,6 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
     """Least-squares fit of a model lineshape to a sampled spectrum."""
     if model not in _MODELS:
         raise InvalidParameterError(f"unknown model {model!r}")
-    if s.grid.count < 8:
-        raise InvalidParameterError("need at least 8 points to fit")
     w = s.omegas
     y = s.density
     peak = float(y.max())

@@ -100,21 +100,6 @@ def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
     )
 
 
-def integrate_slice(
-    envelope: np.ndarray, dt: float, m: AtomicMedium, f: FieldConfig, thickness: float
-) -> np.ndarray:
-    """Advance a probe envelope sampled at step ``dt`` across one medium
-    slice lit by the constant drive ``f.omega_d`` (frozen in the
-    weak-probe regime)."""
-    if thickness <= 0:
-        raise InvalidParameterError("slice thickness must be positive")
-    rates = complex_rates(m, f)
-    if dt * rates.gamma_cb_eff.real > 0.1:
-        raise InvalidParameterError("dt does not resolve the coherence rate")
-    coeffs = _slab_coefficients(m, f, thickness, dt)
-    return mc_batch(envelope, f.omega_d, 1, *coeffs)
-
-
 def _implied_drive_depletion(cfg: McConfig) -> float:
     """Drive power transmission implied by the steady weak-probe
     coherences; reported as a diagnostic, never fed back into the run."""
@@ -215,26 +200,11 @@ def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> n
     return num / np.maximum(den, 1e-300)
 
 
-def slice_convergence(cfg: McConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Transfer (ratio of ensemble-mean densities) with the configured
-    slice count versus double the count, on the bins with meaningful
-    input power; returns both transfers and their max relative
-    difference."""
-    res1 = ensemble_beat_spectrum(cfg)
-    res2 = ensemble_beat_spectrum(replace(cfg, slices=2 * cfg.slices))
-    mask = res1.input_density > 1e-3 * res1.input_density.max()
-    t1, t2 = (r.spectrum.density[mask] / r.input_density[mask] for r in (res1, res2))
-    rel = float(np.max(np.abs(t2 - t1) / np.maximum(t1, 1e-300)))
-    return t1, t2, rel
-
-
 __all__ = [
     "McConfig",
     "McEnsembleResult",
     "band_average_transfer",
     "bloch_medium",
     "ensemble_beat_spectrum",
-    "integrate_slice",
-    "slice_convergence",
     "windowed_reference",
 ]

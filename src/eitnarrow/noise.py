@@ -21,8 +21,6 @@ import numpy as np
 from .errors import InvalidParameterError
 from .spectral import Spectrum
 
-RNG_ALGORITHM = "numpy.random.Philox (4x64, counter-based)"
-
 
 def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
     """Independent stream for one ensemble realization."""

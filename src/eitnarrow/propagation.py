@@ -12,6 +12,7 @@ Two independent routes through the medium:
   (RK4 is the degree-4 case).  There is one degree-36 step per 7 units of
   max |kappa(omega)| L, and the last two terms of each step estimate its
   truncation (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+  Each term costs one lag sweep, and the route returns R(tau, L) alone.
 
 Correlations are conjugate correlations <S*(t) S(t+tau)>, so R(0) is
 real-positive and the density transfer of the (tau, z) system reduces
@@ -62,7 +63,6 @@ MAX_REACH = 1e4
 @dataclass(frozen=True)
 class CorrelationResult:
     beat: CorrelationFunction  # R(tau, L), tau >= 0
-    coherence: CorrelationFunction  # G(tau, L), tau >= 0
     residual: float  # summed Taylor tail of the z-march, relative to R(0)
 
 
@@ -186,19 +186,13 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     ``TAIL_TOL``."""
     steps = _step_count(m, f, s.omegas)
     rates = complex_rates(m, f)
-    dtau, count = _auto_tau_grid(rates, s.grid)
-    horizon = (count - 1) * dtau
+    dtau, count = _auto_tau_grid(rates, s.grid)  # raises unless Re Gamma_cb_eff > 0
     # the slaved initial condition at the grid edge carries a transient
     # decaying at Re Gamma_cb_eff; pad the lag grid by the settling
     # length 5/Re Gamma_cb_eff and trim it before returning, so the
     # transient never enters the reported lags (directly at -tau or via
     # the Hermitian companion at +tau)
-    settle = 5.0 / rates.gamma_cb_eff.real if rates.gamma_cb_eff.real > 0 else 0.0
-    if settle > horizon:
-        raise InvalidParameterError(
-            "lag horizon shorter than the coherence settling time"
-        )
-    pad = int(np.ceil(settle / dtau))
+    pad = int(np.ceil(5.0 / rates.gamma_cb_eff.real / dtau))
     total = count + pad
     # two-sided lag grid tau_j = (j - center) * dtau, j < 2*total - 1
     center = total - 1
@@ -224,13 +218,8 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
             f"z-march Taylor tail {residual:.3e} relative to R(0)",
             residual=residual,
         )
-    half = slice(center, center + count)  # tau in [0, horizon]
-    coherence = g_sweep(r, slave_row @ r, sweep)
-    return CorrelationResult(
-        beat=CorrelationFunction(dtau, r[half]),
-        coherence=CorrelationFunction(dtau, coherence[half]),
-        residual=residual,
-    )
+    # tau in [0, (count - 1) * dtau]
+    return CorrelationResult(CorrelationFunction(dtau, r[center:center + count]), residual)
 
 
 def adiabatic_rate_check(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> AdiabaticReport:

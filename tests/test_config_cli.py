@@ -5,6 +5,8 @@ import filecmp
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eitnarrow
 from eitnarrow import checks
 from eitnarrow import config as config_module
 from eitnarrow import propagation
@@ -31,8 +34,12 @@ TWO_PI = 2.0 * np.pi
 
 
 def write_config(tmp_path, text, name="run.ini"):
+    """Write ``text`` (``str``, or ``bytes`` as they are) to ``name``."""
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -180,6 +187,12 @@ def _bad_spectrum_csv(tmp_path):
     return write_config(tmp_path, "omega_rad_s,density\n" + "\n".join(rows) + "\n", "bad.csv")
 
 
+def _non_utf8_spectrum_csv(tmp_path):
+    """A valid spectrum CSV followed by the bytes ff fe."""
+    rows = "".join(f"{float(i)!r},1.0\n" for i in range(10))
+    return write_config(tmp_path, b"omega_rad_s,density\n" + rows.encode() + b"\xff\xfe", "b.csv")
+
+
 def _uneven_spectrum_csv(tmp_path):
     """A Lorentzian of FWHM 40 000 rad/s on a grid whose step grows."""
     omegas = np.cumsum(np.linspace(1e3, 3e3, 81)).tolist()
@@ -223,6 +236,8 @@ def _uneven_spectrum_csv(tmp_path):
             "[mc]\ndrive_diffusion_khz = 1\n", ["propagate"], id="removed-drive-noise-key"
         ),
         pytest.param(None, ["fit", "--input", "UNEVEN_CSV"], id="non-uniform-fit-input"),
+        pytest.param(b"\xff\xfe[mc]\nslices = 8\n", ["--quick", "mc"], id="non-utf8-config"),
+        pytest.param(None, ["fit", "--input", "NON_UTF8_CSV"], id="non-utf8-fit-input"),
         *(
             pytest.param(
                 "[medium]\nlength_cm = 0\n[fields]\nomega_d_mhz = 5\n",
@@ -241,7 +256,11 @@ def _uneven_spectrum_csv(tmp_path):
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     """Invalid values are rejected at the configuration boundary: exit 2,
     a single ``error:`` line, no traceback and nothing on stdout."""
-    csvs = {"BAD_CSV": _bad_spectrum_csv, "UNEVEN_CSV": _uneven_spectrum_csv}
+    csvs = {
+        "BAD_CSV": _bad_spectrum_csv,
+        "UNEVEN_CSV": _uneven_spectrum_csv,
+        "NON_UTF8_CSV": _non_utf8_spectrum_csv,
+    }
     argv = [csvs[a](tmp_path) if a in csvs else a for a in argv]
     if config is not None:
         argv = ["--config", write_config(tmp_path, config)] + argv
@@ -278,6 +297,26 @@ def test_unresolved_width_exits_3_with_one_error_line(tmp_path, capsys):
     assert err.strip().splitlines() == [
         "error: resolution: density never falls below half maximum"
     ]
+
+
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
+    """A reader that closes the pipe before the command prints gets one
+    ``error: broken-pipe:`` line and exit 1, with no traceback and no
+    exception ignored in the interpreter's exit flush."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eitnarrow.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eitnarrow.cli", "--out", str(tmp_path / "o"),
+         "--quick", "validate"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: broken-pipe: ")
 
 
 def test_warnings_print_as_one_line_on_every_run(tmp_path, capsys):

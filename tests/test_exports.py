@@ -44,3 +44,16 @@ EXPORTING = sorted(
 def test_all_names_only_objects_the_module_defines(module):
     defined, exported = _defined_and_exported(module)
     assert sorted(set(exported) - defined) == []
+
+
+def test_package_all_lists_exactly_the_imported_names():
+    """The package ``__all__`` and its imports are two hand-kept lists;
+    each name is in both, once, beside ``__version__``."""
+    with open(os.path.join(PACKAGE_DIR, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(eitnarrow.__all__) == sorted(imported + ["__version__"])

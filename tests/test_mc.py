@@ -11,13 +11,13 @@ from eitnarrow.medium import (
     complex_rates,
     transmission,
 )
+from eitnarrow.kernels import mc_batch
 from eitnarrow.mc import (
     McConfig,
+    _slab_coefficients,
     band_average_transfer,
     bloch_medium,
     ensemble_beat_spectrum,
-    integrate_slice,
-    slice_convergence,
 )
 from eitnarrow.noise import PhaseNoiseModel
 from eitnarrow.spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, gaussian_spectrum
@@ -66,6 +66,11 @@ def reduced_config(**overrides) -> McConfig:
     return McConfig(**params)
 
 
+def slab(probe, m, f, dt, nsl):
+    """``probe`` after the whole medium cut into ``nsl`` equal slices."""
+    return mc_batch(probe, f.omega_d, nsl, *_slab_coefficients(m, f, m.length / nsl, dt))
+
+
 def test_config_invariants():
     cfg = reduced_config()
     with pytest.raises(InvalidParameterError):
@@ -87,7 +92,7 @@ def test_uncoupled_slice_is_the_identity():
     rng = np.random.default_rng(1)
     env = rng.normal(size=256) + 1j * rng.normal(size=256)
     probe = env * abs(f.omega_p)
-    out = integrate_slice(probe, 1e-7, m, f, m.length)
+    out = slab(probe, m, f, 1e-7, 1)
     assert np.array_equal(out, probe)
 
 
@@ -105,9 +110,7 @@ def test_eit_transparency_for_constant_probe():
     dt = 1e-6
     n = int(20.0 / (g * dt))
     probe = np.full(n, f.omega_p, dtype=complex)
-    out = probe
-    for _ in range(16):
-        out = integrate_slice(out, dt, m, f, m.length / 16.0)
+    out = slab(probe, m, f, dt, 16)
     tail = slice(-n // 10, None)
     assert np.max(np.abs(out[tail] - probe[tail])) < 1e-4 * abs(
         f.omega_p
@@ -124,9 +127,7 @@ def test_detuned_beat_matches_analytic_transfer():
     dt = 0.05 / delta
     n = int(np.ceil(15.0 / (g * dt)))
     t = dt * np.arange(n)
-    out = abs(f.omega_p) * np.exp(-1j * delta * t)
-    for _ in range(8):
-        out = integrate_slice(out, dt, m, f, m.length / 8.0)
+    out = slab(abs(f.omega_p) * np.exp(-1j * delta * t), m, f, dt, 8)
     settled = np.abs(out[-n // 10 :]) ** 2 / abs(f.omega_p) ** 2
     expected = transmission(bloch_medium(m), f, np.array([delta]))[0]
     assert np.max(np.abs(settled - expected)) < 1e-3
@@ -178,12 +179,6 @@ def test_transfer_vs_analytic_in_bands():
         ensemble_beat_spectrum(cfg), cfg, 0.05, 8
     )
     assert np.all(np.abs(values - refs) <= np.maximum(5.0 * errs, 0.01))
-
-
-def test_slice_convergence():
-    cfg = reduced_config(realizations=16)
-    t1, t2, rel = slice_convergence(cfg)
-    assert rel < 0.05
 
 
 def test_band_average_requires_enough_bins():

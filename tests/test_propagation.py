@@ -129,13 +129,13 @@ def test_correlation_route_rejects_zero_input():
         propagate_correlation(m, paper_fields(), Spectrum(grid, np.zeros(201)))
 
 
-def test_coherence_decays_with_lag():
-    """The slaved coherence correlation G(tau) decays over the output
-    coherence scale."""
-    m, f, s = _route_case()
-    corr = propagate_correlation(m, f, s)
-    gmag = np.abs(corr.coherence.values)
-    assert gmag[-1] < 0.05 * gmag.max()
+def test_correlation_route_rejects_an_undamped_coherence():
+    """With no ground decay and no drive, Re Gamma_cb_eff = 0: the lag
+    range, and the settling pad that follows from it, have no scale."""
+    grid = FrequencyGrid.spanning(1e6, 200)  # even count: omega = 0 is off the grid
+    s = gaussian_spectrum(2e5, grid)
+    with pytest.raises(InvalidParameterError, match="cannot choose a lag range automatically"):
+        propagate_correlation(paper_medium(gamma_cb=0.0), FieldConfig(omega_d=0.0), s)
 
 
 def _dense_propagator(m, f, slave_row, sweep, size):
@@ -217,8 +217,8 @@ def test_taylor_march_matches_the_dense_exponential(case, stretch):
 
 def test_correlation_route_sweep_count(monkeypatch):
     """One propagate_correlation evaluates the lag sweep once per term of
-    the degree-36 Taylor step, for each of the N z steps, plus once for
-    the coherence; N = 1 for this input (max |kappa| L = 6.5)."""
+    the degree-36 Taylor step, for each of the N z steps; N = 1 for this
+    input (max |kappa| L = 6.5)."""
     calls = []
 
     def counting(*args):
@@ -229,7 +229,7 @@ def test_correlation_route_sweep_count(monkeypatch):
     m, f, s = _route_case()
     assert propagation._step_count(m, f, s.omegas) == 1
     propagate_correlation(m, f, s)
-    assert len(calls) == 36 * 1 + 1  # 37
+    assert len(calls) == 36 * 1
 
 
 def test_single_taylor_step_matches_a_fine_march(monkeypatch):
