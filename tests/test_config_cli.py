@@ -299,13 +299,18 @@ def test_unresolved_width_exits_3_with_one_error_line(tmp_path, capsys):
     ]
 
 
-def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path, unbuffered):
     """A reader that closes the pipe before the command prints gets one
     ``error: broken-pipe:`` line and exit 1, with no traceback and no
-    exception ignored in the interpreter's exit flush."""
+    exception ignored in the interpreter's exit flush.  A buffered
+    stdout fails at the flush, an unbuffered one at the first print."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(eitnarrow.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "eitnarrow.cli", "--out", str(tmp_path / "o"),
          "--quick", "validate"],
