@@ -1,9 +1,9 @@
-"""CSV/sidecar/SVG output helpers.
+"""CSV/sidecar/SVG output helpers and the spectrum CSV reader.
 
 CSV is the normative format: a ``#`` comment header carrying the config
 digest and code version, then a plain header row and decimal floating
-text with LF line endings.  SVG plots are best-effort, written directly
-with no plotting dependency.
+text with LF line endings, all written by ``_write_csv``.  SVG plots
+are best-effort, written directly with no plotting dependency.
 """
 
 from __future__ import annotations
@@ -13,11 +13,22 @@ import os
 import numpy as np
 
 from . import __version__
-from .spectral import Spectrum
+from .errors import ConfigError
+from .spectral import FrequencyGrid, Spectrum
 
 
 def _header_lines(digest: str) -> str:
     return f"# eitnarrow {__version__} config {digest}\n"
+
+
+def _write_csv(path: str, header: list[str], columns, digest: str) -> None:
+    """The one CSV layout: the ``#`` header, the column names, then one
+    line per row of the columns' ``repr`` floats."""
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_header_lines(digest))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_spectrum_csv(
@@ -25,25 +36,41 @@ def write_spectrum_csv(
 ) -> None:
     """Spectrum CSV: ``omega_rad_s,density`` plus an optional ``stderr``
     column for ensemble estimates."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header_lines(digest))
-        if stderr is None:
-            fh.write("omega_rad_s,density\n")
-            for w, d in zip(s.omegas, s.density):
-                fh.write(f"{float(w)!r},{float(d)!r}\n")
-        else:
-            fh.write("omega_rad_s,density,stderr\n")
-            for w, d, e in zip(s.omegas, s.density, stderr):
-                fh.write(f"{float(w)!r},{float(d)!r},{float(e)!r}\n")
+    header, columns = ["omega_rad_s", "density"], [s.omegas, s.density]
+    if stderr is not None:
+        header, columns = header + ["stderr"], columns + [stderr]
+    _write_csv(path, header, columns, digest)
 
 
 def write_table_csv(path: str, header: list[str], rows, digest: str) -> None:
     """Generic numeric table CSV."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header_lines(digest))
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, header, zip(*rows), digest)
+
+
+def read_spectrum_csv(path: str) -> Spectrum:
+    """The spectrum in the first two columns of a CSV whose first column
+    is a uniform frequency grid; ``#`` lines and the header row are
+    skipped."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"spectrum file not found: {path}", code="config-not-found")
+    try:  # a UnicodeDecodeError is a ValueError too
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+        rows = np.array(
+            [[float(v) for v in ln.split(",")] for ln in lines[1:]]  # lines[0] is the header
+        )
+    except ValueError:
+        rows = np.empty(0)
+    if rows.ndim != 2 or rows.shape[0] < 8 or rows.shape[1] < 2:
+        raise ConfigError(f"not a spectrum CSV: {path}", code="bad-parameter")
+    omegas, density = rows[:, 0], rows[:, 1]
+    steps = np.diff(omegas)
+    step = float(steps[0])
+    if not np.all(np.abs(steps - step) <= 1e-6 * abs(step)):
+        raise ConfigError(
+            f"the first column of {path} is not a uniform frequency grid", code="bad-parameter"
+        )
+    return Spectrum(FrequencyGrid(start=float(omegas[0]), step=step, count=omegas.size), density)
 
 
 def write_sidecar(path: str, resolved: dict, digest: str, extra: dict | None = None) -> None:
@@ -113,13 +140,8 @@ def write_svg_plot(
         fh.write("\n".join(parts) + "\n")
 
 
-def ensure_out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 __all__ = [
-    "ensure_out_dir",
+    "read_spectrum_csv",
     "write_sidecar",
     "write_spectrum_csv",
     "write_svg_plot",

@@ -4,12 +4,11 @@ Subcommands: ``figure2``, ``figure3``, ``figure4``, ``validate``,
 ``propagate``, ``mc``, ``fit``.  Global flags: ``--config PATH``,
 ``--out DIR``, ``--seed N``, ``--quick``.
 
-Exit codes: 0 success, 1 failed acceptance/invariant, 2 usage,
-configuration or derived-parameter error, 3 numerical-resolution error
-(including a width the grid does not resolve).  Failures print a single
-machine-parsable line ``error: <code>: <detail>`` on stderr; warnings
-print as ``warning: <message>`` lines.  A stdout closed by its reader
-exits 1 with ``error: broken-pipe: ...`` (``eitnarrow validate | head -1``).
+Exit codes: 0 success; a package error prints a single machine-parsable
+line ``error: <code>: <detail>`` on stderr and exits with the code its
+class carries in ``errors.py``.  Warnings print as ``warning: <message>``
+lines.  A stdout closed by its reader exits 1 with ``error: broken-pipe:
+...`` (``eitnarrow validate | head -1``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import (
-    ensure_out_dir,
+    read_spectrum_csv,
     write_sidecar,
     write_spectrum_csv,
     write_svg_plot,
@@ -32,12 +31,7 @@ from .artifacts import (
 )
 from .checks import run_checks
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    EitNarrowError,
-    InvalidParameterError,
-    ResolutionError,
-)
+from .errors import ConfigError, EitNarrowError
 from .fitting import _MODELS, fit_lineshape, linear_fit
 from .medium import (
     FieldConfig,
@@ -63,14 +57,21 @@ def _input_grid(cfg: RunConfig) -> FrequencyGrid:
     return FrequencyGrid.spanning(cfg.span_factor * cfg.input_fwhm, cfg.grid_points)
 
 
-def cmd_figure2(cfg: RunConfig, out: str) -> int:
+def _output_line(cfg: RunConfig, f: FieldConfig, grid: FrequencyGrid):
+    """The configured input on ``grid``, the spectrum the cell transmits
+    with fields ``f`` and its Lorentzian fit."""
+    s_in = cfg.input_spectrum(grid)
+    s_out = propagate_spectrum(cfg.medium, f, s_in)
+    return s_in, s_out, fit_lineshape(s_out, "lorentzian")
+
+
+def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Input beat spectrum against the spectrum transmitted by the cell."""
     wide = _input_grid(cfg)
     s_in = cfg.input_spectrum(wide)
     fit_in = fit_lineshape(s_in, "gaussian")
     fine = cfg.output_grid()
-    s_out = propagate_spectrum(cfg.medium, cfg.fields, cfg.input_spectrum(fine))
-    fit_out = fit_lineshape(s_out, "lorentzian")
+    _, s_out, fit_out = _output_line(cfg, cfg.fields, fine)
     target = closed_form_width(
         cfg.medium, abs(cfg.fields.omega_d) ** 2 + abs(cfg.fields.omega_p) ** 2
     )
@@ -88,18 +89,18 @@ def cmd_figure2(cfg: RunConfig, out: str) -> int:
         Spectrum(g, _MODELS[fit.model](g.omegas, fit.amplitude, fit.center, fit.width)[0])
         for g, fit in ((wide, fit_in), (fine, fit_out))
     )
-    ensure_out_dir(out)
+    os.makedirs(args.out, exist_ok=True)
     for name, spec in (
         ("figure2_input.csv", s_in),
         ("figure2_output.csv", s_out),
         ("figure2_fit_input.csv", fit_in_curve),
         ("figure2_fit_output.csv", fit_out_curve),
     ):
-        write_spectrum_csv(os.path.join(out, name), spec, cfg.digest)
+        write_spectrum_csv(os.path.join(args.out, name), spec, cfg.digest)
     peak_in = s_in.density.max()
     peak_out = wide_out.density.max()
     write_svg_plot(
-        os.path.join(out, "figure2.svg"),
+        os.path.join(args.out, "figure2.svg"),
         [
             ("input (normalized)", wide.omegas, s_in.density / peak_in),
             ("output (normalized)", wide.omegas, wide_out.density / peak_out),
@@ -108,23 +109,23 @@ def cmd_figure2(cfg: RunConfig, out: str) -> int:
         "offset from carrier [rad/s]",
         "normalized spectral density",
     )
-    write_sidecar(os.path.join(out, "figure2.meta.txt"), cfg.resolved, cfg.digest)
+    write_sidecar(os.path.join(args.out, "figure2.meta.txt"), cfg.resolved, cfg.digest)
     return 0
 
 
-def cmd_figure3(cfg: RunConfig, out: str) -> int:
+def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Monochromatic EIT scan against the normalized transmitted-noise
     spectrum on a shared frequency axis."""
-    ensure_out_dir(out)
+    os.makedirs(args.out, exist_ok=True)
     if cfg.medium.length == 0:
         grid = _input_grid(cfg)
         write_table_csv(
-            os.path.join(out, "figure3_scan.csv"),
+            os.path.join(args.out, "figure3_scan.csv"),
             ["delta_rad_s", "transmission"],
             zip(grid.omegas, transmission(cfg.medium, cfg.fields, grid.omegas)),
             cfg.digest,
         )
-        write_sidecar(os.path.join(out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
+        write_sidecar(os.path.join(args.out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
         print("note: no-resonance (zero-length medium, scan is flat)")
         return 0
 
@@ -132,23 +133,22 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
     width_eit = eit_width(cfg.medium, cfg.fields, grid)
     scan = transmission(cfg.medium, cfg.fields, grid.omegas)
 
-    s_out = propagate_spectrum(cfg.medium, cfg.fields, cfg.input_spectrum(grid))
+    _, s_out, fit_noise = _output_line(cfg, cfg.fields, grid)
     noise_norm = s_out.density / s_out.density.max()
-    fit_noise = fit_lineshape(Spectrum(grid, noise_norm), "lorentzian")
     ratio = fit_noise.fwhm / width_eit
 
     write_table_csv(
-        os.path.join(out, "figure3_scan.csv"),
+        os.path.join(args.out, "figure3_scan.csv"),
         ["delta_rad_s", "transmission"],
         zip(grid.omegas, scan),
         cfg.digest,
     )
     write_spectrum_csv(
-        os.path.join(out, "figure3_noise.csv"), Spectrum(grid, noise_norm), cfg.digest
+        os.path.join(args.out, "figure3_noise.csv"), Spectrum(grid, noise_norm), cfg.digest
     )
     feature = np.clip(scan - wing_transmission(cfg.medium, cfg.fields), 0.0, None)
     write_svg_plot(
-        os.path.join(out, "figure3.svg"),
+        os.path.join(args.out, "figure3.svg"),
         [
             ("EIT scan (normalized)", grid.omegas, feature / feature.max()),
             ("transmitted noise (normalized)", grid.omegas, noise_norm),
@@ -157,14 +157,14 @@ def cmd_figure3(cfg: RunConfig, out: str) -> int:
         "two-photon detuning / offset [rad/s]",
         "normalized response",
     )
-    write_sidecar(os.path.join(out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
+    write_sidecar(os.path.join(args.out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
     print(f"eit scan fwhm: {_khz(width_eit):.4f} kHz")
     print(f"transmitted-noise fwhm: {_khz(fit_noise.fwhm):.4f} kHz")
     print(f"width ratio (noise/scan): {ratio:.4f}")
     return 0
 
 
-def cmd_figure4(cfg: RunConfig, out: str) -> int:
+def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Fitted output width versus drive power |Omega_d|^2."""
     sweep = cfg.sweep_omega_d
     if sweep.size < 6:
@@ -179,8 +179,8 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
     rows = []
     for omega_d in sweep:
         f = replace(cfg.fields, omega_d=omega_d)
-        s_in = cfg.input_spectrum(cfg.output_grid(f))
-        report = adiabatic_rate_check(cfg.medium, f, s_in.omegas)
+        grid = cfg.output_grid(f)
+        report = adiabatic_rate_check(cfg.medium, f, grid.omegas)
         if not report.valid:
             print(
                 f"warning: point |Omega_d| = {_khz(omega_d) / 1e3:.4f} MHz excluded "
@@ -188,20 +188,22 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
                 file=sys.stderr,
             )
             continue
-        fit = fit_lineshape(propagate_spectrum(cfg.medium, f, s_in), "lorentzian")
-        rows.append((abs(omega_d) ** 2, fit.fwhm))
+        rows.append((abs(omega_d) ** 2, _output_line(cfg, f, grid)[2].fwhm))
     if len(rows) < 2:
         raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
 
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
     slope, intercept, r2 = linear_fit(x, y)
-    ensure_out_dir(out)
+    os.makedirs(args.out, exist_ok=True)
     write_table_csv(
-        os.path.join(out, "figure4.csv"), ["omega_d_sq_rad2_s2", "fwhm_rad_s"], rows, cfg.digest
+        os.path.join(args.out, "figure4.csv"),
+        ["omega_d_sq_rad2_s2", "fwhm_rad_s"],
+        rows,
+        cfg.digest,
     )
     write_svg_plot(
-        os.path.join(out, "figure4.svg"),
+        os.path.join(args.out, "figure4.svg"),
         [
             ("fitted width", x, y),
             ("linear fit", x, slope * x + intercept),
@@ -210,7 +212,7 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
         "|Omega_d|^2 [rad^2/s^2]",
         "fitted FWHM [rad/s]",
     )
-    write_sidecar(os.path.join(out, "figure4.meta.txt"), cfg.resolved, cfg.digest)
+    write_sidecar(os.path.join(args.out, "figure4.meta.txt"), cfg.resolved, cfg.digest)
     print(f"points used: {len(rows)} of {sweep.size}")
     print(f"slope: {slope:.6e} 1/(rad/s)")
     print(f"intercept: {intercept:.6e} rad/s")
@@ -218,16 +220,14 @@ def cmd_figure4(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_propagate(cfg: RunConfig, out: str) -> int:
+def cmd_propagate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Propagate the configured input spectrum and write the output."""
-    s_in = cfg.input_spectrum(cfg.output_grid())
-    s_out = propagate_spectrum(cfg.medium, cfg.fields, s_in)
-    fit = fit_lineshape(s_out, "lorentzian")
-    ensure_out_dir(out)
-    write_spectrum_csv(os.path.join(out, "propagate_input.csv"), s_in, cfg.digest)
-    write_spectrum_csv(os.path.join(out, "propagate_output.csv"), s_out, cfg.digest)
+    s_in, s_out, fit = _output_line(cfg, cfg.fields, cfg.output_grid())
+    os.makedirs(args.out, exist_ok=True)
+    write_spectrum_csv(os.path.join(args.out, "propagate_input.csv"), s_in, cfg.digest)
+    write_spectrum_csv(os.path.join(args.out, "propagate_output.csv"), s_out, cfg.digest)
     write_sidecar(
-        os.path.join(out, "propagate.meta.txt"),
+        os.path.join(args.out, "propagate.meta.txt"),
         cfg.resolved,
         cfg.digest,
         extra={
@@ -254,9 +254,9 @@ def _mc_shaping(cfg: RunConfig) -> Spectrum:
     return cfg.input_spectrum(grid)
 
 
-def cmd_mc(cfg: RunConfig, out: str, quick: bool) -> int:
+def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Monte-Carlo ensemble beat spectrum of the transmitted probe."""
-    n_real = min(cfg.mc_realizations, 32) if quick else cfg.mc_realizations
+    n_real = min(cfg.mc_realizations, 32) if args.quick else cfg.mc_realizations
     mc_cfg = McConfig(
         medium=cfg.medium,
         fields=_mc_fields(cfg),
@@ -267,12 +267,12 @@ def cmd_mc(cfg: RunConfig, out: str, quick: bool) -> int:
         slices=cfg.mc_slices,
     )
     result = ensemble_beat_spectrum(mc_cfg)
-    ensure_out_dir(out)
+    os.makedirs(args.out, exist_ok=True)
     write_spectrum_csv(
-        os.path.join(out, "mc_spectrum.csv"), result.spectrum, cfg.digest, result.stderr
+        os.path.join(args.out, "mc_spectrum.csv"), result.spectrum, cfg.digest, result.stderr
     )
     write_sidecar(
-        os.path.join(out, "mc.meta.txt"),
+        os.path.join(args.out, "mc.meta.txt"),
         cfg.resolved,
         cfg.digest,
         extra={
@@ -290,35 +290,17 @@ def cmd_mc(cfg: RunConfig, out: str, quick: bool) -> int:
     return 0
 
 
-def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Fit a model lineshape to a spectrum CSV."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"spectrum file not found: {path}", code="config-not-found")
-    try:  # a UnicodeDecodeError is a ValueError too
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-        rows = np.array(
-            [[float(v) for v in ln.split(",")] for ln in lines[1:]]  # lines[0] is the header
-        )
-    except ValueError:
-        rows = np.empty(0)
-    if rows.ndim != 2 or rows.shape[0] < 8 or rows.shape[1] < 2:
-        raise ConfigError(f"not a spectrum CSV: {path}", code="bad-parameter")
-    omegas, density = rows[:, 0], rows[:, 1]
-    steps = np.diff(omegas)
-    step = float(steps[0])
-    if not np.all(np.abs(steps - step) <= 1e-6 * abs(step)):
-        raise ConfigError(
-            f"the first column of {path} is not a uniform frequency grid", code="bad-parameter"
-        )
-    grid = FrequencyGrid(start=float(omegas[0]), step=step, count=omegas.size)
-    spectrum = Spectrum(grid, density)
-    models = [model] if model != "auto" else ["gaussian", "lorentzian"]
+    spectrum = read_spectrum_csv(args.input)
+    models = [args.model] if args.model != "auto" else ["gaussian", "lorentzian"]
     fits = [fit_lineshape(spectrum, m) for m in models]
     best = min(fits, key=lambda f: f.rms_residual)
-    curve = _MODELS[best.model](grid.omegas, best.amplitude, best.center, best.width)[0]
-    ensure_out_dir(out)
-    write_spectrum_csv(os.path.join(out, "fit_curve.csv"), Spectrum(grid, curve), cfg.digest)
+    curve = _MODELS[best.model](spectrum.omegas, best.amplitude, best.center, best.width)[0]
+    os.makedirs(args.out, exist_ok=True)
+    write_spectrum_csv(
+        os.path.join(args.out, "fit_curve.csv"), Spectrum(spectrum.grid, curve), cfg.digest
+    )
     print(f"model: {best.model}")
     print(f"center: {float(best.center)!r} rad/s")
     print(f"width parameter: {float(best.width)!r} rad/s")
@@ -327,13 +309,13 @@ def cmd_fit(cfg: RunConfig, out: str, path: str, model: str) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, out: str, quick: bool) -> int:
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Reduced-scale invariant suite; exit 0 iff every check passes."""
     records = []
-    for record in run_checks(cfg, quick):
+    for record in run_checks(cfg, args.quick):
         print(record.line)
         records.append(record)
-    if quick:
+    if args.quick:
         print("quick mode: monte-carlo checks skipped")
     passed = sum(r.passed for r in records)
     print(f"{passed}/{len(records)} checks passed")
@@ -346,9 +328,8 @@ def cmd_validate(cfg: RunConfig, out: str, quick: bool) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors follow the exit-code contract:
-    they raise ``ConfigError`` (one ``error: usage:`` line, exit 2)
-    instead of printing the usage block.  Subcommand parsers inherit it."""
+    """Argument parser that raises its usage errors as ``ConfigError``
+    with the code ``usage``; subcommand parsers inherit it."""
 
     def error(self, message: str):
         raise ConfigError(" ".join(message.split()), code="usage")
@@ -366,13 +347,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quick", action="store_true", help="reduced-scale run")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("figure2", help="input vs transmitted beat spectra")
-    sub.add_parser("figure3", help="EIT scan vs transmitted-noise spectrum")
-    sub.add_parser("figure4", help="output width vs drive power sweep")
-    sub.add_parser("validate", help="run the invariant suite")
-    sub.add_parser("propagate", help="propagate the configured input spectrum")
-    sub.add_parser("mc", help="Monte-Carlo ensemble beat spectrum")
+    for name, run, text in (
+        ("figure2", cmd_figure2, "input vs transmitted beat spectra"),
+        ("figure3", cmd_figure3, "EIT scan vs transmitted-noise spectrum"),
+        ("figure4", cmd_figure4, "output width vs drive power sweep"),
+        ("validate", cmd_validate, "run the invariant suite"),
+        ("propagate", cmd_propagate, "propagate the configured input spectrum"),
+        ("mc", cmd_mc, "Monte-Carlo ensemble beat spectrum"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(run=run)
     pfit = sub.add_parser("fit", help="fit a lineshape to a spectrum CSV")
+    pfit.set_defaults(run=cmd_fit)
     pfit.add_argument("--input", required=True, metavar="CSV")
     pfit.add_argument(
         "--model", choices=("gaussian", "lorentzian", "auto"), default="auto"
@@ -404,32 +389,10 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config, seed=args.seed)
-        if args.command == "figure2":
-            return cmd_figure2(cfg, args.out)
-        if args.command == "figure3":
-            return cmd_figure3(cfg, args.out)
-        if args.command == "figure4":
-            return cmd_figure4(cfg, args.out)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.out, args.quick)
-        if args.command == "propagate":
-            return cmd_propagate(cfg, args.out)
-        if args.command == "mc":
-            return cmd_mc(cfg, args.out, args.quick)
-        return cmd_fit(cfg, args.out, args.input, args.model)  # argparse allows no other
-    except ConfigError as exc:
+        return args.run(load_config(args.config, seed=args.seed), args)
+    except EitNarrowError as exc:  # errors.py holds the exit table
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except ResolutionError as exc:
-        print(f"error: resolution: {exc}", file=sys.stderr)
-        return 3
-    except InvalidParameterError as exc:
-        print(f"error: bad-parameter: {exc}", file=sys.stderr)
-        return 2
-    except EitNarrowError as exc:
-        print(f"error: invariant: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

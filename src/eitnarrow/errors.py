@@ -1,12 +1,20 @@
-"""Exception hierarchy shared by all eitnarrow modules."""
+"""Exception hierarchy shared by all eitnarrow modules, and the command
+line's exit table: each class carries the ``code`` of its ``error: <code>:``
+line and its process ``exit_code``; subclasses inherit both."""
 
 
 class EitNarrowError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a failed invariant."""
+
+    code = "invariant"
+    exit_code = 1
 
 
 class InvalidParameterError(EitNarrowError):
     """A physical or numerical parameter violates its precondition."""
+
+    code = "bad-parameter"
+    exit_code = 2
 
 
 class MultimodalSpectrumError(EitNarrowError):
@@ -41,6 +49,9 @@ class ResolutionError(EitNarrowError):
     ``residual`` is the achieved disagreement.
     """
 
+    code = "resolution"
+    exit_code = 3
+
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
@@ -52,6 +63,8 @@ class UnresolvedWidthError(ResolutionError):
 
 class ConfigError(EitNarrowError):
     """Malformed run configuration (unknown key, bad value, missing file)."""
+
+    exit_code = 2
 
     def __init__(self, message, code="config-error"):
         super().__init__(message)

@@ -168,6 +168,11 @@ def fwhm_estimate(s: Spectrum) -> float:
         raise UnresolvedWidthError("peak lies on the grid boundary")
     half = y[imax] / 2.0
     above = y >= half
+    below_left = np.flatnonzero(~above[:imax])
+    below_right = np.flatnonzero(~above[imax:])
+    # a peak region reaching the grid edge is unresolved, even beside other peaks
+    if below_left.size == 0 or below_right.size == 0:
+        raise UnresolvedWidthError("density never falls below half maximum")
     # count contiguous regions above half maximum
     edges = np.flatnonzero(np.diff(above.astype(int)))
     n_regions = (int(above[0]) + int(above[-1]) + edges.size) // 2
@@ -175,10 +180,6 @@ def fwhm_estimate(s: Spectrum) -> float:
         raise MultimodalSpectrumError(
             f"{n_regions} disjoint regions above half maximum"
         )
-    below_left = np.flatnonzero(~above[:imax])
-    below_right = np.flatnonzero(~above[imax:])
-    if below_left.size == 0 or below_right.size == 0:
-        raise UnresolvedWidthError("density never falls below half maximum")
     il = below_left[-1]  # last point below half on the left
     ir = imax + below_right[0]  # first point below half on the right
     left = _cross(w[il], y[il], w[il + 1], y[il + 1], half)

@@ -83,7 +83,7 @@ def narrowing_run():
 
 
 def test_criterion_1a_lorentzian_residual_and_runtime(narrowing_run, capsys):
-    rel = narrowing_run["fit_lor"].rms_residual / narrowing_run["output"].density.max()
+    rel = narrowing_run["fit_lor"].rms_residual  # already relative to the peak
     runtime = narrowing_run["runtime"]
     ok = rel < 0.05 and runtime < 1.0
     emit(

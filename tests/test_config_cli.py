@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitnarrow
-from eitnarrow import checks
+from eitnarrow import checks, cli, errors
 from eitnarrow import config as config_module
 from eitnarrow import propagation
 from eitnarrow.cli import main
@@ -297,6 +297,16 @@ def test_unresolved_width_exits_3_with_one_error_line(tmp_path, capsys):
     assert err.strip().splitlines() == [
         "error: resolution: density never falls below half maximum"
     ]
+    # a one-photon detuning moves the transmitted line to the edge of the
+    # grid sized for the resonant width: unresolved, not a failed invariant
+    detuned = write_config(
+        tmp_path, "[fields]\ndelta_p_mhz = 2000\ndelta_ac_mhz = -2000\n", name="detuned.ini"
+    )
+    for command in ("figure2", "figure3", "propagate"):
+        assert main(["--config", detuned, "--out", str(tmp_path / "d"), command]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: resolution: density never falls below half maximum"
+        ]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -676,3 +686,53 @@ def test_thin_medium_and_removed_flag_carry_their_error_codes(tmp_path, capsys):
     assert capsys.readouterr().err.strip().splitlines() == [
         "error: usage: unrecognized arguments: --realizations 32"
     ]
+    assert main(["figure9"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: usage: argument command: invalid choice: 'figure9' (choose from 'figure2', "
+        "'figure3', 'figure4', 'validate', 'propagate', 'mc', 'fit')"
+    ]
+    assert main([]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: usage: the following arguments are required: command"
+    ]
+
+
+EXIT_TABLE = [
+    (errors.EitNarrowError("x"), 1, "invariant"),
+    (errors.MultimodalSpectrumError("x"), 1, "invariant"),
+    (errors.FitFailedError("x"), 1, "invariant"),
+    (errors.SingularRateError("x"), 1, "invariant"),
+    (errors.InvalidParameterError("x"), 2, "bad-parameter"),
+    (errors.OpticallyThinError("x"), 2, "bad-parameter"),
+    (errors.ConfigError("x"), 2, "config-error"),
+    (errors.ConfigError("x", code="sweep-too-small"), 2, "sweep-too-small"),
+    (errors.ResolutionError("x"), 3, "resolution"),
+    (errors.UnresolvedWidthError("x"), 3, "resolution"),
+]
+
+
+def test_exit_table_lists_every_package_error():
+    defined = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.EitNarrowError)
+    }
+    assert {type(exc) for exc, _, _ in EXIT_TABLE} == defined
+
+
+@pytest.mark.parametrize(
+    "exc, exit_code, code", EXIT_TABLE, ids=[f"{type(e).__name__}-{c}" for e, _, c in EXIT_TABLE]
+)
+def test_every_package_error_exits_with_its_code(
+    tmp_path, capsys, monkeypatch, exc, exit_code, code
+):
+    """A command that raises a package error exits with the code its class
+    carries and prints one ``error: <code>: <detail>`` line."""
+
+    def fail(cfg, args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_propagate", fail)
+    assert main(["--out", str(tmp_path / "o"), "propagate"]) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {code}: x"]

@@ -125,6 +125,22 @@ def test_fwhm_estimate_multimodal():
         fwhm_estimate(Spectrum(grid, two_peaks))
 
 
+def test_fwhm_estimate_edge_peak_with_a_bump_is_unresolved():
+    """A peak region that reaches the grid edge leaves the width
+    unresolved even when an interior bump also rises above half maximum;
+    two interior peaks stay multimodal."""
+    grid = FrequencyGrid.centered(step=0.1, count=201)
+    w = grid.omegas
+    edge_and_bump = np.exp(-(((w + 9.0) / 3.0) ** 2)) + 0.8 * np.exp(-((w - 5.0) ** 2))
+    assert np.argmax(edge_and_bump) not in (0, w.size - 1)
+    assert edge_and_bump[0] > edge_and_bump.max() / 2.0
+    with pytest.raises(UnresolvedWidthError):
+        fwhm_estimate(Spectrum(grid, edge_and_bump))
+    two_peaks = np.exp(-((w - 5.0) ** 2)) + 0.8 * np.exp(-((w + 5.0) ** 2))
+    with pytest.raises(MultimodalSpectrumError):
+        fwhm_estimate(Spectrum(grid, two_peaks))
+
+
 def test_gaussian_correlation_pair():
     omega_w = 3.0e4
     grid = FrequencyGrid.spanning(8.0 * omega_w, 2001)

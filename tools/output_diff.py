@@ -9,7 +9,7 @@ committed or not.  In each tree every entry of ``COMMANDS`` runs in a
 fresh interpreter with that tree's ``src`` on ``PYTHONPATH``, at
 ``--seed 42`` and with ``--config`` when given, each command writing
 into its own output directory.  ``fit`` reads the ``figure2`` output of
-its own tree.
+its own tree.  Failing invocations are entries too.
 
 For every command the report gives the exit codes and whether stdout
 and stderr are identical, then one line per file either side wrote.  A
@@ -37,7 +37,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import ROOT, extract  # noqa: E402
 
 # (name, arguments after the global flags); ``{figure2}`` is the
-# figure2 output directory of the same tree
+# figure2 output directory of the same tree.  The last three fail, so
+# their exit codes and ``error:`` lines are compared too; the absent
+# input is a relative path, which reads the same from either tree.
 COMMANDS = (
     ("figure2", ["figure2"]),
     ("figure3", ["figure3"]),
@@ -47,6 +49,9 @@ COMMANDS = (
     ("quick-validate", ["--quick", "validate"]),
     ("validate", ["validate"]),
     ("quick-mc", ["--quick", "mc"]),
+    ("unknown-command", ["figure9"]),
+    ("no-command", []),
+    ("fit-absent-input", ["fit", "--input", "absent.csv"]),
 )
 SEED = 42
 MAX_LINES = 6  # differing lines listed per stream or file
