@@ -19,6 +19,7 @@ series.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +56,7 @@ def _phi12(x: complex) -> tuple[complex, complex]:
 CHUNK_EXPONENT = 300.0
 
 
+@lru_cache(maxsize=1)
 def _power_table(decay: complex, rate: float, count: int) -> np.ndarray:
     """Rows ``decay**k`` and ``decay**-k`` for ``0 <= k <= chunk``, the
     chunk of a scan over ``count`` steps.
@@ -63,15 +65,16 @@ def _power_table(decay: complex, rate: float, count: int) -> np.ndarray:
     ``CHUNK_EXPONENT / rate`` steps, so ``|decay|**-k`` stays below
     ``e**CHUNK_EXPONENT``.  The powers are a running product: its
     rounding grows with ``k`` but stays near ``1e-14`` relative over
-    10^4 steps, and it costs a fraction of a complex ``**``.
+    10^4 steps, and it costs a fraction of a complex ``**``.  The last
+    table is cached read-only: an ensemble's realizations share it.
     """
     chunk = max(1, count)
     if rate * chunk > CHUNK_EXPONENT:
         chunk = int(CHUNK_EXPONENT / rate)
-    up = np.full(chunk + 1, decay, dtype=complex)
-    up[0] = 1.0
-    up = np.cumprod(up)
-    return np.stack([up, 1.0 / up])
+    up = np.cumprod(np.concatenate(([1.0], np.full(chunk, decay, dtype=complex))))
+    table = np.stack([up, 1.0 / up])
+    table.flags.writeable = False
+    return table
 
 
 def _power_scan(u, carry, powers, out):

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import InvalidParameterError
 from .kernels import _phi12, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
-from .noise import PhaseNoiseModel, synthesize_probe_field
-from .spectral import Spectrum, _hann, periodogram
+from .noise import PhaseNoiseModel, _probe_synthesizer
+from .spectral import Spectrum, _hann, _periodogram_writer
 
 
 @dataclass(frozen=True)
@@ -120,35 +120,35 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
 def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     """Ensemble-averaged beat spectrum of the transmitted probe.
 
-    Realizations run one at a time: each is synthesized, propagated and
-    reduced to its input and output periodograms before the next, so
-    memory holds one envelope pair beside the periodogram tables.
-    Deterministic for a fixed noise seed: realization r always draws
-    from the stream seed^r, and the reduction order is fixed.
+    Once per ensemble: the slab coefficients, the shaping's gain, the
+    window and grid, an FFT buffer and the slow pole's table (cached by
+    ``mc_batch``).  Per realization: its noise, the slab and two
+    periodograms written into its rows of the ``realizations x n_keep``
+    input and output tables, held beside one envelope pair.  Realization
+    r draws from stream seed^r and the reduction order is fixed.
     """
     rates = complex_rates(cfg.medium, cfg.fields)
     g = rates.gamma_cb_eff.real
     burn = int(np.ceil(5.0 / (g * cfg.dt))) if g > 0 else 0
     n_keep = int(round(cfg.duration / cfg.dt))
     n_total = n_keep + burn
-    dz = cfg.medium.length / cfg.slices
-    coeffs = _slab_coefficients(cfg.medium, cfg.fields, dz, cfg.dt)
-    amp = abs(cfg.fields.omega_p)
+    coeffs = _slab_coefficients(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt)
+    synthesize = _probe_synthesizer(cfg.noise, abs(cfg.fields.omega_p), cfg.dt, n_total)
+    grid, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
 
     p_in = np.empty((cfg.realizations, n_keep))
     p_out = np.empty((cfg.realizations, n_keep))
     for r in range(cfg.realizations):
-        probe = synthesize_probe_field(cfg.noise, amp, cfg.dt, n_total, r)
+        probe = synthesize(r)
         out = mc_batch(probe, cfg.fields.omega_d, cfg.slices, *coeffs)
-        spec_in = periodogram(probe[burn:], cfg.dt, window="hann")
-        p_in[r] = spec_in.density
-        p_out[r] = periodogram(out[burn:], cfg.dt, window="hann").density
+        write_periodogram(probe[burn:], p_in[r])
+        write_periodogram(out[burn:], p_out[r])
 
     mean_out = p_out.mean(axis=0)
     mean_in = p_in.mean(axis=0)
     err_out = p_out.std(axis=0, ddof=1) / np.sqrt(cfg.realizations)
     return McEnsembleResult(
-        spectrum=Spectrum(spec_in.grid, mean_out),
+        spectrum=Spectrum(grid, mean_out),
         stderr=err_out,
         input_density=mean_in,
         per_real_in=p_in,

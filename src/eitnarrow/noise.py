@@ -5,7 +5,8 @@ of HWHM D) and a stationary Gaussian-process surrogate shaped to a
 target spectral density (the modulator's limited response bandwidth is
 modeled by the resulting spectrum, not from first principles).  A model
 with a shaping uses the second mode and must set no diffusion.
-``synthesize_probe_field`` returns the complex envelope as an array.
+``synthesize_probe_field`` returns the complex envelope as an array,
+through the same ``_probe_synthesizer`` the Monte-Carlo ensemble calls.
 
 RNG: numpy Philox (counter based); realization r of a model with seed s
 uses the stream keyed by s XOR r, so ensembles are reproducible and
@@ -61,22 +62,29 @@ def sample_phase_trajectory(
     return phi
 
 
-def _shaped_envelope(model: PhaseNoiseModel, amplitude, dt, n, realization):
+def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: int):
+    """The function realization -> probe envelope of ``n`` samples; the
+    checks and a shaped model's gain on the FFT grid are made once."""
+    if not (np.isfinite(dt) and dt > 0) or n < 2:
+        raise InvalidParameterError("need a finite dt > 0 and n >= 2")
     shaping = model.shaping
-    omega_max = max(abs(shaping.grid.start), abs(shaping.omegas[-1]))
-    if omega_max > np.pi / dt:
-        raise InvalidParameterError(
-            "shaping grid extends beyond the Nyquist frequency pi/dt"
-        )
-    rng = realization_rng(model.seed, realization)
+    if shaping is None:
+        return lambda r: amplitude * np.exp(-1j * sample_phase_trajectory(model, dt, n, r))
+    if max(abs(shaping.grid.start), abs(shaping.omegas[-1])) > np.pi / dt:
+        raise InvalidParameterError("shaping grid extends beyond the Nyquist frequency pi/dt")
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, dt)
-    target = np.interp(freqs, shaping.omegas, shaping.density, left=0.0, right=0.0)
-    noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2.0)
-    env = np.fft.ifft(np.sqrt(target) * noise)
-    power = np.mean(np.abs(env) ** 2)
-    if power <= 0:
-        raise InvalidParameterError("shaping spectrum produced a zero field")
-    return env * (amplitude / np.sqrt(power))
+    gain = np.sqrt(np.interp(freqs, shaping.omegas, shaping.density, left=0.0, right=0.0))
+
+    def envelope(realization):
+        rng = realization_rng(model.seed, realization)
+        noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2.0)
+        env = np.fft.ifft(gain * noise)
+        power = np.mean(np.abs(env) ** 2)
+        if power <= 0:
+            raise InvalidParameterError("shaping spectrum produced a zero field")
+        return env * (amplitude / np.sqrt(power))
+
+    return envelope
 
 
 def synthesize_probe_field(
@@ -88,9 +96,4 @@ def synthesize_probe_field(
 ) -> np.ndarray:
     """Noisy probe envelope, sampled at step ``dt``, with the model's
     spectral statistics."""
-    if not (np.isfinite(dt) and dt > 0) or n < 2:
-        raise InvalidParameterError("need a finite dt > 0 and n >= 2")
-    if model.shaping is not None:
-        return _shaped_envelope(model, amplitude, dt, n, realization)
-    phi = sample_phase_trajectory(model, dt, n, realization)
-    return amplitude * np.exp(-1j * phi)
+    return _probe_synthesizer(model, amplitude, dt, n)(realization)

@@ -266,6 +266,32 @@ def _hann(n: int) -> np.ndarray:
     return w
 
 
+def _periodogram_writer(n: int, dt: float, window: str):
+    """The grid of an ``n``-sample periodogram and a function writing one
+    envelope's density into a row; the window, its norm and one FFT
+    buffer are made once for all calls."""
+    if n < 8:
+        raise InvalidParameterError("series too short for a periodogram")
+    if window not in ("boxcar", "hann"):
+        raise InvalidParameterError(f"unknown window {window!r}")
+    w = _hann(n) if window == "hann" else np.ones(n)
+    norm = 2.0 * np.pi * np.sum(w**2)
+    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
+    grid = FrequencyGrid(start=float(freqs[0]), step=float(freqs[1] - freqs[0]), count=n)
+    buf, half = np.empty(n, dtype=complex), n // 2
+
+    def write(envelope, row):
+        np.fft.fft(np.multiply(envelope, w, out=buf), out=buf)
+        np.abs(buf[:n - half], out=row[half:])  # fftshift: bin j to (j + n//2) mod n
+        np.abs(buf[n - half:], out=row[:half])
+        np.square(row, out=row)
+        row *= dt
+        row /= norm
+        return row
+
+    return grid, write
+
+
 def periodogram(envelope: np.ndarray, dt: float, window: str = "boxcar") -> Spectrum:
     """Periodogram of a complex envelope, normalized so the density
     integral equals the (window-weighted) mean power of the series.
@@ -274,17 +300,5 @@ def periodogram(envelope: np.ndarray, dt: float, window: str = "boxcar") -> Spec
     leakage sidelobes when a narrow line sits on weak broadband wings.
     """
     x = np.asarray(envelope, dtype=complex)
-    n = x.size
-    if n < 8:
-        raise InvalidParameterError("series too short for a periodogram")
-    if window == "boxcar":
-        w = np.ones(n)
-    elif window == "hann":
-        w = _hann(n)
-    else:
-        raise InvalidParameterError(f"unknown window {window!r}")
-    spec = np.fft.fftshift(np.fft.fft(x * w))
-    density = (np.abs(spec) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
-    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
-    grid = FrequencyGrid(start=float(freqs[0]), step=float(freqs[1] - freqs[0]), count=n)
-    return Spectrum(grid, density)
+    grid, write = _periodogram_writer(x.size, dt, window)
+    return Spectrum(grid, write(x, np.empty(x.size)))

@@ -10,6 +10,7 @@ from eitnarrow.errors import InvalidParameterError
 from eitnarrow.kernels import (
     CHUNK_EXPONENT,
     _phi12,
+    _power_table,
     g_sweep,
     g_sweep_coefficients,
     mc_batch,
@@ -173,6 +174,44 @@ def _default_mc_slab():
     fields = replace(cfg.fields, omega_p=0.05 * abs(cfg.fields.omega_d))
     coeffs = _slab_coefficients(cfg.medium, fields, cfg.medium.length / 8, 1e-7)
     return fields, coeffs
+
+
+@pytest.mark.parametrize(
+    "decay, count",
+    [
+        pytest.param(0.99 + 0.01j, 1000, id="one-chunk"),
+        # |ln|decay||*2000 = 1385: the table spans one chunk of 433 steps
+        pytest.param(0.5 + 0.02j, 2000, id="chunked"),
+    ],
+)
+def test_power_table_is_cached_read_only(decay, count):
+    """The table is the running product of powers, kept read-only, and a
+    second request for the same pole returns the same array."""
+    rate = abs(np.log(abs(decay)))
+    table = _power_table(decay, rate, count)
+    chunk = min(count, int(CHUNK_EXPONENT / rate))
+    up = np.full(chunk + 1, decay, dtype=complex)
+    up[0] = 1.0
+    up = np.cumprod(up)
+    assert np.array_equal(table, np.stack([up, 1.0 / up]))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    assert _power_table(decay, rate, count) is table
+
+
+def test_mc_batch_builds_its_power_table_once():
+    """Realizations of one ensemble share the slow pole, so only the first
+    ``mc_batch`` call builds its table, and every call gives the same
+    output for the same probe."""
+    fields, coeffs = _default_mc_slab()
+    probe = abs(fields.omega_p) * _mc_probe(seed=5, nreal=1, nt=2000)[0]
+    _power_table.cache_clear()
+    first = mc_batch(probe, fields.omega_d, 8, *coeffs)
+    second = mc_batch(probe, fields.omega_d, 8, *coeffs)
+    info = _power_table.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+    assert np.array_equal(first, second)
 
 
 # poles of the slab's rho-recurrence: slow s (larger modulus), fast f

@@ -1,5 +1,7 @@
 """Time-domain Monte-Carlo oracle: slices, ensembles and statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,13 @@ from eitnarrow.mc import (
     bloch_medium,
     ensemble_beat_spectrum,
 )
-from eitnarrow.noise import PhaseNoiseModel
-from eitnarrow.spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, gaussian_spectrum
+from eitnarrow.noise import PhaseNoiseModel, synthesize_probe_field
+from eitnarrow.spectral import (
+    GAUSSIAN_FWHM_FACTOR,
+    FrequencyGrid,
+    gaussian_spectrum,
+    periodogram,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +151,48 @@ def test_noiseless_ensemble_is_a_single_line():
     # the Hann main lobe spans three bins; essentially all power is there
     assert d[i0 - 1 : i0 + 2].sum() > 0.999 * d.sum()
     assert 0.0 < result.drive_depletion
+
+
+@pytest.mark.parametrize("keep", [2000, 2001], ids=["even", "odd"])
+@pytest.mark.parametrize("noise", ["shaped", "diffusion"])
+def test_ensemble_matches_the_per_realization_chain(noise, keep):
+    """Byte for byte, the ensemble is synthesize -> slab -> Hann
+    periodogram run on each realization, and that periodogram is numpy's
+    shifted FFT; at an odd kept length a slip between ``fftshift`` and
+    ``ifftshift`` moves every bin."""
+    base = reduced_config(realizations=8)
+    m, f, dt = base.medium, base.fields, base.dt
+    g = complex_rates(m, f).gamma_cb_eff.real
+    if noise == "diffusion":
+        base = replace(base, noise=PhaseNoiseModel(diffusion=5.0 * g, seed=3))
+    cfg = replace(base, duration=keep * dt)
+    result = ensemble_beat_spectrum(cfg)
+
+    burn = int(np.ceil(5.0 / (g * dt)))
+    w = np.hanning(keep)
+    rows_in, rows_out = [], []
+    for r in range(cfg.realizations):
+        probe = synthesize_probe_field(cfg.noise, abs(f.omega_p), dt, keep + burn, r)
+        out = slab(probe, m, f, dt, cfg.slices)
+        spec_in = periodogram(probe[burn:], dt, "hann")
+        spec_out = periodogram(out[burn:], dt, "hann")
+        shifted = np.fft.fftshift(np.fft.fft(out[burn:] * w))
+        direct = (np.abs(shifted) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
+        assert np.array_equal(spec_out.density, direct)
+        rows_in.append(spec_in.density)
+        rows_out.append(spec_out.density)
+    p_in, p_out = np.array(rows_in), np.array(rows_out)
+
+    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(keep, dt))
+    assert result.spectrum.grid == spec_in.grid
+    assert result.spectrum.grid.count == keep
+    assert result.spectrum.grid.start == freqs[0]
+    assert result.spectrum.grid.step == freqs[1] - freqs[0]
+    assert np.array_equal(result.per_real_in, p_in)
+    assert np.array_equal(result.per_real_out, p_out)
+    assert np.array_equal(result.input_density, p_in.mean(axis=0))
+    assert np.array_equal(result.spectrum.density, p_out.mean(axis=0))
+    assert np.array_equal(result.stderr, p_out.std(axis=0, ddof=1) / np.sqrt(8))
 
 
 def test_center_transfer_is_unity_within_three_sigma():
