@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from . import __version__
+from .config import _key_lines
 from .errors import ConfigError
 from .spectral import FrequencyGrid, Spectrum
 
@@ -59,6 +60,8 @@ def read_spectrum_csv(path: str) -> Spectrum:
         rows = np.array(
             [[float(v) for v in ln.split(",")] for ln in lines[1:]]  # lines[0] is the header
         )
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}", code="bad-parameter") from exc
     except ValueError:
         rows = np.empty(0)
     if rows.ndim != 2 or rows.shape[0] < 8 or rows.shape[1] < 2:
@@ -80,9 +83,7 @@ def write_sidecar(path: str, resolved: dict, digest: str, extra: dict | None = N
         fh.write(_header_lines(digest))
         fh.write(f"code_version={__version__}\n")
         fh.write(f"config_digest={digest}\n")
-        for sec in sorted(resolved):
-            for key in sorted(resolved[sec]):
-                fh.write(f"{sec}.{key}={resolved[sec][key]}\n")
+        fh.writelines(line + "\n" for line in _key_lines(resolved))
         for key in sorted(extra or {}):
             fh.write(f"{key}={extra[key]}\n")
 

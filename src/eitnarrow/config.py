@@ -57,18 +57,22 @@ medium: ``AtomicMedium.exponent_factor`` (``EXPONENT_FACTORS``: paper 1,
 derived 2) and ``AtomicMedium.doppler``, which every route and closed
 form reads.
 
-The size keys are bounded above (``SIZE_RANGES``), as are the samples
-per Monte-Carlo realization, ``duration_ms / dt_us``
-(``MAX_MC_SAMPLES``), and their product with ``realizations``
+Each key is one row of ``KEYS``: its section, name, default text, kind,
+the factors that take it to SI units and, for a size key, its bounds.
+``DEFAULTS`` is derived from the rows.  The samples per Monte-Carlo
+realization, ``duration_ms / dt_us``, are bounded too
+(``MAX_MC_SAMPLES``), as is their product with ``realizations``
 (``MAX_MC_ELEMENTS``).
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,70 +82,79 @@ from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
 from .spectral import gaussian_spectrum, lorentzian_spectrum
 
 TWO_PI = 2.0 * np.pi
-
-DEFAULTS: dict[str, dict[str, str]] = {
-    "medium": {
-        "density_cm3": "3e11",
-        "wavelength_nm": "794.98",
-        "gamma_r_per_s": "3.61e7",
-        "gamma_ab_per_s": "2e7",
-        "gamma_ac_per_s": "2e7",
-        "gamma_cb_hz": "0",
-        "doppler_fwhm_mhz": "500",
-        "doppler_mode": "on",
-        "length_cm": "2.5",
-    },
-    "fields": {
-        "omega_d_mhz": "0",
-        "target_width_khz": "4.6",
-        "omega_p_mhz": "0",
-        "delta_p_mhz": "0",
-        "delta_ac_mhz": "0",
-        "rho_aa": "0",
-        "rho_bb": "1",
-        "rho_cc": "0",
-    },
-    "input": {
-        "shape": "gaussian",
-        "fwhm_khz": "980",
-        "grid_points": "3001",
-        "span_factor": "6.0",
-    },
-    "propagation": {
-        "exponent_convention": "paper",
-    },
-    "mc": {
-        "realizations": "200",
-        "slices": "8",
-        "dt_us": "0.1",
-        "duration_ms": "1.0",
-    },
-    "sweep": {
-        "omega_d_min_mhz": "2.0",
-        "omega_d_max_mhz": "6.5",
-        "points": "8",
-    },
-    "run": {
-        "seed": "12345",
-    },
-}
+_MHZ = (TWO_PI, 1e6)
+_KHZ = (TWO_PI, 1e3)
 
 # ``AtomicMedium.exponent_factor`` of each ``exponent_convention``
 EXPONENT_FACTORS = {"paper": 1.0, "derived": 2.0}
 
-_ENUMS = {
-    ("medium", "doppler_mode"): ("on", "off"),
-    ("input", "shape"): ("gaussian", "lorentzian"),
-    ("propagation", "exponent_convention"): tuple(EXPONENT_FACTORS),
+
+class Key(NamedTuple):
+    """One configuration key.  ``kind`` is ``float``, ``int`` or the
+    tuple of allowed words; ``factors`` take a value in the key's unit
+    to SI, applied one at a time (``x * 2π * 1e6``, which rounds unlike
+    ``x * (2π·1e6)``); ``bounds`` is the (low, high) range of a size
+    key."""
+
+    section: str
+    name: str
+    default: str
+    kind: type | tuple[str, ...] = float
+    factors: tuple[float, ...] = ()
+    bounds: tuple[int, int] | None = None
+
+    def si(self, value):
+        for factor in self.factors:
+            value = value * factor
+        return value
+
+
+# the upper size bounds lie far above every shipped and tested
+# configuration and keep the arrays a run allocates within a few GB
+KEYS = (
+    Key("medium", "density_cm3", "3e11", float, (1e6,)),
+    Key("medium", "wavelength_nm", "794.98", float, (1e-9,)),
+    Key("medium", "gamma_r_per_s", "3.61e7"),
+    Key("medium", "gamma_ab_per_s", "2e7"),
+    Key("medium", "gamma_ac_per_s", "2e7"),
+    Key("medium", "gamma_cb_hz", "0", float, (TWO_PI,)),
+    Key("medium", "doppler_fwhm_mhz", "500", float, _MHZ),
+    Key("medium", "doppler_mode", "on", ("on", "off")),
+    Key("medium", "length_cm", "2.5", float, (1e-2,)),
+    Key("fields", "omega_d_mhz", "0", float, _MHZ),
+    Key("fields", "target_width_khz", "4.6", float, _KHZ),
+    Key("fields", "omega_p_mhz", "0", float, _MHZ),
+    Key("fields", "delta_p_mhz", "0", float, _MHZ),
+    Key("fields", "delta_ac_mhz", "0", float, _MHZ),
+    Key("fields", "rho_aa", "0"),
+    Key("fields", "rho_bb", "1"),
+    Key("fields", "rho_cc", "0"),
+    Key("input", "shape", "gaussian", ("gaussian", "lorentzian")),
+    Key("input", "fwhm_khz", "980", float, _KHZ),
+    Key("input", "grid_points", "3001", int, bounds=(8, 10**6)),
+    Key("input", "span_factor", "6.0"),
+    Key("propagation", "exponent_convention", "paper", tuple(EXPONENT_FACTORS)),
+    Key("mc", "realizations", "200", int, bounds=(8, 10**5)),
+    Key("mc", "slices", "8", int, bounds=(1, 10**4)),
+    Key("mc", "dt_us", "0.1", float, (1e-6,)),
+    Key("mc", "duration_ms", "1.0", float, (1e-3,)),
+    Key("sweep", "omega_d_min_mhz", "2.0", float, _MHZ),
+    Key("sweep", "omega_d_max_mhz", "6.5", float, _MHZ),
+    Key("sweep", "points", "8", int, bounds=(1, 10**4)),
+    Key("run", "seed", "12345", int),
+)
+_ROWS = {(k.section, k.name): k for k in KEYS}
+DEFAULTS: dict[str, dict[str, str]] = {
+    sec: {k.name: k.default for k in KEYS if k.section == sec}
+    for sec in dict.fromkeys(k.section for k in KEYS)
 }
 
-_INTS = {
-    ("input", "grid_points"),
-    ("mc", "realizations"),
-    ("mc", "slices"),
-    ("sweep", "points"),
-    ("run", "seed"),
-}
+# bound on the magnitude of a float key: far beyond any physical value in
+# the listed units, and small enough that the squares and products formed
+# from the parameters stay finite
+MAX_MAGNITUDE = 1e30
+MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us
+MAX_MC_ELEMENTS = 10**8  # realizations * duration_ms / dt_us
 
 
 @dataclass(frozen=True)
@@ -184,8 +197,11 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
     if not os.path.isfile(path):
         raise ConfigError(f"configuration file not found: {path}", code="config-not-found")
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read(path, encoding="utf-8")
+    try:  # ``parser.read`` would skip a file it cannot open
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}", code="config-parse-error") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}", code="config-parse-error") from exc
     for sec in parser.sections():
@@ -198,75 +214,43 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
     return merged
 
 
-# bound on the magnitude of a float key: far beyond any physical value in
-# the listed units, and small enough that the squares and products formed
-# from the parameters stay finite
-MAX_MAGNITUDE = 1e30
-
-
-# allowed range of each size key: the upper bounds lie far above every
-# shipped and tested configuration and keep the arrays a run allocates
-# within a few GB
-SIZE_RANGES = {
-    ("input", "grid_points"): (8, 10**6),
-    ("mc", "realizations"): (8, 10**5),
-    ("mc", "slices"): (1, 10**4),
-    ("sweep", "points"): (1, 10**4),
-}
-MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us
-MAX_MC_ELEMENTS = 10**8  # realizations * duration_ms / dt_us
-
-
-def _number(resolved, sec, key) -> float:
-    raw = resolved[sec][key]
-    if (sec, key) in _INTS:
-        try:
-            return int(raw)
-        except ValueError:
+def _read(resolved: dict, sec: str, key: str, si: bool = True):
+    """The resolved value of one key, checked against its row: one of its
+    words, an integer within its bounds, or a float of magnitude at most
+    ``MAX_MAGNITUDE`` in SI units (in the key's own unit if not ``si``)."""
+    row, raw = _ROWS[sec, key], resolved[sec][key]
+    if isinstance(row.kind, tuple):
+        word = raw.lower()
+        if word not in row.kind:
             raise ConfigError(
-                f"key {key!r} in [{sec}] must be an integer, got {raw!r}",
-                code="bad-number",
-            ) from None
+                f"key {key!r} in [{sec}] must be one of {row.kind}, got {word!r}",
+                code="bad-enum",
+            )
+        return word
     try:
-        value = float(raw)
-        if abs(value) <= MAX_MAGNITUDE:
-            return value
+        value = row.kind(raw)
     except ValueError:
-        pass
-    raise ConfigError(
-        f"key {key!r} in [{sec}] must be a finite number of magnitude at most "
-        f"{MAX_MAGNITUDE:g}, got {raw!r}",
-        code="bad-number",
-    )
-
-
-def _size(sec: str, key: str, value: int) -> int:
-    low, high = SIZE_RANGES[(sec, key)]
+        value = None
+    if value is None or row.kind is float and not abs(value) <= MAX_MAGNITUDE:
+        what = (
+            "an integer" if row.kind is int
+            else f"a finite number of magnitude at most {MAX_MAGNITUDE:g}"
+        )
+        raise ConfigError(f"key {key!r} in [{sec}] must be {what}, got {raw!r}", code="bad-number")
+    low, high = row.bounds or (value, value)
     if not low <= value <= high:
-        raise ConfigError(
-            f"{key} must lie in [{low}, {high}], got {value}", code="bad-parameter"
-        )
-    return value
+        raise ConfigError(f"{key} must lie in [{low}, {high}], got {value}", code="bad-parameter")
+    return row.si(value) if si else value
 
 
-def _enum(resolved, sec, key) -> str:
-    raw = resolved[sec][key].lower()
-    allowed = _ENUMS[(sec, key)]
-    if raw not in allowed:
-        raise ConfigError(
-            f"key {key!r} in [{sec}] must be one of {allowed}, got {raw!r}",
-            code="bad-enum",
-        )
-    return raw
+def _key_lines(resolved: dict) -> list[str]:
+    """``section.key=value`` of every resolved key in sorted order: the
+    text the digest hashes and the sidecar lists."""
+    return [f"{sec}.{k}={v}" for sec in sorted(resolved) for k, v in sorted(resolved[sec].items())]
 
 
 def config_digest(resolved: dict) -> str:
-    text = "\n".join(
-        f"{sec}.{key}={resolved[sec][key]}"
-        for sec in sorted(resolved)
-        for key in sorted(resolved[sec])
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return hashlib.sha256("\n".join(_key_lines(resolved)).encode()).hexdigest()[:12]
 
 
 def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
@@ -278,63 +262,63 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     if seed is not None:
         resolved["run"]["seed"] = str(int(seed))
 
-    num = lambda sec, key: _number(resolved, sec, key)  # noqa: E731
-    exponent_factor = EXPONENT_FACTORS[_enum(resolved, "propagation", "exponent_convention")]
-    doppler = _enum(resolved, "medium", "doppler_mode") == "on"
-    input_shape = _enum(resolved, "input", "shape")
+    read = functools.partial(_read, resolved)
+    exponent_factor = EXPONENT_FACTORS[read("propagation", "exponent_convention")]
+    doppler = read("medium", "doppler_mode") == "on"
+    input_shape = read("input", "shape")
 
     try:
         medium = AtomicMedium(
-            number_density=num("medium", "density_cm3") * 1e6,
-            wavelength=num("medium", "wavelength_nm") * 1e-9,
-            gamma_r=num("medium", "gamma_r_per_s"),
-            gamma_ab=num("medium", "gamma_ab_per_s"),
-            gamma_ac=num("medium", "gamma_ac_per_s"),
-            gamma_cb=num("medium", "gamma_cb_hz") * TWO_PI,
-            doppler_width=num("medium", "doppler_fwhm_mhz") * TWO_PI * 1e6,
-            length=num("medium", "length_cm") * 1e-2,
+            number_density=read("medium", "density_cm3"),
+            wavelength=read("medium", "wavelength_nm"),
+            gamma_r=read("medium", "gamma_r_per_s"),
+            gamma_ab=read("medium", "gamma_ab_per_s"),
+            gamma_ac=read("medium", "gamma_ac_per_s"),
+            gamma_cb=read("medium", "gamma_cb_hz"),
+            doppler_width=read("medium", "doppler_fwhm_mhz"),
+            length=read("medium", "length_cm"),
             exponent_factor=exponent_factor,
             doppler=doppler,
         )
-        omega_d = num("fields", "omega_d_mhz") * TWO_PI * 1e6
+        omega_d = read("fields", "omega_d_mhz")
         if omega_d == 0:
-            target = num("fields", "target_width_khz") * TWO_PI * 1e3
             try:
-                omega_d = drive_for_target_width(medium, target)
+                omega_d = drive_for_target_width(medium, read("fields", "target_width_khz"))
             except OpticallyThinError as exc:
                 raise ConfigError(
                     f"omega_d_mhz = 0 (auto) needs an optically thick medium: {exc}",
                     code="bad-parameter",
                 ) from exc
-            resolved["fields"]["omega_d_mhz"] = repr(omega_d / (TWO_PI * 1e6))
+            per_mhz = _ROWS["fields", "omega_d_mhz"].si(1.0)
+            resolved["fields"]["omega_d_mhz"] = repr(omega_d / per_mhz)
         fields = FieldConfig(
             omega_d=omega_d,
-            omega_p=num("fields", "omega_p_mhz") * TWO_PI * 1e6,
-            delta_p=num("fields", "delta_p_mhz") * TWO_PI * 1e6,
-            delta_ac=num("fields", "delta_ac_mhz") * TWO_PI * 1e6,
-            rho_aa=num("fields", "rho_aa"),
-            rho_bb=num("fields", "rho_bb"),
-            rho_cc=num("fields", "rho_cc"),
+            omega_p=read("fields", "omega_p_mhz"),
+            delta_p=read("fields", "delta_p_mhz"),
+            delta_ac=read("fields", "delta_ac_mhz"),
+            rho_aa=read("fields", "rho_aa"),
+            rho_bb=read("fields", "rho_bb"),
+            rho_cc=read("fields", "rho_cc"),
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), code="bad-parameter") from exc
 
-    size = lambda sec, key: _size(sec, key, num(sec, key))  # noqa: E731
-    sweep = np.linspace(
-        num("sweep", "omega_d_min_mhz"),
-        num("sweep", "omega_d_max_mhz"),
-        size("sweep", "points"),
-    ) * TWO_PI * 1e6
+    # spaced in MHz, then scaled: spacing the scaled endpoints rounds differently
+    sweep = _ROWS["sweep", "omega_d_min_mhz"].si(np.linspace(
+        read("sweep", "omega_d_min_mhz", si=False),
+        read("sweep", "omega_d_max_mhz", si=False),
+        read("sweep", "points"),
+    ))
 
-    grid_points = size("input", "grid_points")
-    span_factor = num("input", "span_factor")
-    input_fwhm = num("input", "fwhm_khz") * TWO_PI * 1e3
+    grid_points = read("input", "grid_points")
+    span_factor = read("input", "span_factor")
+    input_fwhm = read("input", "fwhm_khz")
     if span_factor <= 0 or input_fwhm <= 0:
         raise ConfigError("span_factor and fwhm_khz must be positive", code="bad-parameter")
-    mc_realizations = size("mc", "realizations")
-    mc_slices = size("mc", "slices")
-    mc_dt = num("mc", "dt_us") * 1e-6
-    mc_duration = num("mc", "duration_ms") * 1e-3
+    mc_realizations = read("mc", "realizations")
+    mc_slices = read("mc", "slices")
+    mc_dt = read("mc", "dt_us")
+    mc_duration = read("mc", "duration_ms")
     if mc_dt <= 0 or mc_duration <= 0:
         raise ConfigError("dt_us and duration_ms must be positive", code="bad-parameter")
     samples = mc_duration / mc_dt
@@ -349,7 +333,7 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             f"exceeds {MAX_MC_ELEMENTS:.0e}",
             code="bad-parameter",
         )
-    seed = int(num("run", "seed"))
+    seed = read("run", "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}", code="bad-parameter")
 
@@ -371,4 +355,4 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     )
 
 
-__all__ = ["DEFAULTS", "RunConfig", "config_digest", "load_config"]
+__all__ = ["DEFAULTS", "KEYS", "Key", "RunConfig", "config_digest", "load_config"]

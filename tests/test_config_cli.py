@@ -1,5 +1,6 @@
 """Configuration loading, CLI exit codes, artifacts and determinism."""
 
+import builtins
 import contextlib
 import filecmp
 import io
@@ -20,14 +21,7 @@ from eitnarrow import checks, cli, errors
 from eitnarrow import config as config_module
 from eitnarrow import propagation
 from eitnarrow.cli import main
-from eitnarrow.config import (
-    _ENUMS,
-    _INTS,
-    DEFAULTS,
-    SIZE_RANGES,
-    config_digest,
-    load_config,
-)
+from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
 from eitnarrow.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
@@ -110,15 +104,23 @@ def test_integer_key_in_float_notation_is_named_an_integer(tmp_path):
 
 
 def test_size_keys_are_bounded_above(tmp_path):
+    """Each size key accepts its bounds and rejects one step beyond
+    either of them."""
     # 500 samples per realization keep the largest ensemble in bounds
     extra = {"mc": "duration_ms = 0.05\n"}
-    for (sec, key), (_, high) in SIZE_RANGES.items():
-        text = f"[{sec}]\n{extra.get(sec, '')}{key} = "
-        cfg = load_config(write_config(tmp_path, f"{text}{high}\n"))
-        assert cfg.resolved[sec][key] == str(high)
-        with pytest.raises(ConfigError) as err:
-            load_config(write_config(tmp_path, f"{text}{high + 1}\n"))
-        assert err.value.code == "bad-parameter"
+    sized = [row for row in KEYS if row.bounds]
+    assert len(sized) == 4
+    for row in sized:
+        low, high = row.bounds
+        text = f"[{row.section}]\n{extra.get(row.section, '')}{row.name} = "
+        for value in (low, high):
+            cfg = load_config(write_config(tmp_path, f"{text}{value}\n"))
+            assert cfg.resolved[row.section][row.name] == str(value)
+        for value in (low - 1, high + 1):
+            with pytest.raises(ConfigError) as err:
+                load_config(write_config(tmp_path, f"{text}{value}\n"))
+            assert err.value.code == "bad-parameter"
+            assert str(err.value) == f"{row.name} must lie in [{low}, {high}], got {value}"
 
 
 def test_bad_physical_parameter(tmp_path):
@@ -273,6 +275,39 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [("figure2", "config-parse-error"), ("fit", "bad-parameter")],
+    ids=["config", "fit-input"],
+)
+def test_unreadable_file_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command, code):
+    """A config file or fit input that exists but cannot be opened exits
+    2 with one ``error:`` line: the config is not replaced by the
+    defaults, and the fit input raises no traceback.  ``open`` is patched
+    to refuse the file, because a root user can open any file."""
+    if command == "fit":
+        path = _bad_spectrum_csv(tmp_path)
+        argv = ["fit", "--input", path]
+    else:
+        path = write_config(tmp_path, "[medium]\nlength_cm = 5.0\n")
+        argv = ["--config", path, command]
+    real_open = builtins.open
+
+    def refusing_open(file, *args, **kwargs):
+        if file == path:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)
+    rc = main(["--out", str(tmp_path / "o")] + argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"error: {code}: cannot read {path}: [Errno 13] Permission denied: {path!r}"
+    ]
+
+
 def test_underflowing_fit_exits_1_with_one_error_line(tmp_path, capsys):
     """A drive so weak that the fitted width squared (4e-155 MHz) or the
     Jacobian's squared denominator (3.9e-59 MHz) underflows: the fit
@@ -344,16 +379,12 @@ def test_warnings_print_as_one_line_on_every_run(tmp_path, capsys):
         assert lines[0].startswith("warning: probe Rabi frequency is not small")
 
 
-_FUZZED_KEYS = [
-    (sec, key)
-    for sec in ("mc", "input", "fields")
-    for key in DEFAULTS[sec]
-    if (sec, key) not in _ENUMS
-]
+# every numeric key: all but the enumerated ones
+_FUZZED_KEYS = [row for row in KEYS if row.kind in (int, float)]
 _ODD_TOKENS = st.sampled_from(["", "x", "1e", "0x10", "1_000", "--", "1,5"])
 # accepted integer sizes stay small so every example is cheap to run;
 # sizes above every bound are rejected before any work starts
-_ABOVE_SIZE_BOUNDS = max(high for _, high in SIZE_RANGES.values()) + 1
+_ABOVE_SIZE_BOUNDS = max(row.bounds[1] for row in KEYS if row.bounds) + 1
 _INT_VALUES = st.one_of(
     st.integers(-50, 4000).map(str),
     st.integers(_ABOVE_SIZE_BOUNDS, 10**30).map(str),
@@ -371,9 +402,9 @@ _FLOAT_VALUES = st.one_of(
 def _config_text(draw):
     chosen = draw(st.sets(st.sampled_from(_FUZZED_KEYS), max_size=4))
     sections: dict[str, list[str]] = {}
-    for sec, key in sorted(chosen):
-        value = draw(_INT_VALUES if (sec, key) in _INTS else _FLOAT_VALUES)
-        sections.setdefault(sec, []).append(f"{key} = {value}")
+    for row in sorted(chosen):
+        value = draw(_INT_VALUES if row.kind is int else _FLOAT_VALUES)
+        sections.setdefault(row.section, []).append(f"{row.name} = {value}")
     return "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
 
 
@@ -381,11 +412,12 @@ def _config_text(draw):
 @given(
     seed=st.one_of(st.none(), st.integers(-(2**66), 2**66).map(str), st.text(max_size=6)),
     config=_config_text(),
-    command=st.sampled_from(["figure2", "figure3", "propagate"]),
+    command=st.sampled_from(["figure2", "figure3", "figure4", "propagate"]),
 )
 def test_exit_contract_holds_for_fuzzed_inputs(seed, config, command):
-    """Any seed token and any numeric [mc]/[input]/[fields] value ends in
-    exit 0-3, at most one ``error:`` line and no traceback."""
+    """Any seed token and any value of up to four numeric keys of the key
+    table ends in exit 0-3, at most one ``error:`` line and no
+    traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["--out", os.path.join(tmp, "o"), "--quick"]
         if seed is not None:
