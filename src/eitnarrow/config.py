@@ -59,7 +59,10 @@ form reads.
 
 Each key is one row of ``KEYS``: its section, name, default text, kind,
 the factors that take it to SI units and, for a size key, its bounds.
-``DEFAULTS`` is derived from the rows.  The samples per Monte-Carlo
+``DEFAULTS`` is derived from the rows.  ``load_config`` checks every key
+against its row first, in ``KEYS`` order, whether or not the run uses it;
+the physical and cross-key checks follow, so a file with a malformed key
+and a physical fault reports the key.  The samples per Monte-Carlo
 realization, ``duration_ms / dt_us``, are bounded too
 (``MAX_MC_SAMPLES``), as is their product with ``realizations``
 (``MAX_MC_ELEMENTS``).
@@ -68,7 +71,6 @@ realization, ``duration_ms / dt_us``, are bounded too
 from __future__ import annotations
 
 import configparser
-import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -196,7 +198,8 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
         return merged
     if not os.path.isfile(path):
         raise ConfigError(f"configuration file not found: {path}", code="config-not-found")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header spells an empty name, so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:  # ``parser.read`` would skip a file it cannot open
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -214,11 +217,12 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
     return merged
 
 
-def _read(resolved: dict, sec: str, key: str, si: bool = True):
-    """The resolved value of one key, checked against its row: one of its
-    words, an integer within its bounds, or a float of magnitude at most
-    ``MAX_MAGNITUDE`` in SI units (in the key's own unit if not ``si``)."""
-    row, raw = _ROWS[sec, key], resolved[sec][key]
+def _read(resolved: dict, row: Key):
+    """The resolved value of one key in its own unit, checked against its
+    row: one of its words, an integer within its bounds, or a float of
+    magnitude at most ``MAX_MAGNITUDE`` in the key's own unit."""
+    sec, key = row.section, row.name
+    raw = resolved[sec][key]
     if isinstance(row.kind, tuple):
         word = raw.lower()
         if word not in row.kind:
@@ -240,7 +244,7 @@ def _read(resolved: dict, sec: str, key: str, si: bool = True):
     low, high = row.bounds or (value, value)
     if not low <= value <= high:
         raise ConfigError(f"{key} must lie in [{low}, {high}], got {value}", code="bad-parameter")
-    return row.si(value) if si else value
+    return value
 
 
 def _key_lines(resolved: dict) -> list[str]:
@@ -262,28 +266,29 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     if seed is not None:
         resolved["run"]["seed"] = str(int(seed))
 
-    read = functools.partial(_read, resolved)
-    exponent_factor = EXPONENT_FACTORS[read("propagation", "exponent_convention")]
-    doppler = read("medium", "doppler_mode") == "on"
-    input_shape = read("input", "shape")
+    # every key in its own unit and in SI units (no name is in two sections)
+    own, si = {}, {}
+    for row in KEYS:
+        own[row.name] = _read(resolved, row)
+        si[row.name] = row.si(own[row.name])
 
     try:
         medium = AtomicMedium(
-            number_density=read("medium", "density_cm3"),
-            wavelength=read("medium", "wavelength_nm"),
-            gamma_r=read("medium", "gamma_r_per_s"),
-            gamma_ab=read("medium", "gamma_ab_per_s"),
-            gamma_ac=read("medium", "gamma_ac_per_s"),
-            gamma_cb=read("medium", "gamma_cb_hz"),
-            doppler_width=read("medium", "doppler_fwhm_mhz"),
-            length=read("medium", "length_cm"),
-            exponent_factor=exponent_factor,
-            doppler=doppler,
+            number_density=si["density_cm3"],
+            wavelength=si["wavelength_nm"],
+            gamma_r=si["gamma_r_per_s"],
+            gamma_ab=si["gamma_ab_per_s"],
+            gamma_ac=si["gamma_ac_per_s"],
+            gamma_cb=si["gamma_cb_hz"],
+            doppler_width=si["doppler_fwhm_mhz"],
+            length=si["length_cm"],
+            exponent_factor=EXPONENT_FACTORS[si["exponent_convention"]],
+            doppler=si["doppler_mode"] == "on",
         )
-        omega_d = read("fields", "omega_d_mhz")
+        omega_d = si["omega_d_mhz"]
         if omega_d == 0:
             try:
-                omega_d = drive_for_target_width(medium, read("fields", "target_width_khz"))
+                omega_d = drive_for_target_width(medium, si["target_width_khz"])
             except OpticallyThinError as exc:
                 raise ConfigError(
                     f"omega_d_mhz = 0 (auto) needs an optically thick medium: {exc}",
@@ -293,63 +298,53 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             resolved["fields"]["omega_d_mhz"] = repr(omega_d / per_mhz)
         fields = FieldConfig(
             omega_d=omega_d,
-            omega_p=read("fields", "omega_p_mhz"),
-            delta_p=read("fields", "delta_p_mhz"),
-            delta_ac=read("fields", "delta_ac_mhz"),
-            rho_aa=read("fields", "rho_aa"),
-            rho_bb=read("fields", "rho_bb"),
-            rho_cc=read("fields", "rho_cc"),
+            omega_p=si["omega_p_mhz"],
+            delta_p=si["delta_p_mhz"],
+            delta_ac=si["delta_ac_mhz"],
+            rho_aa=si["rho_aa"],
+            rho_bb=si["rho_bb"],
+            rho_cc=si["rho_cc"],
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), code="bad-parameter") from exc
 
     # spaced in MHz, then scaled: spacing the scaled endpoints rounds differently
-    sweep = _ROWS["sweep", "omega_d_min_mhz"].si(np.linspace(
-        read("sweep", "omega_d_min_mhz", si=False),
-        read("sweep", "omega_d_max_mhz", si=False),
-        read("sweep", "points"),
-    ))
+    sweep = _ROWS["sweep", "omega_d_min_mhz"].si(
+        np.linspace(own["omega_d_min_mhz"], own["omega_d_max_mhz"], own["points"])
+    )
 
-    grid_points = read("input", "grid_points")
-    span_factor = read("input", "span_factor")
-    input_fwhm = read("input", "fwhm_khz")
-    if span_factor <= 0 or input_fwhm <= 0:
+    if si["span_factor"] <= 0 or si["fwhm_khz"] <= 0:
         raise ConfigError("span_factor and fwhm_khz must be positive", code="bad-parameter")
-    mc_realizations = read("mc", "realizations")
-    mc_slices = read("mc", "slices")
-    mc_dt = read("mc", "dt_us")
-    mc_duration = read("mc", "duration_ms")
-    if mc_dt <= 0 or mc_duration <= 0:
+    if si["dt_us"] <= 0 or si["duration_ms"] <= 0:
         raise ConfigError("dt_us and duration_ms must be positive", code="bad-parameter")
-    samples = mc_duration / mc_dt
+    samples = si["duration_ms"] / si["dt_us"]
     if samples > MAX_MC_SAMPLES:
         raise ConfigError(
             f"duration_ms / dt_us = {samples:.4g} samples exceeds {MAX_MC_SAMPLES:.0e}",
             code="bad-parameter",
         )
-    if mc_realizations * samples > MAX_MC_ELEMENTS:
+    if si["realizations"] * samples > MAX_MC_ELEMENTS:
         raise ConfigError(
-            f"realizations * duration_ms / dt_us = {mc_realizations * samples:.4g} "
+            f"realizations * duration_ms / dt_us = {si['realizations'] * samples:.4g} "
             f"exceeds {MAX_MC_ELEMENTS:.0e}",
             code="bad-parameter",
         )
-    seed = read("run", "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}", code="bad-parameter")
+    if not 0 <= si["seed"] < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {si['seed']}", code="bad-parameter")
 
     return RunConfig(
         medium=medium,
         fields=fields,
-        input_shape=input_shape,
-        input_fwhm=input_fwhm,
-        grid_points=grid_points,
-        span_factor=span_factor,
-        mc_realizations=mc_realizations,
-        mc_slices=mc_slices,
-        mc_dt=mc_dt,
-        mc_duration=mc_duration,
+        input_shape=si["shape"],
+        input_fwhm=si["fwhm_khz"],
+        grid_points=si["grid_points"],
+        span_factor=si["span_factor"],
+        mc_realizations=si["realizations"],
+        mc_slices=si["slices"],
+        mc_dt=si["dt_us"],
+        mc_duration=si["duration_ms"],
         sweep_omega_d=sweep,
-        seed=seed,
+        seed=si["seed"],
         resolved=resolved,
         digest=config_digest(resolved),
     )

@@ -37,8 +37,8 @@ class McConfig:
     noise: PhaseNoiseModel
     dt: float
     duration: float
-    realizations: int = 200
-    slices: int = 8
+    realizations: int
+    slices: int
 
     def __post_init__(self):
         if self.slices < 1:

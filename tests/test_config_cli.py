@@ -151,6 +151,33 @@ def test_module_docstring_lists_exactly_the_default_keys():
     assert documented == {sec: set(keys) for sec, keys in DEFAULTS.items()}
 
 
+def test_module_docstring_states_the_default_of_each_row():
+    """Each default in parentheses in the ``config`` docstring is its
+    row's ``default``: ``omega_d_mhz (0 = auto)`` states 0, and the
+    ``rho_aa, rho_bb, rho_cc`` line states one default per key."""
+    documented = {}
+    entries = re.findall(r"^ {4}(\w+(?:, \w+)*) .*?\(([^)]*)\)", config_module.__doc__, re.M)
+    for names, defaults in entries:
+        values = defaults.split(" = ")[0].split(", ")
+        documented.update(zip(names.split(", "), values, strict=True))
+    assert documented == {row.name: row.default for row in KEYS}
+
+
+@pytest.mark.parametrize("row", KEYS, ids=lambda row: row.name)
+def test_every_key_rejects_a_malformed_value(tmp_path, row):
+    """Every key is checked against its row, whether or not the run reads
+    it: with an explicit drive, ``target_width_khz`` is not used, yet
+    ``x`` there is still an error naming the key."""
+    sections = {row.section: f"{row.name} = x\n"}
+    if row.name != "omega_d_mhz":
+        sections["fields"] = sections.get("fields", "") + "omega_d_mhz = 2.3\n"
+    text = "".join(f"[{sec}]\n{body}" for sec, body in sections.items())
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, text))
+    assert err.value.code in ("bad-number", "bad-enum")
+    assert repr(row.name) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # CLI behaviour and exit codes
 # ---------------------------------------------------------------------------
@@ -240,6 +267,16 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param(None, ["fit", "--input", "UNEVEN_CSV"], id="non-uniform-fit-input"),
         pytest.param(b"\xff\xfe[mc]\nslices = 8\n", ["--quick", "mc"], id="non-utf8-config"),
         pytest.param(None, ["fit", "--input", "NON_UTF8_CSV"], id="non-utf8-fit-input"),
+        pytest.param(
+            "[fields]\nomega_d_mhz = 2.3\ntarget_width_khz = abc\n",
+            ["figure2"],
+            id="unused-bad-target-width",
+        ),
+        pytest.param("[DEFAULT]\nlength_cm = 5.0\n", ["propagate"], id="default-section"),
+        pytest.param(
+            "[DEFAULT]\nlength_cm = 5.0\n[medium]\n", ["propagate"], id="default-section-merged"
+        ),
+        pytest.param("[DEFAULT]\nseed = 3\n[medium]\n", ["propagate"], id="default-section-seed"),
         *(
             pytest.param(
                 "[medium]\nlength_cm = 0\n[fields]\nomega_d_mhz = 5\n",
@@ -273,6 +310,18 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert out == ""
+    # configparser would merge [DEFAULT] into every section
+    if isinstance(config, str) and config.startswith("[DEFAULT]"):
+        assert lines == ["error: unknown-key: unknown section [DEFAULT]"]
+
+
+def test_a_malformed_key_is_reported_before_a_physical_fault(tmp_path, capsys):
+    """Every key is checked against its row before the medium is built."""
+    path = write_config(tmp_path, "[medium]\ndensity_cm3 = -1\n[mc]\nslices = x\n")
+    assert main(["--config", path, "--out", str(tmp_path / "o"), "propagate"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad-number: key 'slices' in [mc] must be an integer, got 'x'"
+    ]
 
 
 @pytest.mark.parametrize(
