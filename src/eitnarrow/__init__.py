@@ -68,7 +68,6 @@ from .propagation import (
 from .mc import (
     McConfig,
     band_average_transfer,
-    bloch_medium,
     ensemble_beat_spectrum,
     windowed_reference,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "UnresolvedWidthError",
     "adiabatic_rate_check",
     "band_average_transfer",
-    "bloch_medium",
     "closed_form_width",
     "complex_rates",
     "correlation_to_spectrum",

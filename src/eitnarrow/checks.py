@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .fitting import fit_lineshape
-from .mc import McConfig, McEnsembleResult, band_average_transfer, bloch_medium
+from .mc import McConfig, McEnsembleResult, band_average_transfer
 from .mc import ensemble_beat_spectrum, windowed_reference
 from .medium import AtomicMedium, FieldConfig, complex_rates, transmission
 from .noise import PhaseNoiseModel
@@ -79,11 +79,11 @@ def band_transfer_vs_reference(
     The bins whose ensemble input power exceeds ``floor`` times the peak
     are split into ``n_bands`` contiguous bands.  Returns the Monte-Carlo
     band transfer, the input-weighted mean over each band of the
-    window-convolved transfer of ``bloch_medium(cfg.medium)``, and the
-    band standard errors."""
+    window-convolved transfer of ``cfg.medium`` (the medium the slab
+    simulates), and the band standard errors."""
     weights = result.input_density
     mask = weights > floor * weights.max()
-    analytic = transmission(bloch_medium(cfg.medium), cfg.fields, result.spectrum.omegas)
+    analytic = transmission(cfg.medium, cfg.fields, result.spectrum.omegas)
     ref_bins = windowed_reference(result, analytic)
     groups, values, errs = band_average_transfer(result, mask, n_bands)
     refs = np.array([np.sum(ref_bins[g] * weights[g]) / np.sum(weights[g]) for g in groups])

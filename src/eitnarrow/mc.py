@@ -10,16 +10,14 @@ exponential (field sampled at mid-slice).  The error of slaving the
 optical coherences is bounded in closed form by
 ``propagation.adiabatic_rate_check`` (``AdiabaticReport.slaving_error``).
 
-The per-field Bloch equations carry the full coupling, so the density
-exponent realized here is always 2 eta (exponent factor 2), whatever the
-medium's ``exponent_factor``.  ``bloch_medium`` states this once: the
-slab takes its coupling from it, and analytic references for the slab
-are computed on it.
+The per-field coupling is half of ``coupling_eta``, so the slab's
+density exponent is the medium's own, ``exponent_factor`` included, and
+its analytic reference is ``transmission`` of the same medium.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +69,9 @@ class McEnsembleResult:
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
-def bloch_medium(m: AtomicMedium) -> AtomicMedium:
-    """``m`` with the exponent factor 2 that the slab's Bloch equations
-    realize."""
-    return replace(m, exponent_factor=2.0)
-
-
 def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
     rates = complex_rates(m, f)
-    eta = 0.5 * coupling_eta(bloch_medium(m))  # coupling of the per-field equations
+    eta = 0.5 * coupling_eta(m)  # coupling of the per-field equations
     a = eta * f.n_ab / rates.gamma_ab  # homogeneous field advance rate [1/m]
     fcoef = -eta / rates.gamma_ab
     e_full = np.exp(a * dz)
@@ -112,7 +104,7 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
     if od2 == 0:
         return 1.0
     # d|Omega_d|^2/dz = 2 Re(Omega_d^* (-i eta rho_ca^*))
-    eta = 0.5 * coupling_eta(bloch_medium(cfg.medium))
+    eta = 0.5 * coupling_eta(cfg.medium)
     rate = 2.0 * np.real(np.conj(f.omega_d) * (-1j) * eta * np.conj(rho_ca)) / od2
     return float(np.exp(rate * cfg.medium.length))
 
@@ -204,7 +196,6 @@ __all__ = [
     "McConfig",
     "McEnsembleResult",
     "band_average_transfer",
-    "bloch_medium",
     "ensemble_beat_spectrum",
     "windowed_reference",
 ]

@@ -4,14 +4,16 @@ Complex dephasing rates, the coupling constant eta, the effective
 ground-coherence rate, per-frequency transfer exponents, the EIT
 transmission width and the closed-form thick-medium width.
 
-Two model choices are properties of the medium, so every route and
-every closed form follows them from one place:
+Two model choices are properties of the medium, so every route (the
+Monte-Carlo slab included) and every closed form follows them from one
+place:
 
 * ``exponent_factor`` scales the coupling ``coupling_eta``.  The quoted
   thick-medium filter uses eta (factor 1), while the reduction of the
-  correlation-propagation equations gives 2*eta (factor 2).  Since eta
-  is linear in the number density, factor 2 at density N equals factor
-  1 at 2N.
+  correlation-propagation equations gives 2*eta (factor 2).  The slab's
+  per-field coupling is half of ``coupling_eta``, so its exponent is the
+  same.  Since eta is linear in the number density, factor 2 at density
+  N equals factor 1 at 2N.
 * ``doppler`` applies the substitution gamma -> Delta_W to both optical
   coherences in ``complex_rates``; off, the homogeneous widths apply.
   The closed forms follow it through ``optical_width``.

@@ -583,18 +583,21 @@ def _stdout_and_csv_bodies(tmp_path, capsys, name, config_text, command):
     return capsys.readouterr().out, bodies
 
 
-@pytest.mark.parametrize("command", ["figure2", "propagate"])
+@pytest.mark.parametrize("command", ["figure2", "propagate", "mc"])
 def test_derived_convention_equals_paper_at_double_density(tmp_path, capsys, command):
     """eta is linear in the density and doubling it is exact, so the
     derived convention (2 eta) at the default density prints and writes
     the same numbers as the paper convention (eta) at twice the density,
-    auto drive and closed-form width included.  Only the config digest
-    in the ``#`` headers differs."""
+    auto drive, closed-form width and Monte-Carlo slab included.  Only
+    the config digest in the ``#`` headers differs.  Eight realizations
+    keep the Monte-Carlo case cheap."""
+    mc = "[mc]\nrealizations = 8\n"
     derived = _stdout_and_csv_bodies(
-        tmp_path, capsys, "derived", "[propagation]\nexponent_convention = derived\n", command
+        tmp_path, capsys, "derived", "[propagation]\nexponent_convention = derived\n" + mc,
+        command,
     )
     doubled = _stdout_and_csv_bodies(
-        tmp_path, capsys, "doubled", "[medium]\ndensity_cm3 = 6e11\n", command
+        tmp_path, capsys, "doubled", "[medium]\ndensity_cm3 = 6e11\n" + mc, command
     )
     assert derived[1]
     assert derived == doubled

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from eitnarrow.checks import band_transfer_vs_reference
+from eitnarrow.cli import _mc_shaping
+from eitnarrow.config import load_config
 from eitnarrow.errors import InvalidParameterError
 from eitnarrow.medium import (
     AtomicMedium,
@@ -18,7 +20,6 @@ from eitnarrow.mc import (
     McConfig,
     _slab_coefficients,
     band_average_transfer,
-    bloch_medium,
     ensemble_beat_spectrum,
 )
 from eitnarrow.noise import PhaseNoiseModel, synthesize_probe_field
@@ -126,7 +127,7 @@ def test_eit_transparency_for_constant_probe():
 
 def test_detuned_beat_matches_analytic_transfer():
     """A monochromatic beat component at offset delta is attenuated by
-    exp(Re kappa(delta) L) of the slab's Bloch medium (2 eta), to 1e-3."""
+    exp(Re kappa(delta) L) of the medium the slab simulates, to 1e-3."""
     m = reduced_medium()
     f = reduced_fields()
     g = complex_rates(m, f).gamma_cb_eff.real
@@ -136,7 +137,7 @@ def test_detuned_beat_matches_analytic_transfer():
     t = dt * np.arange(n)
     out = slab(abs(f.omega_p) * np.exp(-1j * delta * t), m, f, dt, 8)
     settled = np.abs(out[-n // 10 :]) ** 2 / abs(f.omega_p) ** 2
-    expected = transmission(bloch_medium(m), f, np.array([delta]))[0]
+    expected = transmission(m, f, np.array([delta]))[0]
     assert np.max(np.abs(settled - expected)) < 1e-3
 
 
@@ -228,6 +229,43 @@ def test_transfer_vs_analytic_in_bands():
         ensemble_beat_spectrum(cfg), cfg, 0.05, 8
     )
     assert np.all(np.abs(values - refs) <= np.maximum(5.0 * errs, 0.01))
+
+
+@pytest.fixture(scope="module")
+def shipped_bands():
+    """The ``mc`` command's medium, auto drive, noise and time grid with a
+    genuinely weak probe (1e-3 |Omega_d|), 64 realizations at seed 42:
+    per band, the deviation of the Monte-Carlo transfer from the
+    window-convolved ``transmission`` of the same medium, in sigma."""
+    run = load_config(seed=42)
+    drive = abs(run.fields.omega_d)
+    cfg = McConfig(
+        medium=run.medium,
+        fields=replace(run.fields, omega_p=1e-3 * drive),
+        noise=PhaseNoiseModel(diffusion=0.0, shaping=_mc_shaping(run), seed=run.seed),
+        dt=run.mc_dt,
+        duration=run.mc_duration,
+        realizations=64,
+        slices=run.mc_slices,
+    )
+    values, refs, errs = band_transfer_vs_reference(ensemble_beat_spectrum(cfg), cfg, 0.02, 16)
+    return (values - refs) / errs
+
+
+def test_line_bands_match_the_medium_at_the_shipped_config(shipped_bands):
+    """Bands 7 and 8 of the 16 hold the line centre."""
+    assert np.all(np.abs(shipped_bands[7:9]) <= 3.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 0.1 us time step biases the wing transfer (bare absorption "
+    "exp(-6.5)) by far more than its tiny standard error: shoulder bands "
+    "read +4.5 and +4.1 sigma and wing bands down to -977 sigma; the line "
+    "bands pass",
+)
+def test_all_bands_match_the_medium_at_the_shipped_config(shipped_bands):
+    assert np.all(np.abs(shipped_bands) <= 3.0)
 
 
 def test_band_average_requires_enough_bins():
