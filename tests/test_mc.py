@@ -238,10 +238,9 @@ def shipped_bands():
     per band, the deviation of the Monte-Carlo transfer from the
     window-convolved ``transmission`` of the same medium, in sigma."""
     run = load_config(seed=42)
-    drive = abs(run.fields.omega_d)
     cfg = McConfig(
         medium=run.medium,
-        fields=replace(run.fields, omega_p=1e-3 * drive),
+        fields=replace(run.fields, omega_p=1e-3 * abs(run.fields.omega_d)),
         noise=PhaseNoiseModel(diffusion=0.0, shaping=_mc_shaping(run), seed=run.seed),
         dt=run.mc_dt,
         duration=run.mc_duration,
