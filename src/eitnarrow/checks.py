@@ -97,8 +97,6 @@ def _reduced_mc_config(cfg: RunConfig) -> McConfig:
         cfg.medium, number_density=cfg.medium.number_density / 10.0, gamma_cb=0.0
     )
     drive = abs(cfg.fields.omega_d)
-    # a genuinely weak probe: the slaved coherence carries the probe's
-    # own power broadening, which would bias the analytic comparison
     fields = FieldConfig(omega_d=drive, omega_p=1e-3 * drive)
     rates = complex_rates(medium, fields)
     g = rates.gamma_cb_eff.real

@@ -72,9 +72,7 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
     fit_in = fit_lineshape(s_in, "gaussian")
     fine = cfg.output_grid()
     _, s_out, fit_out = _output_line(cfg, cfg.fields, fine)
-    target = closed_form_width(
-        cfg.medium, abs(cfg.fields.omega_d) ** 2 + abs(cfg.fields.omega_p) ** 2
-    )
+    target = closed_form_width(cfg.medium, abs(cfg.fields.omega_d) ** 2)
     wide_out = propagate_spectrum(cfg.medium, cfg.fields, s_in)
     print(f"input fwhm: {_khz(fit_in.fwhm):.4f} kHz (gaussian fit)")
     print(f"output fwhm: {_khz(fit_out.fwhm):.4f} kHz (lorentzian fit)")

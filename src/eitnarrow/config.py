@@ -188,7 +188,7 @@ class RunConfig:
         """Grid resolving the transmitted line: ``span_factor`` times the
         thick-filter half width on each side."""
         f = fields if fields is not None else self.fields
-        hwhm = thick_filter_hwhm(self.medium, abs(f.omega_d) ** 2 + abs(f.omega_p) ** 2)
+        hwhm = thick_filter_hwhm(self.medium, abs(f.omega_d) ** 2)
         return FrequencyGrid.spanning(2.0 * self.span_factor * hwhm, self.grid_points)
 
 

@@ -93,19 +93,12 @@ def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
 
 
 def _implied_drive_depletion(cfg: McConfig) -> float:
-    """Drive power transmission implied by the steady weak-probe
-    coherences; reported as a diagnostic, never fed back into the run."""
+    """Drive power transmission exp(-eta n_ca Re(1/Gamma_ca) L): the
+    drive's own linear absorption on a-c, which the probe leaves
+    untouched at first order; 1 when n_ca = 0.  Reported as a
+    diagnostic, never fed back into the run."""
     rates = complex_rates(cfg.medium, cfg.fields)
-    f = cfg.fields
-    s = f.omega_p * np.conj(f.omega_d)
-    rho_cb = rates.n_factor * s / rates.gamma_cb_eff
-    rho_ca = 1j * (np.conj(f.omega_d) * f.n_ca + np.conj(f.omega_p) * rho_cb) / rates.gamma_ca
-    od2 = abs(f.omega_d) ** 2
-    if od2 == 0:
-        return 1.0
-    # d|Omega_d|^2/dz = 2 Re(Omega_d^* (-i eta rho_ca^*))
-    eta = 0.5 * coupling_eta(cfg.medium)
-    rate = 2.0 * np.real(np.conj(f.omega_d) * (-1j) * eta * np.conj(rho_ca)) / od2
+    rate = -coupling_eta(cfg.medium) * cfg.fields.n_ca * (1.0 / rates.gamma_ca).real
     return float(np.exp(rate * cfg.medium.length))
 
 

@@ -119,11 +119,7 @@ def complex_rates(m: AtomicMedium, f: FieldConfig) -> ComplexRates:
     gamma_ca = g_ac - 1j * f.delta_ac
     if gamma_ab == 0 or gamma_ca == 0:
         raise SingularRateError("optical dephasing rate is zero")
-    gamma_cb_eff = (
-        m.gamma_cb
-        + abs(f.omega_d) ** 2 / gamma_ab
-        + abs(f.omega_p) ** 2 / gamma_ca
-    )
+    gamma_cb_eff = m.gamma_cb + abs(f.omega_d) ** 2 / gamma_ab
     n_factor = f.n_ab / gamma_ab - f.n_ca / gamma_ca
     return ComplexRates(gamma_ab, gamma_ca, gamma_cb_eff, n_factor)
 
@@ -151,10 +147,9 @@ def _dynamic_exponent(m: AtomicMedium, f: FieldConfig, omega) -> np.ndarray:
     """
     rates = complex_rates(m, f)
     omega = np.asarray(omega, dtype=float)
-    # gamma_cb_eff without the drive's power broadening |Omega_d|^2/Gamma_ab
-    ground = m.gamma_cb + abs(f.omega_p) ** 2 / rates.gamma_ca - 1j * omega
+    ground = m.gamma_cb - 1j * omega
     denom = (rates.gamma_ab - 1j * omega) * ground + abs(f.omega_d) ** 2
-    num = coupling_eta(m) * rates.n_factor * rates.gamma_ab * (m.gamma_cb - 1j * omega)
+    num = coupling_eta(m) * rates.n_factor * rates.gamma_ab * ground
     return num / denom
 
 

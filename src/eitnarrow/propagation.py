@@ -146,7 +146,7 @@ def _integrate_correlation(
     """R at z = L after ``steps`` Taylor steps, and the truncation
     residual: the max-norms of each step's last two terms, relative to
     |R(0)| at the end of that step, summed over the steps."""
-    b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab + |Omega_p|^2/Gamma_ca
+    b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab
     pref = 0.5 * coupling_eta(m)
     # L r = pref*((nfac r - b G) + (conj(nfac) r - conj(b) conj(G[::-1])))
     #     = a r - t - conj(t[::-1]) with t = pref*b*G
@@ -258,15 +258,15 @@ def _doppler_averaged_exponent(m: AtomicMedium, f: FieldConfig, omegas: np.ndarr
     """<kappa_v(omega)> over Gaussian velocity shifts s of FWHM Delta_W:
     with Gamma_ab = a + i s, Gamma_ca = b - i s and g = gamma_cb - i omega,
     kappa_v = eta (n_ab Gamma_ca - n_ca Gamma_ab) / ((s - p1)(s - p2)), the
-    poles being the roots of g Gamma_ab Gamma_ca + |Omega_d|^2 Gamma_ca +
-    |Omega_p|^2 Gamma_ab, and <1/(s - p)> = i sqrt(pi) w(p/k)/k, k = sqrt(2)
-    sigma, for Im p >= 0.  kappa = 0 where g = 0."""
+    poles being the roots of g Gamma_ab Gamma_ca + |Omega_d|^2 Gamma_ca, and
+    <1/(s - p)> = i sqrt(pi) w(p/k)/k, k = sqrt(2) sigma, for Im p >= 0.
+    kappa = 0 where g = 0."""
     a, b = m.gamma_ab + 1j * f.delta_p, m.gamma_ac - 1j * f.delta_ac
     g = m.gamma_cb - 1j * np.asarray(omegas, dtype=float)
     live = g != 0
     g = g[live]
-    c1 = 1j * (g * (b - a) - abs(f.omega_d) ** 2 + abs(f.omega_p) ** 2)
-    c0 = g * a * b + abs(f.omega_d) ** 2 * b + abs(f.omega_p) ** 2 * a
+    c1 = 1j * (g * (b - a) - abs(f.omega_d) ** 2)
+    c0 = g * a * b + abs(f.omega_d) ** 2 * b
     root = np.sqrt(c1**2 - 4.0 * g * c0)
     if np.any(root == 0):
         raise SingularRateError("coincident poles in the velocity shift")

@@ -242,10 +242,10 @@ def test_mc_batch_matches_the_loop(drive, nt, changed):
 
 
 def test_mc_batch_matches_the_loop_at_the_mc_scale():
-    """One realization of the default ``mc`` run: 10 736 samples (10 000
+    """One realization of the default ``mc`` run: 10 738 samples (10 000
     kept plus the burn-in) through 8 slices."""
     fields, coeffs = _default_mc_slab()
-    probe = abs(fields.omega_p) * _mc_probe(seed=4, nreal=1, nt=10_736)
+    probe = abs(fields.omega_p) * _mc_probe(seed=4, nreal=1, nt=10_738)
     out, ref = _mc_pair(probe, fields.omega_d, 8, *coeffs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 

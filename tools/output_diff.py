@@ -49,6 +49,7 @@ COMMANDS = (
     ("quick-validate", ["--quick", "validate"]),
     ("validate", ["validate"]),
     ("quick-mc", ["--quick", "mc"]),
+    ("mc", ["mc"]),
     ("unknown-command", ["figure9"]),
     ("no-command", []),
     ("fit-absent-input", ["fit", "--input", "absent.csv"]),
