@@ -127,7 +127,8 @@ def write_svg_plot(
     for i, (label, x, y) in enumerate(curves):
         px = _scale(x, x_lo, x_hi, _PAD, _W - _PAD)
         py = _scale(y, y_lo, y_hi, _H - _PAD, _PAD)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        # Python floats: formatting numpy scalars one by one is twice as slow
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         color = _COLORS[i % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -1,8 +1,10 @@
 """Nonlinear least-squares lineshape fitting.
 
-Damped Gauss-Newton with analytic Jacobians for the Gaussian and
-Lorentzian models.  Initialization comes from the peak sample and the
-interpolated half-max width unless an explicit initial guess is given.
+Damped Newton steps with analytic first and second derivatives of the
+Gaussian and Lorentzian models, falling back to the Gauss-Newton step
+where Newton's matrix is not positive definite.  Initialization comes
+from the peak sample and the interpolated half-max width unless an
+explicit initial guess is given.
 """
 
 from __future__ import annotations
@@ -19,30 +21,57 @@ from .spectral import (
 
 MAX_ITER = 200
 STEP_TOL = 1e-10
+GRAD_TOL = 1e-10
+
+# the symmetric 3 x 3 matrix of a model's six second-derivative rows
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def _gaussian_model(w, amp, center, width):
     u = (w - center) / width
     f = np.exp(-(u**2))
     y = amp * f
-    # columns: d/d amp, d/d center, d/d width
-    jac = np.column_stack((f, y * 2 * u / width, y * 2 * u**2 / width))
-    return y, jac
+    t = 2 * u / width  # d log(f) / d center
+    v = t * u  # d log(f) / d width
+    # rows: d/d amp, d/d center, d/d width
+    jac = np.array((f, y * t, y * v))
+    # rows: amp-amp, amp-center, amp-width, center-center, center-width,
+    # width-width
+    hess = np.array(
+        (
+            np.zeros_like(f),
+            f * t,
+            f * v,
+            2 * y * (v - 1 / width) / width,
+            y * t * (v - 2 / width),
+            y * v * (v - 3 / width),
+        )
+    )
+    return y, jac, hess
 
 
 def _lorentzian_model(w, amp, center, width):
-    d2 = (w - center) ** 2
+    dw = w - center
+    d2 = dw**2
     denom = d2 + width**2
     f = width**2 / denom
     y = amp * f
-    jac = np.column_stack(
+    jac_c = y * 2 * dw / denom
+    jac_w = amp * 2 * width * d2 / denom**2
+    jac = np.array((f, jac_c, jac_w))
+    # no denominator beyond denom**2, which the Jacobian already has, so
+    # the second derivatives underflow no sooner than the Jacobian does
+    hess = np.array(
         (
-            f,
-            y * 2 * (w - center) / denom,
-            amp * 2 * width * d2 / denom**2,
+            np.zeros_like(f),
+            2 * f * dw / denom,
+            2 * width * d2 / denom**2,
+            2 * y * (3 * d2 - width**2) / denom**2,
+            jac_c * 2 * (d2 - width**2) / (width * denom),
+            jac_w * (d2 - 3 * width**2) / (width * denom),
         )
     )
-    return y, jac
+    return y, jac, hess
 
 
 _MODELS = {"gaussian": _gaussian_model, "lorentzian": _lorentzian_model}
@@ -74,28 +103,43 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
         p = _self_initialize(s, model)
 
     # a width so small that its square (or the square of the model's
-    # denominator) underflows makes the model or its Jacobian 0/0; report
-    # that as a failed fit before LAPACK sees it
+    # denominator) underflows makes the model or its derivatives 0/0;
+    # report that as a failed fit before LAPACK sees it
     with np.errstate(divide="ignore", invalid="ignore"):
-        yfit, jac = fun(w, *p)
+        yfit, jac, hess = fun(w, *p)
     resid = yfit - y
     cost = resid @ resid
-    if not (np.isfinite(cost) and np.isfinite(jac).all()):
+    if not (np.isfinite(cost) and np.isfinite(jac).all() and np.isfinite(hess).all()):
         raise FitFailedError(f"{model} fit failed: not finite at the initial guess")
     converged = False
     for _ in range(MAX_ITER):
-        # column-scale the Jacobian: parameters mix O(1) amplitudes with
-        # rad/s frequencies, so the raw normal equations are singular to
-        # working precision
-        col = np.linalg.norm(jac, axis=0)
-        col[col == 0] = 1.0
+        # scale each parameter by its Jacobian row's norm: parameters mix
+        # O(1) amplitudes with rad/s frequencies, so the unscaled 3 x 3
+        # systems are singular to working precision
+        jtj = jac @ jac.T
+        norms = np.sqrt(np.diag(jtj))
+        norms[norms == 0] = 1.0
+        outer = np.outer(norms, norms)
+        # each entry is |resid| times the cosine between the residual and
+        # a Jacobian row; all vanish where the cost is stationary
+        grad = (jac @ resid) / norms
+        if np.abs(grad).max() <= GRAD_TOL * np.sqrt(cost):
+            converged = True
+            break
+        # Newton's matrix keeps the residual-curvature term that
+        # Gauss-Newton drops; the output line is not a Lorentzian, so
+        # that term is large and Gauss-Newton converges only linearly
+        gauss_newton = jtj / outer
+        newton = gauss_newton + (hess @ resid)[_SYM] / outer
         try:
-            step, *_ = np.linalg.lstsq(jac / col, -resid, rcond=None)
+            np.linalg.cholesky(newton)
+        except np.linalg.LinAlgError:
+            newton = gauss_newton  # its step still goes downhill
+        try:
+            step = np.linalg.solve(newton, -grad) / norms
         except np.linalg.LinAlgError as exc:
-            # a non-finite model, e.g. a width so small against the grid
-            # offsets that width**2 underflows and the model is 0/0
+            # exactly singular, e.g. a parameter that does not move the model
             raise FitFailedError(f"{model} fit failed: {exc}") from exc
-        step = step / col
         if np.linalg.norm(step) <= STEP_TOL * max(np.linalg.norm(p), 1e-300):
             converged = True
             break
@@ -104,7 +148,7 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
         for _ in range(30):
             p_try = p + scale * step
             if p_try[2] > 0:
-                y_try, j_try = fun(w, *p_try)
+                y_try, j_try, h_try = fun(w, *p_try)
                 r_try = y_try - y
                 c_try = r_try @ r_try
                 if c_try <= cost:
@@ -113,7 +157,7 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
         else:
             break
         rel_step = np.linalg.norm(scale * step) / max(np.linalg.norm(p_try), 1e-300)
-        p, yfit, jac, resid, cost = p_try, y_try, j_try, r_try, c_try
+        p, jac, hess, resid, cost = p_try, j_try, h_try, r_try, c_try
         if rel_step < STEP_TOL:
             converged = True
             break

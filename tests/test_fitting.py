@@ -1,10 +1,15 @@
-"""Lineshape fitting: exact recovery, model discrimination, line fits."""
+"""Lineshape fitting: exact recovery, model discrimination, the Newton
+path's derivatives and convergence, line fits."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eitnarrow import cli, fitting
+from eitnarrow.config import load_config
 from eitnarrow.errors import FitFailedError, InvalidParameterError
-from eitnarrow.fitting import fit_lineshape, linear_fit
+from eitnarrow.fitting import _MODELS, _SYM, fit_lineshape, linear_fit
 from eitnarrow.spectral import (
     FrequencyGrid,
     Spectrum,
@@ -80,6 +85,73 @@ def test_fit_failure_carries_best_estimate():
     err = FitFailedError("did not converge", best=best)
     assert err.best is best
     assert err.best.width > 0
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_second_derivatives_match_differenced_jacobian(model):
+    """Each point's analytic 3 x 3 second derivatives equal central
+    differences of the analytic Jacobian, at the centre, off it and far in
+    the wings."""
+    fun = _MODELS[model]
+    p = np.array([1.3, 4.0e3, 2.1e4])
+    w = p[1] + p[2] * np.array([0.0, 0.37, -0.81, 1.9, -3.3, 6.2])
+    hess = fun(w, *p)[2][_SYM]  # (3, 3, points)
+    steps = 1e-6 * np.array([p[0], p[2], p[2]])
+    for k, h in enumerate(steps):
+        e = np.zeros(3)
+        e[k] = h
+        differenced = (fun(w, *(p + e))[1] - fun(w, *(p - e))[1]) / (2 * h)
+        scale = np.abs(hess).max(axis=(0, 1))
+        assert np.all(np.abs(differenced - hess[:, k]) <= 1e-7 * scale)
+
+
+@pytest.fixture(scope="module")
+def output_line():
+    """The default config's transmitted line and its fit, as ``figure2``
+    and ``propagate`` make them."""
+    cfg = load_config()
+    _, s_out, fit = cli._output_line(cfg, cfg.fields, cfg.output_grid())
+    return s_out, fit
+
+
+def test_output_line_fit_is_independent_of_the_start(output_line):
+    """The output line is not a Lorentzian, so a Gauss-Newton loop
+    converges only linearly and stops 7e-11 from where another start
+    stops; Newton steps converge to the same width from both."""
+    s_out, fit = output_line
+    start = replace(fit, amplitude=0.98 * fit.amplitude, width=1.02 * fit.width)
+    other = fit_lineshape(s_out, "lorentzian", init=start)
+    assert abs(other.width - fit.width) <= 1e-12 * fit.width
+
+
+def test_output_line_fit_takes_few_model_evaluations(monkeypatch):
+    """Newton steps reach the default output line's optimum in 6 model
+    evaluations, where a Gauss-Newton loop takes 16."""
+    calls = []
+    lorentzian = _MODELS["lorentzian"]
+
+    def counted(*args):
+        calls.append(args)
+        return lorentzian(*args)
+
+    monkeypatch.setitem(_MODELS, "lorentzian", counted)
+    cfg = load_config()
+    cli._output_line(cfg, cfg.fields, cfg.output_grid())
+    assert 1 <= len(calls) <= 8
+
+
+def test_fit_out_of_iterations_raises_with_its_best_estimate(output_line, monkeypatch):
+    """fit_lineshape's own non-convergence path carries the parameters it
+    reached."""
+    s_out, fit = output_line
+    monkeypatch.setattr(fitting, "MAX_ITER", 1)
+    with pytest.raises(FitFailedError, match="did not converge within 1 iterations") as info:
+        fit_lineshape(s_out, "lorentzian")
+    best = info.value.best
+    assert best is not None
+    values = (best.amplitude, best.center, best.width, best.rms_residual)
+    assert np.isfinite(values).all() and best.width > 0
+    assert abs(best.width - fit.width) < 0.5 * fit.width
 
 
 def test_linear_fit_exact_line():
