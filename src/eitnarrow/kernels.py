@@ -9,17 +9,15 @@ The Monte-Carlo slab is linear time-invariant.  The drive ``d`` is
 constant, so the slaved coherence is proportional to ``conj(d)`` and the
 source ``fcoef d rho`` carries only ``|d|``: the drive phase cancels
 from every slice.  Each slice's ground coherence obeys a second-order
-recurrence in time.  Its characteristic polynomial factors into a slow
-pole and a fast one, two first-order recurrences run one after the
-other: the fast one by log-step doubling, the slow one by the same
-chunked cumulative sum as the lag sweep.  The slice output is then a
-sum of its input and that coherence, and the slab is ``nsl`` slices in
-series.
+recurrence in time, whose slow and fast poles run one after the other:
+the fast one by log-step doubling, the slow one by the same chunked
+cumulative sum as the lag sweep.  The slab is ``nsl`` slices in series;
+``mc_slab`` builds its gains and poles once, as ``g_sweep_coefficients``
+builds the lag sweep's coefficients.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +54,6 @@ def _phi12(x: complex) -> tuple[complex, complex]:
 CHUNK_EXPONENT = 300.0
 
 
-@lru_cache(maxsize=1)
 def _power_table(decay: complex, rate: float, count: int) -> np.ndarray:
     """Rows ``decay**k`` and ``decay**-k`` for ``0 <= k <= chunk``, the
     chunk of a scan over ``count`` steps.
@@ -65,16 +62,13 @@ def _power_table(decay: complex, rate: float, count: int) -> np.ndarray:
     ``CHUNK_EXPONENT / rate`` steps, so ``|decay|**-k`` stays below
     ``e**CHUNK_EXPONENT``.  The powers are a running product: its
     rounding grows with ``k`` but stays near ``1e-14`` relative over
-    10^4 steps, and it costs a fraction of a complex ``**``.  The last
-    table is cached read-only: an ensemble's realizations share it.
+    10^4 steps, and it costs a fraction of a complex ``**``.
     """
     chunk = max(1, count)
     if rate * chunk > CHUNK_EXPONENT:
         chunk = int(CHUNK_EXPONENT / rate)
     up = np.cumprod(np.concatenate(([1.0], np.full(chunk, decay, dtype=complex))))
-    table = np.stack([up, 1.0 / up])
-    table.flags.writeable = False
-    return table
+    return np.stack([up, 1.0 / up])
 
 
 def _power_scan(u, carry, powers, out):
@@ -159,23 +153,33 @@ def g_sweep(r_values, g0, sweep: LagSweep):
 # with rho[-1] = rho[-2] = 0.  The characteristic polynomial factors as
 #   1 - c1/z - c2/z^2 = (1 - s/z)(1 - f/z),  s + f = c1,  s*f = -c2,
 # with s the root of larger modulus, so rho is src passed through the
-# fast pole f and then the slow pole s.  The fast pole runs by log-step
-# doubling, src[k:] += f^k src[:-k] for k = 1, 2, 4, ..., until |f|^k drops
-# below 2^-60 (the rest of its tail is below rounding) or k reaches the
-# length (the prefix is then complete).  The slow pole runs as the
-# chunked cumulative sum of the lag sweep.
+# fast pole f and then the slow pole s: once the slaved start has decayed
+# a slice is H(z) = e_full + k_f*(a_src/z + b_src/z^2)/((1 - s/z)(1 - f/z)).
+# The fast pole runs by log-step doubling, src[k:] += f^k src[:-k] for
+# k = 1, 2, 4, ..., until |f|^k drops below 2^-60 (the rest of its tail is
+# below rounding) or k reaches the length (the prefix is then complete).
+# The slow pole runs as the chunked cumulative sum of the lag sweep.
 # ---------------------------------------------------------------------------
 
 FAST_POLE_CUTOFF = 2.0**-60
 
 
-def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
-             fcoef, erho, alpha, beta, nfac, gtilde):
-    """Propagate one probe envelope through ``nsl`` slices lit by the
-    constant drive ``drive``; only ``|drive|`` enters."""
-    y = np.array(probe, dtype=complex)
-    n = y.size
-    dmod = abs(drive)
+class Slab(NamedTuple):
+    """Gains, poles and table of powers of one slice of the slab."""
+
+    e_full: complex  # field advance across the slice
+    k_f: complex  # field gain of the ground coherence
+    rho_gain: complex  # nfac*|d|: src[0] = rho_gain*x[0]/gtilde
+    gtilde: complex
+    kick: complex  # src[1] = kick*x[0]
+    a_src: complex  # src[t] = a_src*x[t-1] + b_src*x[t-2], t >= 2
+    b_src: complex
+    fast: complex  # fast pole f
+    powers: np.ndarray  # rows s**k and s**-k of the slow pole, one chunk
+
+
+def mc_slab(dmod, e_full, e_half, b_full, b_half, fcoef, erho, alpha, beta, nfac, gtilde, count):
+    """The slab of ``mc._slab_coefficients`` at drive modulus ``dmod``, for ``count`` samples."""
     k_h = b_half * fcoef * dmod
     k_f = b_full * fcoef * dmod
     c1 = complex(erho + alpha * dmod * k_h)
@@ -183,27 +187,32 @@ def mc_batch(probe, drive, nsl, e_full, e_half, b_full, b_half,
     # roots of z^2 - c1 z - c2; the sign that adds moduli avoids cancellation
     root = np.sqrt(c1 * c1 + 4.0 * c2)
     s = 0.5 * (c1 + root if abs(c1 + root) >= abs(c1 - root) else c1 - root)
-    f = -c2 / s
-    powers = _power_table(s, abs(np.log(abs(s))), n)
-    a_src = alpha * dmod * e_half
-    b_src = beta * dmod * e_half
+    return Slab(e_full, k_f, nfac * dmod, gtilde, dmod * (alpha * e_half + beta),
+                alpha * dmod * e_half, beta * dmod * e_half, -c2 / s,
+                _power_table(s, abs(np.log(abs(s))), count))
+
+
+def mc_batch(probe, nsl, slab: Slab):
+    """Propagate one probe envelope through ``nsl`` slices of ``slab``."""
+    y = np.array(probe, dtype=complex)
+    n = y.size
     # every pass writes into these two buffers: fresh temporaries of
     # this size cost about 15 % more per slice
     src = np.empty(n, dtype=complex)
     tmp = np.empty(n, dtype=complex)
     for _ in range(nsl):
-        src[0] = nfac * dmod * y[0] / gtilde
-        src[1] = dmod * (alpha * e_half + beta) * y[0]
-        np.multiply(y[1:-1], a_src, out=src[2:])
-        np.multiply(y[:-2], b_src, out=tmp[2:])
+        src[0] = slab.rho_gain * y[0] / slab.gtilde
+        src[1] = slab.kick * y[0]
+        np.multiply(y[1:-1], slab.a_src, out=src[2:])
+        np.multiply(y[:-2], slab.b_src, out=tmp[2:])
         src[2:] += tmp[2:]
-        k, fk = 1, f
+        k, fk = 1, slab.fast
         while k < n and abs(fk) >= FAST_POLE_CUTOFF:
             np.multiply(src[:-k], fk, out=tmp[k:])
             src[k:] += tmp[k:]
             k, fk = 2 * k, fk * fk
-        rho = _power_scan(src, 0.0, powers, tmp)
-        rho *= k_f
-        y *= e_full
+        rho = _power_scan(src, 0.0, slab.powers, tmp)
+        rho *= slab.k_f
+        y *= slab.e_full
         y += rho
     return y

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .kernels import _phi12, mc_batch
+from .kernels import _phi12, mc_batch, mc_slab
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
 from .noise import PhaseNoiseModel, _probe_synthesizer
-from .spectral import Spectrum, _hann, _periodogram_writer
+from .spectral import Spectrum, _periodogram_writer
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
 def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     """Ensemble-averaged beat spectrum of the transmitted probe.
 
-    Once per ensemble: the slab coefficients, the shaping's gain, the
-    window and grid, an FFT buffer and the slow pole's table (cached by
-    ``mc_batch``).  Per realization: its noise, the slab and two
-    periodograms written into its rows of the ``realizations x n_keep``
-    input and output tables, held beside one envelope pair.  Realization
-    r draws from stream seed^r and the reduction order is fixed.
+    Once per ensemble: the slab with its poles and table of powers, the
+    shaping's gain, the window and grid, and an FFT buffer.  Per
+    realization: its noise, the slab and two periodograms written into
+    its rows of the ``realizations x n_keep`` input and output tables,
+    held beside one envelope pair.  Realization r draws from stream
+    seed^r and the reduction order is fixed.
     """
     rates = complex_rates(cfg.medium, cfg.fields)
     g = rates.gamma_cb_eff.real
@@ -118,6 +118,7 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     n_keep = int(round(cfg.duration / cfg.dt))
     n_total = n_keep + burn
     coeffs = _slab_coefficients(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt)
+    slab = mc_slab(abs(cfg.fields.omega_d), *coeffs, n_total)
     synthesize = _probe_synthesizer(cfg.noise, abs(cfg.fields.omega_p), cfg.dt, n_total)
     grid, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
 
@@ -125,7 +126,7 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     p_out = np.empty((cfg.realizations, n_keep))
     for r in range(cfg.realizations):
         probe = synthesize(r)
-        out = mc_batch(probe, cfg.fields.omega_d, cfg.slices, *coeffs)
+        out = mc_batch(probe, cfg.slices, slab)
         write_periodogram(probe[burn:], p_in[r])
         write_periodogram(out[burn:], p_out[r])
 
@@ -177,7 +178,7 @@ def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> n
     the input-weighted transfer with the window kernel makes the
     comparison exact in expectation."""
     n = analytic_bins.size
-    kern = np.abs(np.fft.fftshift(np.fft.fft(_hann(n)))) ** 2
+    kern = np.abs(np.fft.fftshift(np.fft.fft(np.hanning(n)))) ** 2
     kern /= kern.sum()
     kern = np.roll(kern, (n - 1) // 2 - int(np.argmax(kern)))
     num = np.convolve(analytic_bins * result.input_density, kern, mode="same")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -257,15 +256,6 @@ def correlation_to_spectrum(r: CorrelationFunction, grid: FrequencyGrid) -> Spec
     return Spectrum(grid, density)
 
 
-@lru_cache(maxsize=4)
-def _hann(n: int) -> np.ndarray:
-    """The n-point Hann window, built once per length and shared
-    read-only between calls."""
-    w = np.hanning(n)
-    w.flags.writeable = False
-    return w
-
-
 def _periodogram_writer(n: int, dt: float, window: str):
     """The grid of an ``n``-sample periodogram and a function writing one
     envelope's density into a row; the window, its norm and one FFT
@@ -274,7 +264,7 @@ def _periodogram_writer(n: int, dt: float, window: str):
         raise InvalidParameterError("series too short for a periodogram")
     if window not in ("boxcar", "hann"):
         raise InvalidParameterError(f"unknown window {window!r}")
-    w = _hann(n) if window == "hann" else np.ones(n)
+    w = np.hanning(n) if window == "hann" else np.ones(n)
     norm = 2.0 * np.pi * np.sum(w**2)
     freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
     grid = FrequencyGrid(start=float(freqs[0]), step=float(freqs[1] - freqs[0]), count=n)

@@ -14,6 +14,7 @@ from eitnarrow.kernels import (
     g_sweep,
     g_sweep_coefficients,
     mc_batch,
+    mc_slab,
 )
 from eitnarrow.mc import _slab_coefficients
 
@@ -159,9 +160,10 @@ def _mc_probe(seed, nreal=3, nt=256):
 
 
 def _mc_pair(probe, drive, nsl, *coeffs, **kw):
-    """mc_batch on each realization and the loop oracle on the same
-    constant drive."""
-    out = np.array([mc_batch(p, drive, nsl, *coeffs, **kw) for p in probe])
+    """mc_batch on each realization through one slab, and the loop
+    oracle on the same constant drive."""
+    slab = mc_slab(abs(drive), *coeffs, count=probe.shape[1], **kw)
+    out = np.array([mc_batch(p, nsl, slab) for p in probe])
     ref = _mc_batch_loop(probe, np.full(probe.shape, drive, dtype=complex),
                          np.empty_like(probe), nsl, *coeffs, **kw)
     return out, ref
@@ -184,9 +186,8 @@ def _default_mc_slab():
         pytest.param(0.5 + 0.02j, 2000, id="chunked"),
     ],
 )
-def test_power_table_is_cached_read_only(decay, count):
-    """The table is the running product of powers, kept read-only, and a
-    second request for the same pole returns the same array."""
+def test_power_table_is_a_running_product(decay, count):
+    """The table is the running product of powers over one chunk."""
     rate = abs(np.log(abs(decay)))
     table = _power_table(decay, rate, count)
     chunk = min(count, int(CHUNK_EXPONENT / rate))
@@ -194,24 +195,31 @@ def test_power_table_is_cached_read_only(decay, count):
     up[0] = 1.0
     up = np.cumprod(up)
     assert np.array_equal(table, np.stack([up, 1.0 / up]))
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 2.0
-    assert _power_table(decay, rate, count) is table
 
 
-def test_mc_batch_builds_its_power_table_once():
-    """Realizations of one ensemble share the slow pole, so only the first
-    ``mc_batch`` call builds its table, and every call gives the same
-    output for the same probe."""
+@pytest.mark.parametrize("nsl", [1, 8])
+def test_slab_passes_a_settled_tone_by_its_transfer(nsl):
+    """Once the slaved start has decayed, a tone exp(i w dt t) leaves
+    ``nsl`` slices of the default ``mc`` slab multiplied by
+    H(z)**nsl at z = exp(i w dt), where
+    H(z) = e_full + k_f (a_src/z + b_src/z^2) / ((1 - s/z)(1 - f/z))
+    with s the slow pole and f the fast one."""
     fields, coeffs = _default_mc_slab()
-    probe = abs(fields.omega_p) * _mc_probe(seed=5, nreal=1, nt=2000)[0]
-    _power_table.cache_clear()
-    first = mc_batch(probe, fields.omega_d, 8, *coeffs)
-    second = mc_batch(probe, fields.omega_d, 8, *coeffs)
-    info = _power_table.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
-    assert np.array_equal(first, second)
+    dt, n = 1e-7, 20_000
+    slab = mc_slab(abs(fields.omega_d), *coeffs, n)
+    s = slab.powers[0, 1]
+    settled = slice(n // 2, None)  # |s|**(n/2) is about 1e-24
+    for delta in (0.0, 0.5, 3.0, 10.0, -7.0):
+        w = delta * coeffs[-1].real  # multiples of Re gamma_cb_eff
+        z = np.exp(1j * w * dt)
+        h = slab.e_full + slab.k_f * (slab.a_src / z + slab.b_src / z**2) / (
+            (1.0 - s / z) * (1.0 - slab.fast / z)
+        )
+        tone = np.exp(1j * w * dt * np.arange(n))
+        out = mc_batch(tone, nsl, slab)
+        expected = h**nsl * tone
+        err = np.max(np.abs(out[settled] - expected[settled]))
+        assert err <= 1e-12 * np.max(np.abs(expected)), (delta, err)
 
 
 # poles of the slab's rho-recurrence: slow s (larger modulus), fast f

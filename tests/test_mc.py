@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import eitnarrow.mc as mc_module
 from eitnarrow.checks import band_transfer_vs_reference
 from eitnarrow.cli import _mc_shaping
 from eitnarrow.config import load_config
@@ -18,7 +19,7 @@ from eitnarrow.medium import (
     transfer_exponent,
     transmission,
 )
-from eitnarrow.kernels import mc_batch
+from eitnarrow.kernels import mc_batch, mc_slab
 from eitnarrow.mc import (
     McConfig,
     _implied_drive_depletion,
@@ -81,7 +82,8 @@ def reduced_config(**overrides) -> McConfig:
 
 def slab(probe, m, f, dt, nsl):
     """``probe`` after the whole medium cut into ``nsl`` equal slices."""
-    return mc_batch(probe, f.omega_d, nsl, *_slab_coefficients(m, f, m.length / nsl, dt))
+    coeffs = _slab_coefficients(m, f, m.length / nsl, dt)
+    return mc_batch(probe, nsl, mc_slab(abs(f.omega_d), *coeffs, np.size(probe)))
 
 
 def test_config_invariants():
@@ -270,6 +272,26 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     assert np.array_equal(result.input_density, p_in.mean(axis=0))
     assert np.array_equal(result.spectrum.density, p_out.mean(axis=0))
     assert np.array_equal(result.stderr, p_out.std(axis=0, ddof=1) / np.sqrt(8))
+
+
+def test_ensemble_builds_its_slab_once(monkeypatch):
+    """One ensemble builds one slab, its poles and table of powers
+    included, and runs every realization through it."""
+    built, used = [], []
+
+    def build(*args):
+        built.append(mc_slab(*args))
+        return built[-1]
+
+    def run(probe, nsl, slab):
+        used.append(slab)
+        return mc_batch(probe, nsl, slab)
+
+    monkeypatch.setattr(mc_module, "mc_slab", build)
+    monkeypatch.setattr(mc_module, "mc_batch", run)
+    ensemble_beat_spectrum(reduced_config(realizations=8))
+    assert len(built) == 1
+    assert len(used) == 8 and all(s is built[0] for s in used)
 
 
 def test_center_transfer_is_unity_within_three_sigma():

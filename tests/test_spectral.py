@@ -300,8 +300,9 @@ def test_periodogram_normalization_and_windows():
 
 
 def test_hann_periodogram_matches_a_fresh_window():
-    """The Hann window is built once per length: repeated calls at
-    several lengths give the bytes of a window built on the spot."""
+    """The Hann periodogram is numpy's shifted FFT of the series times
+    ``np.hanning(n)``, byte for byte, at even and odd lengths and when a
+    length repeats."""
     rng = np.random.default_rng(5)
     dt = 1e-4
     for n in (512, 513, 512):
