@@ -1,9 +1,9 @@
 """CSV/sidecar/SVG output helpers and the spectrum CSV reader.
 
-CSV is the normative format: a ``#`` comment header carrying the config
-digest and code version, then a plain header row and decimal floating
-text with LF line endings, all written by ``_write_csv``.  SVG plots
-are best-effort, written directly with no plotting dependency.
+CSV is the normative format: a ``#`` header with the config digest and
+code version, a header row and ``repr`` floats with LF line endings,
+each file one string from ``_write_csv``, each grid's ω text formatted
+once per ``FrequencyGrid`` object.  SVG plots are best-effort, hand-written.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ def _header_lines(digest: str) -> str:
 
 
 def _write_csv(path: str, header: list[str], columns, digest: str) -> None:
-    """The one CSV layout: the ``#`` header, the column names, then one
-    line per row of the columns' ``repr`` floats."""
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    """The one CSV layout, one string in one write: ``#`` header, column names, then a
+    line per row of ``repr`` floats (a ``FrequencyGrid`` prints its ``omega_text``)."""
+    cells = [
+        c.omega_text if isinstance(c, FrequencyGrid) else map(repr, np.asarray(c, float).tolist())
+        for c in columns
+    ]
+    lines = [_header_lines(digest) + ",".join(header), *map(",".join, zip(*cells)), ""]
     with open(path, "w", newline="\n") as fh:
-        fh.write(_header_lines(digest))
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.write("\n".join(lines))
 
 
 def write_spectrum_csv(
@@ -37,15 +39,15 @@ def write_spectrum_csv(
 ) -> None:
     """Spectrum CSV: ``omega_rad_s,density`` plus an optional ``stderr``
     column for ensemble estimates."""
-    header, columns = ["omega_rad_s", "density"], [s.omegas, s.density]
+    header, columns = ["omega_rad_s", "density"], [s.grid, s.density]
     if stderr is not None:
         header, columns = header + ["stderr"], columns + [stderr]
     _write_csv(path, header, columns, digest)
 
 
-def write_table_csv(path: str, header: list[str], rows, digest: str) -> None:
-    """Generic numeric table CSV."""
-    _write_csv(path, header, zip(*rows), digest)
+def write_table_csv(path: str, header: list[str], columns, digest: str) -> None:
+    """Generic numeric table CSV of ``columns``: arrays or ``FrequencyGrid``s."""
+    _write_csv(path, header, columns, digest)
 
 
 def read_spectrum_csv(path: str) -> Spectrum:

@@ -120,7 +120,7 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
         write_table_csv(
             os.path.join(args.out, "figure3_scan.csv"),
             ["delta_rad_s", "transmission"],
-            zip(grid.omegas, transmission(cfg.medium, cfg.fields, grid.omegas)),
+            [grid, transmission(cfg.medium, cfg.fields, grid.omegas)],
             cfg.digest,
         )
         write_sidecar(os.path.join(args.out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
@@ -138,7 +138,7 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_table_csv(
         os.path.join(args.out, "figure3_scan.csv"),
         ["delta_rad_s", "transmission"],
-        zip(grid.omegas, scan),
+        [grid, scan],
         cfg.digest,
     )
     write_spectrum_csv(
@@ -190,14 +190,13 @@ def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
     if len(rows) < 2:
         raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
 
-    x = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
+    x, y = np.array(rows).T
     slope, intercept, r2 = linear_fit(x, y)
     os.makedirs(args.out, exist_ok=True)
     write_table_csv(
         os.path.join(args.out, "figure4.csv"),
         ["omega_d_sq_rad2_s2", "fwhm_rad_s"],
-        rows,
+        [x, y],
         cfg.digest,
     )
     write_svg_plot(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,10 @@ class FrequencyGrid:
     @property
     def omegas(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
+
+    @cached_property
+    def omega_text(self) -> list[str]:  # the CSV ω column, formatted once per grid
+        return list(map(repr, self.omegas.tolist()))
 
 
 @dataclass(frozen=True)
