@@ -71,8 +71,8 @@ class FrequencyGrid:
         return self.start + self.step * np.arange(self.count)
 
     @cached_property
-    def omega_text(self) -> list[str]:  # the CSV ω column, formatted once per grid
-        return list(map(repr, self.omegas.tolist()))
+    def omega_text(self) -> tuple[str, ...]:  # the CSV ω column, formatted once per grid
+        return tuple(map(repr, self.omegas.tolist()))
 
 
 @dataclass(frozen=True)

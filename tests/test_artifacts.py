@@ -95,7 +95,7 @@ def test_spectra_on_one_grid_format_its_omegas_once(tmp_path, monkeypatch, grid)
         s = Spectrum(grid, np.abs(awkward_values(grid.count, seed)))
         write_spectrum_csv(str(tmp_path / name), s, DIGEST)
     assert len(calls) == 3 * grid.count  # one ω column, two density columns
-    assert vars(grid)["omega_text"] == [repr(w) for w in grid.omegas.tolist()]
+    assert vars(grid)["omega_text"] == tuple(repr(w) for w in grid.omegas.tolist())
 
 
 def test_reader_recovers_the_written_density_bit_for_bit(tmp_path, grid):
