@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
+from .errors import InvalidParameterError
 from .fitting import fit_lineshape
-from .mc import McConfig, McEnsembleResult, band_average_transfer
-from .mc import ensemble_beat_spectrum, windowed_reference
+from .mc import McConfig, band_average_transfer, windowed_reference
 from .medium import AtomicMedium, FieldConfig, complex_rates, transmission
 from .noise import PhaseNoiseModel
 from .propagation import propagate_correlation, propagate_spectrum
@@ -72,20 +72,26 @@ def wiener_khinchin_error(fwhm: float) -> float:
 
 
 def band_transfer_vs_reference(
-    result: McEnsembleResult, cfg: McConfig, floor: float, n_bands: int
+    cfg: McConfig, floor: float, n_bands: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Band-averaged Monte-Carlo transfer against its analytic reference.
 
-    The bins whose ensemble input power exceeds ``floor`` times the peak
-    are split into ``n_bands`` contiguous bands.  Returns the Monte-Carlo
-    band transfer, the input-weighted mean over each band of the
-    window-convolved transfer of ``cfg.medium`` (the medium the slab
-    simulates), and the band standard errors."""
-    weights = result.input_density
-    mask = weights > floor * weights.max()
-    analytic = transmission(cfg.medium, cfg.fields, result.spectrum.omegas)
-    ref_bins = windowed_reference(result, analytic)
-    groups, values, errs = band_average_transfer(result, mask, n_bands)
+    The bands are fixed before the ensemble runs: the bins where the
+    expected input, ``cfg``'s noise shaping on the periodogram grid,
+    exceeds ``floor`` times its peak are split into ``n_bands``
+    contiguous bands.  Returns the Monte-Carlo band transfer, the mean
+    over each band of the window-convolved transfer of ``cfg.medium``
+    (the medium the slab simulates) weighted by the ensemble-mean input,
+    and the band standard errors."""
+    shaping = cfg.noise.shaping
+    if shaping is None:
+        raise InvalidParameterError("the band reference needs a shaped noise model")
+    omegas = cfg.grid.omegas
+    expected = np.interp(omegas, shaping.omegas, shaping.density, left=0.0, right=0.0)
+    groups, values, errs, weights = band_average_transfer(
+        cfg, expected > floor * expected.max(), n_bands
+    )
+    ref_bins = windowed_reference(weights, transmission(cfg.medium, cfg.fields, omegas))
     refs = np.array([np.sum(ref_bins[g] * weights[g]) / np.sum(weights[g]) for g in groups])
     return values, refs, errs
 
@@ -161,9 +167,7 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
     if not quick:
         mc_cfg = _reduced_mc_config(cfg)
         n_bands = 16
-        values, refs, errs = band_transfer_vs_reference(
-            ensemble_beat_spectrum(mc_cfg), mc_cfg, 0.02, n_bands
-        )
+        values, refs, errs = band_transfer_vs_reference(mc_cfg, 0.02, n_bands)
         dev = float(np.max(np.abs(values - refs) / np.maximum(errs, 1e-300)))
         yield CheckRecord(
             "mc-vs-analytic",

@@ -64,8 +64,9 @@ against its row first, in ``KEYS`` order, whether or not the run uses it;
 the physical and cross-key checks follow, so a file with a malformed key
 and a physical fault reports the key.  The samples per Monte-Carlo
 realization, ``duration_ms / dt_us``, are bounded too
-(``MAX_MC_SAMPLES``), as is their product with ``realizations``
-(``MAX_MC_ELEMENTS``).
+(``MAX_MC_SAMPLES``), which bounds an ensemble's memory, as is their
+product with ``realizations`` (``MAX_MC_ELEMENTS``), which bounds its
+run time.
 """
 
 from __future__ import annotations
@@ -155,8 +156,10 @@ DEFAULTS: dict[str, dict[str, str]] = {
 # the listed units, and small enough that the squares and products formed
 # from the parameters stay finite
 MAX_MAGNITUDE = 1e30
-MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us
-MAX_MC_ELEMENTS = 10**8  # realizations * duration_ms / dt_us
+MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us; bounds an ensemble's memory
+# realizations * duration_ms / dt_us: the ensemble streams its
+# realizations into running sums, so this bounds run time, not memory
+MAX_MC_ELEMENTS = 10**8
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Damped Newton steps with analytic first and second derivatives of the
 Gaussian and Lorentzian models, falling back to the Gauss-Newton step
-where Newton's matrix is not positive definite.  Initialization comes
-from the peak sample and the interpolated half-max width unless an
-explicit initial guess is given.
+where Newton's matrix is not positive definite.  A fit stops when the
+gradient vanishes, when the step is negligible against the parameters,
+or when the step's predicted decrease of the cost is below the cost's
+rounding.  Initialization comes from the peak sample and the
+interpolated half-max width unless an explicit initial guess is given.
 """
 
 from __future__ import annotations
@@ -136,10 +138,17 @@ def fit_lineshape(s: Spectrum, model: str, init: FitResult | None = None) -> Fit
         except np.linalg.LinAlgError:
             newton = gauss_newton  # its step still goes downhill
         try:
-            step = np.linalg.solve(newton, -grad) / norms
+            scaled = np.linalg.solve(newton, -grad)
         except np.linalg.LinAlgError as exc:
             # exactly singular, e.g. a parameter that does not move the model
             raise FitFailedError(f"{model} fit failed: {exc}") from exc
+        # the quadratic model's decrease of the cost along the step is
+        # -grad.scaled; below the cost's rounding no step can lower it
+        # measurably, and halving would only spend model evaluations
+        if -(grad @ scaled) <= np.finfo(float).eps * cost:
+            converged = True
+            break
+        step = scaled / norms
         if np.linalg.norm(step) <= STEP_TOL * max(np.linalg.norm(p), 1e-300):
             converged = True
             break

@@ -13,10 +13,16 @@ optical coherences is bounded in closed form by
 The per-field coupling is half of ``coupling_eta``, so the slab's
 density exponent is the medium's own, ``exponent_factor`` included, and
 its analytic reference is ``transmission`` of the same medium.
+
+An ensemble streams: each realization's two periodograms are reduced
+into running sums as they come and dropped (``ensemble_beat_spectrum``
+per bin, ``band_average_transfer`` per band fixed before the run), so
+memory does not grow with the realization count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +31,7 @@ from .errors import InvalidParameterError
 from .kernels import _phi12, mc_batch, mc_slab
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
 from .noise import PhaseNoiseModel, _probe_synthesizer
-from .spectral import Spectrum, _periodogram_writer
+from .spectral import FrequencyGrid, Spectrum, _periodogram_grid, _periodogram_writer
 
 
 @dataclass(frozen=True)
@@ -58,14 +64,21 @@ class McConfig:
                 "duration shorter than 20 coherence times of the output line"
             )
 
+    @property
+    def grid(self) -> FrequencyGrid:
+        """The periodogram grid of one realization's kept samples, known
+        before any draw."""
+        return _periodogram_grid(int(round(self.duration / self.dt)), self.dt)
+
 
 @dataclass(frozen=True)
 class McEnsembleResult:
+    """The running sums of one ensemble, reduced per bin: no periodogram
+    of a single realization is kept."""
+
     spectrum: Spectrum  # ensemble-mean transmitted beat spectrum
-    stderr: np.ndarray  # per-bin standard error of the mean
+    stderr: np.ndarray  # per-bin standard error of the mean (Welford)
     input_density: np.ndarray  # ensemble-mean input spectrum (same grid)
-    per_real_in: np.ndarray  # per-realization input periodograms
-    per_real_out: np.ndarray  # per-realization output periodograms
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
@@ -102,76 +115,99 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
     return float(np.exp(rate * cfg.medium.length))
 
 
-def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
-    """Ensemble-averaged beat spectrum of the transmitted probe.
+def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each realization's input and output Hann periodograms on
+    ``cfg.grid``, in realization order, as fresh rows the consumer owns.
 
-    Once per ensemble: the slab with its poles and table of powers, the
-    shaping's gain, the window and grid, and an FFT buffer.  Per
-    realization: its noise, the slab and two periodograms written into
-    its rows of the ``realizations x n_keep`` input and output tables,
-    held beside one envelope pair.  Realization r draws from stream
-    seed^r and the reduction order is fixed.
-    """
+    Once per ensemble, before the first pass: the slab with its poles
+    and table of powers, the shaping's gain, the window and an FFT
+    buffer.  Per realization: its noise (stream seed^r), the slab and
+    the two periodograms."""
     rates = complex_rates(cfg.medium, cfg.fields)
     g = rates.gamma_cb_eff.real
     burn = int(np.ceil(5.0 / (g * cfg.dt))) if g > 0 else 0
-    n_keep = int(round(cfg.duration / cfg.dt))
+    n_keep = cfg.grid.count
     n_total = n_keep + burn
     coeffs = _slab_coefficients(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt)
     slab = mc_slab(abs(cfg.fields.omega_d), *coeffs, n_total)
     synthesize = _probe_synthesizer(cfg.noise, abs(cfg.fields.omega_p), cfg.dt, n_total)
-    grid, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
-
-    p_in = np.empty((cfg.realizations, n_keep))
-    p_out = np.empty((cfg.realizations, n_keep))
+    _, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
     for r in range(cfg.realizations):
         probe = synthesize(r)
         out = mc_batch(probe, cfg.slices, slab)
-        write_periodogram(probe[burn:], p_in[r])
-        write_periodogram(out[burn:], p_out[r])
+        yield (
+            write_periodogram(probe[burn:], np.empty(n_keep)),
+            write_periodogram(out[burn:], np.empty(n_keep)),
+        )
 
-    mean_out = p_out.mean(axis=0)
-    mean_in = p_in.mean(axis=0)
-    err_out = p_out.std(axis=0, ddof=1) / np.sqrt(cfg.realizations)
+
+def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
+    """Ensemble-averaged beat spectrum of the transmitted probe.
+
+    Each realization's periodograms are added into per-bin running sums
+    and dropped, so memory does not grow with ``cfg.realizations``.  The
+    sums are taken in realization order, so both densities equal
+    ``mean(axis=0)`` of the stacked rows bit for bit; the standard error
+    comes from Welford's update (Technometrics 4, 419 (1962)) and equals
+    ``std(axis=0, ddof=1) / sqrt(R)`` of the rows to rounding.
+    """
+    grid = cfg.grid
+    sum_in, sum_out, mean, m2, delta = (np.zeros(grid.count) for _ in range(5))
+    for k, (p_in, p_out) in enumerate(_realization_passes(cfg), 1):
+        sum_in += p_in
+        sum_out += p_out
+        np.subtract(p_out, mean, out=delta)
+        mean += delta / k
+        p_out -= mean
+        delta *= p_out
+        m2 += delta
+    nr = cfg.realizations
     return McEnsembleResult(
-        spectrum=Spectrum(grid, mean_out),
-        stderr=err_out,
-        input_density=mean_in,
-        per_real_in=p_in,
-        per_real_out=p_out,
+        spectrum=Spectrum(grid, sum_out / nr),
+        stderr=np.sqrt(m2 / (nr - 1)) / np.sqrt(nr),
+        input_density=sum_in / nr,
         drive_depletion=_implied_drive_depletion(cfg),
     )
 
 
 def band_average_transfer(
-    result: McEnsembleResult, mask: np.ndarray, n_bands: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band-aggregated transfer with realization scatter.
+    cfg: McConfig, mask: np.ndarray, n_bands: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Band-aggregated Monte-Carlo transfer with realization scatter.
 
-    For each contiguous band of masked bins, every realization yields a
-    band-power ratio (sum of output periodogram bins over sum of input
-    bins); numerator and denominator share the same random amplitudes,
-    so the ratio is tight and nearly unbiased even where single-bin
-    ratios would be heavy tailed.  Returns (the bin indices of each band,
-    band transfer means, band standard errors).
+    The masked bins of ``cfg.grid`` are split into ``n_bands`` contiguous
+    bands before the ensemble runs.  For each band every realization
+    yields a band-power ratio (sum of output periodogram bins over sum of
+    input bins); numerator and denominator share the same random
+    amplitudes, so the ratio is tight and nearly unbiased even where
+    single-bin ratios would be heavy tailed.  Only these ratios, one per
+    realization and band, and a running sum of the input are kept.
+    Returns (the bin indices of each band, band transfer means, band
+    standard errors, the ensemble-mean input density).
     """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (cfg.grid.count,):
+        raise InvalidParameterError("the band mask must have one entry per periodogram bin")
     idx = np.flatnonzero(mask)
     if idx.size < n_bands:
         raise InvalidParameterError("fewer masked bins than requested bands")
     groups = np.array_split(idx, n_bands)
-    nr = result.per_real_out.shape[0]
-    values = np.empty(n_bands)
-    errs = np.empty(n_bands)
-    for i, g in enumerate(groups):
-        q = result.per_real_out[:, g].sum(axis=1) / result.per_real_in[:, g].sum(axis=1)
-        values[i] = q.mean()
-        errs[i] = q.std(ddof=1) / np.sqrt(nr)
-    return groups, values, errs
+    nr = cfg.realizations
+    ratios = np.empty((n_bands, nr))
+    sum_in = np.zeros(mask.size)
+    for r, (p_in, p_out) in enumerate(_realization_passes(cfg)):
+        sum_in += p_in
+        for i, g in enumerate(groups):
+            ratios[i, r] = p_out[g].sum() / p_in[g].sum()
+    values = np.array([q.mean() for q in ratios])
+    errs = np.array([q.std(ddof=1) for q in ratios]) / np.sqrt(nr)
+    return groups, values, errs, sum_in / nr
 
 
-def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> np.ndarray:
+def windowed_reference(input_density: np.ndarray, analytic_bins: np.ndarray) -> np.ndarray:
     """Expected periodogram-domain transfer: the analytic per-frequency
-    transfer seen through the Hann window's spectral kernel.
+    transfer, weighted by ``input_density`` on the same bins, seen
+    through the Hann window's spectral kernel.
 
     Near a line much narrower than the spectral resolution the raw
     analytic curve and the windowed estimate differ strongly; convolving
@@ -181,8 +217,8 @@ def windowed_reference(result: McEnsembleResult, analytic_bins: np.ndarray) -> n
     kern = np.abs(np.fft.fftshift(np.fft.fft(np.hanning(n)))) ** 2
     kern /= kern.sum()
     kern = np.roll(kern, (n - 1) // 2 - int(np.argmax(kern)))
-    num = np.convolve(analytic_bins * result.input_density, kern, mode="same")
-    den = np.convolve(result.input_density, kern, mode="same")
+    num = np.convolve(analytic_bins * input_density, kern, mode="same")
+    den = np.convolve(input_density, kern, mode="same")
     return num / np.maximum(den, 1e-300)
 
 

@@ -261,18 +261,23 @@ def correlation_to_spectrum(r: CorrelationFunction, grid: FrequencyGrid) -> Spec
     return Spectrum(grid, density)
 
 
+def _periodogram_grid(n: int, dt: float) -> FrequencyGrid:
+    """The shifted FFT frequencies of ``n`` samples at step ``dt``."""
+    if n < 8:
+        raise InvalidParameterError("series too short for a periodogram")
+    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
+    return FrequencyGrid(start=float(freqs[0]), step=float(freqs[1] - freqs[0]), count=n)
+
+
 def _periodogram_writer(n: int, dt: float, window: str):
     """The grid of an ``n``-sample periodogram and a function writing one
     envelope's density into a row; the window, its norm and one FFT
     buffer are made once for all calls."""
-    if n < 8:
-        raise InvalidParameterError("series too short for a periodogram")
+    grid = _periodogram_grid(n, dt)
     if window not in ("boxcar", "hann"):
         raise InvalidParameterError(f"unknown window {window!r}")
     w = np.hanning(n) if window == "hann" else np.ones(n)
     norm = 2.0 * np.pi * np.sum(w**2)
-    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dt))
-    grid = FrequencyGrid(start=float(freqs[0]), step=float(freqs[1] - freqs[0]), count=n)
     buf, half = np.empty(n, dtype=complex), n // 2
 
     def write(envelope, row):

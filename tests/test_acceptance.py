@@ -19,7 +19,7 @@ import pytest
 from eitnarrow.checks import route_deviations, wiener_khinchin_error
 from eitnarrow.cli import main
 from eitnarrow.fitting import fit_lineshape, linear_fit
-from eitnarrow.mc import McConfig, ensemble_beat_spectrum, windowed_reference
+from eitnarrow.mc import McConfig, _realization_passes, windowed_reference
 from eitnarrow.medium import (
     FieldConfig,
     closed_form_width,
@@ -244,10 +244,9 @@ def test_criterion_5_route_equivalence(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _jackknife_transfer(result):
+def _jackknife_transfer(p_in, p_out):
     """Per-bin transfer as ratio of ensemble sums with a jackknife
-    standard error over realizations."""
-    p_in, p_out = result.per_real_in, result.per_real_out
+    standard error over realizations (the rows of ``p_in``, ``p_out``)."""
     s_in, s_out = p_in.sum(axis=0), p_out.sum(axis=0)
     transfer = s_out / s_in
     n = p_in.shape[0]
@@ -257,6 +256,8 @@ def _jackknife_transfer(result):
 
 
 def test_criterion_6_phase_noise_independence(capsys):
+    """The jackknife needs every realization's periodograms, so it stacks
+    the ensemble's per-realization passes itself."""
     t0 = time.perf_counter()
     m = paper_medium(number_density=3e16)  # depth 0.65: slicing bias << sigma
     drive = TWO_PI * 2.3e6
@@ -274,21 +275,21 @@ def test_criterion_6_phase_noise_independence(capsys):
             realizations=200,
             slices=8,
         )
-        return ensemble_beat_spectrum(cfg)
+        rows = list(_realization_passes(cfg))
+        return cfg.grid, np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
-    run_lo = run(diffusion, 11)
-    run_hi = run(10.0 * diffusion, 12)
-    t_lo, s_lo = _jackknife_transfer(run_lo)
-    t_hi, s_hi = _jackknife_transfer(run_hi)
-    mask = (run_lo.input_density > 0.05 * run_lo.input_density.max()) & (
-        run_hi.input_density > 0.05 * run_hi.input_density.max()
-    )
+    grid, in_lo, out_lo = run(diffusion, 11)
+    _, in_hi, out_hi = run(10.0 * diffusion, 12)
+    t_lo, s_lo = _jackknife_transfer(in_lo, out_lo)
+    t_hi, s_hi = _jackknife_transfer(in_hi, out_hi)
+    mean_lo, mean_hi = in_lo.mean(axis=0), in_hi.mean(axis=0)
+    mask = (mean_lo > 0.05 * mean_lo.max()) & (mean_hi > 0.05 * mean_hi.max())
     z_pair = np.max(
         np.abs(t_lo - t_hi)[mask] / np.sqrt(s_lo**2 + s_hi**2)[mask]
     )
-    analytic = transmission(m, f, run_lo.spectrum.omegas)
-    z_lo = np.max(np.abs(t_lo - windowed_reference(run_lo, analytic))[mask] / s_lo[mask])
-    z_hi = np.max(np.abs(t_hi - windowed_reference(run_hi, analytic))[mask] / s_hi[mask])
+    analytic = transmission(m, f, grid.omegas)
+    z_lo = np.max(np.abs(t_lo - windowed_reference(mean_lo, analytic))[mask] / s_lo[mask])
+    z_hi = np.max(np.abs(t_hi - windowed_reference(mean_hi, analytic))[mask] / s_hi[mask])
     runtime = time.perf_counter() - t0
     ok = z_pair <= 3.0 and z_lo <= 3.0 and z_hi <= 3.0 and runtime < 300.0
     emit(

@@ -69,6 +69,25 @@ def test_cross_model_residual_discrimination():
         assert r_other > 10.0 * max(r_own, 1e-6)
 
 
+def test_cross_model_fit_stops_at_the_cost_rounding(monkeypatch):
+    """The Lorentzian fit of the Gaussian line above stops once its
+    Newton step's predicted decrease is below the cost's rounding,
+    within 8 model evaluations, instead of halving that step 14 times
+    (20 evaluations)."""
+    calls = []
+    lorentzian = _MODELS["lorentzian"]
+
+    def counted(*args):
+        calls.append(args)
+        return lorentzian(*args)
+
+    monkeypatch.setitem(_MODELS, "lorentzian", counted)
+    grid = FrequencyGrid.spanning(8.0e4, 501)
+    fit = fit_lineshape(gaussian_spectrum(1.0e4, grid), "lorentzian")
+    assert 1 <= len(calls) <= 8
+    assert fit.rms_residual > 1e-3
+
+
 def test_fit_input_validation():
     grid = FrequencyGrid.spanning(10.0, 64)
     s = gaussian_spectrum(2.0, grid)

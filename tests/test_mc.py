@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from eitnarrow.kernels import mc_batch, mc_slab
 from eitnarrow.mc import (
     McConfig,
     _implied_drive_depletion,
+    _realization_passes,
     _slab_coefficients,
     band_average_transfer,
     ensemble_beat_spectrum,
@@ -232,24 +235,32 @@ def test_noiseless_ensemble_is_a_single_line():
     assert 0.0 < result.drive_depletion
 
 
+def _stacked_rows(cfg):
+    """Every realization's input and output periodograms, as two
+    ``realizations x bins`` tables."""
+    rows = list(_realization_passes(cfg))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
 @pytest.mark.parametrize("keep", [2000, 2001], ids=["even", "odd"])
 @pytest.mark.parametrize("noise", ["shaped", "diffusion"])
 def test_ensemble_matches_the_per_realization_chain(noise, keep):
-    """Byte for byte, the ensemble is synthesize -> slab -> Hann
-    periodogram run on each realization, and that periodogram is numpy's
-    shifted FFT; at an odd kept length a slip between ``fftshift`` and
-    ``ifftshift`` moves every bin."""
+    """Byte for byte, each pass is synthesize -> slab -> Hann periodogram
+    run on its realization, and that periodogram is numpy's shifted FFT;
+    at an odd kept length a slip between ``fftshift`` and ``ifftshift``
+    moves every bin.  The running sums give both densities bit for bit
+    as ``mean(axis=0)`` of the stacked rows, and Welford's standard error
+    is ``std(axis=0, ddof=1) / sqrt(R)`` of the rows to 1e-12."""
     base = reduced_config(realizations=8)
     m, f, dt = base.medium, base.fields, base.dt
     g = complex_rates(m, f).gamma_cb_eff.real
     if noise == "diffusion":
         base = replace(base, noise=PhaseNoiseModel(diffusion=5.0 * g, seed=3))
     cfg = replace(base, duration=keep * dt)
-    result = ensemble_beat_spectrum(cfg)
+    p_in, p_out = _stacked_rows(cfg)
 
     burn = int(np.ceil(5.0 / (g * dt)))
     w = np.hanning(keep)
-    rows_in, rows_out = [], []
     for r in range(cfg.realizations):
         probe = synthesize_probe_field(cfg.noise, abs(f.omega_p), dt, keep + burn, r)
         out = slab(probe, m, f, dt, cfg.slices)
@@ -258,20 +269,60 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
         shifted = np.fft.fftshift(np.fft.fft(out[burn:] * w))
         direct = (np.abs(shifted) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
         assert np.array_equal(spec_out.density, direct)
-        rows_in.append(spec_in.density)
-        rows_out.append(spec_out.density)
-    p_in, p_out = np.array(rows_in), np.array(rows_out)
+        assert np.array_equal(p_in[r], spec_in.density)
+        assert np.array_equal(p_out[r], spec_out.density)
 
+    result = ensemble_beat_spectrum(cfg)
     freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(keep, dt))
-    assert result.spectrum.grid == spec_in.grid
+    assert result.spectrum.grid == spec_in.grid == cfg.grid
     assert result.spectrum.grid.count == keep
     assert result.spectrum.grid.start == freqs[0]
     assert result.spectrum.grid.step == freqs[1] - freqs[0]
-    assert np.array_equal(result.per_real_in, p_in)
-    assert np.array_equal(result.per_real_out, p_out)
     assert np.array_equal(result.input_density, p_in.mean(axis=0))
     assert np.array_equal(result.spectrum.density, p_out.mean(axis=0))
-    assert np.array_equal(result.stderr, p_out.std(axis=0, ddof=1) / np.sqrt(8))
+    expected = p_out.std(axis=0, ddof=1) / np.sqrt(8)
+    assert np.all(np.abs(result.stderr - expected) <= 1e-12 * expected)
+
+
+def test_band_sums_match_the_stacked_rows():
+    """For a fixed mask, the one-pass band reduction gives the mean and
+    standard error of the band ratios of the stacked rows, each band sum
+    taken row by row, and their mean input, bit for bit.  Summed over
+    the band axis of the whole table instead, as numpy orders a 2-D
+    reduction, the band sums differ at rounding only."""
+    cfg = reduced_config(realizations=8)
+    mask = np.abs(cfg.grid.omegas) < 0.3 * np.abs(cfg.grid.omegas).max()
+    groups, values, errs, mean_in = band_average_transfer(cfg, mask, 5)
+    p_in, p_out = _stacked_rows(cfg)
+    assert np.array_equal(np.concatenate(groups), np.flatnonzero(mask))
+    for i, g in enumerate(groups):
+        q = np.array([p_out[r, g].sum() / p_in[r, g].sum() for r in range(8)])
+        assert values[i] == q.mean()
+        assert errs[i] == q.std(ddof=1) / np.sqrt(8)
+        table = p_out[:, g].sum(axis=1) / p_in[:, g].sum(axis=1)
+        assert np.all(np.abs(q - table) <= 1e-14 * table)
+    assert np.array_equal(mean_in, p_in.mean(axis=0))
+
+
+def _ensemble_peak_bytes(realizations):
+    """Peak of the allocations traced while one reduced ensemble runs."""
+    cfg = reduced_config(realizations=realizations)
+    tracemalloc.start()
+    try:
+        ensemble_beat_spectrum(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_memory_does_not_grow_with_realizations():
+    """The ensemble keeps running sums, not one row per realization: its
+    traced peak at 64 realizations is within 1.25 times its peak at 8.
+    Two 64 x 2000 tables of rows alone would take 2 MB, over four times
+    the whole streamed peak.  A first ensemble runs untraced, so that
+    one-time allocations (numpy's FFT plans) fall outside both peaks."""
+    ensemble_beat_spectrum(reduced_config(realizations=8))
+    assert _ensemble_peak_bytes(64) <= 1.25 * _ensemble_peak_bytes(8)
 
 
 def test_ensemble_builds_its_slab_once(monkeypatch):
@@ -296,18 +347,17 @@ def test_ensemble_builds_its_slab_once(monkeypatch):
 
 def test_center_transfer_is_unity_within_three_sigma():
     """With gamma_cb = 0 the line center is fully transmitted."""
-    result = ensemble_beat_spectrum(reduced_config())
-    w = result.spectrum.omegas
+    cfg = reduced_config()
     g = complex_rates(reduced_medium(), reduced_fields()).gamma_cb_eff.real
-    mask = np.abs(w) < 0.2 * g
-    _, values, errs = band_average_transfer(result, mask, 1)
+    mask = np.abs(cfg.grid.omegas) < 0.2 * g
+    _, values, errs, _ = band_average_transfer(cfg, mask, 1)
     assert abs(values[0] - 1.0) <= 3.0 * errs[0]
 
 
 def test_passivity_per_realization():
-    result = ensemble_beat_spectrum(reduced_config(realizations=16))
-    power_in = result.per_real_in.sum(axis=1)
-    power_out = result.per_real_out.sum(axis=1)
+    p_in, p_out = _stacked_rows(reduced_config(realizations=16))
+    power_in = p_in.sum(axis=1)
+    power_out = p_out.sum(axis=1)
     assert np.all(power_out <= power_in * (1.0 + 1e-9))
 
 
@@ -323,10 +373,12 @@ def test_transfer_vs_analytic_in_bands():
     exp(Re kappa L) reference within a generous multiple of the
     realization scatter."""
     cfg = reduced_config(realizations=64)
-    values, refs, errs = band_transfer_vs_reference(
-        ensemble_beat_spectrum(cfg), cfg, 0.05, 8
-    )
+    values, refs, errs = band_transfer_vs_reference(cfg, 0.05, 8)
     assert np.all(np.abs(values - refs) <= np.maximum(5.0 * errs, 0.01))
+    # the bands come from the shaping, which a diffusion model lacks
+    unshaped = replace(cfg, noise=PhaseNoiseModel(diffusion=0.0, seed=3))
+    with pytest.raises(InvalidParameterError, match="shaped noise model"):
+        band_transfer_vs_reference(unshaped, 0.05, 8)
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +388,7 @@ def shipped_bands():
     the deviation of the Monte-Carlo transfer from the window-convolved
     ``transmission`` of the same medium, in sigma."""
     cfg = replace(_default_mc_config(1e-3), realizations=64)
-    values, refs, errs = band_transfer_vs_reference(ensemble_beat_spectrum(cfg), cfg, 0.02, 16)
+    values, refs, errs = band_transfer_vs_reference(cfg, 0.02, 16)
     return (values - refs) / errs
 
 
@@ -349,7 +401,7 @@ def test_line_bands_match_the_medium_at_the_shipped_config(shipped_bands):
     strict=True,
     reason="the 0.1 us time step biases the wing transfer (bare absorption "
     "exp(-6.5)) by far more than its tiny standard error: shoulder bands "
-    "read +4.5 and +4.1 sigma and wing bands down to -977 sigma; the line "
+    "read +4.4 and +3.9 sigma and wing bands down to -808 sigma; the line "
     "bands pass",
 )
 def test_all_bands_match_the_medium_at_the_shipped_config(shipped_bands):
@@ -357,8 +409,10 @@ def test_all_bands_match_the_medium_at_the_shipped_config(shipped_bands):
 
 
 def test_band_average_requires_enough_bins():
-    result = ensemble_beat_spectrum(reduced_config(realizations=8))
-    mask = np.zeros(result.spectrum.grid.count, dtype=bool)
+    cfg = reduced_config(realizations=8)
+    mask = np.zeros(cfg.grid.count, dtype=bool)
     mask[:4] = True
-    with pytest.raises(InvalidParameterError):
-        band_average_transfer(result, mask, 16)
+    with pytest.raises(InvalidParameterError, match="fewer masked bins"):
+        band_average_transfer(cfg, mask, 16)
+    with pytest.raises(InvalidParameterError, match="one entry per periodogram bin"):
+        band_average_transfer(cfg, mask[:-1], 1)

@@ -44,3 +44,23 @@ def test_compare_csv_flags_a_changed_shape(tmp_path):
     a = _csv(tmp_path, "a.csv", header, [(-1.0, 0.5), (0.0, 4.0), (1.0, 0.5)])
     b = _csv(tmp_path, "b.csv", header, [(-1.0, 0.5), (0.0, 4.0)])
     assert math.isinf(output_diff.compare_csv(a, b).max_relative)
+
+
+def test_compare_csv_lists_each_differing_column(tmp_path):
+    """Each differing column gives its largest difference over the column
+    peak and over each element's own magnitude, counting only elements
+    that are nonzero in the old file; identical columns are not listed."""
+    header = "# eitnarrow 0.1.0 config aaaa\n"
+    a = _csv(tmp_path, "a.csv", header, [(-1.0, 0.0), (0.0, 4.0), (1.0, 0.5)])
+    b = _csv(tmp_path, "b.csv", header, [(-1.0, 0.1), (0.0, 4.0), (1.0, 0.6)])
+    (column,) = output_diff.compare_csv(a, b).columns
+    assert column.name == "density"
+    assert column.peak_relative == 0.1 / 4.0  # the 0 -> 0.1 bin against the peak
+    assert abs(column.own_relative - 0.2) <= 1e-15  # 0.5 -> 0.6; the zero bin is left out
+    # a change at a zero element alone shows only against the column peak
+    c = _csv(tmp_path, "c.csv", header, [(-1.0, 0.2), (0.0, 4.0), (1.0, 0.5)])
+    (column,) = output_diff.compare_csv(a, c).columns
+    assert column.peak_relative == 0.2 / 4.0 and column.own_relative == 0.0
+    zeros = _csv(tmp_path, "z.csv", header, [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+    (column,) = output_diff.compare_csv(zeros, a).columns
+    assert column.peak_relative == 4.0 and math.isnan(column.own_relative)

@@ -16,7 +16,10 @@ and stderr are identical, then one line per file either side wrote.  A
 file is ``identical`` when its bytes are.  For a differing CSV it gives
 the largest difference of the numeric body relative to each column's
 peak magnitude, and lists the ``#`` header lines that differ on their
-own.  For any other differing file, and for differing stdout or stderr,
+own; then, for each column whose values differ, its largest difference
+relative to the column peak and relative to each element's own
+magnitude (nonzero elements only), so a per-bin tolerance can be read
+off.  For any other differing file, and for differing stdout or stderr,
 it lists the differing lines.  The exit status is 0 when everything is
 identical and 1 otherwise.
 """
@@ -59,9 +62,17 @@ MAX_LINES = 6  # differing lines listed per stream or file
 
 
 @dataclass(frozen=True)
+class ColumnDiff:
+    name: str
+    peak_relative: float  # largest difference over the column's peak magnitude
+    own_relative: float  # largest difference over the element's own magnitude, old != 0 only
+
+
+@dataclass(frozen=True)
 class CsvDiff:
     headers: list[tuple[str, str]]  # differing ``#`` lines, (old, new)
     max_relative: float  # largest body difference over the column peak; inf if the shapes differ
+    columns: tuple[ColumnDiff, ...] = ()  # one per column whose values differ
 
 
 def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | None]:
@@ -78,7 +89,10 @@ def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | None]:
 
 def compare_csv(old: str, new: str) -> CsvDiff:
     """``#`` header differences and the largest body difference of two
-    CSV files, relative to the peak magnitude of each column of ``old``."""
+    CSV files, relative to the peak magnitude of each column of ``old``;
+    for each column whose values differ, also the largest difference
+    relative to each element's own magnitude in ``old``, over its
+    nonzero elements (nan when all are zero)."""
     old_comments, old_names, a = _read_csv(old)
     new_comments, new_names, b = _read_csv(new)
     headers = [(x, y) for x, y in zip_longest(old_comments, new_comments, fillvalue="") if x != y]
@@ -86,9 +100,20 @@ def compare_csv(old: str, new: str) -> CsvDiff:
         return CsvDiff(headers, float("inf"))
     if a.size == 0:
         return CsvDiff(headers, 0.0)
-    peak = np.max(np.abs(a), axis=0)
+    diff = np.abs(a - b)
+    own = np.abs(a)
+    peak = np.max(own, axis=0)
     peak[peak == 0] = 1.0
-    return CsvDiff(headers, float(np.max(np.abs(a - b) / peak)))
+    columns = []
+    for j, name in enumerate(old_names[0].split(",")):
+        if np.array_equal(a[:, j], b[:, j]):
+            continue
+        nonzero = own[:, j] > 0
+        rel = diff[nonzero, j] / own[nonzero, j]
+        columns.append(ColumnDiff(
+            name, float(np.max(diff[:, j]) / peak[j]), float(rel.max()) if rel.size else np.nan
+        ))
+    return CsvDiff(headers, float(np.max(diff / peak)), tuple(columns))
 
 
 def _differing_lines(old: str, new: str) -> list[str]:
@@ -159,6 +184,11 @@ def report(old: dict, new: dict) -> tuple[list[str], int, int]:
                     f"{len(diff.headers)} header line(s) differ"
                 )
                 lines += [f"    header: {x!r} -> {y!r}" for x, y in diff.headers]
+                lines += [
+                    f"    column {c.name}: max {c.peak_relative:.3e} of column peak, "
+                    f"{c.own_relative:.3e} of own magnitude"
+                    for c in diff.columns
+                ]
             else:
                 lines.append(f"  {file}: different")
                 with open(path_a) as fa, open(path_b) as fb:
