@@ -76,17 +76,18 @@ def _power_scan(u, carry, powers, out):
 
     Runs as ``out[j] = decay^(j+1) * (carry + sum_{i<=j} decay^-(i+1) u[i])``
     over chunks of the ``powers`` table, each restarting from the last
-    value of the one before.  ``u`` is overwritten.
+    value of the one before; the carry enters as the first summand.
+    ``u`` is overwritten.
     """
     up, down = powers
     step = up.size - 1
     for lo in range(0, u.size, step):
         seg = u[lo:lo + step]
         seg *= down[1:seg.size + 1]
+        if carry:  # skipped when zero: the slab starts from rest
+            seg[0] += carry
         block = out[lo:lo + seg.size]
         np.cumsum(seg, out=block)
-        if carry:  # skipped when zero: the slab starts from rest
-            block += carry
         block *= up[1:seg.size + 1]
         carry = block[-1]
     return out
@@ -118,17 +119,19 @@ def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float, size: int)
     )
 
 
-def g_sweep(r_values, g0, sweep: LagSweep):
-    """Integrate the slaved-coherence lag ODE along the lag grid.
+def g_sweep(r_values, g0, sweep: LagSweep, scale):
+    """``scale`` times the solution of the slaved-coherence lag ODE along
+    the lag grid from ``G[0] = g0``.
 
-    The rounding error is the recurrence's own, about
-    eps * max|G| / (1 - |decay|).
+    The recurrence is linear, so ``scale`` rides in its two source
+    weights and its start value at no extra pass.  The rounding error
+    is the recurrence's own, about eps * max|scale*G| / (1 - |decay|).
     """
     r_values = np.asarray(r_values, dtype=complex)
     out = np.empty(r_values.size, dtype=complex)
-    out[0] = g0
-    u = sweep.c_prev * r_values[:-1]
-    u += sweep.c_curr * r_values[1:]
+    out[0] = scale * g0
+    u = (scale * sweep.c_prev) * r_values[:-1]
+    u += (scale * sweep.c_curr) * r_values[1:]
     _power_scan(u, out[0], sweep.powers, out[1:])
     return out
 

@@ -9,10 +9,14 @@ Two independent routes through the medium:
   is solved with an exact exponential integrator and the correlation is
   advanced in z by the Taylor polynomial of exp(dz L), summed forward
   term by term: the z-derivative L is real-linear in R and z-independent
-  (RK4 is the degree-4 case).  There is one degree-36 step per 7 units of
-  max |kappa(omega)| L, and the last two terms of each step estimate its
-  truncation (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-  Each term costs one lag sweep, and the route returns R(tau, L) alone.
+  (RK4 is the degree-4 case).  The spectrum of dz L is Re kappa(omega) dz,
+  so each step sums the degree-25 series of dz L - mu, mu the midpoint
+  of that spectrum, and multiplies by e^mu (Al-Mohy & Higham, SIAM J.
+  Sci. Comput. 33, 488 (2011)).  There is one step per 7 units of
+  max |kappa(omega)| L or of the spread of Re kappa(omega) L, whichever
+  is larger, and the last two terms of each step estimate its
+  truncation.  Each term costs one lag sweep, and the route returns
+  R(tau, L) alone.
 
 Correlations are conjugate correlations <S*(t) S(t+tau)>, so R(0) is
 real-positive and the density transfer of the (tau, z) system reduces
@@ -47,23 +51,27 @@ from .spectral import (
 )
 
 # largest z truncation residual that the (tau, z) route accepts: the
-# Taylor tails of all z steps, each relative to the R(0) that step
-# returns, summed
+# Taylor tails and rounding bounds of all z steps, each relative to the
+# R(0) that step returns, summed
 TAIL_TOL = 1e-4
 
-# the z-march: degree m of one Taylor step, the |kappa| dz = theta it
-# spans (truncation bound theta^(m+1)/(m+1)! = 1.35e-12 per step), and
-# the largest max |kappa| L the route marches before calling the medium
-# too deep
-TAYLOR_DEGREE = 36
+# the z-march: degree m of one Taylor step, the reach theta of one step
+# in |kappa| dz and in the spread of Re kappa dz (the shifted series has
+# radius theta/2, truncation bound (theta/2)^(m+1)/(m+1)! = 3.2e-13 per
+# step), and the largest max |kappa| L the route marches before calling
+# the medium too deep
+TAYLOR_DEGREE = 25
 STEP_REACH = 7.0
 MAX_REACH = 1e4
+# rounding of one shifted step: its TAYLOR_DEGREE partial sums are each
+# at most e^(STEP_REACH/2) |R(0)| of the step's input
+STEP_ROUNDING = TAYLOR_DEGREE * np.finfo(float).eps * np.exp(STEP_REACH / 2.0)
 
 
 @dataclass(frozen=True)
 class CorrelationResult:
     beat: CorrelationFunction  # R(tau, L), tau >= 0
-    residual: float  # summed Taylor tail of the z-march, relative to R(0)
+    residual: float  # summed Taylor tail and rounding of the z-march, relative to R(0)
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,16 @@ def _slave_row(rates: ComplexRates, g: FrequencyGrid, dtau: float, size: int) ->
     return _chirp_sum(g0_weights, g.start, g.step, 0.0, dtau, size, 1) * w_tau / (2.0 * np.pi)
 
 
-def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> int:
-    """Coarse z-step count: ceil(max |kappa(omega)| L / ``STEP_REACH``)
-    over ``omegas``; a ResolutionError if max |kappa| L exceeds
-    ``MAX_REACH``."""
+def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> tuple[int, float]:
+    """The z-march's step count and shift from one kappa over ``omegas``.
+
+    The count is ceil(max(max |kappa| L, spread of Re kappa L) /
+    ``STEP_REACH``), at least 1; the shift is the midpoint of Re kappa,
+    so each step's dz L - shift*dz has its spectrum within
+    +-``STEP_REACH``/2.  For a passive medium (Re kappa <= 0) the spread
+    never exceeds max |kappa|.  A ResolutionError if max |kappa| L
+    exceeds ``MAX_REACH``.
+    """
     kappa = transfer_exponent(m, f, omegas)
     reach = float(np.max(np.abs(kappa))) * m.length
     # a NaN or infinite reach fails the comparison too
@@ -137,54 +151,59 @@ def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> int:
             f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}",
             residual=reach,
         )
-    return max(1, int(np.ceil(reach / STEP_REACH)))
+    lo, hi = float(np.min(kappa.real)), float(np.max(kappa.real))
+    steps = max(1, int(np.ceil(max(reach, (hi - lo) * m.length) / STEP_REACH)))
+    return steps, 0.5 * (lo + hi)
 
 
 def _integrate_correlation(
-    m: AtomicMedium, rates: ComplexRates, slave_row, sweep: LagSweep, r0, steps
+    m: AtomicMedium, rates: ComplexRates, slave_row, sweep: LagSweep, r0, shift, steps
 ) -> tuple[np.ndarray, float]:
-    """R at z = L after ``steps`` Taylor steps, and the truncation
-    residual: the max-norms of each step's last two terms, relative to
+    """R at z = L after ``steps`` Taylor steps of exp(dz L - mu) e^mu,
+    mu = ``shift`` * dz, and the residual: each step's truncation (the
+    max-norms of its last two terms) and rounding bound, relative to
     |R(0)| at the end of that step, summed over the steps."""
     b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab
     pref = 0.5 * coupling_eta(m)
     # L r = pref*((nfac r - b G) + (conj(nfac) r - conj(b) conj(G[::-1])))
-    #     = a r - t - conj(t[::-1]) with t = pref*b*G
-    a = 2.0 * pref * rates.n_factor.real
+    #     = a r - t - conj(t[::-1]) with t = pref*b*G, and L - shift
+    # takes a - shift for a
+    a = 2.0 * pref * rates.n_factor.real - shift
     b_g = pref * b_pump
 
     def apply(v, s):
-        """s * L v for a real s."""
-        t = g_sweep(v, slave_row @ v, sweep)
-        t *= s * b_g
+        """s * (L - shift) v for a real s."""
+        t = g_sweep(v, slave_row @ v, sweep, s * b_g)
         out = (s * a) * v
         out -= t
         out -= np.conj(t[::-1])
         return out
 
-    # forward Taylor sum of exp(dz L) r (see the module docstring)
+    # forward Taylor sum of exp(dz L - mu) r (see the module docstring)
     r = r0.astype(complex)
     center = r.size // 2
     dz = m.length / steps
     residual = 0.0
     for _ in range(steps):
+        bound = STEP_ROUNDING * abs(r[center])
         term = r
-        tail = 0.0
         for j in range(1, TAYLOR_DEGREE + 1):
             term = apply(term, dz / j)
             r += term
             if j >= TAYLOR_DEGREE - 1:
-                tail += np.max(np.abs(term))
-        residual += tail / abs(r[center])
+                bound += np.max(np.abs(term))
+        # e^mu scales the sum and its R(0) alike
+        residual += bound / abs(r[center])
+        r *= np.exp(shift * dz)
     return r, float(residual)
 
 
 def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> CorrelationResult:
-    """(tau, z) route in ceil(max |kappa| L / ``STEP_REACH``) Taylor steps
-    of degree ``TAYLOR_DEGREE``; raises ResolutionError if max |kappa| L
-    exceeds ``MAX_REACH`` or if the summed Taylor tail exceeds
-    ``TAIL_TOL``."""
-    steps = _step_count(m, f, s.omegas)
+    """(tau, z) route in the shifted Taylor steps of degree
+    ``TAYLOR_DEGREE`` that ``_step_count`` chooses; raises
+    ResolutionError if max |kappa| L exceeds ``MAX_REACH`` or if the
+    summed residual exceeds ``TAIL_TOL``."""
+    steps, shift = _step_count(m, f, s.omegas)
     rates = complex_rates(m, f)
     dtau, count = _auto_tau_grid(rates, s.grid)  # raises unless Re Gamma_cb_eff > 0
     # the slaved initial condition at the grid edge carries a transient
@@ -194,25 +213,28 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     # the Hermitian companion at +tau)
     pad = int(np.ceil(5.0 / rates.gamma_cb_eff.real / dtau))
     total = count + pad
-    # two-sided lag grid tau_j = (j - center) * dtau, j < 2*total - 1
+    # two-sided lag grid tau_j = (j - center) * dtau, j < 2*total - 1;
+    # the density is real, so only tau >= 0 is transformed and
+    # R(-tau) = R*(tau) with R(0) real
     center = total - 1
     size = 2 * total - 1
     g = s.grid
-    r0 = _chirp_sum(
-        _trapezoid_weights(g.count, g.step) * s.density,
-        g.start, g.step, -center * dtau, dtau, size, -1,
+    half = _chirp_sum(
+        _trapezoid_weights(g.count, g.step) * s.density, g.start, g.step, 0.0, dtau, total, -1
     )
-    r0_peak = abs(r0[center])
+    half[0] = half[0].real
+    r0_peak = abs(half[0])
     if r0_peak <= 0:
         raise InvalidParameterError("input correlation is identically zero")
-    if max(abs(r0[0]), abs(r0[-1])) > 1e-4 * r0_peak:
+    if abs(half[-1]) > 1e-4 * r0_peak:
         raise InvalidParameterError(
             "lag grid too short: |R| has not decayed below 1e-4 R(0)"
         )
+    r0 = np.concatenate([np.conj(half[:0:-1]), half])
 
     slave_row = _slave_row(rates, g, dtau, size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
-    r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, steps)
+    r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
     if residual > TAIL_TOL:
         raise ResolutionError(
             f"z-march Taylor tail {residual:.3e} relative to R(0)",

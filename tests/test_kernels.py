@@ -88,17 +88,19 @@ def test_g_sweep_solves_the_lag_ode():
     taus = dtau * np.arange(2000)
     r = np.exp(-lam * taus)
     g0 = nfac / (gtilde - lam)  # particular solution at tau = 0
-    g = g_sweep(r, g0, g_sweep_coefficients(gtilde, nfac, dtau, r.size))
+    g = g_sweep(r, g0, g_sweep_coefficients(gtilde, nfac, dtau, r.size), 1.0)
     exact = nfac * np.exp(-lam * taus) / (gtilde - lam)
     assert np.max(np.abs(g - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
-def _sweep_pair(r, g0, gtilde, nfac, dtau):
-    """The public sweep and the loop oracle on the same coefficients."""
+def _sweep_pair(r, g0, gtilde, nfac, dtau, scale=1.0):
+    """The public sweep and ``scale`` times the loop oracle on the same
+    coefficients."""
     sweep = g_sweep_coefficients(gtilde, nfac, dtau, r.size)
     decay = sweep.powers[0, 1]
     assert decay == np.exp(-gtilde * dtau)
-    return g_sweep(r, g0, sweep), _g_sweep_loop(r, g0, decay, sweep.c_prev, sweep.c_curr)
+    loop = _g_sweep_loop(r, g0, decay, sweep.c_prev, sweep.c_curr)
+    return g_sweep(r, g0, sweep, scale), scale * loop
 
 
 def test_g_sweep_loop_and_filter_agree():
@@ -117,6 +119,15 @@ def test_g_sweep_crosses_chunks():
     assert sweep.powers.shape[1] - 1 < r.size // 100
     b, a = _sweep_pair(r, 0.5 + 0.1j, gtilde, 0.3 - 0.1j, dtau)
     assert np.all(np.isfinite(b))
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_g_sweep_scale_rides_in_its_weights_and_start():
+    """A complex scale, folded into the two source weights and G[0],
+    gives the scaled solution, also across chunk boundaries, where the
+    carried G enters each chunk's cumulative sum as its first term."""
+    r = _random_r(n=5_000, seed=10)
+    b, a = _sweep_pair(r, 0.5 + 0.1j, 5.0 + 2.0j, 0.3 - 0.1j, 1.0, scale=-0.37 + 0.2j)
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 

@@ -15,6 +15,7 @@ from eitnarrow.noise import PhaseNoiseModel, synthesize_probe_field
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
     _chirp_sum,
+    _fft_length,
     CorrelationFunction,
     FrequencyGrid,
     Spectrum,
@@ -229,6 +230,19 @@ def test_chirp_sum_accuracy_at_the_validate_scale(n, m):
     rows = rng.choice(m, 250, replace=False)
     dense = _dense_sum_long_double(v, x0, dx, y0, dy, rows, -1)
     assert np.max(np.abs(fast[rows] - dense)) <= 1e-11 * np.max(np.abs(fast))
+
+
+def test_fft_length_is_the_shorter_of_two_and_three_times_a_power_of_two():
+    """The chirp-z convolution length: the next 2^k or the next 3*2^k,
+    whichever is smaller; 12 288 at the route's 1201 + 10 391 - 1."""
+    for n in range(1, 5001):
+        pow2, three = 1, 3
+        while pow2 < n:
+            pow2 *= 2
+        while three < n:
+            three *= 2
+        assert _fft_length(n) == min(pow2, three), n
+    assert _fft_length(1201 + 10391 - 1) == 12288
 
 
 def test_lag_transform_memory_stays_linear():
