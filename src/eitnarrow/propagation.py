@@ -237,7 +237,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
     if residual > TAIL_TOL:
         raise ResolutionError(
-            f"z-march Taylor tail {residual:.3e} relative to R(0)",
+            f"z-march residual {residual:.3e} relative to R(0)",
             residual=residual,
         )
     # tau in [0, (count - 1) * dtau]

@@ -182,6 +182,19 @@ def _small_case(case):
     return m, f, s
 
 
+def _small_march(m, f, s):
+    """The z-march arguments of a small case up to its shift (the input
+    correlation on 301 lags last) and the exact R at z = L."""
+    rates = complex_rates(m, f)
+    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
+    half = spectrum_to_correlation(s, dtau, 151).values
+    r0 = np.concatenate([np.conj(half[:0:-1]), half])
+    slave_row = propagation._slave_row(rates, s.grid, dtau, r0.size)
+    sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
+    exact = _dense_propagator(m, f, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
+    return (m, rates, slave_row, sweep, r0), exact[: r0.size] + 1j * exact[r0.size :]
+
+
 @pytest.mark.parametrize(
     "case, stretch",
     [("on-resonance", 1), ("decaying", 1), ("detuned", 1), ("decaying", 12)],
@@ -190,25 +203,22 @@ def _small_case(case):
 def test_taylor_march_matches_the_dense_exponential(case, stretch):
     """At the step count the route chooses, the z-march agrees with the
     exact propagator exp(L M) within 1e-10 of |R(0)| at z = L; its
-    summed Taylor tail bounds that error and the change from halving the
-    step, and stays below 1e-10 itself.  Stretched 12-fold, the decaying
-    case takes 12 steps over which R(0) falls by 6e-14, so each step's
-    tail must be taken relative to the R(0) that step returns."""
+    summed residual (Taylor tails and rounding bounds) bounds that error
+    and the change from halving the step, and stays below 1e-10 itself.
+    After the shift the tail alone falls below rounding (2.5e-16 against
+    an error of 1.2e-14 in the decaying case).  Stretched 12-fold, the
+    decaying case takes 12 steps over which R(0) falls by 6e-14, so each
+    step's residual must be taken relative to the R(0) that step
+    returns."""
     m, f, s = _small_case(case)
     m = replace(m, length=stretch * m.length)
-    rates = complex_rates(m, f)
-    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
-    half = spectrum_to_correlation(s, dtau, 151).values
-    r0 = np.concatenate([np.conj(half[:0:-1]), half])
-    center = half.size - 1
-    slave_row = propagation._slave_row(rates, s.grid, dtau, r0.size)
-    sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
     steps, shift = propagation._step_count(m, f, s.omegas)
     assert steps == stretch
-    march = (m, rates, slave_row, sweep, r0, shift)
+    march, r_ref = _small_march(m, f, s)
+    r0 = march[-1]
+    center = r0.size // 2
+    march += (shift,)
     r, residual = propagation._integrate_correlation(*march, steps)
-    exact = _dense_propagator(m, f, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
-    r_ref = exact[: r0.size] + 1j * exact[r0.size :]
     assert abs(r_ref[center]) < 0.99 * abs(r0[center])  # the march did work
     error = np.max(np.abs(r - r_ref)) / abs(r_ref[center])
     assert error <= residual <= 1e-10
@@ -234,19 +244,10 @@ def test_march_with_gain_and_loss_shifts_by_the_midpoint(monkeypatch):
     assert math.ceil(reach / propagation.STEP_REACH) < steps
     assert shift == 0.5 * (np.min(mixed) + np.max(mixed))
     assert np.min(mixed) < shift < 0.0 < np.max(mixed)
-
-    rates = complex_rates(m, f)
-    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
-    half = spectrum_to_correlation(s, dtau, 151).values
-    r0 = np.concatenate([np.conj(half[:0:-1]), half])
-    center = half.size - 1
-    slave_row = propagation._slave_row(rates, s.grid, dtau, r0.size)
-    sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
-    r, residual = propagation._integrate_correlation(
-        m, rates, slave_row, sweep, r0, shift, steps
-    )
-    exact = _dense_propagator(m, f, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
-    r_ref = exact[: r0.size] + 1j * exact[r0.size :]
+    march, r_ref = _small_march(m, f, s)
+    r0 = march[-1]
+    center = r0.size // 2
+    r, residual = propagation._integrate_correlation(*march, shift, steps)
     assert abs(r_ref[center]) < 0.99 * abs(r0[center])
     error = np.max(np.abs(r - r_ref)) / abs(r_ref[center])
     assert error <= residual <= 1e-10
@@ -297,7 +298,7 @@ def test_correlation_route_sweep_count(monkeypatch):
 def test_single_taylor_step_matches_a_fine_march(monkeypatch):
     """On each full-size route-equivalence problem the one z step the
     route takes agrees with an 8-step march within 1e-10 of R(0), and
-    its Taylor tail bounds that difference."""
+    its residual bounds that difference."""
     args = []
     real = propagation._integrate_correlation
 
