@@ -103,7 +103,7 @@ def _reduced_mc_config(cfg: RunConfig) -> McConfig:
         cfg.medium, number_density=cfg.medium.number_density / 10.0, gamma_cb=0.0
     )
     drive = abs(cfg.fields.omega_d)
-    fields = FieldConfig(omega_d=drive, omega_p=1e-3 * drive)
+    fields = FieldConfig(omega_d=drive)
     rates = complex_rates(medium, fields)
     g = rates.gamma_cb_eff.real
     dt = 0.005 / g

@@ -237,13 +237,6 @@ def cmd_propagate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _mc_fields(cfg: RunConfig) -> FieldConfig:
-    f = cfg.fields
-    if abs(f.omega_p) > 0:
-        return f
-    return replace(f, omega_p=0.05 * abs(f.omega_d))
-
-
 def _mc_shaping(cfg: RunConfig) -> Spectrum:
     nyquist = np.pi / cfg.mc_dt
     half = min(cfg.span_factor * cfg.input_fwhm, 0.95 * nyquist)
@@ -256,7 +249,7 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     n_real = min(cfg.mc_realizations, 32) if args.quick else cfg.mc_realizations
     mc_cfg = McConfig(
         medium=cfg.medium,
-        fields=_mc_fields(cfg),
+        fields=cfg.fields,
         noise=PhaseNoiseModel(diffusion=0.0, shaping=_mc_shaping(cfg), seed=cfg.seed),
         dt=cfg.mc_dt,
         duration=cfg.mc_duration,

@@ -24,7 +24,6 @@ Recognized sections and keys (defaults in parentheses):
                                 whose closed-form width equals
                                 target_width_khz
     target_width_khz (4.6)      target output width for the auto drive
-    omega_p_mhz (0)             probe Rabi frequency (Monte Carlo only)
     delta_p_mhz (0)             probe one-photon detuning
     delta_ac_mhz (0)            drive one-photon detuning
     rho_aa, rho_bb, rho_cc      frozen populations (0, 1, 0)
@@ -34,9 +33,6 @@ Recognized sections and keys (defaults in parentheses):
     fwhm_khz (980)              input beat-spectrum FWHM
     grid_points (3001)
     span_factor (6.0)           grid half-width = span_factor * FWHM
-
-[propagation]
-    exponent_convention (paper) paper | derived
 
 [mc]
     realizations (200)
@@ -52,10 +48,8 @@ Recognized sections and keys (defaults in parentheses):
 [run]
     seed (12345)
 
-``exponent_convention`` and ``doppler_mode`` become properties of the
-medium: ``AtomicMedium.exponent_factor`` (``EXPONENT_FACTORS``: paper 1,
-derived 2) and ``AtomicMedium.doppler``, which every route and closed
-form reads.
+``doppler_mode`` becomes a property of the medium,
+``AtomicMedium.doppler``, which every route and closed form reads.
 
 Each key is one row of ``KEYS``: its section, name, default text, kind,
 the factors that take it to SI units and, for a size key, its bounds.
@@ -87,9 +81,6 @@ from .spectral import gaussian_spectrum, lorentzian_spectrum
 TWO_PI = 2.0 * np.pi
 _MHZ = (TWO_PI, 1e6)
 _KHZ = (TWO_PI, 1e3)
-
-# ``AtomicMedium.exponent_factor`` of each ``exponent_convention``
-EXPONENT_FACTORS = {"paper": 1.0, "derived": 2.0}
 
 
 class Key(NamedTuple):
@@ -126,7 +117,6 @@ KEYS = (
     Key("medium", "length_cm", "2.5", float, (1e-2,)),
     Key("fields", "omega_d_mhz", "0", float, _MHZ),
     Key("fields", "target_width_khz", "4.6", float, _KHZ),
-    Key("fields", "omega_p_mhz", "0", float, _MHZ),
     Key("fields", "delta_p_mhz", "0", float, _MHZ),
     Key("fields", "delta_ac_mhz", "0", float, _MHZ),
     Key("fields", "rho_aa", "0"),
@@ -136,7 +126,6 @@ KEYS = (
     Key("input", "fwhm_khz", "980", float, _KHZ),
     Key("input", "grid_points", "3001", int, bounds=(8, 10**6)),
     Key("input", "span_factor", "6.0"),
-    Key("propagation", "exponent_convention", "paper", tuple(EXPONENT_FACTORS)),
     Key("mc", "realizations", "200", int, bounds=(8, 10**5)),
     Key("mc", "slices", "8", int, bounds=(1, 10**4)),
     Key("mc", "dt_us", "0.1", float, (1e-6,)),
@@ -285,7 +274,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             gamma_cb=si["gamma_cb_hz"],
             doppler_width=si["doppler_fwhm_mhz"],
             length=si["length_cm"],
-            exponent_factor=EXPONENT_FACTORS[si["exponent_convention"]],
             doppler=si["doppler_mode"] == "on",
         )
         omega_d = si["omega_d_mhz"]
@@ -301,7 +289,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             resolved["fields"]["omega_d_mhz"] = repr(omega_d / per_mhz)
         fields = FieldConfig(
             omega_d=omega_d,
-            omega_p=si["omega_p_mhz"],
             delta_p=si["delta_p_mhz"],
             delta_ac=si["delta_ac_mhz"],
             rho_aa=si["rho_aa"],

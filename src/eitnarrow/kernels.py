@@ -12,8 +12,8 @@ from every slice.  Each slice's ground coherence obeys a second-order
 recurrence in time, whose slow and fast poles run one after the other:
 the fast one by log-step doubling, the slow one by the same chunked
 cumulative sum as the lag sweep.  The slab is ``nsl`` slices in series;
-``mc_slab`` builds its gains and poles once, as ``g_sweep_coefficients``
-builds the lag sweep's coefficients.
+``mc.mc_slab`` builds one slice's gains and poles (a ``Slab``) once, as
+``g_sweep_coefficients`` builds the lag sweep's coefficients.
 """
 
 from __future__ import annotations
@@ -179,20 +179,6 @@ class Slab(NamedTuple):
     b_src: complex
     fast: complex  # fast pole f
     powers: np.ndarray  # rows s**k and s**-k of the slow pole, one chunk
-
-
-def mc_slab(dmod, e_full, e_half, b_full, b_half, fcoef, erho, alpha, beta, nfac, gtilde, count):
-    """The slab of ``mc._slab_coefficients`` at drive modulus ``dmod``, for ``count`` samples."""
-    k_h = b_half * fcoef * dmod
-    k_f = b_full * fcoef * dmod
-    c1 = complex(erho + alpha * dmod * k_h)
-    c2 = complex(beta * dmod * k_h)
-    # roots of z^2 - c1 z - c2; the sign that adds moduli avoids cancellation
-    root = np.sqrt(c1 * c1 + 4.0 * c2)
-    s = 0.5 * (c1 + root if abs(c1 + root) >= abs(c1 - root) else c1 - root)
-    return Slab(e_full, k_f, nfac * dmod, gtilde, dmod * (alpha * e_half + beta),
-                alpha * dmod * e_half, beta * dmod * e_half, -c2 / s,
-                _power_table(s, abs(np.log(abs(s))), count))
 
 
 def mc_batch(probe, nsl, slab: Slab):

@@ -11,8 +11,13 @@ optical coherences is bounded in closed form by
 ``propagation.adiabatic_rate_check`` (``AdiabaticReport.slaving_error``).
 
 The per-field coupling is half of ``coupling_eta``, so the slab's
-density exponent is the medium's own, ``exponent_factor`` included, and
-its analytic reference is ``transmission`` of the same medium.
+density exponent is the medium's own, and its analytic reference is
+``transmission`` of the same medium.  ``mc_slab`` builds one slice's
+gains and poles once per ensemble; ``kernels.mc_batch`` runs them.
+
+The slab is linear in the probe, so the probe's amplitude only scales
+the output densities and their standard errors.  The ensemble draws it
+at ``PROBE_FRACTION`` times |Omega_d|, inside the weak-probe regime.
 
 An ensemble streams: each realization's two periodograms are reduced
 into running sums as they come and dropped (``ensemble_beat_spectrum``
@@ -28,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .kernels import _phi12, mc_batch, mc_slab
+from .kernels import Slab, _phi12, _power_table, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
 from .noise import PhaseNoiseModel, _probe_synthesizer
 from .spectral import FrequencyGrid, Spectrum, _periodogram_grid, _periodogram_writer
+
+PROBE_FRACTION = 0.05  # probe amplitude of the ensemble in units of |Omega_d|
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,8 @@ class McConfig:
             raise InvalidParameterError("need at least 8 realizations")
         if self.dt <= 0 or self.duration <= 0:
             raise InvalidParameterError("dt and duration must be positive")
-        if abs(self.fields.omega_p) <= 0:
-            raise InvalidParameterError("Monte-Carlo runs need a nonzero probe")
+        if abs(self.fields.omega_d) <= 0:
+            raise InvalidParameterError("Monte-Carlo runs need a nonzero drive")
         rates = complex_rates(self.medium, self.fields)
         g = rates.gamma_cb_eff.real
         if self.dt * g > 0.1:
@@ -82,7 +89,10 @@ class McEnsembleResult:
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
-def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
+def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -> Slab:
+    """One slice of thickness ``dz`` of the slab at time step ``dt``, its
+    gains and poles at the drive modulus |Omega_d|, for ``count``
+    samples."""
     rates = complex_rates(m, f)
     eta = 0.5 * coupling_eta(m)  # coupling of the per-field equations
     a = eta * f.n_ab / rates.gamma_ab  # homogeneous field advance rate [1/m]
@@ -99,10 +109,17 @@ def _slab_coefficients(m: AtomicMedium, f: FieldConfig, dz: float, dt: float):
     erho = np.exp(x)
     alpha = dt * (phi1 + phi2) * rates.n_factor
     beta = -dt * phi2 * rates.n_factor
-    return (
-        e_full, e_half, b_full, b_half, fcoef, erho, alpha, beta,
-        rates.n_factor, rates.gamma_cb_eff,
-    )
+    dmod = abs(f.omega_d)
+    k_h = b_half * fcoef * dmod
+    k_f = b_full * fcoef * dmod
+    c1 = complex(erho + alpha * dmod * k_h)
+    c2 = complex(beta * dmod * k_h)
+    # roots of z^2 - c1 z - c2; the sign that adds moduli avoids cancellation
+    root = np.sqrt(c1 * c1 + 4.0 * c2)
+    s = 0.5 * (c1 + root if abs(c1 + root) >= abs(c1 - root) else c1 - root)
+    return Slab(e_full, k_f, rates.n_factor * dmod, rates.gamma_cb_eff,
+                dmod * (alpha * e_half + beta), alpha * dmod * e_half, beta * dmod * e_half,
+                -c2 / s, _power_table(s, abs(np.log(abs(s))), count))
 
 
 def _implied_drive_depletion(cfg: McConfig) -> float:
@@ -128,9 +145,10 @@ def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]
     burn = int(np.ceil(5.0 / (g * cfg.dt))) if g > 0 else 0
     n_keep = cfg.grid.count
     n_total = n_keep + burn
-    coeffs = _slab_coefficients(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt)
-    slab = mc_slab(abs(cfg.fields.omega_d), *coeffs, n_total)
-    synthesize = _probe_synthesizer(cfg.noise, abs(cfg.fields.omega_p), cfg.dt, n_total)
+    slab = mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n_total)
+    synthesize = _probe_synthesizer(
+        cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n_total
+    )
     _, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
     for r in range(cfg.realizations):
         probe = synthesize(r)

@@ -4,24 +4,21 @@ Complex dephasing rates, the coupling constant eta, the effective
 ground-coherence rate, per-frequency transfer exponents, the EIT
 transmission width and the closed-form thick-medium width.
 
-Two model choices are properties of the medium, so every route (the
-Monte-Carlo slab included) and every closed form follows them from one
-place:
+Every route (the Monte-Carlo slab included) and every closed form reads
+the coupling eta of ``coupling_eta``, the quoted thick-medium filter's.
+The reduction of the correlation-propagation equations gives 2*eta;
+since eta is linear in the number density, that is the same medium at
+twice the density.  The slab's per-field coupling is half of
+``coupling_eta``, so its density exponent is the medium's own.
 
-* ``exponent_factor`` scales the coupling ``coupling_eta``.  The quoted
-  thick-medium filter uses eta (factor 1), while the reduction of the
-  correlation-propagation equations gives 2*eta (factor 2).  The slab's
-  per-field coupling is half of ``coupling_eta``, so its exponent is the
-  same.  Since eta is linear in the number density, factor 2 at density
-  N equals factor 1 at 2N.
-* ``doppler`` applies the substitution gamma -> Delta_W to both optical
-  coherences in ``complex_rates``; off, the homogeneous widths apply.
-  The closed forms follow it through ``optical_width``.
+One model choice is a property of the medium: ``doppler`` applies the
+substitution gamma -> Delta_W to both optical coherences in
+``complex_rates``; off, the homogeneous widths apply.  The closed forms
+follow it through ``optical_width``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +39,11 @@ class AtomicMedium:
     gamma_cb: float  # ground coherence decay [1/s]
     doppler_width: float  # Delta_W [rad/s]
     length: float  # cell length L [m]
-    exponent_factor: float = 1.0  # eta prefactor: 1 quoted filter, 2 Bloch reduction
     doppler: bool = True  # gamma -> Delta_W on the optical coherences
 
     def __post_init__(self):
         if self.number_density <= 0 or self.wavelength <= 0 or self.length < 0:
             raise InvalidParameterError("N and lambda must be positive, L >= 0")
-        if not self.exponent_factor > 0:
-            raise InvalidParameterError("exponent_factor must be positive")
         for name in ("gamma_r", "gamma_ab", "gamma_ac", "gamma_cb", "doppler_width"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
@@ -57,10 +51,11 @@ class AtomicMedium:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Rabi frequencies, detunings and frozen populations."""
+    """Drive Rabi frequency, detunings and frozen populations.  The probe
+    is first order in every route, so its amplitude is no field of the
+    configuration."""
 
     omega_d: complex  # drive Rabi frequency [rad/s]
-    omega_p: complex = 0.0  # probe Rabi frequency [rad/s]
     delta_p: float = 0.0  # probe detuning [rad/s]
     delta_ac: float = 0.0  # drive detuning [rad/s]
     rho_aa: float = 0.0
@@ -71,13 +66,6 @@ class FieldConfig:
         pops = (self.rho_aa, self.rho_bb, self.rho_cc)
         if min(pops) < 0 or abs(sum(pops) - 1.0) > 1e-9:
             raise InvalidParameterError("populations must be >= 0 and sum to 1")
-        if abs(self.omega_p) > 0.1 * abs(self.omega_d):
-            warnings.warn(
-                "probe Rabi frequency is not small against the drive; "
-                "weak-probe interpretation does not apply",
-                UserWarning,
-                stacklevel=2,
-            )
 
     @property
     def n_ab(self) -> float:
@@ -99,10 +87,8 @@ class ComplexRates:
 
 
 def coupling_eta(m: AtomicMedium) -> float:
-    """Field-medium coupling eta = 3 lambda^2 N gamma_r / (8 pi), times
-    the medium's ``exponent_factor``."""
-    eta = 3.0 * m.wavelength**2 * m.number_density * m.gamma_r / (8.0 * np.pi)
-    return m.exponent_factor * eta
+    """Field-medium coupling eta = 3 lambda^2 N gamma_r / (8 pi)."""
+    return 3.0 * m.wavelength**2 * m.number_density * m.gamma_r / (8.0 * np.pi)
 
 
 def optical_width(m: AtomicMedium) -> float:

@@ -48,6 +48,7 @@ from .spectral import (
     Spectrum,
     _chirp_sum,
     _trapezoid_weights,
+    spectrum_to_correlation,
 )
 
 # largest z truncation residual that the (tau, z) route accepts: the
@@ -218,10 +219,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     # R(-tau) = R*(tau) with R(0) real
     center = total - 1
     size = 2 * total - 1
-    g = s.grid
-    half = _chirp_sum(
-        _trapezoid_weights(g.count, g.step) * s.density, g.start, g.step, 0.0, dtau, total, -1
-    )
+    half = spectrum_to_correlation(s, dtau, total).values
     half[0] = half[0].real
     r0_peak = abs(half[0])
     if r0_peak <= 0:
@@ -232,7 +230,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
         )
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
 
-    slave_row = _slave_row(rates, g, dtau, size)
+    slave_row = _slave_row(rates, s.grid, dtau, size)
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
     r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
     if residual > TAIL_TOL:

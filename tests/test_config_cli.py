@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_bad_enum_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, "[propagation]\nexponent_convention = guess\n")
+    path = write_config(tmp_path, "[medium]\ndoppler_mode = guess\n")
     rc = main(["--config", path, "--out", str(tmp_path / "o"), "validate"])
     assert rc == 2
     assert "error: bad-enum:" in capsys.readouterr().err
@@ -255,6 +256,12 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param("[input]\ngrid_points = 1000000000000000\n", ["figure2"], id="huge-grid"),
         pytest.param("[input]\ngrid_points = 1e20\n", ["figure2"], id="float-grid-points"),
         pytest.param("[propagation]\nz_steps = 64\n", ["figure2"], id="removed-z-steps-key"),
+        pytest.param("[fields]\nomega_p_mhz = 1\n", ["--quick", "mc"], id="removed-probe-key"),
+        pytest.param(
+            "[propagation]\nexponent_convention = derived\n",
+            ["figure2"],
+            id="removed-convention-key",
+        ),
         pytest.param("[mc]\nrealizations = 100001\n", ["--quick", "mc"], id="huge-realizations"),
         pytest.param("[mc]\nslices = 10001\n", ["--quick", "mc"], id="huge-slices"),
         pytest.param("[sweep]\npoints = 10001\n", ["figure4"], id="huge-sweep"),
@@ -418,10 +425,17 @@ def test_closed_stdout_exits_1_with_one_error_line(tmp_path, unbuffered):
     assert len(lines) == 1 and lines[0].startswith("error: broken-pipe: ")
 
 
-def test_warnings_print_as_one_line_on_every_run(tmp_path, capsys):
-    path = write_config(tmp_path, "[fields]\nomega_p_mhz = 1\n")
+def test_warnings_print_as_one_line_on_every_run(tmp_path, capsys, monkeypatch):
+    """A warning raised inside a command prints as one ``warning:`` line,
+    its message joined onto that line, each time the command runs."""
+
+    def warns(cfg, args):
+        warnings.warn("probe Rabi frequency is not small\nagainst the drive", UserWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_figure2", warns)
     for _ in range(2):
-        rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+        rc = main(["--out", str(tmp_path / "o"), "figure2"])
         lines = capsys.readouterr().err.splitlines()
         assert rc == 0
         assert len(lines) == 1
@@ -563,48 +577,16 @@ def test_propagate_command(tmp_path, capsys):
 
 
 def test_model_switches_are_properties_of_the_medium(tmp_path):
-    m = load_config().medium
-    assert (m.exponent_factor, m.doppler) == (1.0, True)
-    path = write_config(
-        tmp_path, "[medium]\ndoppler_mode = off\n[propagation]\nexponent_convention = derived\n"
-    )
-    m = load_config(path).medium
-    assert (m.exponent_factor, m.doppler) == (2.0, False)
-
-
-def _stdout_and_csv_bodies(tmp_path, capsys, name, config_text, command):
-    out = tmp_path / name
-    path = write_config(tmp_path, config_text, name=f"{name}.ini")
-    assert main(["--config", path, "--out", str(out), command]) == 0
-    bodies = {
-        csv.name: [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
-        for csv in sorted(out.glob("*.csv"))
-    }
-    return capsys.readouterr().out, bodies
-
-
-@pytest.mark.parametrize("command", ["figure2", "propagate", "mc"])
-def test_derived_convention_equals_paper_at_double_density(tmp_path, capsys, command):
-    """eta is linear in the density and doubling it is exact, so the
-    derived convention (2 eta) at the default density prints and writes
-    the same numbers as the paper convention (eta) at twice the density,
-    auto drive, closed-form width and Monte-Carlo slab included.  Only
-    the config digest in the ``#`` headers differs.  Eight realizations
-    keep the Monte-Carlo case cheap."""
-    mc = "[mc]\nrealizations = 8\n"
-    derived = _stdout_and_csv_bodies(
-        tmp_path, capsys, "derived", "[propagation]\nexponent_convention = derived\n" + mc,
-        command,
-    )
-    doubled = _stdout_and_csv_bodies(
-        tmp_path, capsys, "doubled", "[medium]\ndensity_cm3 = 6e11\n" + mc, command
-    )
-    assert derived[1]
-    assert derived == doubled
+    """``doppler_mode`` is the one model switch, and the medium holds it."""
+    assert load_config().medium.doppler is True
+    path = write_config(tmp_path, "[medium]\ndoppler_mode = off\n")
+    assert load_config(path).medium.doppler is False
 
 
 def test_closed_form_identity_holds_under_the_derived_convention(tmp_path):
-    path = write_config(tmp_path, "[propagation]\nexponent_convention = derived\n")
+    """The Bloch reduction's coupling 2 eta at the default density N is
+    eta at 2N."""
+    path = write_config(tmp_path, "[medium]\ndensity_cm3 = 6e11\n")
     record = next(
         r for r in checks.run_checks(load_config(path), quick=True)
         if r.name == "closed-form-identity"
@@ -613,15 +595,15 @@ def test_closed_form_identity_holds_under_the_derived_convention(tmp_path):
     assert record.value <= 1e-6
 
 
-@pytest.mark.parametrize("convention", ["paper", "derived"])
-def test_closed_form_identity_holds_without_doppler(tmp_path, monkeypatch, convention):
+# density N, and 2N: the coupling 2 eta of the Bloch reduction at N
+@pytest.mark.parametrize("density", ["3e11", "6e11"], ids=["paper", "derived"])
+def test_closed_form_identity_holds_without_doppler(tmp_path, monkeypatch, density):
     """The closed forms read gamma_ab when the Doppler substitution is
     off, as the exponent does.  The route check is stubbed out: it runs
     at a depth of about 1000 here and is not what this test is about."""
     monkeypatch.setattr(checks, "route_deviations", lambda medium, drive: [])
     path = write_config(
-        tmp_path,
-        f"[medium]\ndoppler_mode = off\n[propagation]\nexponent_convention = {convention}\n",
+        tmp_path, f"[medium]\ndoppler_mode = off\ndensity_cm3 = {density}\n"
     )
     record = next(
         r for r in checks.run_checks(load_config(path), quick=True)

@@ -14,9 +14,11 @@ from eitnarrow.kernels import (
     g_sweep,
     g_sweep_coefficients,
     mc_batch,
-    mc_slab,
 )
-from eitnarrow.mc import _slab_coefficients
+from eitnarrow.mc import PROBE_FRACTION, mc_slab
+from eitnarrow.medium import complex_rates, coupling_eta
+
+TWO_PI = 2.0 * np.pi
 
 
 def _g_sweep_loop(r_values, g0, decay, c_prev, c_curr):
@@ -151,18 +153,30 @@ def test_g_sweep_rejects_a_lag_step_beyond_one_chunk():
         g_sweep_coefficients(1.01 * CHUNK_EXPONENT + 0j, 0.3, 1.0, 100)
 
 
-_MC_COEFFS = dict(
-    e_full=0.93 - 0.01j,
-    e_half=0.965 - 0.005j,
-    b_full=0.07,
-    b_half=0.035,
-    fcoef=-0.02 + 0.001j,
-    erho=0.95 + 0.02j,
-    alpha=0.01 - 0.002j,
-    beta=-0.001j,
-    nfac=-0.3 + 0.05j,
-    gtilde=5.0 + 1.0j,
-)
+def _slice_coefficients(m, f, dz, dt):
+    """The coefficients of one slice's per-sample map, from the slice
+    equations: the field advances as exp(a z), a = eta n_ab / Gamma_ab
+    with eta half of ``coupling_eta``, under the source fcoef d rho with
+    fcoef = -eta / Gamma_ab, and the ground coherence takes second-order
+    exponential-integrator steps at the rate gtilde = Gamma_cb_eff."""
+    rates = complex_rates(m, f)
+    eta = 0.5 * coupling_eta(m)
+    a = eta * f.n_ab / rates.gamma_ab
+    e_full, e_half = np.exp(a * dz), np.exp(a * dz / 2.0)
+    x = -rates.gamma_cb_eff * dt
+    phi1, phi2 = _phi12(complex(x))
+    return dict(
+        e_full=e_full,
+        e_half=e_half,
+        b_full=(e_full - 1.0) / a,
+        b_half=(e_half - 1.0) / a,
+        fcoef=-eta / rates.gamma_ab,
+        erho=np.exp(x),
+        alpha=dt * (phi1 + phi2) * rates.n_factor,
+        beta=-dt * phi2 * rates.n_factor,
+        nfac=rates.n_factor,
+        gtilde=rates.gamma_cb_eff,
+    )
 
 
 def _mc_probe(seed, nreal=3, nt=256):
@@ -170,23 +184,22 @@ def _mc_probe(seed, nreal=3, nt=256):
     return rng.normal(size=(nreal, nt)) + 1j * rng.normal(size=(nreal, nt))
 
 
-def _mc_pair(probe, drive, nsl, *coeffs, **kw):
-    """mc_batch on each realization through one slab, and the loop
-    oracle on the same constant drive."""
-    slab = mc_slab(abs(drive), *coeffs, count=probe.shape[1], **kw)
+def _mc_pair(probe, m, f, nsl, dt):
+    """mc_batch on each realization through one slab of ``nsl`` slices
+    of ``m``, and the loop oracle on the same constant drive."""
+    dz = m.length / nsl
+    slab = mc_slab(m, f, dz, dt, probe.shape[1])
     out = np.array([mc_batch(p, nsl, slab) for p in probe])
-    ref = _mc_batch_loop(probe, np.full(probe.shape, drive, dtype=complex),
-                         np.empty_like(probe), nsl, *coeffs, **kw)
+    ref = _mc_batch_loop(probe, np.full(probe.shape, f.omega_d, dtype=complex),
+                         np.empty_like(probe), nsl, **_slice_coefficients(m, f, dz, dt))
     return out, ref
 
 
-def _default_mc_slab():
-    """Fields and slab coefficients of the default ``mc`` command: probe
-    at 0.05 of the drive, 8 slices, 0.1 us steps."""
+def _default_mc_slab(count):
+    """The default configuration and the slab of the default ``mc``
+    command over ``count`` samples: 8 slices, 0.1 us steps."""
     cfg = load_config()
-    fields = replace(cfg.fields, omega_p=0.05 * abs(cfg.fields.omega_d))
-    coeffs = _slab_coefficients(cfg.medium, fields, cfg.medium.length / 8, 1e-7)
-    return fields, coeffs
+    return cfg, mc_slab(cfg.medium, cfg.fields, cfg.medium.length / 8, 1e-7, count)
 
 
 @pytest.mark.parametrize(
@@ -215,13 +228,12 @@ def test_slab_passes_a_settled_tone_by_its_transfer(nsl):
     H(z)**nsl at z = exp(i w dt), where
     H(z) = e_full + k_f (a_src/z + b_src/z^2) / ((1 - s/z)(1 - f/z))
     with s the slow pole and f the fast one."""
-    fields, coeffs = _default_mc_slab()
     dt, n = 1e-7, 20_000
-    slab = mc_slab(abs(fields.omega_d), *coeffs, n)
+    _, slab = _default_mc_slab(n)
     s = slab.powers[0, 1]
     settled = slice(n // 2, None)  # |s|**(n/2) is about 1e-24
     for delta in (0.0, 0.5, 3.0, 10.0, -7.0):
-        w = delta * coeffs[-1].real  # multiples of Re gamma_cb_eff
+        w = delta * slab.gtilde.real  # multiples of Re gamma_cb_eff
         z = np.exp(1j * w * dt)
         h = slab.e_full + slab.k_f * (slab.a_src / z + slab.b_src / z**2) / (
             (1.0 - s / z) * (1.0 - slab.fast / z)
@@ -233,39 +245,43 @@ def test_slab_passes_a_settled_tone_by_its_transfer(nsl):
         assert err <= 1e-12 * np.max(np.abs(expected)), (delta, err)
 
 
-# poles of the slab's rho-recurrence: slow s (larger modulus), fast f
-_FAST_POLE = dict(alpha=-1.43, beta=1.3, erho=0.9 + 0.02j)
-
-
 @pytest.mark.parametrize(
-    "drive, nt, changed",
+    "drive, g_dt, nt",
     [
-        pytest.param(10.0 + 0.0j, 256, {}, id="constant"),
-        pytest.param(10.0 * np.exp(0.7j), 256, {}, id="complex"),
-        pytest.param(0.0j, 256, {}, id="zero"),
+        pytest.param(1.0, 0.01, 256, id="constant"),
+        pytest.param(np.exp(0.7j), 0.01, 256, id="complex"),
+        pytest.param(0.0, 0.01, 256, id="zero"),
         # the first two rows of the recurrence carry the slaved start
-        pytest.param(10.0 * np.exp(0.7j), 2, {}, id="length-2"),
-        pytest.param(10.0 * np.exp(0.7j), 3, {}, id="length-3"),
-        # s = 0.4993+0.0203j, f = -1.3e-5-1.4e-4j: |ln|s||*2000 = 1390, so the
-        # slow pole's cumulative sum restarts across 5 chunks
-        pytest.param(10.0 + 0.0j, 2000, dict(erho=0.5 + 0.02j), id="chunks"),
-        # s = 0.8954+0.0371j, f = 0.4050-0.0371j (|f| = 0.41): the fast
-        # pole runs 6 doubling levels before |f|^64 < 2^-60
-        pytest.param(20.0 + 0.0j, 256, _FAST_POLE, id="fast-pole"),
-        pytest.param(20.0 * np.exp(0.7j), 256, _FAST_POLE, id="fast-pole-complex"),
+        pytest.param(np.exp(0.7j), 0.01, 2, id="length-2"),
+        pytest.param(np.exp(0.7j), 0.01, 3, id="length-3"),
+        # s = 0.5910, f = 0.1452: |ln|s||*2000 = 1052, so the slow pole's
+        # cumulative sum restarts across 4 chunks of 570 steps
+        pytest.param(1.0, 0.7, 2000, id="chunks"),
+        # s = 0.3679, f = 0.3056: the fast pole runs 6 doubling levels
+        # before |f|^64 < 2^-60
+        pytest.param(1.0, 1.0, 256, id="fast-pole"),
+        pytest.param(np.exp(0.7j), 1.0, 256, id="fast-pole-complex"),
     ],
 )
-def test_mc_batch_matches_the_loop(drive, nt, changed):
-    out, ref = _mc_pair(_mc_probe(seed=1, nt=nt), drive, 4, **dict(_MC_COEFFS, **changed))
+def test_mc_batch_matches_the_loop(drive, g_dt, nt):
+    """Four slices of the default medium with a ground decay of 1 kHz,
+    at ``drive`` times the default drive and a time step of ``g_dt``
+    over Re Gamma_cb_eff."""
+    cfg = load_config()
+    m = replace(cfg.medium, gamma_cb=TWO_PI * 1e3)
+    f = replace(cfg.fields, omega_d=drive * cfg.fields.omega_d)
+    dt = g_dt / complex_rates(m, f).gamma_cb_eff.real
+    out, ref = _mc_pair(_mc_probe(seed=1, nt=nt), m, f, 4, dt)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mc_batch_matches_the_loop_at_the_mc_scale():
     """One realization of the default ``mc`` run: 10 738 samples (10 000
     kept plus the burn-in) through 8 slices."""
-    fields, coeffs = _default_mc_slab()
-    probe = abs(fields.omega_p) * _mc_probe(seed=4, nreal=1, nt=10_738)
-    out, ref = _mc_pair(probe, fields.omega_d, 8, *coeffs)
+    cfg = load_config()
+    amplitude = PROBE_FRACTION * abs(cfg.fields.omega_d)
+    probe = amplitude * _mc_probe(seed=4, nreal=1, nt=10_738)
+    out, ref = _mc_pair(probe, cfg.medium, cfg.fields, 8, 1e-7)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -277,7 +293,8 @@ def test_public_kernels_match_reference_paths():
     a, b = _sweep_pair(r, 0.1 + 0.0j, 1.5 + 0.5j, 0.2 + 0.1j, 0.02)
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
-    fields, coeffs = _default_mc_slab()
-    probe = abs(fields.omega_p) * _mc_probe(seed=3, nt=2000)
-    out, ref = _mc_pair(probe, fields.omega_d * np.exp(0.7j), 8, *coeffs)
+    cfg = load_config()
+    fields = replace(cfg.fields, omega_d=cfg.fields.omega_d * np.exp(0.7j))
+    probe = PROBE_FRACTION * abs(fields.omega_d) * _mc_probe(seed=3, nt=2000)
+    out, ref = _mc_pair(probe, cfg.medium, fields, 8, 1e-7)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

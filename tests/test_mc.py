@@ -15,23 +15,21 @@ from eitnarrow.errors import InvalidParameterError
 from eitnarrow.medium import (
     AtomicMedium,
     FieldConfig,
-    _dynamic_exponent,
     complex_rates,
     coupling_eta,
-    transfer_exponent,
     transmission,
 )
-from eitnarrow.kernels import mc_batch, mc_slab
+from eitnarrow.kernels import mc_batch
 from eitnarrow.mc import (
+    PROBE_FRACTION,
     McConfig,
     _implied_drive_depletion,
     _realization_passes,
-    _slab_coefficients,
     band_average_transfer,
     ensemble_beat_spectrum,
+    mc_slab,
 )
 from eitnarrow.noise import PhaseNoiseModel, synthesize_probe_field
-from eitnarrow.propagation import _doppler_averaged_exponent
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
     FrequencyGrid,
@@ -59,8 +57,13 @@ def reduced_medium(**overrides) -> AtomicMedium:
 
 
 def reduced_fields() -> FieldConfig:
-    drive = TWO_PI * 2.3e6
-    return FieldConfig(omega_d=drive, omega_p=0.05 * drive)
+    return FieldConfig(omega_d=TWO_PI * 2.3e6)
+
+
+def probe_amplitude(f: FieldConfig) -> float:
+    """The amplitude at which an ensemble with drive ``f.omega_d`` draws
+    its probe."""
+    return PROBE_FRACTION * abs(f.omega_d)
 
 
 def reduced_config(**overrides) -> McConfig:
@@ -85,8 +88,7 @@ def reduced_config(**overrides) -> McConfig:
 
 def slab(probe, m, f, dt, nsl):
     """``probe`` after the whole medium cut into ``nsl`` equal slices."""
-    coeffs = _slab_coefficients(m, f, m.length / nsl, dt)
-    return mc_batch(probe, nsl, mc_slab(abs(f.omega_d), *coeffs, np.size(probe)))
+    return mc_batch(probe, nsl, mc_slab(m, f, m.length / nsl, dt, np.size(probe)))
 
 
 def test_config_invariants():
@@ -100,7 +102,7 @@ def test_config_invariants():
     with pytest.raises(InvalidParameterError):
         reduced_config(duration=cfg.dt * 10)  # shorter than the output line
     with pytest.raises(InvalidParameterError):
-        reduced_config(fields=FieldConfig(omega_d=TWO_PI * 2.3e6, omega_p=0.0))
+        reduced_config(fields=FieldConfig(omega_d=0.0))  # no drive, so no probe
 
 
 def test_uncoupled_slice_is_the_identity():
@@ -109,7 +111,7 @@ def test_uncoupled_slice_is_the_identity():
     f = reduced_fields()
     rng = np.random.default_rng(1)
     env = rng.normal(size=256) + 1j * rng.normal(size=256)
-    probe = env * abs(f.omega_p)
+    probe = env * probe_amplitude(f)
     out = slab(probe, m, f, 1e-7, 1)
     assert np.array_equal(out, probe)
 
@@ -117,19 +119,20 @@ def test_uncoupled_slice_is_the_identity():
 @pytest.mark.parametrize("probe_ratio", [1e-3, 0.05], ids=["probe-1e-3", "probe-0.05"])
 def test_eit_transparency_for_constant_probe(probe_ratio):
     """A noiseless on-resonance probe (gamma_cb = 0) is transmitted with
-    unit amplitude to 1e-9, at the ``validate`` probe (1e-3 |Omega_d|)
-    and at the ``mc`` command's (0.05 |Omega_d|): the slab is first
-    order in the probe, so its amplitude does not enter the transfer."""
+    unit amplitude to 1e-9, at 1e-3 |Omega_d| and at the ensemble's
+    ``PROBE_FRACTION`` (0.05 |Omega_d|): the slab is first order in the
+    probe, so its amplitude does not enter the transfer."""
     m = reduced_medium(number_density=3e17)
     drive = TWO_PI * 2.3e6
-    f = FieldConfig(omega_d=drive, omega_p=probe_ratio * drive)
+    f = FieldConfig(omega_d=drive)
     g = complex_rates(m, f).gamma_cb_eff.real
     dt = 1e-6
     n = int(20.0 / (g * dt))
-    probe = np.full(n, f.omega_p, dtype=complex)
+    amplitude = probe_ratio * drive
+    probe = np.full(n, amplitude, dtype=complex)
     out = slab(probe, m, f, dt, 16)
     tail = slice(-n // 10, None)
-    assert np.max(np.abs(out[tail] - probe[tail])) < 1e-9 * abs(f.omega_p)
+    assert np.max(np.abs(out[tail] - probe[tail])) < 1e-9 * amplitude
 
 
 def test_detuned_beat_matches_analytic_transfer():
@@ -142,17 +145,17 @@ def test_detuned_beat_matches_analytic_transfer():
     dt = 0.05 / delta
     n = int(np.ceil(15.0 / (g * dt)))
     t = dt * np.arange(n)
-    out = slab(abs(f.omega_p) * np.exp(-1j * delta * t), m, f, dt, 8)
-    settled = np.abs(out[-n // 10 :]) ** 2 / abs(f.omega_p) ** 2
+    out = slab(probe_amplitude(f) * np.exp(-1j * delta * t), m, f, dt, 8)
+    settled = np.abs(out[-n // 10 :]) ** 2 / probe_amplitude(f) ** 2
     expected = transmission(m, f, np.array([delta]))[0]
     assert np.max(np.abs(settled - expected)) < 1e-3
 
 
-def _default_mc_config(probe_ratio: float, **populations) -> McConfig:
-    """The ``mc`` command's configuration at seed 42, with the probe at
-    ``probe_ratio`` |Omega_d| and the given populations."""
+def _default_mc_config(**populations) -> McConfig:
+    """The ``mc`` command's configuration at seed 42, with the given
+    populations."""
     run = load_config(seed=42)
-    fields = replace(run.fields, omega_p=probe_ratio * abs(run.fields.omega_d), **populations)
+    fields = replace(run.fields, **populations)
     return McConfig(
         medium=run.medium,
         fields=fields,
@@ -164,35 +167,18 @@ def _default_mc_config(probe_ratio: float, **populations) -> McConfig:
     )
 
 
-def test_probe_amplitude_sets_only_the_mc_probe():
-    """Every route is first order in the probe: at the default config the
-    rates, the three exponents, the output grid and the slab coefficients
-    are the same at 1e-3 |Omega_d| and 0.05 |Omega_d|, and the drive
-    gains no power from the probe."""
-    run = load_config()
-    m = run.medium
-    omegas = run.output_grid().omegas
-    weak, strong = (
-        replace(run.fields, omega_p=r * abs(run.fields.omega_d)) for r in (1e-3, 0.05)
-    )
-    assert complex_rates(m, weak) == complex_rates(m, strong)
-    for exponent in (transfer_exponent, _dynamic_exponent, _doppler_averaged_exponent):
-        assert np.array_equal(exponent(m, weak, omegas), exponent(m, strong, omegas))
-    assert run.output_grid(weak) == run.output_grid(strong)
-    dz = m.length / run.mc_slices
-    assert _slab_coefficients(m, weak, dz, run.mc_dt) == _slab_coefficients(
-        m, strong, dz, run.mc_dt
-    )
-
+def test_drive_transmission_is_its_own_absorption():
+    """At the default config the drive gains no power from the probe,
+    and with rho_cc != 0 it sees only its own linear absorption on a-c."""
     # Manley-Rowe: the drive gains at most the probe power the cell absorbs
-    cfg = _default_mc_config(0.05)
-    f = cfg.fields
+    cfg = _default_mc_config()
+    m, f = cfg.medium, cfg.fields
     t0 = transmission(m, f, np.array([0.0]))[0]
-    gain = abs(f.omega_p / f.omega_d) ** 2 * (1.0 - t0)
+    gain = PROBE_FRACTION**2 * (1.0 - t0)
     assert _implied_drive_depletion(cfg) <= 1.0 + gain
 
     # with rho_cc != 0 the drive sees its own linear absorption on a-c
-    cfg = _default_mc_config(0.05, rho_bb=0.7, rho_cc=0.3)
+    cfg = _default_mc_config(rho_bb=0.7, rho_cc=0.3)
     gamma_ca = complex_rates(m, cfg.fields).gamma_ca
     own = np.exp(-coupling_eta(m) * cfg.fields.n_ca * (1.0 / gamma_ca).real * m.length)
     assert abs(_implied_drive_depletion(cfg) - own) <= 1e-12
@@ -209,15 +195,15 @@ def test_slab_matches_the_medium_with_ground_state_population():
     rho_bb = 0.7 and rho_cc = 0.3, 8 slices of 0.1 us: a monochromatic
     probe settled over 40/Gamma passes the slab as ``transmission``
     says, to 1e-3, at delta = 0, 3 Gamma and 10 Gamma."""
-    cfg = _default_mc_config(0.05, rho_bb=0.7, rho_cc=0.3)
+    cfg = _default_mc_config(rho_bb=0.7, rho_cc=0.3)
     m, f, dt = cfg.medium, cfg.fields, cfg.dt
     g = complex_rates(m, f).gamma_cb_eff.real
     n = int(np.ceil(40.0 / (g * dt)))
     t = dt * np.arange(n)
     ratios = []
     for delta in (0.0, 3.0 * g, 10.0 * g):
-        out = slab(abs(f.omega_p) * np.exp(-1j * delta * t), m, f, dt, cfg.slices)
-        settled = np.mean(np.abs(out[-n // 10 :]) ** 2) / abs(f.omega_p) ** 2
+        out = slab(probe_amplitude(f) * np.exp(-1j * delta * t), m, f, dt, cfg.slices)
+        settled = np.mean(np.abs(out[-n // 10 :]) ** 2) / probe_amplitude(f) ** 2
         ratios.append(settled / transmission(m, f, np.array([delta]))[0])
     assert np.all(np.abs(np.array(ratios) - 1.0) <= 1e-3)
 
@@ -262,7 +248,7 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     burn = int(np.ceil(5.0 / (g * dt)))
     w = np.hanning(keep)
     for r in range(cfg.realizations):
-        probe = synthesize_probe_field(cfg.noise, abs(f.omega_p), dt, keep + burn, r)
+        probe = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, keep + burn, r)
         out = slab(probe, m, f, dt, cfg.slices)
         spec_in = periodogram(probe[burn:], dt, "hann")
         spec_out = periodogram(out[burn:], dt, "hann")
@@ -383,11 +369,11 @@ def test_transfer_vs_analytic_in_bands():
 
 @pytest.fixture(scope="module")
 def shipped_bands():
-    """The ``mc`` command's medium, auto drive, noise and time grid with
-    the probe at 1e-3 |Omega_d|, 64 realizations at seed 42: per band,
-    the deviation of the Monte-Carlo transfer from the window-convolved
-    ``transmission`` of the same medium, in sigma."""
-    cfg = replace(_default_mc_config(1e-3), realizations=64)
+    """The ``mc`` command's medium, auto drive, noise and time grid, 64
+    realizations at seed 42: per band, the deviation of the Monte-Carlo
+    transfer from the window-convolved ``transmission`` of the same
+    medium, in sigma."""
+    cfg = replace(_default_mc_config(), realizations=64)
     values, refs, errs = band_transfer_vs_reference(cfg, 0.02, 16)
     return (values - refs) / errs
 

@@ -80,7 +80,8 @@ def test_line_centre_kappa_vanishes_for_perfect_ground_coherence():
 
 
 def test_kappa_wing_asymptote_derived_convention():
-    m = paper_medium(exponent_factor=2.0)
+    """The Bloch reduction's coupling 2 eta at density N, which is eta at 2N."""
+    m = paper_medium(number_density=2.0 * paper_medium().number_density)
     f = drive_fields()
     eta = coupling_eta(paper_medium())
     big = np.array([1e12])
@@ -100,8 +101,8 @@ def test_kappa_algebraic_reduction_on_resonance():
     g = abs(f.omega_d) ** 2 / m.doppler_width
     rng = np.random.default_rng(17)
     w = rng.uniform(-20.0 * g, 20.0 * g, 10)
-    for c in (1.0, 2.0):
-        kappa = transfer_exponent(paper_medium(exponent_factor=c), f, w)
+    for c in (1.0, 2.0):  # density N, and 2N: the Bloch reduction's 2 eta
+        kappa = transfer_exponent(paper_medium(number_density=c * m.number_density), f, w)
         expected = -c * eta * w**2 / (m.doppler_width * (g**2 + w**2))
         assert np.allclose(kappa.real, expected, rtol=1e-12)
 
@@ -116,28 +117,6 @@ def test_transmission_endpoints_evenness_monotonicity():
     assert np.array_equal(t_pos, t_neg)
     assert np.all(np.diff(t_pos) <= 0)  # monotone decay toward the wing
     assert t_pos[-1] > wing_transmission(m, f)
-
-
-def test_non_positive_exponent_factor_rejected():
-    for factor in (0.0, -1.0, np.nan):
-        with pytest.raises(InvalidParameterError):
-            paper_medium(exponent_factor=factor)
-
-
-def test_exponent_factor_two_equals_doubled_density():
-    """eta is linear in N and scaling by 2 is exact, so factor 2 at N
-    gives the same bits as factor 1 at 2N in every exponent and closed
-    form."""
-    derived = paper_medium(exponent_factor=2.0)
-    doubled = paper_medium(number_density=2.0 * derived.number_density)
-    f = drive_fields(delta_p=1.0e5)
-    w = np.linspace(-5e6, 5e6, 101)
-    assert np.array_equal(transfer_exponent(derived, f, w), transfer_exponent(doubled, f, w))
-    assert wing_transmission(derived, f) == wing_transmission(doubled, f)
-    assert optical_depth(derived) == optical_depth(doubled)
-    osq = abs(f.omega_d) ** 2
-    assert closed_form_width(derived, osq) == closed_form_width(doubled, osq)
-    assert thick_filter_hwhm(derived, osq) == thick_filter_hwhm(doubled, osq)
 
 
 def test_closed_form_width_anchors():
@@ -200,8 +179,6 @@ def test_eit_width_requires_a_feature():
         eit_width(m, f, grid)
 
 
-def test_population_and_probe_warnings():
+def test_populations_must_sum_to_one():
     with pytest.raises(InvalidParameterError):
         FieldConfig(omega_d=1.0, rho_aa=0.5, rho_bb=0.6, rho_cc=0.0)
-    with pytest.warns(UserWarning):
-        FieldConfig(omega_d=1.0, omega_p=0.5)

@@ -64,3 +64,18 @@ def test_compare_csv_lists_each_differing_column(tmp_path):
     zeros = _csv(tmp_path, "z.csv", header, [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
     (column,) = output_diff.compare_csv(zeros, a).columns
     assert column.peak_relative == 4.0 and math.isnan(column.own_relative)
+
+
+def test_differing_lines_lists_a_deleted_line_once():
+    """A deleted line shows as one removed line, not as a change of every
+    line after it; a changed line shows as one removed and one added."""
+    old = "digest=aaaa\nfields.a=1\nfields.b=2\nfields.c=3\nmedium.d=4\n"
+    new = "digest=bbbb\nfields.a=1\nfields.c=3\nmedium.d=4\n"
+    assert output_diff._differing_lines(old, new) == [
+        "    - line 1: 'digest=aaaa'",
+        "    + line 1: 'digest=bbbb'",
+        "    - line 3: 'fields.b=2'",
+    ]
+    assert output_diff._differing_lines(old, old) == []
+    many = "".join(f"{i}\n" for i in range(10))
+    assert output_diff._differing_lines(many, "")[-1] == "    ... 4 more"

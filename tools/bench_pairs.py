@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent revision against this checkout.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        --pairs mc_ensemble=10 --pairs correlation_route=3 --pairs figures=3
+        [--pairs mc_ensemble=10 --pairs figures=3 ...]
 
 Run from the root of a source checkout.  The parent revision is
 extracted with ``git archive`` into a temporary directory; the change is
@@ -10,7 +10,9 @@ whether its tree was clean).  For each workload, pair ``i`` runs
 ``perfbench/run.py --workload W --seed SEED+i`` once in each tree, each
 tree with its own copy of the harness.  The parent runs first on even
 pairs and the change on odd ones, so a drift of the host's speed during
-a session does not favour one side.
+a session does not favour one side.  Without ``--pairs`` every workload
+of ``BENCHMARK.json`` runs ``DEFAULT_PAIRS`` pairs, the fewest at which
+a gain can be claimed.
 
 The output holds, for each workload and each end-to-end metric of
 ``BENCHMARK.json``, every pair's parent and change values, each side's
@@ -34,6 +36,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+DEFAULT_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -94,17 +97,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_10.json")
-    parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
-                        help="pairs to run on a workload; repeat for each workload")
+    parser.add_argument("--pairs", action="append", metavar="WORKLOAD=N",
+                        help="pairs to run on a workload; repeat for each workload "
+                             f"(default: {DEFAULT_PAIRS} on every workload)")
     parser.add_argument("--seed", type=int, default=501, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=22.0,
                         help="length of each run (BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    end_to_end = benchmark["end_to_end"]
+    items = args.pairs or [f"{w['name']}={DEFAULT_PAIRS}" for w in benchmark["workloads"]]
     plan = []
-    for item in args.pairs:
+    for item in items:
         workload, _, count = item.partition("=")
         plan.append((workload, int(count)))
 

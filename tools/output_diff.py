@@ -20,13 +20,15 @@ own; then, for each column whose values differ, its largest difference
 relative to the column peak and relative to each element's own
 magnitude (nonzero elements only), so a per-bin tolerance can be read
 off.  For any other differing file, and for differing stdout or stderr,
-it lists the differing lines.  The exit status is 0 when everything is
-identical and 1 otherwise.
+it lists the lines only the old side has (``-``) and those only the new
+side has (``+``).  The exit status is 0 when everything is identical
+and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -117,14 +119,20 @@ def compare_csv(old: str, new: str) -> CsvDiff:
 
 
 def _differing_lines(old: str, new: str) -> list[str]:
-    pairs = [
-        (i, x, y)
-        for i, (x, y) in enumerate(zip_longest(old.splitlines(), new.splitlines()), 1)
-        if x != y
-    ]
-    out = [f"    line {i}: {x!r} -> {y!r}" for i, x, y in pairs[:MAX_LINES]]
-    if len(pairs) > MAX_LINES:
-        out.append(f"    ... {len(pairs) - MAX_LINES} more")
+    """The lines only ``old`` has (``-``) and only ``new`` has (``+``),
+    each with its line number in its own text.  ``difflib`` matches the
+    rest, so one deleted or inserted line shows as one line and not as
+    a change of every line after it."""
+    a, b = old.splitlines(), new.splitlines()
+    changes = []
+    matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            changes += [f"    - line {i + 1}: {a[i]!r}" for i in range(i1, i2)]
+            changes += [f"    + line {j + 1}: {b[j]!r}" for j in range(j1, j2)]
+    out = changes[:MAX_LINES]
+    if len(changes) > MAX_LINES:
+        out.append(f"    ... {len(changes) - MAX_LINES} more")
     return out
 
 
