@@ -19,10 +19,18 @@ The slab is linear in the probe, so the probe's amplitude only scales
 the output densities and their standard errors.  The ensemble draws it
 at ``PROBE_FRACTION`` times |Omega_d|, inside the weak-probe regime.
 
-An ensemble streams: each realization's two periodograms are reduced
-into running sums as they come and dropped (``ensemble_beat_spectrum``
-per bin, ``band_average_transfer`` per band fixed before the run), so
-memory does not grow with the realization count.
+Each realization's record starts with a burn-in of at least 5 e-folds
+of the slab's slow pole |s|, which lets the slaved start settle, and is
+padded to the next 2^a 3^b 5^c length so that the probe's inverse FFT
+runs fast (Frigo & Johnson, Proc. IEEE 93, 216 (2005)); the extra
+samples are burn-in too.  A burn-in longer than the kept samples is
+refused with ``ResolutionError`` before any table or buffer is built.
+
+An ensemble streams: each realization's periodograms are reduced into
+running sums as they come and dropped, so memory does not grow with the
+realization count.  ``ensemble_beat_spectrum`` takes the output's
+periodogram alone and reduces it per bin; ``band_average_transfer``
+takes the input's too, and reduces both per band fixed before the run.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResolutionError
 from .kernels import Slab, _phi12, _power_table, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
 from .noise import PhaseNoiseModel, _probe_synthesizer
@@ -85,14 +93,13 @@ class McEnsembleResult:
 
     spectrum: Spectrum  # ensemble-mean transmitted beat spectrum
     stderr: np.ndarray  # per-bin standard error of the mean (Welford)
-    input_density: np.ndarray  # ensemble-mean input spectrum (same grid)
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
-def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -> Slab:
-    """One slice of thickness ``dz`` of the slab at time step ``dt``, its
-    gains and poles at the drive modulus |Omega_d|, for ``count``
-    samples."""
+def _slice_gains(m: AtomicMedium, f: FieldConfig, dz: float, dt: float) -> tuple[tuple, complex]:
+    """The fields of ``Slab`` up to its table of powers, for one slice of
+    thickness ``dz`` at time step ``dt`` and drive modulus |Omega_d|,
+    and the slow pole s the table is made of."""
     rates = complex_rates(m, f)
     eta = 0.5 * coupling_eta(m)  # coupling of the per-field equations
     a = eta * f.n_ab / rates.gamma_ab  # homogeneous field advance rate [1/m]
@@ -117,9 +124,49 @@ def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -
     # roots of z^2 - c1 z - c2; the sign that adds moduli avoids cancellation
     root = np.sqrt(c1 * c1 + 4.0 * c2)
     s = 0.5 * (c1 + root if abs(c1 + root) >= abs(c1 - root) else c1 - root)
-    return Slab(e_full, k_f, rates.n_factor * dmod, rates.gamma_cb_eff,
-                dmod * (alpha * e_half + beta), alpha * dmod * e_half, beta * dmod * e_half,
-                -c2 / s, _power_table(s, abs(np.log(abs(s))), count))
+    return (e_full, k_f, rates.n_factor * dmod, rates.gamma_cb_eff,
+            dmod * (alpha * e_half + beta), alpha * dmod * e_half, beta * dmod * e_half,
+            -c2 / s), s
+
+
+def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -> Slab:
+    """One slice of thickness ``dz`` of the slab at time step ``dt``, its
+    gains and poles at the drive modulus |Omega_d|, for ``count``
+    samples."""
+    gains, s = _slice_gains(m, f, dz, dt)
+    return Slab(*gains, _power_table(s, abs(np.log(abs(s))), count))
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= ``n``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _burn_in(cfg: McConfig) -> int:
+    """Samples each realization discards before its kept ones: 5 e-folds
+    of the slab's slow pole |s| at least, padded so that the whole record
+    has a 2^a 3^b 5^c length.  Raises ``ResolutionError`` when 5 e-folds
+    exceed the kept samples."""
+    _, s = _slice_gains(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt)
+    rate = -np.log(abs(s))  # e-folds per sample
+    keep = cfg.grid.count
+    if not rate * keep >= 5.0:
+        need = 5.0 / rate if rate > 0 else np.inf
+        raise ResolutionError(
+            f"the slab's slow pole needs {need:.3g} samples of burn-in (5 e-folds of "
+            f"|s| = 1 - {1.0 - abs(s):.3g}), more than the {keep} kept samples, at "
+            f"{cfg.slices} slices and dt = {cfg.dt:.3g} s"
+        )
+    return _fft_length(keep + int(np.ceil(5.0 / rate))) - keep
 
 
 def _implied_drive_depletion(cfg: McConfig) -> float:
@@ -132,58 +179,61 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
     return float(np.exp(rate * cfg.medium.length))
 
 
-def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each realization's input and output Hann periodograms on
-    ``cfg.grid``, in realization order, as fresh rows the consumer owns.
+def _realization_envelopes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each realization's kept probe and slab output, in realization
+    order.  A shaped probe is the synthesizer's buffer, overwritten by
+    the next realization; the output is a fresh array.
 
-    Once per ensemble, before the first pass: the slab with its poles
-    and table of powers, the shaping's gain, the window and an FFT
-    buffer.  Per realization: its noise (stream seed^r), the slab and
-    the two periodograms."""
-    rates = complex_rates(cfg.medium, cfg.fields)
-    g = rates.gamma_cb_eff.real
-    burn = int(np.ceil(5.0 / (g * cfg.dt))) if g > 0 else 0
-    n_keep = cfg.grid.count
-    n_total = n_keep + burn
+    Once per ensemble, before the first realization: the burn-in and its
+    check, the slab with its poles and table of powers, the shaping's
+    gain and the draw buffer.  Per realization: its noise (the stream
+    keyed (seed, r)) and the slab."""
+    burn = _burn_in(cfg)
+    n_total = cfg.grid.count + burn
     slab = mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n_total)
     synthesize = _probe_synthesizer(
         cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n_total
     )
-    _, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
     for r in range(cfg.realizations):
         probe = synthesize(r)
-        out = mc_batch(probe, cfg.slices, slab)
-        yield (
-            write_periodogram(probe[burn:], np.empty(n_keep)),
-            write_periodogram(out[burn:], np.empty(n_keep)),
-        )
+        yield probe[burn:], mc_batch(probe, cfg.slices, slab)[burn:]
+
+
+def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each realization's input and output Hann periodograms on
+    ``cfg.grid``, in realization order, as fresh rows the consumer owns."""
+    n_keep = cfg.grid.count
+    _, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
+    for probe, out in _realization_envelopes(cfg):
+        yield write_periodogram(probe, np.empty(n_keep)), write_periodogram(out, np.empty(n_keep))
 
 
 def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     """Ensemble-averaged beat spectrum of the transmitted probe.
 
-    Each realization's periodograms are added into per-bin running sums
-    and dropped, so memory does not grow with ``cfg.realizations``.  The
-    sums are taken in realization order, so both densities equal
-    ``mean(axis=0)`` of the stacked rows bit for bit; the standard error
-    comes from Welford's update (Technometrics 4, 419 (1962)) and equals
-    ``std(axis=0, ddof=1) / sqrt(R)`` of the rows to rounding.
+    Each realization's output periodogram, the one periodogram it takes,
+    is added into per-bin running sums and dropped, so memory does not
+    grow with ``cfg.realizations``.  The sums are taken in realization
+    order, so the density equals ``mean(axis=0)`` of the stacked rows bit
+    for bit; the standard error comes from Welford's update
+    (Technometrics 4, 419 (1962)) and equals ``std(axis=0, ddof=1) /
+    sqrt(R)`` of the rows to rounding.
     """
     grid = cfg.grid
-    sum_in, sum_out, mean, m2, delta = (np.zeros(grid.count) for _ in range(5))
-    for k, (p_in, p_out) in enumerate(_realization_passes(cfg), 1):
-        sum_in += p_in
-        sum_out += p_out
-        np.subtract(p_out, mean, out=delta)
+    _, write_periodogram = _periodogram_writer(grid.count, cfg.dt, "hann")
+    total, mean, m2, row, delta = (np.zeros(grid.count) for _ in range(5))
+    for k, (_, out) in enumerate(_realization_envelopes(cfg), 1):
+        write_periodogram(out, row)
+        total += row
+        np.subtract(row, mean, out=delta)
         mean += delta / k
-        p_out -= mean
-        delta *= p_out
+        row -= mean
+        delta *= row
         m2 += delta
     nr = cfg.realizations
     return McEnsembleResult(
-        spectrum=Spectrum(grid, sum_out / nr),
+        spectrum=Spectrum(grid, total / nr),
         stderr=np.sqrt(m2 / (nr - 1)) / np.sqrt(nr),
-        input_density=sum_in / nr,
         drive_depletion=_implied_drive_depletion(cfg),
     )
 

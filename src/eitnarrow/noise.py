@@ -7,10 +7,14 @@ modeled by the resulting spectrum, not from first principles).  A model
 with a shaping uses the second mode and must set no diffusion.
 ``synthesize_probe_field`` returns the complex envelope as an array,
 through the same ``_probe_synthesizer`` the Monte-Carlo ensemble calls.
+A shaped synthesizer makes its gain and one buffer once; each call fills
+the buffer with 2n standard normals, views them as n complex values and
+runs the shaping and the inverse FFT in place.
 
-RNG: numpy Philox (counter based); realization r of a model with seed s
-uses the stream keyed by s XOR r, so ensembles are reproducible and
-order independent.
+RNG: numpy Philox (counter based; Salmon et al., SC'11 (2011));
+realization r of a model with seed s uses the stream with the two-word
+key (s, r), so ensembles are reproducible and order independent, and no
+two (seed, realization) pairs share a stream.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .spectral import Spectrum
 
 
 def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
-    """Independent stream for one ensemble realization."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(realization)))
+    """Independent stream for one ensemble realization: Philox keyed
+    with the two words (seed, realization)."""
+    return np.random.Generator(np.random.Philox(key=[seed, realization]))
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,10 @@ def sample_phase_trajectory(
 
 def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: int):
     """The function realization -> probe envelope of ``n`` samples; the
-    checks and a shaped model's gain on the FFT grid are made once."""
+    checks and a shaped model's gain on the FFT grid are made once.
+
+    A shaped model's envelope is its one buffer, overwritten by the next
+    call: a caller that keeps an envelope past that copies it."""
     if not (np.isfinite(dt) and dt > 0) or n < 2:
         raise InvalidParameterError("need a finite dt > 0 and n >= 2")
     shaping = model.shaping
@@ -73,16 +81,20 @@ def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: i
     if max(abs(shaping.grid.start), abs(shaping.omegas[-1])) > np.pi / dt:
         raise InvalidParameterError("shaping grid extends beyond the Nyquist frequency pi/dt")
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, dt)
-    gain = np.sqrt(np.interp(freqs, shaping.omegas, shaping.density, left=0.0, right=0.0))
+    # the 1/sqrt(2) makes the complex noise of unit variance
+    gain = np.sqrt(0.5 * np.interp(freqs, shaping.omegas, shaping.density, left=0.0, right=0.0))
+    draws = np.empty(2 * n)
+    env = draws.view(complex)  # draws 2k and 2k + 1 are sample k's real and imaginary parts
+    squares = np.empty(2 * n)
 
     def envelope(realization):
-        rng = realization_rng(model.seed, realization)
-        noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2.0)
-        env = np.fft.ifft(gain * noise)
-        power = np.mean(np.abs(env) ** 2)
+        realization_rng(model.seed, realization).standard_normal(out=draws)
+        np.multiply(env, gain, out=env)
+        np.fft.ifft(env, out=env)
+        power = np.square(draws, out=squares).sum() / n
         if power <= 0:
             raise InvalidParameterError("shaping spectrum produced a zero field")
-        return env * (amplitude / np.sqrt(power))
+        return np.multiply(env, amplitude / np.sqrt(power), out=env)
 
     return envelope
 

@@ -284,19 +284,23 @@ def test_criterion_6_phase_noise_independence(capsys):
     t_hi, s_hi = _jackknife_transfer(in_hi, out_hi)
     mean_lo, mean_hi = in_lo.mean(axis=0), in_hi.mean(axis=0)
     mask = (mean_lo > 0.05 * mean_lo.max()) & (mean_hi > 0.05 * mean_hi.max())
-    z_pair = np.max(
-        np.abs(t_lo - t_hi)[mask] / np.sqrt(s_lo**2 + s_hi**2)[mask]
-    )
     analytic = transmission(m, f, grid.omegas)
-    z_lo = np.max(np.abs(t_lo - windowed_reference(mean_lo, analytic))[mask] / s_lo[mask])
-    z_hi = np.max(np.abs(t_hi - windowed_reference(mean_hi, analytic))[mask] / s_hi[mask])
+    # the window kernel weights the transfer by each run's own input, so
+    # the two references differ; the pair compares the runs' deviations
+    dev_lo = t_lo - windowed_reference(mean_lo, analytic)
+    dev_hi = t_hi - windowed_reference(mean_hi, analytic)
+    s_pair = np.sqrt(s_lo**2 + s_hi**2)[mask]
+    z_pair = np.max(np.abs(dev_lo - dev_hi)[mask] / s_pair)
+    z_raw = np.max(np.abs(t_lo - t_hi)[mask] / s_pair)
+    z_lo = np.max(np.abs(dev_lo)[mask] / s_lo[mask])
+    z_hi = np.max(np.abs(dev_hi)[mask] / s_hi[mask])
     runtime = time.perf_counter() - t0
     ok = z_pair <= 3.0 and z_lo <= 3.0 and z_hi <= 3.0 and runtime < 300.0
     emit(
         capsys,
-        f"criterion 6 {'PASS' if ok else 'FAIL'} D-vs-10D worst {z_pair:.2f} sigma, "
-        f"vs analytic {z_lo:.2f} / {z_hi:.2f} sigma over {int(mask.sum())} bins "
-        f"(limits 3), runtime {runtime:.1f} s (limit 300)",
+        f"criterion 6 {'PASS' if ok else 'FAIL'} D-vs-10D worst {z_pair:.2f} sigma "
+        f"(raw {z_raw:.2f}), vs analytic {z_lo:.2f} / {z_hi:.2f} sigma over "
+        f"{int(mask.sum())} bins (limits 3), runtime {runtime:.1f} s (limit 300)",
     )
     assert z_pair <= 3.0
     assert z_lo <= 3.0

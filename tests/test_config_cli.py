@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import eitnarrow
 from eitnarrow import checks, cli, errors
 from eitnarrow import config as config_module
-from eitnarrow import propagation
+from eitnarrow import mc, propagation
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
 from eitnarrow.errors import ConfigError
@@ -636,6 +636,25 @@ def test_too_deep_medium_exits_3_before_marching(tmp_path, capsys, monkeypatch):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: resolution: ")
     assert calls == []
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["mc", "quick-mc"])
+def test_unsettled_slab_exits_3_before_any_buffer(tmp_path, capsys, monkeypatch, quick):
+    """At Doppler off the slab's slow pole sits at 1 - |s| = 1.1e-15 with
+    8 slices: 5 e-folds of burn-in would take 4.5e15 samples.  ``mc``
+    refuses with one ``error: resolution:`` line naming the slices and dt,
+    exit 3, before any table of powers or synthesizer buffer is built."""
+    built = []
+    monkeypatch.setattr(mc, "_power_table", lambda *args: built.append(args))
+    monkeypatch.setattr(mc, "_probe_synthesizer", lambda *args: built.append(args))
+    path = write_config(tmp_path, "[medium]\ndoppler_mode = off\n")
+    argv = ["--config", path, "--out", str(tmp_path / "mc")]
+    rc = main(argv + (["--quick", "mc"] if quick else ["mc"]))
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(lines) == 1 and lines[0].startswith("error: resolution: ")
+    assert "4.5e+15 samples" in lines[0] and "8 slices and dt = 1e-07 s" in lines[0]
+    assert built == []
 
 
 # the names `--quick validate` prints, in order; perfbench parses them

@@ -128,12 +128,6 @@ def test_realization_streams_are_independent():
     assert not np.array_equal(x, y)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Philox is keyed with seed XOR realization, and r < 32 stays inside "
-    "one aligned block of 32 keys, so seeds 42 and 43 draw the same 32 "
-    "realization streams, only permuted",
-)
 def test_neighbouring_seeds_draw_different_ensembles():
     """At the ensemble size of ``--quick mc`` (32 realizations), seeds 42
     and 43 draw different sets of realization streams."""
@@ -141,3 +135,15 @@ def test_neighbouring_seeds_draw_different_ensembles():
         sorted(realization_rng(seed, r).normal() for r in range(32)) for seed in (42, 43)
     ]
     assert first[0] != first[1]
+
+
+def test_criterion_6_seeds_share_no_stream():
+    """Seeds 11 and 12, the two runs of acceptance criterion 6, share no
+    stream over their 200 realizations: a set of keys closed under
+    seed XOR r would let one run redraw the other's streams, permuted."""
+    heads = [
+        {tuple(realization_rng(seed, r).standard_normal(4)) for r in range(200)}
+        for seed in (11, 12)
+    ]
+    assert len(heads[0]) == len(heads[1]) == 200
+    assert not heads[0] & heads[1]
