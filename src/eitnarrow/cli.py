@@ -31,7 +31,7 @@ from .artifacts import (
 )
 from .checks import run_checks
 from .config import RunConfig, load_config
-from .errors import ConfigError, EitNarrowError
+from .errors import ConfigError, EitNarrowError, ResolutionError
 from .fitting import _MODELS, fit_lineshape, linear_fit
 from .medium import (
     FieldConfig,
@@ -47,6 +47,10 @@ from .propagation import adiabatic_rate_check, narrowing_factor, propagate_spect
 from .spectral import FrequencyGrid, Spectrum, fwhm_estimate
 
 TWO_PI = 2.0 * np.pi
+# fewest grid steps across a fitted output FWHM; at 4 or more the fit
+# reads within 0.1 % of its fully resolved width at the default config,
+# Doppler on and off (CHANGES.md gives the table)
+MIN_STEPS_PER_FWHM = 4.0
 
 
 def _khz(omega: float) -> float:
@@ -59,10 +63,18 @@ def _input_grid(cfg: RunConfig) -> FrequencyGrid:
 
 def _output_line(cfg: RunConfig, f: FieldConfig, grid: FrequencyGrid):
     """The configured input on ``grid``, the spectrum the cell transmits
-    with fields ``f`` and its Lorentzian fit."""
+    with fields ``f`` and its Lorentzian fit, refused when the fitted
+    FWHM spans fewer than ``MIN_STEPS_PER_FWHM`` grid steps."""
     s_in = cfg.input_spectrum(grid)
     s_out = propagate_spectrum(cfg.medium, f, s_in)
-    return s_in, s_out, fit_lineshape(s_out, "lorentzian")
+    fit = fit_lineshape(s_out, "lorentzian")
+    steps = fit.fwhm / grid.step
+    if steps < MIN_STEPS_PER_FWHM:
+        raise ResolutionError(
+            f"output fwhm spans {steps:.2f} grid steps, fewer than "
+            f"{MIN_STEPS_PER_FWHM:g}; raise [input] grid_points"
+        )
+    return s_in, s_out, fit
 
 
 def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:

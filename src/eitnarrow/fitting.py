@@ -6,7 +6,9 @@ where Newton's matrix is not positive definite.  A fit stops when the
 gradient vanishes, when the step is negligible against the parameters,
 or when the step's predicted decrease of the cost is below the cost's
 rounding.  Initialization comes from the peak sample and the
-interpolated half-max width unless an explicit initial guess is given.
+interpolated half-max width of the contiguous region around it, so a
+stray spike above half maximum elsewhere does not stop the fit, unless
+an explicit initial guess is given.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .spectral import (
     FitResult,
     GAUSSIAN_FWHM_FACTOR,
     Spectrum,
-    fwhm_estimate,
+    _peak_width,
 )
 
 MAX_ITER = 200
@@ -83,7 +85,7 @@ def _self_initialize(s: Spectrum, model: str) -> np.ndarray:
     y = s.density
     w = s.omegas
     imax = int(np.argmax(y))
-    fwhm = fwhm_estimate(s)
+    fwhm = _peak_width(s)
     width = fwhm / GAUSSIAN_FWHM_FACTOR if model == "gaussian" else fwhm / 2.0
     return np.array([y[imax], w[imax], width])
 

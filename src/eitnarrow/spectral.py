@@ -163,20 +163,35 @@ def _cross(w0, y0, w1, y1, half):
     return w0 + (half - y0) * (w1 - w0) / (y1 - y0)
 
 
-def fwhm_estimate(s: Spectrum) -> float:
-    """Full width at half maximum from interpolated half-max crossings."""
+def _peak_width(s: Spectrum) -> float:
+    """Width between the interpolated half-max crossings that bound the
+    contiguous region above half maximum around the peak; regions apart
+    from it are ignored."""
     y = s.density
     w = s.omegas
     imax = int(np.argmax(y))
     if imax == 0 or imax == y.size - 1:
         raise UnresolvedWidthError("peak lies on the grid boundary")
     half = y[imax] / 2.0
-    above = y >= half
-    below_left = np.flatnonzero(~above[:imax])
-    below_right = np.flatnonzero(~above[imax:])
-    # a peak region reaching the grid edge is unresolved, even beside other peaks
+    below = y < half
+    below_left = np.flatnonzero(below[:imax])
+    below_right = np.flatnonzero(below[imax:])
     if below_left.size == 0 or below_right.size == 0:
         raise UnresolvedWidthError("density never falls below half maximum")
+    il = below_left[-1]  # last point below half on the left
+    ir = imax + below_right[0]  # first point below half on the right
+    left = _cross(w[il], y[il], w[il + 1], y[il + 1], half)
+    right = _cross(w[ir - 1], y[ir - 1], w[ir], y[ir], half)
+    return float(right - left)
+
+
+def fwhm_estimate(s: Spectrum) -> float:
+    """Full width at half maximum from interpolated half-max crossings;
+    a spectrum with more than one region above half maximum is refused.
+    A peak region reaching the grid edge is unresolved, even beside
+    other peaks."""
+    width = _peak_width(s)
+    above = s.density >= s.density.max() / 2.0
     # count contiguous regions above half maximum
     edges = np.flatnonzero(np.diff(above.astype(int)))
     n_regions = (int(above[0]) + int(above[-1]) + edges.size) // 2
@@ -184,11 +199,7 @@ def fwhm_estimate(s: Spectrum) -> float:
         raise MultimodalSpectrumError(
             f"{n_regions} disjoint regions above half maximum"
         )
-    il = below_left[-1]  # last point below half on the left
-    ir = imax + below_right[0]  # first point below half on the right
-    left = _cross(w[il], y[il], w[il + 1], y[il + 1], half)
-    right = _cross(w[ir - 1], y[ir - 1], w[ir], y[ir], half)
-    return float(right - left)
+    return width
 
 
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from eitnarrow import mc, propagation
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
 from eitnarrow.errors import ConfigError
+from eitnarrow.medium import FieldConfig, drive_for_target_width
+from paper_params import paper_medium
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,6 +59,23 @@ def test_defaults_resolve_to_paper_scale():
     assert float(cfg.resolved["fields"]["omega_d_mhz"]) > 0
     assert cfg.digest == config_digest(cfg.resolved)
     assert len(cfg.digest) == 12
+
+
+def test_defaults_are_the_acceptance_parameters():
+    """The acceptance criteria run at ``load_config()``: its medium, auto
+    drive, input line, output grid and power sweep are the paper's
+    parameters, to rounding, so a drifting default fails here."""
+    cfg = load_config()
+    medium = paper_medium()
+    assert asdict(cfg.medium) == pytest.approx(asdict(medium), rel=1e-15)
+    drive = drive_for_target_width(medium, TWO_PI * 4.6e3)
+    assert cfg.fields == FieldConfig(omega_d=cfg.fields.omega_d)
+    assert cfg.fields.omega_d == pytest.approx(drive, rel=1e-15)
+    assert cfg.input_shape == "gaussian"
+    assert cfg.input_fwhm == pytest.approx(TWO_PI * 980e3, rel=1e-15)
+    assert (cfg.span_factor, cfg.grid_points) == (6.0, 3001)
+    sweep = TWO_PI * 1e6 * np.linspace(2.0, 6.5, 8)
+    assert cfg.sweep_omega_d == pytest.approx(sweep, rel=1e-15)
 
 
 def test_seed_override_changes_digest_only_in_run_section():
@@ -398,6 +418,20 @@ def test_unresolved_width_exits_3_with_one_error_line(tmp_path, capsys):
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: resolution: density never falls below half maximum"
         ]
+
+
+def test_an_unresolved_output_line_exits_3_with_one_error_line(tmp_path, capsys):
+    """On 9 grid points the fitted output FWHM spans 0.37 steps: the
+    figure commands refuse it instead of printing a narrowing factor."""
+    path = write_config(tmp_path, "[input]\ngrid_points = 9\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "error: resolution: output fwhm spans 0.37 grid steps, fewer than 4; "
+        "raise [input] grid_points"
+    ]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

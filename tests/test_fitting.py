@@ -8,11 +8,12 @@ import pytest
 
 from eitnarrow import cli, fitting
 from eitnarrow.config import load_config
-from eitnarrow.errors import FitFailedError, InvalidParameterError
+from eitnarrow.errors import FitFailedError, InvalidParameterError, MultimodalSpectrumError
 from eitnarrow.fitting import _MODELS, _SYM, fit_lineshape, linear_fit
 from eitnarrow.spectral import (
     FrequencyGrid,
     Spectrum,
+    fwhm_estimate,
     gaussian_spectrum,
     lorentzian_spectrum,
 )
@@ -54,6 +55,19 @@ def test_recovery_survives_small_noise():
     fit = fit_lineshape(Spectrum(grid, noisy), "lorentzian")
     assert fit.width == pytest.approx(gamma, rel=5e-3)
     assert fit.rms_residual < 5e-3
+
+
+def test_a_stray_spike_above_half_maximum_does_not_stop_the_fit():
+    """The fit seeds its width from the half-max region around the peak,
+    so a one-bin spike above half maximum elsewhere, which the half-max
+    estimate refuses as a second region, leaves the fit to the line."""
+    gamma = 1.0e4
+    grid = FrequencyGrid.spanning(20.0 * gamma, 801)
+    spike = np.where(np.abs(grid.omegas - 6.0 * gamma) < grid.step / 2.0, 0.8, 0.0)
+    spiky = Spectrum(grid, lorentzian_spectrum(gamma, grid).density + spike)
+    with pytest.raises(MultimodalSpectrumError):
+        fwhm_estimate(spiky)
+    assert fit_lineshape(spiky, "lorentzian").width == pytest.approx(gamma, rel=1e-2)
 
 
 def test_cross_model_residual_discrimination():

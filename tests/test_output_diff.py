@@ -1,4 +1,4 @@
-"""The CSV comparison of ``tools/output_diff.py``."""
+"""The CSV and acceptance-line comparisons of ``tools/output_diff.py``."""
 
 import importlib.util
 import math
@@ -79,3 +79,39 @@ def test_differing_lines_lists_a_deleted_line_once():
     assert output_diff._differing_lines(old, old) == []
     many = "".join(f"{i}\n" for i in range(10))
     assert output_diff._differing_lines(many, "")[-1] == "    ... 4 more"
+
+
+def test_criterion_lines_mask_runtimes_and_drop_other_output():
+    stdout = (
+        "..\n"
+        "criterion 1a PASS lorentzian rms residual 0.0266 of peak (limit 0.05), "
+        "runtime 0.005 s (limit 1)\n"
+        "criterion 2 PASS narrowing factor 154.6 (floor 100)\n"
+        "9 passed, 3 xfailed in 6.55s\n"
+    )
+    assert output_diff.criterion_lines(stdout) == (
+        "criterion 1a PASS lorentzian rms residual 0.0266 of peak (limit 0.05), "
+        "runtime … s (limit 1)\n"
+        "criterion 2 PASS narrowing factor 154.6 (floor 100)\n"
+    )
+
+
+def test_report_compares_criterion_lines_apart_from_runtimes(tmp_path):
+    """Two acceptance runs that differ only in their runtimes compare
+    identical; a changed value shows as one removed and one added line."""
+    def run(factor, runtime):
+        stdout = (
+            f"criterion 2 PASS narrowing factor {factor} (floor 100)\n"
+            f"criterion 3 PASS R^2 0.99999820, runtime {runtime} s (limit 10)\n"
+        )
+        return {"acceptance": (0, output_diff.criterion_lines(stdout), "", str(tmp_path))}
+
+    lines, total, differ = output_diff.report(run(154.6, "0.02"), run(154.6, "0.31"))
+    assert (total, differ) == (3, 0)
+    lines, total, differ = output_diff.report(run(154.6, "0.02"), run(154.7, "0.02"))
+    assert (total, differ) == (3, 1)
+    assert lines[2:] == [
+        "    - line 1: 'criterion 2 PASS narrowing factor 154.6 (floor 100)'",
+        "    + line 1: 'criterion 2 PASS narrowing factor 154.7 (floor 100)'",
+        "  stderr: identical",
+    ]

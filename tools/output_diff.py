@@ -9,7 +9,11 @@ committed or not.  In each tree every entry of ``COMMANDS`` runs in a
 fresh interpreter with that tree's ``src`` on ``PYTHONPATH``, at
 ``--seed 42`` and with ``--config`` when given, each command writing
 into its own output directory.  ``fit`` reads the ``figure2`` output of
-its own tree.  Failing invocations are entries too.
+its own tree.  Failing invocations are entries too.  The last entry,
+``acceptance``, runs ``pytest -q -s tests/test_acceptance.py`` in each
+tree and compares, as its stdout, the ``criterion N`` lines the suite
+prints, with each ``runtime <seconds> s`` field masked as
+``runtime … s``; its stderr is not compared.
 
 For every command the report gives the exit codes and whether stdout
 and stderr are identical, then one line per file either side wrote.  A
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -61,6 +66,8 @@ COMMANDS = (
 )
 SEED = 42
 MAX_LINES = 6  # differing lines listed per stream or file
+ACCEPTANCE = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+_RUNTIME = re.compile(r"runtime [0-9.]+ s")
 
 
 @dataclass(frozen=True)
@@ -136,9 +143,19 @@ def _differing_lines(old: str, new: str) -> list[str]:
     return out
 
 
+def criterion_lines(stdout: str) -> str:
+    """The ``criterion N`` lines of an acceptance run's stdout, one per
+    line, each ``runtime <seconds> s`` field masked as ``runtime … s``."""
+    return "".join(
+        _RUNTIME.sub("runtime … s", ln) + "\n"
+        for ln in stdout.splitlines() if ln.startswith("criterion ")
+    )
+
+
 def run_commands(tree: str, out: str, config: str | None) -> dict:
-    """Run every command in ``tree``; returns name -> (exit code, stdout,
-    stderr, output directory)."""
+    """Run every command and the acceptance suite in ``tree``; returns
+    name -> (exit code, stdout, stderr, output directory), the suite's
+    stdout reduced to its ``criterion_lines`` and its stderr empty."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     flags = ["--seed", str(SEED)] + (["--config", config] if config else [])
     results = {}
@@ -150,13 +167,19 @@ def run_commands(tree: str, out: str, config: str | None) -> dict:
             cwd=tree, env=env, capture_output=True, text=True,
         )
         results[name] = (proc.returncode, proc.stdout, proc.stderr, out_dir)
+    proc = subprocess.run(
+        [sys.executable, *ACCEPTANCE], cwd=tree, env=env, capture_output=True, text=True
+    )
+    results["acceptance"] = (
+        proc.returncode, criterion_lines(proc.stdout), "", os.path.join(out, "acceptance")
+    )
     return results
 
 
 def report(old: dict, new: dict) -> tuple[list[str], int, int]:
     """Report lines, the number of outputs compared and how many differ."""
     lines, total, differ = [], 0, 0
-    for name, _ in COMMANDS:
+    for name in old:
         (rc_a, out_a, err_a, dir_a), (rc_b, out_b, err_b, dir_b) = old[name], new[name]
         lines.append(f"{name}: exit {rc_a} -> {rc_b}")
         total += 1
