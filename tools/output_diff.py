@@ -11,7 +11,8 @@ fresh interpreter with that tree's ``src`` on ``PYTHONPATH``, at
 into its own output directory.  ``fit`` reads the ``figure2`` output of
 its own tree.  Failing invocations are entries too.  The last entry,
 ``acceptance``, runs ``pytest -q -s tests/test_acceptance.py`` in each
-tree and compares, as its stdout, the ``criterion N`` lines the suite
+tree, at the suite's own default configuration whatever ``--config``
+says, and compares, as its stdout, the ``criterion N`` lines the suite
 prints, with each ``runtime <seconds> s`` field masked as
 ``runtime … s``; its stderr is not compared.
 
