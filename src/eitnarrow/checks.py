@@ -191,14 +191,13 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
 
 def run_criteria(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Acceptance criteria 1a–5, 7 and 8, in order, at ``cfg``'s medium,
-    drive, input line, output grid and power sweep.  Criteria 1a and 3
-    time their own work against a limit."""
-    # 1a-1c and 2: the configured input through the cell, on the output grid
+    drive, input line, output grid and power sweep.  Criteria 1a–3 fit
+    ``cfg.output_line``, refused when unresolved; 1a and 3 time their own
+    work against a limit."""
+    # 1a-1c and 2: the configured output line on the output grid
     omega_sq = abs(cfg.fields.omega_d) ** 2
     t0 = time.perf_counter()
-    grid = cfg.output_grid()
-    out = propagate_spectrum(cfg.medium, cfg.fields, cfg.input_spectrum(grid))
-    fit = fit_lineshape(out, "lorentzian")
+    _, out, fit = cfg.output_line(cfg.fields, cfg.output_grid())
     r_gau = fit_lineshape(out, "gaussian").rms_residual
     runtime = time.perf_counter() - t0
     rel = fit.rms_residual  # already relative to the peak
@@ -237,8 +236,7 @@ def run_criteria(cfg: RunConfig) -> Iterator[CheckRecord]:
         f = replace(cfg.fields, omega_d=omega_d)
         grid = cfg.output_grid(f)
         validity.append(adiabatic_rate_check(cfg.medium, f, grid.omegas).validity_ratio)
-        out = propagate_spectrum(cfg.medium, f, cfg.input_spectrum(grid))
-        widths.append(fit_lineshape(out, "lorentzian").fwhm)
+        widths.append(cfg.output_line(f, grid)[2].fwhm)
     powers = cfg.sweep_omega_d**2
     _, intercept, r_squared = linear_fit(powers, widths)
     runtime = time.perf_counter() - t0

@@ -30,63 +30,36 @@ from .artifacts import (
     write_table_csv,
 )
 from .checks import run_checks
-from .config import RunConfig, load_config
-from .errors import ConfigError, EitNarrowError, ResolutionError
+from .config import TWO_PI, RunConfig, load_config
+from .errors import ConfigError, EitNarrowError
 from .fitting import _MODELS, fit_lineshape, linear_fit
 from .medium import (
-    FieldConfig,
     closed_form_width,
     eit_width,
     optical_depth,
     transmission,
     wing_transmission,
 )
-from .mc import McConfig, ensemble_beat_spectrum
-from .noise import PhaseNoiseModel
+from .mc import ensemble_beat_spectrum
 from .propagation import adiabatic_rate_check, narrowing_factor, propagate_spectrum
-from .spectral import FrequencyGrid, Spectrum, fwhm_estimate
-
-TWO_PI = 2.0 * np.pi
-# fewest grid steps across a fitted output FWHM; at 4 or more the fit
-# reads within 0.1 % of its fully resolved width at the default config,
-# Doppler on and off (CHANGES.md gives the table)
-MIN_STEPS_PER_FWHM = 4.0
+from .spectral import Spectrum, fwhm_estimate
 
 
 def _khz(omega: float) -> float:
     return omega / (TWO_PI * 1e3)
 
 
-def _input_grid(cfg: RunConfig) -> FrequencyGrid:
-    return FrequencyGrid.spanning(cfg.span_factor * cfg.input_fwhm, cfg.grid_points)
-
-
-def _output_line(cfg: RunConfig, f: FieldConfig, grid: FrequencyGrid):
-    """The configured input on ``grid``, the spectrum the cell transmits
-    with fields ``f`` and its Lorentzian fit, refused when the fitted
-    FWHM spans fewer than ``MIN_STEPS_PER_FWHM`` grid steps."""
-    s_in = cfg.input_spectrum(grid)
-    s_out = propagate_spectrum(cfg.medium, f, s_in)
-    fit = fit_lineshape(s_out, "lorentzian")
-    steps = fit.fwhm / grid.step
-    if steps < MIN_STEPS_PER_FWHM:
-        raise ResolutionError(
-            f"output fwhm spans {steps:.2f} grid steps, fewer than "
-            f"{MIN_STEPS_PER_FWHM:g}; raise [input] grid_points"
-        )
-    return s_in, s_out, fit
-
-
 def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Input beat spectrum against the spectrum transmitted by the cell."""
-    wide = _input_grid(cfg)
-    s_in = cfg.input_spectrum(wide)
-    fit_in = fit_lineshape(s_in, "gaussian")
+    # the guarded output line before the input fit: an unresolved grid exits 3
     fine = cfg.output_grid()
-    _, s_out, fit_out = _output_line(cfg, cfg.fields, fine)
+    _, s_out, fit_out = cfg.output_line(cfg.fields, fine)
+    wide = cfg.input_grid()
+    s_in = cfg.input_spectrum(wide)
+    fit_in = fit_lineshape(s_in, cfg.input_shape)
     target = closed_form_width(cfg.medium, abs(cfg.fields.omega_d) ** 2)
     wide_out = propagate_spectrum(cfg.medium, cfg.fields, s_in)
-    print(f"input fwhm: {_khz(fit_in.fwhm):.4f} kHz (gaussian fit)")
+    print(f"input fwhm: {_khz(fit_in.fwhm):.4f} kHz ({fit_in.model} fit)")
     print(f"output fwhm: {_khz(fit_out.fwhm):.4f} kHz (lorentzian fit)")
     print(f"closed-form width prediction: {_khz(target):.4f} kHz")
     print(
@@ -128,7 +101,7 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     spectrum on a shared frequency axis."""
     os.makedirs(args.out, exist_ok=True)
     if cfg.medium.length == 0:
-        grid = _input_grid(cfg)
+        grid = cfg.input_grid()
         write_table_csv(
             os.path.join(args.out, "figure3_scan.csv"),
             ["delta_rad_s", "transmission"],
@@ -143,7 +116,7 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     width_eit = eit_width(cfg.medium, cfg.fields, grid)
     scan = transmission(cfg.medium, cfg.fields, grid.omegas)
 
-    _, s_out, fit_noise = _output_line(cfg, cfg.fields, grid)
+    _, s_out, fit_noise = cfg.output_line(cfg.fields, grid)
     noise_norm = s_out.density / s_out.density.max()
     ratio = fit_noise.fwhm / width_eit
 
@@ -198,7 +171,7 @@ def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        rows.append((abs(omega_d) ** 2, _output_line(cfg, f, grid)[2].fwhm))
+        rows.append((abs(omega_d) ** 2, cfg.output_line(f, grid)[2].fwhm))
     if len(rows) < 2:
         raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
 
@@ -231,7 +204,7 @@ def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_propagate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Propagate the configured input spectrum and write the output."""
-    s_in, s_out, fit = _output_line(cfg, cfg.fields, cfg.output_grid())
+    s_in, s_out, fit = cfg.output_line(cfg.fields, cfg.output_grid())
     os.makedirs(args.out, exist_ok=True)
     write_spectrum_csv(os.path.join(args.out, "propagate_input.csv"), s_in, cfg.digest)
     write_spectrum_csv(os.path.join(args.out, "propagate_output.csv"), s_out, cfg.digest)
@@ -249,25 +222,10 @@ def cmd_propagate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _mc_shaping(cfg: RunConfig) -> Spectrum:
-    nyquist = np.pi / cfg.mc_dt
-    half = min(cfg.span_factor * cfg.input_fwhm, 0.95 * nyquist)
-    grid = FrequencyGrid.spanning(half, 513)
-    return cfg.input_spectrum(grid)
-
-
 def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Monte-Carlo ensemble beat spectrum of the transmitted probe."""
     n_real = min(cfg.mc_realizations, 32) if args.quick else cfg.mc_realizations
-    mc_cfg = McConfig(
-        medium=cfg.medium,
-        fields=cfg.fields,
-        noise=PhaseNoiseModel(diffusion=0.0, shaping=_mc_shaping(cfg), seed=cfg.seed),
-        dt=cfg.mc_dt,
-        duration=cfg.mc_duration,
-        realizations=n_real,
-        slices=cfg.mc_slices,
-    )
+    mc_cfg = cfg.mc_config(n_real)
     result = ensemble_beat_spectrum(mc_cfg)
     os.makedirs(args.out, exist_ok=True)
     write_spectrum_csv(

@@ -73,8 +73,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, OpticallyThinError
+from .errors import ConfigError, InvalidParameterError, OpticallyThinError, ResolutionError
+from .fitting import fit_lineshape
+from .mc import McConfig
 from .medium import AtomicMedium, FieldConfig, drive_for_target_width, thick_filter_hwhm
+from .noise import PhaseNoiseModel
+from .propagation import propagate_spectrum
 from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
 from .spectral import gaussian_spectrum, lorentzian_spectrum
 
@@ -149,6 +153,10 @@ MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us; bounds an ensemble's memory
 # realizations * duration_ms / dt_us: the ensemble streams its
 # realizations into running sums, so this bounds run time, not memory
 MAX_MC_ELEMENTS = 10**8
+# fewest grid steps across a fitted output FWHM; at 4 or more the fit
+# reads within 0.1 % of its fully resolved width at the default config,
+# Doppler on and off (CHANGES.md gives the table)
+MIN_STEPS_PER_FWHM = 4.0
 
 
 @dataclass(frozen=True)
@@ -176,12 +184,48 @@ class RunConfig:
             return gaussian_spectrum(self.input_fwhm / GAUSSIAN_FWHM_FACTOR, grid)
         return lorentzian_spectrum(self.input_fwhm / 2.0, grid)
 
+    def input_grid(self) -> FrequencyGrid:
+        """Grid resolving the input line: ``span_factor`` times its FWHM
+        on each side."""
+        return FrequencyGrid.spanning(self.span_factor * self.input_fwhm, self.grid_points)
+
     def output_grid(self, fields: FieldConfig | None = None) -> FrequencyGrid:
         """Grid resolving the transmitted line: ``span_factor`` times the
         thick-filter half width on each side."""
         f = fields if fields is not None else self.fields
         hwhm = thick_filter_hwhm(self.medium, abs(f.omega_d) ** 2)
         return FrequencyGrid.spanning(2.0 * self.span_factor * hwhm, self.grid_points)
+
+    def output_line(self, fields: FieldConfig, grid: FrequencyGrid):
+        """The configured input on ``grid``, the spectrum the cell
+        transmits with ``fields`` and its Lorentzian fit, refused with
+        ``ResolutionError`` when the fitted FWHM spans fewer than
+        ``MIN_STEPS_PER_FWHM`` grid steps."""
+        s_in = self.input_spectrum(grid)
+        s_out = propagate_spectrum(self.medium, fields, s_in)
+        fit = fit_lineshape(s_out, "lorentzian")
+        steps = fit.fwhm / grid.step
+        if steps < MIN_STEPS_PER_FWHM:
+            raise ResolutionError(
+                f"output fwhm spans {steps:.2f} grid steps, fewer than "
+                f"{MIN_STEPS_PER_FWHM:g}; raise [input] grid_points"
+            )
+        return s_in, s_out, fit
+
+    def mc_config(self, realizations: int) -> McConfig:
+        """The configured ensemble of ``realizations`` runs, its noise shaped
+        by the input line out to ``span_factor`` FWHMs or 0.95 Nyquist."""
+        half = min(self.span_factor * self.input_fwhm, 0.95 * (np.pi / self.mc_dt))
+        shaping = self.input_spectrum(FrequencyGrid.spanning(half, 513))
+        return McConfig(
+            medium=self.medium,
+            fields=self.fields,
+            noise=PhaseNoiseModel(diffusion=0.0, shaping=shaping, seed=self.seed),
+            dt=self.mc_dt,
+            duration=self.mc_duration,
+            realizations=realizations,
+            slices=self.mc_slices,
+        )
 
 
 def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:

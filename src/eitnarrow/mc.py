@@ -203,7 +203,7 @@ def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]
     """Each realization's input and output Hann periodograms on
     ``cfg.grid``, in realization order, as fresh rows the consumer owns."""
     n_keep = cfg.grid.count
-    _, write_periodogram = _periodogram_writer(n_keep, cfg.dt, "hann")
+    write_periodogram = _periodogram_writer(n_keep, cfg.dt)
     for probe, out in _realization_envelopes(cfg):
         yield write_periodogram(probe, np.empty(n_keep)), write_periodogram(out, np.empty(n_keep))
 
@@ -220,7 +220,7 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     sqrt(R)`` of the rows to rounding.
     """
     grid = cfg.grid
-    _, write_periodogram = _periodogram_writer(grid.count, cfg.dt, "hann")
+    write_periodogram = _periodogram_writer(grid.count, cfg.dt)
     total, mean, m2, row, delta = (np.zeros(grid.count) for _ in range(5))
     for k, (_, out) in enumerate(_realization_envelopes(cfg), 1):
         write_periodogram(out, row)

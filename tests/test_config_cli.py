@@ -24,7 +24,7 @@ from eitnarrow import config as config_module
 from eitnarrow import mc, propagation
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
-from eitnarrow.errors import ConfigError
+from eitnarrow.errors import ConfigError, ResolutionError
 from eitnarrow.medium import FieldConfig, drive_for_target_width
 from paper_params import paper_medium
 
@@ -421,17 +421,23 @@ def test_unresolved_width_exits_3_with_one_error_line(tmp_path, capsys):
 
 
 def test_an_unresolved_output_line_exits_3_with_one_error_line(tmp_path, capsys):
-    """On 9 grid points the fitted output FWHM spans 0.37 steps: the
-    figure commands refuse it instead of printing a narrowing factor."""
-    path = write_config(tmp_path, "[input]\ngrid_points = 9\n")
-    rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
-    out, err = capsys.readouterr()
-    assert rc == 3
-    assert out == ""
-    assert err.strip().splitlines() == [
-        "error: resolution: output fwhm spans 0.37 grid steps, fewer than 4; "
-        "raise [input] grid_points"
-    ]
+    """On 9 grid points the fitted output FWHM spans 0.37 steps: figure2
+    and the acceptance criteria refuse it instead of reporting a
+    narrowing factor.  At span_factor 1e4 (0.10 steps) figure2 refuses
+    the line before it fits the input on a grid too coarse for that fit."""
+    for text, steps in (("grid_points = 9", "0.37"), ("span_factor = 1e4", "0.10")):
+        path = write_config(tmp_path, f"[input]\n{text}\n")
+        rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"error: resolution: output fwhm spans {steps} grid steps, fewer than 4; "
+            "raise [input] grid_points"
+        ]
+    cfg = load_config(write_config(tmp_path, "[input]\ngrid_points = 9\n"))
+    with pytest.raises(ResolutionError, match="spans 0.37 grid steps"):
+        next(checks.run_criteria(cfg))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -554,6 +560,16 @@ def test_figure2_artifacts_and_numbers(tmp_path, capsys):
     with open(os.path.join(out, "figure2_output.csv")) as fh:
         header = fh.readline()
     assert header.startswith("#") and cfg_digest in header
+
+
+def test_figure2_fits_the_input_with_its_configured_shape(tmp_path, capsys):
+    """A Lorentzian input line is fitted as a Lorentzian: its 980 kHz
+    FWHM is recovered and the narrowing factor rests on it."""
+    path = write_config(tmp_path, "[input]\nshape = lorentzian\n")
+    assert main(["--config", path, "--out", str(tmp_path / "f2"), "figure2"]) == 0
+    text = capsys.readouterr().out
+    assert "input fwhm: 980.0000 kHz (lorentzian fit)" in text
+    assert "narrowing factor: 154.6" in text
 
 
 def test_figure3_width_ratio(tmp_path, capsys):

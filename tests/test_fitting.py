@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitnarrow import cli, fitting
+from eitnarrow import fitting
 from eitnarrow.config import load_config
 from eitnarrow.errors import FitFailedError, InvalidParameterError, MultimodalSpectrumError
 from eitnarrow.fitting import _MODELS, _SYM, fit_lineshape, linear_fit
@@ -143,7 +143,7 @@ def output_line():
     """The default config's transmitted line and its fit, as ``figure2``
     and ``propagate`` make them."""
     cfg = load_config()
-    _, s_out, fit = cli._output_line(cfg, cfg.fields, cfg.output_grid())
+    _, s_out, fit = cfg.output_line(cfg.fields, cfg.output_grid())
     return s_out, fit
 
 
@@ -169,7 +169,7 @@ def test_output_line_fit_takes_few_model_evaluations(monkeypatch):
 
     monkeypatch.setitem(_MODELS, "lorentzian", counted)
     cfg = load_config()
-    cli._output_line(cfg, cfg.fields, cfg.output_grid())
+    cfg.output_line(cfg.fields, cfg.output_grid())
     assert 1 <= len(calls) <= 8
 
 

@@ -9,7 +9,6 @@ import pytest
 
 import eitnarrow.mc as mc_module
 from eitnarrow.checks import band_transfer_vs_reference
-from eitnarrow.cli import _mc_shaping
 from eitnarrow.config import load_config
 from eitnarrow.errors import InvalidParameterError
 from eitnarrow.medium import (
@@ -158,16 +157,8 @@ def _default_mc_config(**populations) -> McConfig:
     """The ``mc`` command's configuration at seed 42, with the given
     populations."""
     run = load_config(seed=42)
-    fields = replace(run.fields, **populations)
-    return McConfig(
-        medium=run.medium,
-        fields=fields,
-        noise=PhaseNoiseModel(diffusion=0.0, shaping=_mc_shaping(run), seed=run.seed),
-        dt=run.mc_dt,
-        duration=run.mc_duration,
-        realizations=run.mc_realizations,
-        slices=run.mc_slices,
-    )
+    cfg = run.mc_config(run.mc_realizations)
+    return replace(cfg, fields=replace(cfg.fields, **populations))
 
 
 def test_drive_transmission_is_its_own_absorption():
@@ -254,8 +245,8 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     for r in range(cfg.realizations):
         probe = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, keep + burn, r)
         out = slab(probe, m, f, dt, cfg.slices)
-        spec_in = periodogram(probe[burn:], dt, "hann")
-        spec_out = periodogram(out[burn:], dt, "hann")
+        spec_in = periodogram(probe[burn:], dt)
+        spec_out = periodogram(out[burn:], dt)
         shifted = np.fft.fftshift(np.fft.fft(out[burn:] * w))
         direct = (np.abs(shifted) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
         assert np.array_equal(spec_out.density, direct)
@@ -309,14 +300,14 @@ def test_ensemble_takes_one_periodogram_per_realization(monkeypatch):
     one periodogram per realization, written into one row."""
     rows = []
 
-    def writer(n, dt, window):
-        grid, write = spectral_periodogram_writer(n, dt, window)
+    def writer(n, dt):
+        write = spectral_periodogram_writer(n, dt)
 
         def counted(envelope, row):
             rows.append(row)
             return write(envelope, row)
 
-        return grid, counted
+        return counted
 
     monkeypatch.setattr(mc_module, "_periodogram_writer", writer)
     ensemble_beat_spectrum(reduced_config(realizations=8))
