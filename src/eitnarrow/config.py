@@ -2,7 +2,7 @@
 
 Grammar: INI sections parsed by :mod:`configparser`.  Every physical key
 carries its unit in the name (``_mhz``, ``_khz``, ``_hz``, ``_cm``,
-``_nm``, ``_us``, ``_ms``, ``_per_s``); frequency-like units are cyclic
+``_us``, ``_ms``, ``_per_s``); frequency-like units are cyclic
 and are converted to angular rad/s internally, so a ``2*pi`` can never
 go missing silently.  Unknown sections or keys are errors.
 
@@ -10,8 +10,6 @@ Recognized sections and keys (defaults in parentheses):
 
 [medium]
     density_cm3 (3e11)          atom number density [1/cm^3]
-    wavelength_nm (794.98)      probe transition wavelength
-    gamma_r_per_s (3.61e7)      radiative decay rate a -> b [1/s]
     gamma_ab_per_s (2e7)        homogeneous a-b coherence decay [1/s]
     gamma_ac_per_s (2e7)        homogeneous a-c coherence decay [1/s]
     gamma_cb_hz (0)             ground coherence decay [Hz]
@@ -111,8 +109,6 @@ class Key(NamedTuple):
 # configuration and keep the arrays a run allocates within a few GB
 KEYS = (
     Key("medium", "density_cm3", "3e11", float, (1e6,)),
-    Key("medium", "wavelength_nm", "794.98", float, (1e-9,)),
-    Key("medium", "gamma_r_per_s", "3.61e7"),
     Key("medium", "gamma_ab_per_s", "2e7"),
     Key("medium", "gamma_ac_per_s", "2e7"),
     Key("medium", "gamma_cb_hz", "0", float, (TWO_PI,)),
@@ -311,8 +307,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     try:
         medium = AtomicMedium(
             number_density=si["density_cm3"],
-            wavelength=si["wavelength_nm"],
-            gamma_r=si["gamma_r_per_s"],
             gamma_ab=si["gamma_ab_per_s"],
             gamma_ac=si["gamma_ac_per_s"],
             gamma_cb=si["gamma_cb_hz"],

@@ -44,17 +44,10 @@ class OpticallyThinError(InvalidParameterError):
 
 
 class ResolutionError(EitNarrowError):
-    """A numerical route failed a resolution check (e.g. the z Taylor tail).
-
-    ``residual`` is the achieved disagreement.
-    """
+    """A numerical route failed a resolution check (e.g. the z Taylor tail)."""
 
     code = "resolution"
     exit_code = 3
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class UnresolvedWidthError(ResolutionError):

@@ -27,13 +27,18 @@ from .errors import InvalidParameterError, OpticallyThinError, SingularRateError
 from .fitting import fit_lineshape
 from .spectral import FrequencyGrid, Spectrum
 
+# the 87Rb D1 line (Steck, Rubidium 87 D Line Data): probe wavelength
+# lambda [m] and radiative decay rate a -> b [1/s]; written as nm times
+# 1e-9, which is one ulp from the literal 794.98e-9
+WAVELENGTH = 794.98 * 1e-9
+GAMMA_R = 3.61e7
+
+
 @dataclass(frozen=True)
 class AtomicMedium:
-    """Vapor-cell parameters.  Rates in 1/s, lengths in m."""
+    """Vapor-cell parameters of the D1 line.  Rates in 1/s, lengths in m."""
 
     number_density: float  # N [1/m^3]
-    wavelength: float  # lambda [m]
-    gamma_r: float  # radiative decay a -> b [1/s]
     gamma_ab: float  # optical coherence decay on a-b [1/s]
     gamma_ac: float  # optical coherence decay on a-c [1/s]
     gamma_cb: float  # ground coherence decay [1/s]
@@ -42,9 +47,9 @@ class AtomicMedium:
     doppler: bool = True  # gamma -> Delta_W on the optical coherences
 
     def __post_init__(self):
-        if self.number_density <= 0 or self.wavelength <= 0 or self.length < 0:
-            raise InvalidParameterError("N and lambda must be positive, L >= 0")
-        for name in ("gamma_r", "gamma_ab", "gamma_ac", "gamma_cb", "doppler_width"):
+        if self.number_density <= 0 or self.length < 0:
+            raise InvalidParameterError("N must be positive, L >= 0")
+        for name in ("gamma_ab", "gamma_ac", "gamma_cb", "doppler_width"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
 
@@ -87,8 +92,9 @@ class ComplexRates:
 
 
 def coupling_eta(m: AtomicMedium) -> float:
-    """Field-medium coupling eta = 3 lambda^2 N gamma_r / (8 pi)."""
-    return 3.0 * m.wavelength**2 * m.number_density * m.gamma_r / (8.0 * np.pi)
+    """Field-medium coupling eta = 3 lambda^2 N gamma_r / (8 pi), with
+    the D1 line's ``WAVELENGTH`` and ``GAMMA_R``."""
+    return 3.0 * WAVELENGTH**2 * m.number_density * GAMMA_R / (8.0 * np.pi)
 
 
 def optical_width(m: AtomicMedium) -> float:

@@ -148,10 +148,7 @@ def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> tuple[in
     reach = float(np.max(np.abs(kappa))) * m.length
     # a NaN or infinite reach fails the comparison too
     if not reach <= MAX_REACH:
-        raise ResolutionError(
-            f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}",
-            residual=reach,
-        )
+        raise ResolutionError(f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}")
     lo, hi = float(np.min(kappa.real)), float(np.max(kappa.real))
     steps = max(1, int(np.ceil(max(reach, (hi - lo) * m.length) / STEP_REACH)))
     return steps, 0.5 * (lo + hi)
@@ -234,10 +231,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
     r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
     if residual > TAIL_TOL:
-        raise ResolutionError(
-            f"z-march residual {residual:.3e} relative to R(0)",
-            residual=residual,
-        )
+        raise ResolutionError(f"z-march residual {residual:.3e} relative to R(0)")
     # tau in [0, (count - 1) * dtau]
     return CorrelationResult(CorrelationFunction(dtau, r[center:center + count]), residual)
 

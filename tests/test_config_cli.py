@@ -25,7 +25,7 @@ from eitnarrow import mc, propagation
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
 from eitnarrow.errors import ConfigError, ResolutionError
-from eitnarrow.medium import FieldConfig, drive_for_target_width
+from eitnarrow.medium import FieldConfig, coupling_eta, drive_for_target_width
 from paper_params import paper_medium
 
 TWO_PI = 2.0 * np.pi
@@ -76,6 +76,12 @@ def test_defaults_are_the_acceptance_parameters():
     assert (cfg.span_factor, cfg.grid_points) == (6.0, 3001)
     sweep = TWO_PI * 1e6 * np.linspace(2.0, 6.5, 8)
     assert cfg.sweep_omega_d == pytest.approx(sweep, rel=1e-15)
+
+
+def test_default_coupling_is_the_d1_line_value():
+    """eta at the default density, bit for bit: the D1 wavelength is
+    794.98 nm times 1e-9, one ulp from the literal 794.98e-9."""
+    assert coupling_eta(load_config().medium) == 817000377878.9202
 
 
 def test_seed_override_changes_digest_only_in_run_section():
@@ -289,6 +295,12 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param("[mc]\nrealizations = 20000\n", ["--quick", "mc"], id="huge-ensemble"),
         pytest.param("[mc]\nfull_integration = on\n", ["propagate"], id="removed-key"),
         pytest.param(
+            "[medium]\nwavelength_nm = 794.98\n", ["propagate"], id="removed-wavelength-key"
+        ),
+        pytest.param(
+            "[medium]\ngamma_r_per_s = 3.61e7\n", ["propagate"], id="removed-gamma-r-key"
+        ),
+        pytest.param(
             "[mc]\ndrive_diffusion_khz = 1\n", ["propagate"], id="removed-drive-noise-key"
         ),
         pytest.param(None, ["fit", "--input", "UNEVEN_CSV"], id="non-uniform-fit-input"),
@@ -337,6 +349,10 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert out == ""
+    # a key that no row of KEYS names, a removed one included, is unknown
+    first = re.match(r"\[(\w+)\]\n(\w+) =", config) if isinstance(config, str) else None
+    if first and (first[1], first[2]) not in {(k.section, k.name) for k in KEYS}:
+        assert lines[0].startswith("error: unknown-key: ")
     # configparser would merge [DEFAULT] into every section
     if isinstance(config, str) and config.startswith("[DEFAULT]"):
         assert lines == ["error: unknown-key: unknown section [DEFAULT]"]

@@ -46,8 +46,6 @@ def reduced_medium(**overrides) -> AtomicMedium:
     """Gentle optical depth (about 2.2) for fast ensemble runs."""
     params = dict(
         number_density=1e17,
-        wavelength=794.98e-9,
-        gamma_r=3.61e7,
         gamma_ab=2e7,
         gamma_ac=2e7,
         gamma_cb=0.0,
@@ -107,15 +105,36 @@ def test_config_invariants():
         reduced_config(fields=FieldConfig(omega_d=0.0))  # no drive, so no probe
 
 
-def test_uncoupled_slice_is_the_identity():
-    """gamma_r = 0 removes the coupling; the probe passes unchanged."""
-    m = reduced_medium(gamma_r=0.0)
+def test_zero_length_slab_is_the_identity():
+    """A slab of zero length passes the probe unchanged."""
     f = reduced_fields()
     rng = np.random.default_rng(1)
     env = rng.normal(size=256) + 1j * rng.normal(size=256)
     probe = env * probe_amplitude(f)
-    out = slab(probe, m, f, 1e-7, 1)
+    out = slab(probe, reduced_medium(length=0.0), f, 1e-7, 1)
     assert np.array_equal(out, probe)
+
+
+def test_slice_without_inversion_is_the_limit_of_small_inversion():
+    """At rho_aa = rho_bb the field advance rate a vanishes and the slice
+    takes its a = 0 branch (dz for (e^{a dz} - 1)/a); that output is the
+    limit of n_ab = +-1e-9, where the coupling still moves the probe
+    through the ground coherence."""
+    m = reduced_medium()
+    f = reduced_fields()
+    rng = np.random.default_rng(1)
+    env = rng.normal(size=256) + 1j * rng.normal(size=256)
+    probe = env * probe_amplitude(f)
+
+    def out(n_ab):
+        pops = FieldConfig(f.omega_d, rho_aa=0.5 + n_ab / 2, rho_bb=0.5 - n_ab / 2)
+        return slab(probe, m, pops, 1e-7, 1)
+
+    level = out(0.0)
+    peak = np.max(np.abs(level))
+    assert np.max(np.abs(level - probe)) > 0.1 * peak
+    for n_ab in (1e-9, -1e-9):
+        assert np.max(np.abs(out(n_ab) - level)) < 1e-7 * peak
 
 
 @pytest.mark.parametrize("probe_ratio", [1e-3, 0.05], ids=["probe-1e-3", "probe-0.05"])

@@ -33,7 +33,6 @@ def test_coupling_eta_scalings():
     m = paper_medium()
     doubled = paper_medium(number_density=2.0 * m.number_density)
     assert coupling_eta(doubled) == 2.0 * coupling_eta(m)
-    assert coupling_eta(paper_medium(gamma_r=0.0)) == 0.0
 
 
 def test_optical_depth_reference_value():
