@@ -35,6 +35,7 @@ from .spectral import (
     lorentzian_spectrum,
     periodogram,
     spectrum_to_correlation,
+    windowed_reference,
 )
 from .fitting import fit_lineshape, linear_fit
 from .noise import (
@@ -69,7 +70,6 @@ from .mc import (
     McConfig,
     band_average_transfer,
     ensemble_beat_spectrum,
-    windowed_reference,
 )
 from .config import RunConfig, load_config
 

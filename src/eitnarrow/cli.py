@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .medium import (
     wing_transmission,
 )
 from .mc import ensemble_beat_spectrum
-from .propagation import adiabatic_rate_check, narrowing_factor, propagate_spectrum
+from .propagation import narrowing_factor, propagate_spectrum
 from .spectral import Spectrum, fwhm_estimate
 
 
@@ -148,34 +147,8 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
-    """Fitted output width versus drive power |Omega_d|^2."""
-    sweep = cfg.sweep_omega_d
-    if sweep.size < 6:
-        raise ConfigError("power sweep needs at least 6 points", code="sweep-too-small")
-    powers = sweep**2
-    if powers.max() < 10.0 * powers.min():
-        raise ConfigError(
-            "power sweep must span at least one decade in |Omega_d|^2",
-            code="sweep-too-small",
-        )
-
-    rows = []
-    for omega_d in sweep:
-        f = replace(cfg.fields, omega_d=omega_d)
-        grid = cfg.output_grid(f)
-        report = adiabatic_rate_check(cfg.medium, f, grid.omegas)
-        if not report.valid:
-            print(
-                f"warning: point |Omega_d| = {_khz(omega_d) / 1e3:.4f} MHz excluded "
-                f"(adiabatic validity ratio {report.validity_ratio:.2f} < 10)",
-                file=sys.stderr,
-            )
-            continue
-        rows.append((abs(omega_d) ** 2, cfg.output_line(f, grid)[2].fwhm))
-    if len(rows) < 2:
-        raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
-
-    x, y = np.array(rows).T
+    """Fitted output width versus drive power over ``RunConfig.power_sweep``."""
+    x, y, _ = cfg.power_sweep()
     slope, intercept, r2 = linear_fit(x, y)
     os.makedirs(args.out, exist_ok=True)
     write_table_csv(
@@ -195,7 +168,7 @@ def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
         "fitted FWHM [rad/s]",
     )
     write_sidecar(os.path.join(args.out, "figure4.meta.txt"), cfg.resolved, cfg.digest)
-    print(f"points used: {len(rows)} of {sweep.size}")
+    print(f"points used: {x.size} of {cfg.sweep_omega_d.size}")
     print(f"slope: {slope:.6e} 1/(rad/s)")
     print(f"intercept: {intercept:.6e} rad/s")
     print(f"r_squared: {r2:.8f}")

@@ -47,7 +47,9 @@ Recognized sections and keys (defaults in parentheses):
     seed (12345)
 
 ``doppler_mode`` becomes a property of the medium,
-``AtomicMedium.doppler``, which every route and closed form reads.
+``AtomicMedium.doppler``, which every route and closed form reads.  A
+word key is recorded in lower case, however typed, so ``ON`` and ``on``
+share one digest.  ``RunConfig.power_sweep`` runs the [sweep].
 
 Each key is one row of ``KEYS``: its section, name, default text, kind,
 the factors that take it to SI units and, for a size key, its bounds.
@@ -66,7 +68,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +79,7 @@ from .fitting import fit_lineshape
 from .mc import McConfig
 from .medium import AtomicMedium, FieldConfig, drive_for_target_width, thick_filter_hwhm
 from .noise import PhaseNoiseModel
-from .propagation import propagate_spectrum
+from .propagation import adiabatic_rate_check, propagate_spectrum
 from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
 from .spectral import gaussian_spectrum, lorentzian_spectrum
 
@@ -208,6 +211,36 @@ class RunConfig:
             )
         return s_in, s_out, fit
 
+    def power_sweep(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """The figure-4 sweep: |Omega_d|^2 and the fitted output FWHM of
+        each point that ``adiabatic_rate_check`` reports valid, and
+        (Omega_d, report) of each point it excludes, warned of as it
+        goes.  A sweep of fewer than 6 points, not spanning more than a
+        decade of |Omega_d|^2 or keeping fewer than two points is refused
+        with ``sweep-too-small``."""
+        sq = self.sweep_omega_d**2
+        if sq.size < 6 or not sq.max() > 10.0 * sq.min():
+            raise ConfigError(
+                "power sweep needs 6 or more points spanning over a decade of |Omega_d|^2",
+                code="sweep-too-small",
+            )
+        rows, excluded = [], []
+        for omega_d in self.sweep_omega_d:
+            f = replace(self.fields, omega_d=omega_d)
+            grid = self.output_grid(f)
+            report = adiabatic_rate_check(self.medium, f, grid.omegas)
+            if report.valid:
+                rows.append((abs(omega_d) ** 2, self.output_line(f, grid)[2].fwhm))
+                continue
+            excluded.append((omega_d, report))
+            warnings.warn(
+                f"point |Omega_d| = {omega_d / (TWO_PI * 1e3) / 1e3:.4f} MHz excluded "
+                f"(adiabatic validity ratio {report.validity_ratio:.2f} < 10)"
+            )
+        if len(rows) < 2:
+            raise ConfigError("fewer than two valid sweep points", code="sweep-too-small")
+        return (*np.array(rows).T, excluded)
+
     def mc_config(self, realizations: int) -> McConfig:
         """The configured ensemble of ``realizations`` runs, its noise shaped
         by the input line out to ``span_factor`` FWHMs or 0.95 Nyquist."""
@@ -252,7 +285,9 @@ def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
 def _read(resolved: dict, row: Key):
     """The resolved value of one key in its own unit, checked against its
     row: one of its words, an integer within its bounds, or a float of
-    magnitude at most ``MAX_MAGNITUDE`` in the key's own unit."""
+    magnitude at most ``MAX_MAGNITUDE`` in the key's own unit.  A word is
+    written back to ``resolved`` in lower case, so the digest and the
+    sidecar record the word that runs, however it was typed."""
     sec, key = row.section, row.name
     raw = resolved[sec][key]
     if isinstance(row.kind, tuple):
@@ -262,6 +297,7 @@ def _read(resolved: dict, row: Key):
                 f"key {key!r} in [{sec}] must be one of {row.kind}, got {word!r}",
                 code="bad-enum",
             )
+        resolved[sec][key] = word
         return word
     try:
         value = row.kind(raw)

@@ -24,9 +24,10 @@ import pytest
 from eitnarrow.checks import CheckRecord, run_criteria
 from eitnarrow.cli import main
 from eitnarrow.config import load_config
-from eitnarrow.mc import McConfig, _realization_passes, windowed_reference
+from eitnarrow.mc import McConfig, _realization_passes
 from eitnarrow.medium import FieldConfig, complex_rates, transmission
 from eitnarrow.noise import PhaseNoiseModel
+from eitnarrow.spectral import windowed_reference
 from paper_params import TWO_PI, paper_medium
 
 

@@ -22,9 +22,11 @@ import eitnarrow
 from eitnarrow import checks, cli, errors
 from eitnarrow import config as config_module
 from eitnarrow import mc, propagation
+from eitnarrow.artifacts import write_sidecar
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
 from eitnarrow.errors import ConfigError, ResolutionError
+from eitnarrow.fitting import linear_fit
 from eitnarrow.medium import FieldConfig, coupling_eta, drive_for_target_width
 from paper_params import paper_medium
 
@@ -90,6 +92,27 @@ def test_seed_override_changes_digest_only_in_run_section():
     assert b.seed == 999
     assert a.digest != b.digest
     assert a.resolved["medium"] == b.resolved["medium"]
+
+
+@pytest.mark.parametrize("key, words", [
+    ("doppler_mode", ("on", "ON", "On")),
+    ("shape", ("gaussian", "GAUSSIAN", "Gaussian")),
+])
+def test_a_word_key_is_recorded_as_the_word_that_runs(tmp_path, key, words):
+    """A word is read in any case and recorded in lower case: each
+    spelling gives one digest and byte-identical sidecars, and the
+    defaults keep their digest."""
+    assert load_config().digest == "516094feb873"
+    section = next(row.section for row in KEYS if row.name == key)
+    sidecars, digests = [], set()
+    for i, word in enumerate(words):
+        cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {word}\n"))
+        assert cfg.resolved[section][key] == words[0]
+        path = tmp_path / f"{i}.meta.txt"
+        write_sidecar(str(path), cfg.resolved, cfg.digest)
+        sidecars.append(path.read_bytes())
+        digests.add(cfg.digest)
+    assert digests == {load_config().digest} and sidecars[1:] == sidecars[:-1]
 
 
 def test_config_file_merges_over_defaults(tmp_path):
@@ -235,6 +258,43 @@ def test_cli_sweep_too_small_exits_2(tmp_path, capsys):
     rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure4"])
     assert rc == 2
     assert "error: sweep-too-small:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[sweep]\npoints = 3\n",
+    "[sweep]\nomega_d_min_mhz = 4.0\nomega_d_max_mhz = 6.0\n",
+], ids=["three-points", "under-a-decade"])
+def test_figure4_and_criterion_3_refuse_the_same_sweep(tmp_path, capsys, text):
+    """Three points, or eight spanning 2.25 in |Omega_d|^2: ``figure4``
+    exits 2 and the acceptance criteria raise, with one code."""
+    path = write_config(tmp_path, text)
+    assert main(["--config", path, "--out", str(tmp_path / "o"), "figure4"]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep-too-small: ")
+    with pytest.raises(ConfigError) as err:
+        list(checks.run_criteria(load_config(path)))
+    assert err.value.code == "sweep-too-small"
+
+
+def test_criterion_3_judges_the_points_figure4_writes(tmp_path, capsys):
+    """With gamma_cb = 2 pi * 20 Hz the 0.2 MHz point has validity ratio 4:
+    ``figure4`` warns and leaves it out of its CSV, and criterion 3 fits
+    exactly the CSV's rows and fails for the excluded point alone (its R^2
+    and intercept pass)."""
+    path = write_config(
+        tmp_path, "[medium]\ngamma_cb_hz = 20\n[sweep]\nomega_d_min_mhz = 0.2\n"
+    )
+    out = tmp_path / "f4"
+    assert main(["--config", path, "--out", str(out), "figure4"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: point |Omega_d| = 0.2000 MHz excluded (adiabatic validity ratio 4.00 < 10)"
+    ]
+    x, y = np.loadtxt(out / "figure4.csv", delimiter=",", skiprows=2).T
+    assert x.size == 7
+    with pytest.warns(UserWarning, match="0.2000 MHz excluded"):
+        record = next(r for r in checks.run_criteria(load_config(path)) if r.name == "criterion 3")
+    assert not record.passed
+    assert record.value == linear_fit(x, y)[2] > 0.999
+    assert record.detail.endswith(", 1 of 8 points fail the adiabatic check")
 
 
 def _bad_spectrum_csv(tmp_path):
@@ -749,6 +809,31 @@ def test_validate_reports_a_failed_check(tmp_path, capsys, monkeypatch):
         "FAIL wiener-khinchin-roundtrip: max deviation 1.000e+00"
     ]
     assert lines[-1] == "7/8 checks passed"
+
+
+def test_criteria_5_and_8_are_validates_records(monkeypatch):
+    """Criteria 5 and 8 take their verdicts and values from the records of
+    ``--quick validate``, so a failing round trip fails both together."""
+    cfg = load_config()
+
+    def records():
+        quick = {r.name: r for r in checks.run_checks(cfg, quick=True)}
+        crit = {r.name: r for r in checks.run_criteria(cfg)}
+        return quick, crit["criterion 5"], crit["criterion 8"]
+
+    quick, c5, c8 = records()
+    routes = [quick[f"route-equivalence-{i}"] for i in (1, 2, 3)]
+    assert c5.passed and c5.value == max(r.value for r in routes)
+    detail = ", ".join(f"{r.value:.2e}" for r in routes)
+    assert c5.detail == f"route deviations [{detail}] (limit 1e-3)"
+    fit, wk = quick["fit-exactness"], quick["wiener-khinchin-roundtrip"]
+    assert c8.passed and c8.value == max(fit.value, wk.value)
+    assert c8.detail.startswith(fit.detail + ", Wiener-Khinchin round trip ")
+
+    monkeypatch.setattr(checks, "wiener_khinchin_error", lambda fwhm: 1.0)
+    quick, c5, c8 = records()
+    assert not quick["wiener-khinchin-roundtrip"].passed and not c8.passed
+    assert c8.value == 1.0 and c5.passed
 
 
 def test_fit_command_round_trip(tmp_path, capsys):
