@@ -31,7 +31,7 @@ from .artifacts import (
 from .checks import run_checks
 from .config import TWO_PI, RunConfig, load_config
 from .errors import ConfigError, EitNarrowError
-from .fitting import _MODELS, fit_lineshape, linear_fit
+from .fitting import fit_lineshape, linear_fit
 from .medium import (
     closed_form_width,
     eit_width,
@@ -41,11 +41,24 @@ from .medium import (
 )
 from .mc import ensemble_beat_spectrum
 from .propagation import narrowing_factor, propagate_spectrum
-from .spectral import Spectrum, fwhm_estimate
+from .spectral import FitResult, Spectrum, fwhm_estimate
 
 
 def _khz(omega: float) -> float:
     return omega / (TWO_PI * 1e3)
+
+
+def _fit_lines(prefix: str, fit: FitResult) -> dict[str, str]:
+    """Sidecar lines of a fit: its model and full-``repr`` parameters.
+    ``fitting._MODELS[model](omegas, amplitude, center, width)[0]``
+    rebuilds the fitted curve from them."""
+    return {
+        f"{prefix}_model": fit.model,
+        f"{prefix}_amplitude": repr(fit.amplitude),
+        f"{prefix}_center": repr(fit.center),
+        f"{prefix}_width": repr(fit.width),
+        f"{prefix}_fwhm": repr(float(fit.fwhm)),
+    }
 
 
 def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -67,18 +80,9 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     print(f"narrowing factor: {narrowing_factor(fit_in.fwhm, fit_out.fwhm):.1f}")
 
-    fit_in_curve, fit_out_curve = (
-        Spectrum(g, _MODELS[fit.model](g.omegas, fit.amplitude, fit.center, fit.width)[0])
-        for g, fit in ((wide, fit_in), (fine, fit_out))
-    )
     os.makedirs(args.out, exist_ok=True)
-    for name, spec in (
-        ("figure2_input.csv", s_in),
-        ("figure2_output.csv", s_out),
-        ("figure2_fit_input.csv", fit_in_curve),
-        ("figure2_fit_output.csv", fit_out_curve),
-    ):
-        write_spectrum_csv(os.path.join(args.out, name), spec, cfg.digest)
+    write_spectrum_csv(os.path.join(args.out, "figure2_input.csv"), s_in, cfg.digest)
+    write_spectrum_csv(os.path.join(args.out, "figure2_output.csv"), s_out, cfg.digest)
     peak_in = s_in.density.max()
     peak_out = wide_out.density.max()
     write_svg_plot(
@@ -91,7 +95,12 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
         "offset from carrier [rad/s]",
         "normalized spectral density",
     )
-    write_sidecar(os.path.join(args.out, "figure2.meta.txt"), cfg.resolved, cfg.digest)
+    write_sidecar(
+        os.path.join(args.out, "figure2.meta.txt"),
+        cfg.resolved,
+        cfg.digest,
+        extra={**_fit_lines("fit_input", fit_in), **_fit_lines("fit_output", fit_out)},
+    )
     return 0
 
 
@@ -224,15 +233,15 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    """Fit a model lineshape to a spectrum CSV."""
+    """Fit a model lineshape to a spectrum CSV; the fit's parameters go
+    to the ``fit.meta.txt`` sidecar."""
     spectrum = read_spectrum_csv(args.input)
     models = [args.model] if args.model != "auto" else ["gaussian", "lorentzian"]
     fits = [fit_lineshape(spectrum, m) for m in models]
     best = min(fits, key=lambda f: f.rms_residual)
-    curve = _MODELS[best.model](spectrum.omegas, best.amplitude, best.center, best.width)[0]
     os.makedirs(args.out, exist_ok=True)
-    write_spectrum_csv(
-        os.path.join(args.out, "fit_curve.csv"), Spectrum(spectrum.grid, curve), cfg.digest
+    write_sidecar(
+        os.path.join(args.out, "fit.meta.txt"), cfg.resolved, cfg.digest, _fit_lines("fit", best)
     )
     print(f"model: {best.model}")
     print(f"center: {float(best.center)!r} rad/s")

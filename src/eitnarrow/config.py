@@ -215,9 +215,17 @@ class RunConfig:
         """The figure-4 sweep: |Omega_d|^2 and the fitted output FWHM of
         each point that ``adiabatic_rate_check`` reports valid, and
         (Omega_d, report) of each point it excludes, warned of as it
-        goes.  A sweep of fewer than 6 points, not spanning more than a
-        decade of |Omega_d|^2 or keeping fewer than two points is refused
-        with ``sweep-too-small``."""
+        goes.  A sweep with a drive <= 0 is refused with
+        ``bad-parameter`` before any grid is built; one of fewer than 6
+        points, not spanning more than a decade of |Omega_d|^2 or keeping
+        fewer than two points with ``sweep-too-small``."""
+        if not self.sweep_omega_d.min() > 0:
+            sweep = self.resolved["sweep"]
+            raise ConfigError(
+                f"[sweep] omega_d_min_mhz = {sweep['omega_d_min_mhz']} and omega_d_max_mhz = "
+                f"{sweep['omega_d_max_mhz']}: every sweep drive must be > 0",
+                code="bad-parameter",
+            )
         sq = self.sweep_omega_d**2
         if sq.size < 6 or not sq.max() > 10.0 * sq.min():
             raise ConfigError(

@@ -33,48 +33,47 @@ _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 def _gaussian_model(w, amp, center, width):
     u = (w - center) / width
-    f = np.exp(-(u**2))
+    # rows: d/d amp, d/d center, d/d width
+    jac = np.empty((3, u.size))
+    # rows: amp-amp, amp-center, amp-width, center-center, center-width,
+    # width-width
+    hess = np.empty((6, u.size))
+    f = np.exp(-(u**2), out=jac[0])
     y = amp * f
     t = 2 * u / width  # d log(f) / d center
     v = t * u  # d log(f) / d width
-    # rows: d/d amp, d/d center, d/d width
-    jac = np.array((f, y * t, y * v))
-    # rows: amp-amp, amp-center, amp-width, center-center, center-width,
-    # width-width
-    hess = np.array(
-        (
-            np.zeros_like(f),
-            f * t,
-            f * v,
-            2 * y * (v - 1 / width) / width,
-            y * t * (v - 2 / width),
-            y * v * (v - 3 / width),
-        )
-    )
+    np.multiply(y, t, out=jac[1])
+    np.multiply(y, v, out=jac[2])
+    hess[0] = 0.0
+    np.multiply(f, t, out=hess[1])
+    np.multiply(f, v, out=hess[2])
+    np.divide(2 * y * (v - 1 / width), width, out=hess[3])
+    np.multiply(y * t, v - 2 / width, out=hess[4])
+    np.multiply(y * v, v - 3 / width, out=hess[5])
     return y, jac, hess
 
 
 def _lorentzian_model(w, amp, center, width):
     dw = w - center
     d2 = dw**2
-    denom = d2 + width**2
-    f = width**2 / denom
+    width_sq = width**2
+    denom = d2 + width_sq
+    denom_sq = denom**2
+    jac = np.empty((3, dw.size))
+    hess = np.empty((6, dw.size))
+    f = np.divide(width_sq, denom, out=jac[0])
     y = amp * f
-    jac_c = y * 2 * dw / denom
-    jac_w = amp * 2 * width * d2 / denom**2
-    jac = np.array((f, jac_c, jac_w))
+    jac_c = np.divide(y * 2 * dw, denom, out=jac[1])
+    jac_w = np.divide(amp * 2 * width * d2, denom_sq, out=jac[2])
     # no denominator beyond denom**2, which the Jacobian already has, so
     # the second derivatives underflow no sooner than the Jacobian does
-    hess = np.array(
-        (
-            np.zeros_like(f),
-            2 * f * dw / denom,
-            2 * width * d2 / denom**2,
-            2 * y * (3 * d2 - width**2) / denom**2,
-            jac_c * 2 * (d2 - width**2) / (width * denom),
-            jac_w * (d2 - 3 * width**2) / (width * denom),
-        )
-    )
+    hess[0] = 0.0
+    np.divide(2 * f * dw, denom, out=hess[1])
+    np.divide(2 * width * d2, denom_sq, out=hess[2])
+    np.divide(2 * y * (3 * d2 - width_sq), denom_sq, out=hess[3])
+    width_denom = width * denom
+    np.divide(jac_c * 2 * (d2 - width_sq), width_denom, out=hess[4])
+    np.divide(jac_w * (d2 - 3 * width_sq), width_denom, out=hess[5])
     return y, jac, hess
 
 

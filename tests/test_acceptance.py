@@ -172,6 +172,13 @@ def test_criterion_8_fit_and_wiener_khinchin_exactness(criteria, capsys):
 
 # criterion 9: determinism of validate and the figure commands
 
+# every file each figure command writes, as README lists them
+FIGURE_FILES = {
+    "figure2": ["figure2.meta.txt", "figure2.svg", "figure2_input.csv", "figure2_output.csv"],
+    "figure3": ["figure3.meta.txt", "figure3.svg", "figure3_noise.csv", "figure3_scan.csv"],
+    "figure4": ["figure4.csv", "figure4.meta.txt", "figure4.svg"],
+}
+
 
 def test_criterion_9_byte_identical_outputs(tmp_path, capsys):
     logs = []
@@ -179,19 +186,22 @@ def test_criterion_9_byte_identical_outputs(tmp_path, capsys):
         for command in ("figure2", "figure3", "figure4", "validate"):
             assert main(["--seed", "42", "--out", str(tmp_path / tag / command), command]) == 0
         logs.append(capsys.readouterr().out)
-    csvs = [
-        os.path.join(command, name)
-        for command in ("figure2", "figure3", "figure4")
-        for name in sorted(os.listdir(tmp_path / "first" / command))
-        if name.endswith(".csv")
+    listed = all(
+        sorted(os.listdir(tmp_path / tag / command)) == names
+        for tag in ("first", "second")
+        for command, names in FIGURE_FILES.items()
+    )
+    files = [
+        os.path.join(command, name) for command, names in FIGURE_FILES.items() for name in names
     ]
     same = all(
-        filecmp.cmp(tmp_path / "first" / p, tmp_path / "second" / p, shallow=False) for p in csvs
+        filecmp.cmp(tmp_path / "first" / p, tmp_path / "second" / p, shallow=False)
+        for p in files
     )
     report(capsys, CheckRecord(
         "criterion 9",
-        same and logs[0] == logs[1] and len(csvs) >= 6,
-        float(len(csvs)),
-        f"{len(csvs)} CSV files byte-identical and validate output identical across "
-        "two seed-42 runs",
+        listed and same and logs[0] == logs[1],
+        float(len(files)),
+        f"{len(files)} files (CSV, sidecar, SVG) byte-identical and validate output identical "
+        "across two seed-42 runs",
     ))

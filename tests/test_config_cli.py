@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import eitnarrow
 from eitnarrow import checks, cli, errors
 from eitnarrow import config as config_module
-from eitnarrow import mc, propagation
+from eitnarrow import fitting, mc, propagation
 from eitnarrow.artifacts import write_sidecar
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
@@ -273,6 +273,26 @@ def test_figure4_and_criterion_3_refuse_the_same_sweep(tmp_path, capsys, text):
     with pytest.raises(ConfigError) as err:
         list(checks.run_criteria(load_config(path)))
     assert err.value.code == "sweep-too-small"
+
+
+@pytest.mark.parametrize("low", ["0", "-6.5"])
+def test_figure4_and_criterion_3_refuse_a_non_positive_drive_by_key(tmp_path, capsys, low):
+    """A zero drive (which reached the grid builder) or a negative one
+    (whose |Omega_d|^2 repeat the positive points) is refused with
+    ``bad-parameter`` by ``figure4`` and by the acceptance criteria,
+    naming the sweep key."""
+    path = write_config(tmp_path, f"[sweep]\nomega_d_min_mhz = {low}\n")
+    assert main(["--config", path, "--out", str(tmp_path / "o"), "figure4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: bad-parameter: [sweep] omega_d_min_mhz = {low} ")
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError) as err:
+        list(checks.run_criteria(load_config(path)))
+    assert err.value.code == "bad-parameter"
+    assert "[sweep] omega_d_min_mhz" in str(err.value)
 
 
 def test_criterion_3_judges_the_points_figure4_writes(tmp_path, capsys):
@@ -626,16 +646,44 @@ def test_figure2_artifacts_and_numbers(tmp_path, capsys):
     for name in (
         "figure2_input.csv",
         "figure2_output.csv",
-        "figure2_fit_input.csv",
-        "figure2_fit_output.csv",
         "figure2.svg",
         "figure2.meta.txt",
     ):
         assert os.path.isfile(os.path.join(out, name))
+    for name in ("figure2_fit_input.csv", "figure2_fit_output.csv"):
+        assert not os.path.exists(os.path.join(out, name))
     cfg_digest = load_config().digest
     with open(os.path.join(out, "figure2_output.csv")) as fh:
         header = fh.readline()
     assert header.startswith("#") and cfg_digest in header
+
+
+def _sidecar_values(path):
+    with open(path) as fh:
+        return dict(ln.rstrip("\n").split("=", 1) for ln in fh if not ln.startswith("#"))
+
+
+def test_figure2_sidecar_rebuilds_the_output_fit(tmp_path, capsys):
+    """The ``fit_output_*`` lines of ``figure2.meta.txt`` read back, bit for
+    bit, as the output line's ``FitResult``, and the model rebuilds its
+    curve from them."""
+    out = tmp_path / "f2"
+    assert main(["--out", str(out), "figure2"]) == 0
+    capsys.readouterr()
+    cfg = load_config()
+    grid = cfg.output_grid()
+    fit = cfg.output_line(cfg.fields, grid)[2]
+    values = _sidecar_values(out / "figure2.meta.txt")
+    assert values["fit_output_model"] == fit.model == "lorentzian"
+    params = [float(values[f"fit_output_{k}"]) for k in ("amplitude", "center", "width")]
+    assert [v.hex() for v in params] == [v.hex() for v in (fit.amplitude, fit.center, fit.width)]
+    assert float(values["fit_output_fwhm"]).hex() == fit.fwhm.hex()
+    model = fitting._MODELS[values["fit_output_model"]]
+    rebuilt = model(grid.omegas, *params)[0]
+    expected = model(grid.omegas, fit.amplitude, fit.center, fit.width)[0]
+    assert rebuilt.tobytes() == expected.tobytes()
+    assert values["fit_input_model"] == "gaussian"
+    assert float(values["fit_input_fwhm"]) == pytest.approx(TWO_PI * 980e3, rel=1e-12)
 
 
 def test_figure2_fits_the_input_with_its_configured_shape(tmp_path, capsys):
@@ -852,7 +900,27 @@ def test_fit_command_round_trip(tmp_path, capsys):
     assert "model: gaussian" in text
     fwhm = float(text.split("fwhm:")[1].split()[0])
     assert fwhm == pytest.approx(TWO_PI * 980e3, rel=1e-6)
-    assert os.path.isfile(os.path.join(out, "fit_curve.csv"))
+    assert os.path.isfile(os.path.join(out, "fit.meta.txt"))
+    assert not os.path.exists(os.path.join(out, "fit_curve.csv"))
+
+
+def test_fit_sidecar_holds_the_printed_parameters(tmp_path, capsys):
+    """``fit.meta.txt`` records the model and the exact ``repr``s of the
+    centre, width and FWHM that ``fit`` prints."""
+    out = tmp_path / "fit"
+    assert main(["--out", str(out), "figure2"]) == 0
+    capsys.readouterr()
+    assert main(["--out", str(out), "fit", "--input", str(out / "figure2_output.csv")]) == 0
+    printed = dict(
+        ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines()
+    )
+    values = _sidecar_values(out / "fit.meta.txt")
+    assert values["fit_model"] == printed["model"]
+    assert f"{values['fit_center']} rad/s" == printed["center"]
+    assert f"{values['fit_width']} rad/s" == printed["width parameter"]
+    assert f"{values['fit_fwhm']} rad/s" == printed["fwhm"]
+    assert float(values["fit_amplitude"]) > 0
+    assert values["config_digest"] == load_config().digest
 
 
 def test_fit_command_missing_file_exits_2(tmp_path, capsys):
