@@ -911,9 +911,7 @@ def test_fit_sidecar_holds_the_printed_parameters(tmp_path, capsys):
     assert main(["--out", str(out), "figure2"]) == 0
     capsys.readouterr()
     assert main(["--out", str(out), "fit", "--input", str(out / "figure2_output.csv")]) == 0
-    printed = dict(
-        ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines()
-    )
+    printed = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
     values = _sidecar_values(out / "fit.meta.txt")
     assert values["fit_model"] == printed["model"]
     assert f"{values['fit_center']} rad/s" == printed["center"]
