@@ -53,12 +53,13 @@ class CheckRecord:
 def route_deviations(medium: AtomicMedium, drive: float) -> list[float]:
     """Largest difference between the (tau, z) route's beat correlation
     and the transform of the Fourier route's output, relative to R(0),
-    on resonance, with the probe detuned by 0.1 Delta_W, and with a
+    on resonance, with the probe detuned by 0.1 times the optical width
+    (Delta_W, or gamma_ab in a homogeneous medium), and with a
     ground decay of 0.2 times the power broadening (``medium``'s own
     gamma_cb is replaced)."""
     base = replace(medium, gamma_cb=0.0)
     on_res = FieldConfig(omega_d=drive)
-    detuned = FieldConfig(omega_d=drive, delta_p=0.1 * medium.doppler_width)
+    detuned = FieldConfig(omega_d=drive, delta_p=0.1 * optical_width(medium))
     broadening = complex_rates(base, on_res).gamma_cb_eff.real
     decaying = replace(medium, gamma_cb=0.2 * broadening)
     devs = []

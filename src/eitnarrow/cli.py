@@ -57,7 +57,7 @@ def _fit_lines(prefix: str, fit: FitResult) -> dict[str, str]:
         f"{prefix}_amplitude": repr(fit.amplitude),
         f"{prefix}_center": repr(fit.center),
         f"{prefix}_width": repr(fit.width),
-        f"{prefix}_fwhm": repr(float(fit.fwhm)),
+        f"{prefix}_fwhm": repr(fit.fwhm),
     }
 
 
@@ -107,19 +107,6 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Monochromatic EIT scan against the normalized transmitted-noise
     spectrum on a shared frequency axis."""
-    os.makedirs(args.out, exist_ok=True)
-    if cfg.medium.length == 0:
-        grid = cfg.input_grid()
-        write_table_csv(
-            os.path.join(args.out, "figure3_scan.csv"),
-            ["delta_rad_s", "transmission"],
-            [grid, transmission(cfg.medium, cfg.fields, grid.omegas)],
-            cfg.digest,
-        )
-        write_sidecar(os.path.join(args.out, "figure3.meta.txt"), cfg.resolved, cfg.digest)
-        print("note: no-resonance (zero-length medium, scan is flat)")
-        return 0
-
     grid = cfg.output_grid()
     width_eit = eit_width(cfg.medium, cfg.fields, grid)
     scan = transmission(cfg.medium, cfg.fields, grid.omegas)
@@ -128,6 +115,7 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     noise_norm = s_out.density / s_out.density.max()
     ratio = fit_noise.fwhm / width_eit
 
+    os.makedirs(args.out, exist_ok=True)
     write_table_csv(
         os.path.join(args.out, "figure3_scan.csv"),
         ["delta_rad_s", "transmission"],
@@ -244,9 +232,9 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
         os.path.join(args.out, "fit.meta.txt"), cfg.resolved, cfg.digest, _fit_lines("fit", best)
     )
     print(f"model: {best.model}")
-    print(f"center: {float(best.center)!r} rad/s")
-    print(f"width parameter: {float(best.width)!r} rad/s")
-    print(f"fwhm: {float(best.fwhm)!r} rad/s")
+    print(f"center: {best.center!r} rad/s")
+    print(f"width parameter: {best.width!r} rad/s")
+    print(f"fwhm: {best.fwhm!r} rad/s")
     print(f"rms residual / peak: {best.rms_residual:.3e}")
     return 0
 

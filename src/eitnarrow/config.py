@@ -13,8 +13,8 @@ Recognized sections and keys (defaults in parentheses):
     gamma_ab_per_s (2e7)        homogeneous a-b coherence decay [1/s]
     gamma_ac_per_s (2e7)        homogeneous a-c coherence decay [1/s]
     gamma_cb_hz (0)             ground coherence decay [Hz]
-    doppler_fwhm_mhz (500)      Doppler width Delta_W [MHz]
-    doppler_mode (on)           on | off
+    doppler_fwhm_mhz (500)      Doppler width Delta_W [MHz]; 0 for a
+                                homogeneous medium (gamma_ab, gamma_ac)
     length_cm (2.5)             cell length
 
 [fields]
@@ -24,7 +24,8 @@ Recognized sections and keys (defaults in parentheses):
     target_width_khz (4.6)      target output width for the auto drive
     delta_p_mhz (0)             probe one-photon detuning
     delta_ac_mhz (0)            drive one-photon detuning
-    rho_aa, rho_bb, rho_cc      frozen populations (0, 1, 0)
+    rho_aa, rho_cc              frozen populations (0, 0); rho_bb is
+                                1 - rho_aa - rho_cc
 
 [input]
     shape (gaussian)            gaussian | lorentzian
@@ -46,10 +47,11 @@ Recognized sections and keys (defaults in parentheses):
 [run]
     seed (12345)
 
-``doppler_mode`` becomes a property of the medium,
-``AtomicMedium.doppler``, which every route and closed form reads.  A
-word key is recorded in lower case, however typed, so ``ON`` and ``on``
-share one digest.  ``RunConfig.power_sweep`` runs the [sweep].
+No key switches the Doppler model: ``doppler_fwhm_mhz > 0`` is the
+substitution gamma -> Delta_W (``AtomicMedium.doppler``), which every
+route and closed form reads.  A word key is recorded in lower case,
+however typed, so ``GAUSSIAN`` and ``gaussian`` share one digest.
+``RunConfig.power_sweep`` runs the [sweep].
 
 Each key is one row of ``KEYS``: its section, name, default text, kind,
 the factors that take it to SI units and, for a size key, its bounds.
@@ -116,14 +118,12 @@ KEYS = (
     Key("medium", "gamma_ac_per_s", "2e7"),
     Key("medium", "gamma_cb_hz", "0", float, (TWO_PI,)),
     Key("medium", "doppler_fwhm_mhz", "500", float, _MHZ),
-    Key("medium", "doppler_mode", "on", ("on", "off")),
     Key("medium", "length_cm", "2.5", float, (1e-2,)),
     Key("fields", "omega_d_mhz", "0", float, _MHZ),
     Key("fields", "target_width_khz", "4.6", float, _KHZ),
     Key("fields", "delta_p_mhz", "0", float, _MHZ),
     Key("fields", "delta_ac_mhz", "0", float, _MHZ),
     Key("fields", "rho_aa", "0"),
-    Key("fields", "rho_bb", "1"),
     Key("fields", "rho_cc", "0"),
     Key("input", "shape", "gaussian", ("gaussian", "lorentzian")),
     Key("input", "fwhm_khz", "980", float, _KHZ),
@@ -154,7 +154,7 @@ MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us; bounds an ensemble's memory
 MAX_MC_ELEMENTS = 10**8
 # fewest grid steps across a fitted output FWHM; at 4 or more the fit
 # reads within 0.1 % of its fully resolved width at the default config,
-# Doppler on and off (CHANGES.md gives the table)
+# Doppler-broadened and homogeneous (CHANGES.md gives the table)
 MIN_STEPS_PER_FWHM = 4.0
 
 
@@ -356,7 +356,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             gamma_cb=si["gamma_cb_hz"],
             doppler_width=si["doppler_fwhm_mhz"],
             length=si["length_cm"],
-            doppler=si["doppler_mode"] == "on",
         )
         omega_d = si["omega_d_mhz"]
         if omega_d == 0:
@@ -374,7 +373,6 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
             delta_p=si["delta_p_mhz"],
             delta_ac=si["delta_ac_mhz"],
             rho_aa=si["rho_aa"],
-            rho_bb=si["rho_bb"],
             rho_cc=si["rho_cc"],
         )
     except InvalidParameterError as exc:

@@ -11,10 +11,11 @@ since eta is linear in the number density, that is the same medium at
 twice the density.  The slab's per-field coupling is half of
 ``coupling_eta``, so its density exponent is the medium's own.
 
-One model choice is a property of the medium: ``doppler`` applies the
-substitution gamma -> Delta_W to both optical coherences in
-``complex_rates``; off, the homogeneous widths apply.  The closed forms
-follow it through ``optical_width``.
+The Doppler width decides the optical widths: at ``doppler_width > 0``
+(``AtomicMedium.doppler``) the substitution gamma -> Delta_W applies to
+both optical coherences in ``complex_rates``; at ``doppler_width = 0``
+the homogeneous gamma_ab and gamma_ac apply.  The closed forms follow
+it through ``optical_width``.
 """
 
 from __future__ import annotations
@@ -42,35 +43,45 @@ class AtomicMedium:
     gamma_ab: float  # optical coherence decay on a-b [1/s]
     gamma_ac: float  # optical coherence decay on a-c [1/s]
     gamma_cb: float  # ground coherence decay [1/s]
-    doppler_width: float  # Delta_W [rad/s]
+    doppler_width: float  # Delta_W [rad/s]; 0 for a homogeneous medium
     length: float  # cell length L [m]
-    doppler: bool = True  # gamma -> Delta_W on the optical coherences
 
     def __post_init__(self):
-        if self.number_density <= 0 or self.length < 0:
+        # NaN fails every comparison, so it is refused too
+        if not self.number_density > 0 or not self.length >= 0:
             raise InvalidParameterError("N must be positive, L >= 0")
         for name in ("gamma_ab", "gamma_ac", "gamma_cb", "doppler_width"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
+
+    @property
+    def doppler(self) -> bool:
+        """Whether gamma -> Delta_W applies to the optical coherences."""
+        return self.doppler_width > 0
 
 
 @dataclass(frozen=True)
 class FieldConfig:
     """Drive Rabi frequency, detunings and frozen populations.  The probe
     is first order in every route, so its amplitude is no field of the
-    configuration."""
+    configuration.  The populations sum to 1, so ``rho_bb`` is derived."""
 
     omega_d: complex  # drive Rabi frequency [rad/s]
     delta_p: float = 0.0  # probe detuning [rad/s]
     delta_ac: float = 0.0  # drive detuning [rad/s]
     rho_aa: float = 0.0
-    rho_bb: float = 1.0
     rho_cc: float = 0.0
 
     def __post_init__(self):
-        pops = (self.rho_aa, self.rho_bb, self.rho_cc)
-        if min(pops) < 0 or abs(sum(pops) - 1.0) > 1e-9:
-            raise InvalidParameterError("populations must be >= 0 and sum to 1")
+        # NaN fails every comparison, so it is refused too
+        if not (self.rho_aa >= 0 and self.rho_cc >= 0 and self.rho_aa + self.rho_cc <= 1):
+            raise InvalidParameterError(
+                f"rho_aa = {self.rho_aa} and rho_cc = {self.rho_cc}: each must be >= 0, sum <= 1"
+            )
+
+    @property
+    def rho_bb(self) -> float:
+        return 1.0 - self.rho_aa - self.rho_cc
 
     @property
     def n_ab(self) -> float:
@@ -98,14 +109,14 @@ def coupling_eta(m: AtomicMedium) -> float:
 
 
 def optical_width(m: AtomicMedium) -> float:
-    """Width of the a-b coherence: Delta_W with the Doppler substitution
-    on, gamma_ab with it off."""
+    """Width of the a-b coherence: Delta_W in a Doppler-broadened medium,
+    gamma_ab at ``doppler_width = 0``."""
     return m.doppler_width if m.doppler else m.gamma_ab
 
 
 def complex_rates(m: AtomicMedium, f: FieldConfig) -> ComplexRates:
     """Dephasing rates with the Doppler substitution gamma -> Delta_W
-    applied to both optical coherences when ``m.doppler`` is on."""
+    applied to both optical coherences when ``m.doppler``."""
     g_ac = m.doppler_width if m.doppler else m.gamma_ac
     gamma_ab = optical_width(m) + 1j * f.delta_p
     gamma_ca = g_ac - 1j * f.delta_ac

@@ -25,7 +25,7 @@ per frequency to exp(Re kappa L), matching the Fourier route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,9 +304,9 @@ def doppler_average_transfer(
     two-photon detuning is untouched) and keeps the homogeneous widths;
     all classes act on one field, so the transfer is exp(Re <kappa_v> L).
     At zero Doppler width both arms are the homogeneous transfer."""
-    substituted = transmission(replace(m, doppler=m.doppler_width > 0), f, grid.omegas)
+    substituted = transmission(m, f, grid.omegas)
     averaged = substituted
-    if m.doppler_width > 0:
+    if m.doppler:
         averaged = np.exp(_doppler_averaged_exponent(m, f, grid.omegas).real * m.length)
     deviation = float(np.max(np.abs(averaged - substituted)) / np.max(substituted))
     return DopplerAverageReport(averaged, substituted, deviation)

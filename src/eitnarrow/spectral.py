@@ -13,6 +13,7 @@ to round-off (about 1e-12 of the largest output at 1201 x 10 391).
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .errors import (
     UnresolvedWidthError,
 )
 
-SQRT_LN2 = np.sqrt(np.log(2.0))
+SQRT_LN2 = math.sqrt(math.log(2.0))
 # Gaussian exp(-(w/ww)^2) has FWHM = GAUSSIAN_FWHM_FACTOR * ww
 GAUSSIAN_FWHM_FACTOR = 2.0 * SQRT_LN2
 

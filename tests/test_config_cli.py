@@ -27,7 +27,7 @@ from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
 from eitnarrow.errors import ConfigError, ResolutionError
 from eitnarrow.fitting import linear_fit
-from eitnarrow.medium import FieldConfig, coupling_eta, drive_for_target_width
+from eitnarrow.medium import FieldConfig, complex_rates, coupling_eta, drive_for_target_width
 from paper_params import paper_medium
 
 TWO_PI = 2.0 * np.pi
@@ -95,14 +95,13 @@ def test_seed_override_changes_digest_only_in_run_section():
 
 
 @pytest.mark.parametrize("key, words", [
-    ("doppler_mode", ("on", "ON", "On")),
     ("shape", ("gaussian", "GAUSSIAN", "Gaussian")),
 ])
 def test_a_word_key_is_recorded_as_the_word_that_runs(tmp_path, key, words):
     """A word is read in any case and recorded in lower case: each
     spelling gives one digest and byte-identical sidecars, and the
     defaults keep their digest."""
-    assert load_config().digest == "516094feb873"
+    assert load_config().digest == "608cebb4c16f"
     section = next(row.section for row in KEYS if row.name == key)
     sidecars, digests = [], set()
     for i, word in enumerate(words):
@@ -204,7 +203,7 @@ def test_module_docstring_lists_exactly_the_default_keys():
 def test_module_docstring_states_the_default_of_each_row():
     """Each default in parentheses in the ``config`` docstring is its
     row's ``default``: ``omega_d_mhz (0 = auto)`` states 0, and the
-    ``rho_aa, rho_bb, rho_cc`` line states one default per key."""
+    ``rho_aa, rho_cc`` line states one default per key."""
     documented = {}
     entries = re.findall(r"^ {4}(\w+(?:, \w+)*) .*?\(([^)]*)\)", config_module.__doc__, re.M)
     for names, defaults in entries:
@@ -240,7 +239,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_bad_enum_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, "[medium]\ndoppler_mode = guess\n")
+    path = write_config(tmp_path, "[input]\nshape = guess\n")
     rc = main(["--config", path, "--out", str(tmp_path / "o"), "validate"])
     assert rc == 2
     assert "error: bad-enum:" in capsys.readouterr().err
@@ -383,6 +382,10 @@ def _uneven_spectrum_csv(tmp_path):
         pytest.param(
             "[mc]\ndrive_diffusion_khz = 1\n", ["propagate"], id="removed-drive-noise-key"
         ),
+        pytest.param(
+            "[medium]\ndoppler_mode = off\n", ["propagate"], id="removed-doppler-mode-key"
+        ),
+        pytest.param("[fields]\nrho_bb = 1\n", ["propagate"], id="removed-rho-bb-key"),
         pytest.param(None, ["fit", "--input", "UNEVEN_CSV"], id="non-uniform-fit-input"),
         pytest.param(b"\xff\xfe[mc]\nslices = 8\n", ["--quick", "mc"], id="non-utf8-config"),
         pytest.param(None, ["fit", "--input", "NON_UTF8_CSV"], id="non-utf8-fit-input"),
@@ -405,6 +408,7 @@ def _uneven_spectrum_csv(tmp_path):
             for name, argv in (
                 ("propagate", ["propagate"]),
                 ("figure2", ["figure2"]),
+                ("figure3", ["figure3"]),
                 ("figure4", ["figure4"]),
                 ("validate", ["--quick", "validate"]),
             )
@@ -433,6 +437,9 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     first = re.match(r"\[(\w+)\]\n(\w+) =", config) if isinstance(config, str) else None
     if first and (first[1], first[2]) not in {(k.section, k.name) for k in KEYS}:
         assert lines[0].startswith("error: unknown-key: ")
+    # a thin medium is refused before any output directory is made
+    if isinstance(config, str) and "length_cm = 0" in config:
+        assert not os.path.exists(tmp_path / "o")
     # configparser would merge [DEFAULT] into every section
     if isinstance(config, str) and config.startswith("[DEFAULT]"):
         assert lines == ["error: unknown-key: unknown section [DEFAULT]"]
@@ -705,17 +712,6 @@ def test_figure3_width_ratio(tmp_path, capsys):
     assert 0.9 <= ratio <= 1.1
 
 
-def test_figure3_zero_length_notes_no_resonance(tmp_path, capsys):
-    path = write_config(
-        tmp_path, "[medium]\nlength_cm = 0\n\n[fields]\nomega_d_mhz = 2.3\n"
-    )
-    out = str(tmp_path / "f3z")
-    rc = main(["--config", path, "--out", out, "figure3"])
-    assert rc == 0
-    assert "no-resonance" in capsys.readouterr().out
-    assert os.path.isfile(os.path.join(out, "figure3_scan.csv"))
-
-
 def test_figure4_linearity(tmp_path, capsys):
     out = str(tmp_path / "f4")
     rc = main(["--out", out, "figure4"])
@@ -751,10 +747,38 @@ def test_propagate_command(tmp_path, capsys):
 
 
 def test_model_switches_are_properties_of_the_medium(tmp_path):
-    """``doppler_mode`` is the one model switch, and the medium holds it."""
+    """The Doppler width is the one model switch, and the medium holds it."""
     assert load_config().medium.doppler is True
-    path = write_config(tmp_path, "[medium]\ndoppler_mode = off\n")
+    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0\n")
     assert load_config(path).medium.doppler is False
+
+
+def test_zero_doppler_width_runs_the_homogeneous_medium(tmp_path, capsys):
+    """``doppler_fwhm_mhz = 0`` is the homogeneous medium: the rates are
+    gamma_ab and gamma_ac, and figure2 runs on them."""
+    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0\n")
+    cfg = load_config(path)
+    rates = complex_rates(cfg.medium, cfg.fields)
+    assert rates.gamma_ab == cfg.medium.gamma_ab == 2e7
+    assert rates.gamma_ca == cfg.medium.gamma_ac
+    assert main(["--config", path, "--out", str(tmp_path / "f2"), "figure2"]) == 0
+    assert "narrowing factor: 162.7" in capsys.readouterr().out
+
+
+def test_rho_bb_is_derived_from_the_other_populations(tmp_path):
+    cfg = load_config(write_config(tmp_path, "[fields]\nrho_cc = 0.3\n"))
+    assert (cfg.fields.n_ab, cfg.fields.n_ca) == (-0.7, 0.3)
+
+
+def test_populations_above_one_are_refused_by_key(tmp_path, capsys):
+    """rho_aa + rho_cc > 1 leaves rho_bb negative: exit 2, one line
+    naming both keys and their values."""
+    path = write_config(tmp_path, "[fields]\nrho_aa = 0.6\nrho_cc = 0.6\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "p"), "propagate"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error: bad-parameter: ")
+    assert "rho_aa = 0.6" in lines[0] and "rho_cc = 0.6" in lines[0]
 
 
 def test_closed_form_identity_holds_under_the_derived_convention(tmp_path):
@@ -777,7 +801,7 @@ def test_closed_form_identity_holds_without_doppler(tmp_path, monkeypatch, densi
     at a depth of about 1000 here and is not what this test is about."""
     monkeypatch.setattr(checks, "route_deviations", lambda medium, drive: [])
     path = write_config(
-        tmp_path, f"[medium]\ndoppler_mode = off\ndensity_cm3 = {density}\n"
+        tmp_path, f"[medium]\ndoppler_fwhm_mhz = 0\ndensity_cm3 = {density}\n"
     )
     record = next(
         r for r in checks.run_checks(load_config(path), quick=True)
@@ -788,9 +812,10 @@ def test_closed_form_identity_holds_without_doppler(tmp_path, monkeypatch, densi
 
 
 def test_figure2_without_doppler_matches_the_closed_form(tmp_path, capsys):
-    """With Doppler off the fitted width sits in the same Lorentzian band
-    over the closed form as with it on (+25 % to +50 %)."""
-    path = write_config(tmp_path, "[medium]\ndoppler_mode = off\n")
+    """At Doppler width 0 the fitted width sits in the same Lorentzian
+    band over the closed form as in the Doppler-broadened medium (+25 %
+    to +50 %)."""
+    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0\n")
     assert main(["--config", path, "--out", str(tmp_path / "f2"), "figure2"]) == 0
     text = capsys.readouterr().out
     deviation = float(text.split("fitted/closed-form deviation:")[1].split("%")[0])
@@ -814,14 +839,14 @@ def test_too_deep_medium_exits_3_before_marching(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("quick", [False, True], ids=["mc", "quick-mc"])
 def test_unsettled_slab_exits_3_before_any_buffer(tmp_path, capsys, monkeypatch, quick):
-    """At Doppler off the slab's slow pole sits at 1 - |s| = 1.1e-15 with
+    """At Doppler width 0 the slab's slow pole sits at 1 - |s| = 1.1e-15 with
     8 slices: 5 e-folds of burn-in would take 4.5e15 samples.  ``mc``
     refuses with one ``error: resolution:`` line naming the slices and dt,
     exit 3, before any table of powers or synthesizer buffer is built."""
     built = []
     monkeypatch.setattr(mc, "_power_table", lambda *args: built.append(args))
     monkeypatch.setattr(mc, "_probe_synthesizer", lambda *args: built.append(args))
-    path = write_config(tmp_path, "[medium]\ndoppler_mode = off\n")
+    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0\n")
     argv = ["--config", path, "--out", str(tmp_path / "mc")]
     rc = main(argv + (["--quick", "mc"] if quick else ["mc"]))
     lines = capsys.readouterr().err.strip().splitlines()

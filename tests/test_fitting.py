@@ -46,6 +46,16 @@ def test_lorentzian_exact_recovery():
     assert fit.fwhm == pytest.approx(2.0 * gamma, rel=1e-6)
 
 
+@pytest.mark.parametrize("model", ["gaussian", "lorentzian"])
+def test_fwhm_is_a_python_float(model):
+    """Either model's FWHM is a Python float, so its ``repr`` is the
+    plain number the sidecars record."""
+    grid = FrequencyGrid.spanning(8.0, 201)
+    fit = fit_lineshape(gaussian_spectrum(1.0, grid), model)
+    assert type(fit.fwhm) is float
+    assert repr(fit.fwhm) == str(fit.fwhm)
+
+
 def test_recovery_survives_small_noise():
     rng = np.random.default_rng(11)
     gamma = 1.0e4

@@ -127,7 +127,7 @@ def test_slice_without_inversion_is_the_limit_of_small_inversion():
     probe = env * probe_amplitude(f)
 
     def out(n_ab):
-        pops = FieldConfig(f.omega_d, rho_aa=0.5 + n_ab / 2, rho_bb=0.5 - n_ab / 2)
+        pops = FieldConfig(f.omega_d, rho_aa=0.5 + n_ab / 2)
         return slab(probe, m, pops, 1e-7, 1)
 
     level = out(0.0)
@@ -191,7 +191,7 @@ def test_drive_transmission_is_its_own_absorption():
     assert _implied_drive_depletion(cfg) <= 1.0 + gain
 
     # with rho_cc != 0 the drive sees its own linear absorption on a-c
-    cfg = _default_mc_config(rho_bb=0.7, rho_cc=0.3)
+    cfg = _default_mc_config(rho_cc=0.3)
     gamma_ca = complex_rates(m, cfg.fields).gamma_ca
     own = np.exp(-coupling_eta(m) * cfg.fields.n_ca * (1.0 / gamma_ca).real * m.length)
     assert abs(_implied_drive_depletion(cfg) - own) <= 1e-12
@@ -208,7 +208,7 @@ def test_slab_matches_the_medium_with_ground_state_population():
     rho_bb = 0.7 and rho_cc = 0.3, 8 slices of 0.1 us: a monochromatic
     probe settled over 40/Gamma passes the slab as ``transmission``
     says, to 1e-3, at delta = 0, 3 Gamma and 10 Gamma."""
-    cfg = _default_mc_config(rho_bb=0.7, rho_cc=0.3)
+    cfg = _default_mc_config(rho_cc=0.3)
     m, f, dt = cfg.medium, cfg.fields, cfg.dt
     g = complex_rates(m, f).gamma_cb_eff.real
     n = int(np.ceil(40.0 / (g * dt)))

@@ -45,7 +45,7 @@ def test_complex_rates_doppler_substitution():
     r = complex_rates(m, f)
     assert r.gamma_ab == m.doppler_width + 1j * f.delta_p
     assert r.gamma_ca == m.doppler_width - 1j * f.delta_ac
-    hom = complex_rates(paper_medium(doppler=False), f)
+    hom = complex_rates(paper_medium(doppler_width=0.0), f)
     assert hom.gamma_ab == m.gamma_ab + 1j * f.delta_p
 
 
@@ -68,7 +68,7 @@ def test_n_factor_ground_state_atoms():
 
 
 def test_singular_rates_rejected():
-    m = paper_medium(doppler_width=0.0, gamma_ab=0.0, doppler=False)
+    m = paper_medium(doppler_width=0.0, gamma_ab=0.0)
     with pytest.raises(SingularRateError):
         complex_rates(m, drive_fields())
 
@@ -180,4 +180,26 @@ def test_eit_width_requires_a_feature():
 
 def test_populations_must_sum_to_one():
     with pytest.raises(InvalidParameterError):
-        FieldConfig(omega_d=1.0, rho_aa=0.5, rho_bb=0.6, rho_cc=0.0)
+        FieldConfig(omega_d=1.0, rho_aa=0.5, rho_cc=0.6)
+
+
+@pytest.mark.parametrize(
+    "name", ["number_density", "gamma_ab", "gamma_ac", "gamma_cb", "doppler_width", "length"]
+)
+def test_a_nan_medium_parameter_is_refused(name):
+    """A NaN fails every check, so it cannot pass as a homogeneous medium."""
+    with pytest.raises(InvalidParameterError):
+        paper_medium(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("pops", [
+    dict(rho_aa=float("nan")),
+    dict(rho_cc=float("nan")),
+    dict(rho_aa=-0.1),
+    dict(rho_cc=-0.1),
+    dict(rho_aa=0.6, rho_cc=0.6),
+], ids=["nan-aa", "nan-cc", "negative-aa", "negative-cc", "sum-above-one"])
+def test_populations_are_refused_by_name(pops):
+    with pytest.raises(InvalidParameterError, match=r"rho_aa = .* and rho_cc = "):
+        FieldConfig(omega_d=1.0, **pops)
+

@@ -115,3 +115,21 @@ def test_report_compares_criterion_lines_apart_from_runtimes(tmp_path):
         "    + line 1: 'criterion 2 PASS narrowing factor 154.7 (floor 100)'",
         "  stderr: identical",
     ]
+
+
+def test_old_config_goes_to_the_rev_tree_and_config_to_the_checkout(tmp_path, monkeypatch):
+    """``--old-config`` reaches the commands of the ``REV`` tree alone;
+    without it both trees run with ``--config``."""
+    calls = []
+    monkeypatch.setattr(output_diff, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(
+        output_diff, "run_commands", lambda tree, out, config: calls.append((tree, config)) or {}
+    )
+    old, new = str(tmp_path / "old.ini"), str(tmp_path / "new.ini")
+    assert output_diff.main(["HEAD", "--config", new, "--old-config", old]) == 0
+    (old_tree, old_config), (new_tree, new_config) = calls
+    assert old_tree != output_diff.ROOT and new_tree == output_diff.ROOT
+    assert (old_config, new_config) == (old, new)
+    calls.clear()
+    assert output_diff.main(["HEAD", "--config", new]) == 0
+    assert [config for _, config in calls] == [new, new]

@@ -324,12 +324,13 @@ def test_single_taylor_step_matches_a_fine_march(monkeypatch):
 
 
 def test_step_count_follows_the_largest_exponent():
-    """With Doppler off the detuned route case has a bare rate
-    |a L| of about 4 but max |kappa| L of about 1021 on its input grid;
-    the step count follows the latter, one step per ``STEP_REACH``."""
-    m = paper_medium(doppler=False)
+    """In a homogeneous medium a probe detuned by 0.1 times 2 pi 500 MHz
+    has a bare rate |a L| of about 4 but max |kappa| L of about 1021 on
+    its input grid; the step count follows the latter, one step per
+    ``STEP_REACH``."""
+    m = paper_medium(doppler_width=0.0)
     drive = drive_for_target_width(m, TWO_PI * 4.6e3)
-    f = FieldConfig(omega_d=drive, delta_p=0.1 * m.doppler_width)
+    f = FieldConfig(omega_d=drive, delta_p=0.1 * TWO_PI * 500e6)
     rates = complex_rates(m, f)
     bare = abs(coupling_eta(m) * rates.n_factor.real * m.length)
     scale = rates.gamma_cb_eff.real
@@ -367,7 +368,9 @@ def test_dynamic_exponent_solves_the_first_order_bloch_equations(doppler):
     and the field advances as dw/dz = -i eta rho_ab, so the density
     exponent is 2 (-i eta rho_ab / w): the exponent of the medium at
     twice the density.  Checked at densities N and 2N."""
-    base = paper_medium(gamma_cb=TWO_PI * 3e3, doppler=doppler)
+    base = paper_medium(gamma_cb=TWO_PI * 3e3)
+    if not doppler:
+        base = replace(base, doppler_width=0.0)
     f = FieldConfig(
         omega_d=TWO_PI * 2e6 * np.exp(0.3j),
         delta_p=TWO_PI * 5e6,
@@ -400,7 +403,7 @@ def test_slaving_error_bounds_a_low_density_homogeneous_medium():
     reaches a quarter of Gamma_ab, so slaving the optical coherence
     visibly moves the transfer, but by at most 0.03 over the bins
     holding more than 5 % of the input power."""
-    m = paper_medium(number_density=2e14, doppler=False)
+    m = paper_medium(number_density=2e14, doppler_width=0.0)
     f = FieldConfig(omega_d=TWO_PI * 0.5e6)
     g = complex_rates(m, f).gamma_cb_eff.real
     grid = FrequencyGrid.spanning(10.0 * g, 129)
@@ -424,7 +427,7 @@ def test_doppler_average_cross_check():
     # zero Doppler width: the average is exactly the homogeneous transfer
     m0 = paper_medium(doppler_width=0.0)
     grid = FrequencyGrid.spanning(TWO_PI * 100e3, 101)
-    homogeneous = transmission(replace(m0, doppler=False), f, grid.omegas)
+    homogeneous = transmission(m0, f, grid.omegas)
     report0 = doppler_average_transfer(m0, f, grid)
     assert np.array_equal(report0.averaged, homogeneous)
     # symmetric velocity distribution: transfer even in omega
@@ -449,7 +452,7 @@ def test_faddeeva_on_the_imaginary_axis():
 def _velocity_trapezoid(m, f, omegas):
     """<kappa_v> by the 8 001-node trapezoid rule over +-8 sigma of the
     velocity profile."""
-    hom = replace(m, doppler=False)
+    hom = replace(m, doppler_width=0.0)
     sigma = m.doppler_width / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     shifts = np.linspace(-8.0 * sigma, 8.0 * sigma, 8001)
     weights = np.exp(-0.5 * (shifts / sigma) ** 2)
@@ -473,7 +476,7 @@ def test_doppler_average_matches_a_velocity_quadrature(case):
     elif case == "detuned":
         f = replace(f, delta_p=TWO_PI * 5e6, delta_ac=-TWO_PI * 3e6)
     elif case == "rho_cc":
-        f = replace(f, rho_bb=0.7, rho_cc=0.3)
+        f = replace(f, rho_cc=0.3)
     out = cfg.output_grid()
     omegas = FrequencyGrid.spanning(out.count * out.step, 201).omegas
     exact = propagation._doppler_averaged_exponent(m, f, omegas)

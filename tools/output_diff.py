@@ -1,6 +1,6 @@
 """Compare the CLI outputs of a git revision with those of this checkout.
 
-    python3 tools/output_diff.py REV [--config PATH]
+    python3 tools/output_diff.py REV [--config PATH] [--old-config PATH]
 
 Run from the root of a source checkout.  ``REV`` is extracted with
 ``git archive`` into a temporary directory (the extraction of
@@ -8,7 +8,9 @@ Run from the root of a source checkout.  ``REV`` is extracted with
 committed or not.  In each tree every entry of ``COMMANDS`` runs in a
 fresh interpreter with that tree's ``src`` on ``PYTHONPATH``, at
 ``--seed 42`` and with ``--config`` when given, each command writing
-into its own output directory.  ``fit`` reads the ``figure2`` output of
+into its own output directory.  ``--old-config`` is the configuration
+file of the ``REV`` tree alone, ``--config``'s by default: a key
+spelled differently in the two trees needs one file per tree.  ``fit`` reads the ``figure2`` output of
 its own tree.  Failing invocations are entries too.  The last entry,
 ``acceptance``, runs ``pytest -q -s tests/test_acceptance.py`` in each
 tree, at the suite's own default configuration whatever ``--config``
@@ -232,15 +234,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--config", default=None, help="configuration file for both trees")
+    parser.add_argument(
+        "--old-config", default=None, help="configuration file for the REV tree (default --config)"
+    )
     args = parser.parse_args(argv)
     config = os.path.abspath(args.config) if args.config else None
+    old_config = os.path.abspath(args.old_config) if args.old_config else config
     with tempfile.TemporaryDirectory(prefix="output_diff_") as tmp:
         old_tree = os.path.join(tmp, "tree")
         extract(args.rev, old_tree)
-        old = run_commands(old_tree, os.path.join(tmp, "old"), config)
+        old = run_commands(old_tree, os.path.join(tmp, "old"), old_config)
         new = run_commands(ROOT, os.path.join(tmp, "new"), config)
         lines, total, differ = report(old, new)
-    print(f"old {args.rev}, new {ROOT}, seed {SEED}, config {config or 'defaults'}")
+    print(
+        f"old {args.rev}, new {ROOT}, seed {SEED}, "
+        f"config {old_config or 'defaults'} -> {config or 'defaults'}"
+    )
     print("\n".join(lines))
     print(f"{total - differ} of {total} outputs identical")
     return 0 if differ == 0 else 1
