@@ -10,8 +10,8 @@ fresh interpreter with that tree's ``src`` on ``PYTHONPATH``, at
 ``--seed 42`` and with ``--config`` when given, each command writing
 into its own output directory.  ``--old-config`` is the configuration
 file of the ``REV`` tree alone, ``--config``'s by default: a key
-spelled differently in the two trees needs one file per tree.  ``fit`` reads the ``figure2`` output of
-its own tree.  Failing invocations are entries too.  The last entry,
+spelled differently in the two trees needs one file per tree.  ``fit``
+reads the ``figure2`` output of its own tree.  Failing invocations are entries too.  The last entry,
 ``acceptance``, runs ``pytest -q -s tests/test_acceptance.py`` in each
 tree, at the suite's own default configuration whatever ``--config``
 says, and compares, as its stdout, the ``criterion N`` lines the suite
@@ -233,7 +233,9 @@ def report(old: dict, new: dict) -> tuple[list[str], int, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against")
-    parser.add_argument("--config", default=None, help="configuration file for both trees")
+    parser.add_argument(
+        "--config", default=None, help="configuration file of the checkout, and of REV by default"
+    )
     parser.add_argument(
         "--old-config", default=None, help="configuration file for the REV tree (default --config)"
     )
