@@ -4,10 +4,13 @@ CSV is the normative format: a ``#`` header with the config digest and
 code version, a header row and ``repr`` floats with LF line endings,
 each file one string from ``_write_csv``, each grid's ω text formatted
 once per ``FrequencyGrid`` object.  SVG plots are best-effort, hand-written.
+
+Every file is created anew (``_create``): writing over one stalled on ext4.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -22,6 +25,14 @@ def _header_lines(digest: str) -> str:
     return f"# eitnarrow {__version__} config {digest}\n"
 
 
+def _create(path: str):
+    """``path`` opened for LF text as a new file, an existing one removed
+    first; a crash mid-write leaves no file rather than a truncated one."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "w", newline="\n")
+
+
 def _write_csv(path: str, header: list[str], columns, digest: str) -> None:
     """The one CSV layout, one string in one write: ``#`` header, column names, then a
     line per row of ``repr`` floats (a ``FrequencyGrid`` prints its ``omega_text``)."""
@@ -30,7 +41,7 @@ def _write_csv(path: str, header: list[str], columns, digest: str) -> None:
         for c in columns
     ]
     lines = [_header_lines(digest) + ",".join(header), *map(",".join, zip(*cells)), ""]
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(lines))
 
 
@@ -81,7 +92,7 @@ def read_spectrum_csv(path: str) -> Spectrum:
 def write_sidecar(path: str, resolved: dict, digest: str, extra: dict | None = None) -> None:
     """Run-metadata sidecar: flat key/value text with every resolved
     configuration entry plus any run-specific extras."""
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(_header_lines(digest))
         fh.write(f"code_version={__version__}\n")
         fh.write(f"config_digest={digest}\n")
@@ -140,7 +151,7 @@ def write_svg_plot(
             f'font-size="12" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 

@@ -214,54 +214,82 @@ def _fft_length(n: int) -> int:
     ``mc._fft_length``'s 2^a 3^b 5^c, which keeps the simulated record
     short: here it saved no FFT time (6.5 against 6.9-7.5 ms per ``--quick
     validate``, 2-core Xeon) and moved ``wiener-khinchin-roundtrip``'s
-    rounding (9.770e-15 to 1.044e-14)."""
+    rounding (9.770e-15 to 1.044e-14).  The route's largest transform,
+    1201 frequencies to 5196 one-sided lags, takes 1201 + 5196 - 1 -> 8192."""
     return min(1 << (n - 1).bit_length(), 3 << (-(-n // 3) - 1).bit_length())
 
 
+def _apply_phase(a: np.ndarray, offset: float, rate: float) -> None:
+    """a[..., j] *= exp(i*(offset + rate*j)), j = b*p + q, as the outer
+    product of exp(i*(offset + rate*b*p)) and exp(i*rate*q), b ~ sqrt(j)."""
+    if offset == 0.0 and rate == 0.0:
+        return
+    count = a.shape[-1]
+    b = math.isqrt(count - 1) + 1
+    coarse = np.exp(1j * (offset + rate * (b * np.arange(-(-count // b)))))
+    fine = np.exp(1j * (rate * np.arange(b)))
+    a *= np.outer(coarse, fine).ravel()[:count]
+
+
 def _chirp_sum(v, x0, dx, y0, dy, m, sign):
-    """out[j] = sum_k v[k] exp(sign*i*(x0 + k*dx)*(y0 + j*dy)) for j < m.
+    """out[..., j] = sum_k v[..., k] exp(sign*i*(x0 + k*dx)*(y0 + j*dy))
+    for j < m, for each row of ``v`` (shape (n,) or (rows, n)).
 
     The direct sum over two uniform grids, evaluated as a chirp-z
     transform (Bluestein 1970) in O((n+m) log(n+m)) time and O(n+m)
-    memory.  The linear phases k*dx*y0 and x0*(y0 + j*dy) are applied
-    outside the transform, so only exp(sign*i*dx*dy*k*j) goes through it.
+    memory per row.  The linear phases k*dx*y0 and x0*(y0 + j*dy) are
+    applied outside the transform as separable products
+    (``_apply_phase``), so only exp(sign*i*dx*dy*k*j) goes through it.
     With k*j = (k^2 + j^2 - (j-k)^2)/2 and the chirp c[k] =
     exp(0.5j*sign*dx*dy*k^2), that term is c[j] * sum_k (c[k] u[k])
     conj(c[j-k]): a linear convolution with conj(c) at lags -(n-1)..m-1,
     done as a cyclic one of length ``_fft_length(n+m-1)``, a power of two
-    or three times one (at the route's 11 591 that is 12 288, not
-    16 384).  The chirp's phase is formed in real arithmetic from the
-    exact integers k^2.
+    or three times one.  The rows share the chirp and the kernel's FFT,
+    and the FFTs run in place.  The chirp's phase is formed in real
+    arithmetic from the exact integers k^2.
     """
-    n = len(v)
+    v = np.asarray(v)
+    n = v.shape[-1]
     k = np.arange(max(n, m))
     chirp = np.exp(1j * ((0.5 * sign * dx * dy) * (k * k).astype(float)))
     size = _fft_length(n + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.conj(chirp[:m])
     kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
-    u = v * np.exp(sign * 1j * (dx * y0) * k[:n])
+    np.fft.fft(kernel, out=kernel)
+    buf = np.zeros(v.shape[:-1] + (size,), dtype=complex)
+    u = buf[..., :n]
+    u[...] = v
+    _apply_phase(u, 0.0, sign * dx * y0)
     u *= chirp[:n]
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))[:m]
-    y = y0 + dy * np.arange(m)
-    return chirp[:m] * conv * np.exp(sign * 1j * x0 * y)
+    np.fft.fft(buf, out=buf)
+    buf *= kernel
+    np.fft.ifft(buf, out=buf)
+    out = buf[..., :m] * chirp[:m]
+    _apply_phase(out, sign * x0 * y0, sign * x0 * dy)
+    return out
 
 
-def spectrum_to_correlation(s: Spectrum, dtau: float, n: int) -> CorrelationFunction:
-    """R(tau) = integral I_omega exp(-i omega tau) domega by trapezoid."""
-    if dtau <= 0 or n < 2:
-        raise InvalidParameterError("need dtau > 0 and n >= 2")
+def _weighted_density(s: Spectrum) -> np.ndarray:
+    """Trapezoid weights times the density; a TruncationWarning if the
+    density has not decayed below ``EDGE_DECAY`` of peak at the edges."""
     peak = s.density.max()
     if peak > 0 and max(s.density[0], s.density[-1]) >= EDGE_DECAY * peak:
         warnings.warn(
             "spectral density has not decayed below 1e-6 of peak at the "
             "grid edges; correlation values are truncated",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return _trapezoid_weights(s.grid.count, s.grid.step) * s.density
+
+
+def spectrum_to_correlation(s: Spectrum, dtau: float, n: int) -> CorrelationFunction:
+    """R(tau) = integral I_omega exp(-i omega tau) domega by trapezoid."""
+    if dtau <= 0 or n < 2:
+        raise InvalidParameterError("need dtau > 0 and n >= 2")
     g = s.grid
-    weights = _trapezoid_weights(g.count, g.step)
-    values = _chirp_sum(weights * s.density, g.start, g.step, 0.0, dtau, n, -1)
+    values = _chirp_sum(_weighted_density(s), g.start, g.step, 0.0, dtau, n, -1)
     return CorrelationFunction(dtau, values)
 
 

@@ -665,6 +665,26 @@ def test_figure2_artifacts_and_numbers(tmp_path, capsys):
     assert header.startswith("#") and cfg_digest in header
 
 
+def test_rerun_creates_each_output_anew(tmp_path, capsys):
+    """Re-running figure2 into its own directory with another drive
+    removes each old output before writing it: a hard link to an old
+    file keeps the old bytes and is no longer the output."""
+    out = tmp_path / "f2"
+    assert main(["--out", str(out), "figure2"]) == 0
+    names = ("figure2_input.csv", "figure2_output.csv", "figure2.svg", "figure2.meta.txt")
+    old = {}
+    for name in names:
+        os.link(out / name, tmp_path / name)
+        old[name] = (tmp_path / name).read_bytes()
+    path = write_config(tmp_path, "[fields]\ntarget_width_khz = 4.4\n")
+    assert main(["--config", path, "--out", str(out), "figure2"]) == 0
+    capsys.readouterr()
+    for name in names:
+        assert (tmp_path / name).read_bytes() == old[name], name
+        assert not os.path.samefile(tmp_path / name, out / name), name
+        assert (out / name).read_bytes() != old[name], name
+
+
 def _sidecar_values(path):
     with open(path) as fh:
         return dict(ln.rstrip("\n").split("=", 1) for ln in fh if not ln.startswith("#"))

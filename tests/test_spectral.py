@@ -191,6 +191,8 @@ def _dense_sum(v, x0, dx, y0, dy, m, sign):
     ],
 )
 def test_chirp_sum_matches_the_dense_sum(n, m, x0, y0, sign):
+    """A 1-D ``v``, and a batch of three rows in which each row is its
+    own dense sum."""
     rng = np.random.default_rng(n + m)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     dx = 2.0 * abs(x0) / (n - 1) if x0 else 731.0
@@ -199,6 +201,12 @@ def test_chirp_sum_matches_the_dense_sum(n, m, x0, y0, sign):
     dense = _dense_sum(v, x0, dx, y0, dy, m, sign)
     assert fast.shape == (m,)
     assert np.max(np.abs(fast - dense)) <= 1e-10 * np.max(np.abs(dense))
+    batch = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    fast = _chirp_sum(batch, x0, dx, y0, dy, m, sign)
+    assert fast.shape == (3, m)
+    for row, fast_row in zip(batch, fast):
+        dense = _dense_sum(row, x0, dx, y0, dy, m, sign)
+        assert np.max(np.abs(fast_row - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def _dense_sum_long_double(v, x0, dx, y0, dy, rows, sign):
@@ -234,7 +242,8 @@ def test_chirp_sum_accuracy_at_the_validate_scale(n, m):
 
 def test_fft_length_is_the_shorter_of_two_and_three_times_a_power_of_two():
     """The chirp-z convolution length: the next 2^k or the next 3*2^k,
-    whichever is smaller; 12 288 at the route's 1201 + 10 391 - 1."""
+    whichever is smaller; 8 192 at the route's one-sided 1201 + 5196 - 1,
+    12 288 at the two-sided 1201 + 10 391 - 1."""
     for n in range(1, 5001):
         pow2, three = 1, 3
         while pow2 < n:
@@ -242,6 +251,7 @@ def test_fft_length_is_the_shorter_of_two_and_three_times_a_power_of_two():
         while three < n:
             three *= 2
         assert _fft_length(n) == min(pow2, three), n
+    assert _fft_length(1201 + 5196 - 1) == 8192
     assert _fft_length(1201 + 10391 - 1) == 12288
 
 
