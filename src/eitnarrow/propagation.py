@@ -119,12 +119,14 @@ def _auto_tau_grid(rates: ComplexRates, grid: FrequencyGrid) -> tuple[float, int
 def _lag_rows(rates: ComplexRates, s: Spectrum, dtau: float, total: int):
     """The input correlation at lags j*dtau, j < ``total``, and the row
     giving the slaved initial condition G(tau_0) = row @ R on the lags
-    tau_0 + j*dtau, j < 2*total - 1, tau_0 = -(total - 1)*dtau.
+    tau_j = tau_0 + j*dtau, j < 2*total - 1, tau_0 = -(total - 1)*dtau.
 
-    row_j = (w_j/2pi) sum_k h_k e^{i omega_k tau_j}, h = g0w e^{-i omega tau_0}
-    (I_omega recovered from R by the inverse lag transform): with T the
-    transform of ``spectrum_to_correlation``, conj(T[conj h]) at tau >= 0
-    and T[h] at tau <= 0, two half-length rows batched with the density.
+    G(tau_0) = integral nfac I_omega/(gtilde - i omega) e^{-i omega tau_0},
+    with I_omega recovered from R by the inverse lag transform, so row_j =
+    (w_j/2pi) sum_k h_k e^{i omega_k tau_j}, h = g0w e^{-i omega tau_0}.
+    With T the transform of ``spectrum_to_correlation`` that is
+    conj(T[conj h]) at tau >= 0 and T[h] at tau <= 0: two half-length
+    rows, batched with the density in one ``_chirp_sum``.
     """
     g = s.grid
     center = total - 1

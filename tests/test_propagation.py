@@ -1,6 +1,7 @@
 """Spectrum and correlation propagation routes and their cross-checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import eitnarrow.propagation as propagation
 from eitnarrow.config import load_config
-from eitnarrow.errors import InvalidParameterError, SingularRateError
+from eitnarrow.errors import InvalidParameterError, SingularRateError, TruncationWarning
 from eitnarrow.kernels import g_sweep, g_sweep_coefficients
 from eitnarrow.medium import (
     FieldConfig,
@@ -329,6 +330,18 @@ def test_correlation_route_makes_one_lag_transform(monkeypatch):
     m, f, s = _route_case()
     propagate_correlation(m, f, s)
     assert calls == [(3, s.grid.count)]
+
+
+def test_correlation_route_warns_once_on_a_truncated_input():
+    """An input density still at 1.5e-5 of its peak at the grid edges
+    gets the lag transform's one TruncationWarning, and the route runs."""
+    m, f = _case_medium("on-resonance")
+    g = complex_rates(m, f).gamma_cb_eff.real
+    s = gaussian_spectrum(60.0 * g / GAUSSIAN_FWHM_FACTOR, FrequencyGrid.spanning(120.0 * g, 1201))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        propagate_correlation(m, f, s)
+    assert [w.category for w in caught] == [TruncationWarning]
 
 
 def test_correlation_route_sweep_count(monkeypatch):
