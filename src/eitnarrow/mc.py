@@ -13,7 +13,13 @@ optical coherences is bounded in closed form by
 The per-field coupling is half of ``coupling_eta``, so the slab's
 density exponent is the medium's own, and its analytic reference is
 ``transmission`` of the same medium.  ``mc_slab`` builds one slice's
-gains and poles once per ensemble; ``kernels.mc_batch`` runs them.
+gains and poles once per ensemble, and ``kernels.mc_batch`` runs the
+slices in the time domain: twice per ensemble, on a unit sample at
+t = 0 and at t = 1.  The slab is linear and, from rest, time-invariant,
+so ``_slab_filter`` applies it to each realization as a convolution
+with that impulse response, in four FFTs of the record whatever the
+slice count.  ``mc_batch`` still defines the operator; the filter
+matches it to about 1e-15 of the output's peak.
 
 The slab is linear in the probe, so the probe's amplitude only scales
 the output densities and their standard errors.  The ensemble draws it
@@ -22,8 +28,8 @@ at ``PROBE_FRACTION`` times |Omega_d|, inside the weak-probe regime.
 Each realization's record starts with a burn-in of at least 5 e-folds
 of the slab's slow pole |s|, which lets the slaved start settle, and is
 padded to the next 2^a 3^b 5^c length so that the probe's inverse FFT
-runs fast (Frigo & Johnson, Proc. IEEE 93, 216 (2005)); the extra
-samples are burn-in too.  A burn-in longer than the kept samples is
+and the slab filter's FFTs run fast (Frigo & Johnson, Proc. IEEE 93,
+216 (2005)); the extra samples are burn-in too.  A burn-in longer than the kept samples is
 refused with ``ResolutionError`` before any table or buffer is built.
 
 An ensemble streams: each realization's periodograms are reduced into
@@ -137,6 +143,60 @@ def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -
     return Slab(*gains, _power_table(s, abs(np.log(abs(s))), count))
 
 
+def _slab_filter(slab: Slab, slices: int, n: int):
+    """The function probe -> output of ``slices`` passes of ``slab`` over
+    ``n`` samples, applied as the slab's own impulse response; the two
+    impulse runs of ``mc_batch`` and the transforms are made once.
+
+    The slab is linear, and from rest it is time-invariant, so a probe x
+    comes out as ``x[0]*F + g (*) x'``: F is the response to a unit
+    sample at t = 0, whose slaved start makes it no shift of the rest,
+    g[k] the response at t = k + 1 to a unit sample at t = 1, and x' is
+    x with x[0] set to 0.  The first n samples of the linear convolution
+    are the mean of the length-n cyclic and negacyclic convolutions,
+    ``ifft(fft(x')*fft(g))`` and ``conj(psi)*ifft(fft(psi*x')*fft(psi*g))``
+    with psi[t] = exp(i pi t / n) (Nussbaumer, *Fast Fourier Transform
+    and Convolution Algorithms* (1981)): four length-n FFTs per call,
+    whatever the slice count, and no zero padding to 2n.  The factor
+    1/2 rides in both transfers; ``conj(psi)`` is applied by conjugating.
+
+    The output is the filter's one buffer, overwritten by the next call:
+    a caller that keeps an output past that copies it."""
+    unit = np.zeros(n, dtype=complex)
+    unit[0] = 1.0
+    start = mc_batch(unit, slices, slab)
+    unit[:2] = 0.0, 1.0
+    g = mc_batch(unit, slices, slab)
+    g[:-1] = g[1:]
+    g[-1] = 0.0  # in the first n samples g[n - 1] meets x'[0] = 0 alone
+    psi = np.exp((1j * np.pi / n) * np.arange(n))
+    cyclic = np.fft.fft(g)
+    cyclic *= 0.5
+    g *= psi
+    nega = np.fft.fft(g)
+    nega *= 0.5
+    out, work = np.empty(n, dtype=complex), unit  # the unit sample is spent
+
+    def apply(probe):
+        np.copyto(out, probe)
+        out[0] = 0.0
+        np.multiply(out, psi, out=work)
+        np.fft.fft(out, out=out)
+        np.multiply(out, cyclic, out=out)
+        np.fft.ifft(out, out=out)
+        np.fft.fft(work, out=work)
+        np.multiply(work, nega, out=work)
+        np.fft.ifft(work, out=work)
+        np.conjugate(work, out=work)
+        np.multiply(work, psi, out=work)
+        np.conjugate(work, out=work)
+        np.add(out, work, out=out)
+        np.multiply(start, probe[0], out=work)
+        return np.add(out, work, out=out)
+
+    return apply
+
+
 def _fft_length(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= ``n``."""
     best = 1 << (n - 1).bit_length()
@@ -181,22 +241,29 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
 
 def _realization_envelopes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each realization's kept probe and slab output, in realization
-    order.  A shaped probe is the synthesizer's buffer, overwritten by
-    the next realization; the output is a fresh array.
+    order.  A shaped probe is the synthesizer's buffer and the output
+    the slab filter's, each overwritten by the next realization.
 
     Once per ensemble, before the first realization: the burn-in and its
-    check, the slab with its poles and table of powers, the shaping's
-    gain and the draw buffer.  Per realization: its noise (the stream
-    keyed (seed, r)) and the slab."""
+    check, the slab with its poles and table of powers, its two impulse
+    runs and their transforms, the shaping's gain and the draw buffer.
+    Per realization: its noise (the stream keyed (seed, r)) and the slab
+    filter."""
     burn = _burn_in(cfg)
     n_total = cfg.grid.count + burn
-    slab = mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n_total)
+    # the slab, its table of powers included, lives only through the
+    # filter's two impulse runs
+    propagate = _slab_filter(
+        mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n_total),
+        cfg.slices,
+        n_total,
+    )
     synthesize = _probe_synthesizer(
         cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n_total
     )
     for r in range(cfg.realizations):
         probe = synthesize(r)
-        yield probe[burn:], mc_batch(probe, cfg.slices, slab)[burn:]
+        yield probe[burn:], propagate(probe)[burn:]
 
 
 def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:

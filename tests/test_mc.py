@@ -26,6 +26,7 @@ from eitnarrow.mc import (
     _fft_length,
     _implied_drive_depletion,
     _realization_passes,
+    _slab_filter,
     band_average_transfer,
     ensemble_beat_spectrum,
     mc_slab,
@@ -244,13 +245,16 @@ def _stacked_rows(cfg):
 @pytest.mark.parametrize("keep", [2000, 2001], ids=["even", "odd"])
 @pytest.mark.parametrize("noise", ["shaped", "diffusion"])
 def test_ensemble_matches_the_per_realization_chain(noise, keep):
-    """Byte for byte, each pass is synthesize -> slab -> Hann periodogram
-    run on its realization, and that periodogram is numpy's shifted FFT;
-    at an odd kept length a slip between ``fftshift`` and ``ifftshift``
-    moves every bin.  The burn-in is the one the ensemble discards.  The
-    running sum gives the density bit for bit as ``mean(axis=0)`` of the
-    stacked output rows, and Welford's standard error is
-    ``std(axis=0, ddof=1) / sqrt(R)`` of the rows to 1e-12."""
+    """Byte for byte, each pass is synthesize -> slab filter -> Hann
+    periodogram run on its realization, and that periodogram is numpy's
+    shifted FFT; at an odd kept length a slip between ``fftshift`` and
+    ``ifftshift`` moves every bin.  The burn-in is the one the ensemble
+    discards, and the filter is the one it builds from the slab.  Each
+    output row is within 1e-13 of its peak of the row the time-domain
+    ``mc_batch`` chain gives (2.4e-15 measured).  The running sum gives
+    the density bit for bit as ``mean(axis=0)`` of the stacked output
+    rows, and Welford's standard error is ``std(axis=0, ddof=1) /
+    sqrt(R)`` of the rows to 1e-12."""
     base = reduced_config(realizations=8)
     m, f, dt = base.medium, base.fields, base.dt
     g = complex_rates(m, f).gamma_cb_eff.real
@@ -260,10 +264,12 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     p_in, p_out = _stacked_rows(cfg)
 
     burn = _burn_in(cfg)
+    n = keep + burn
+    propagate = _slab_filter(mc_slab(m, f, m.length / cfg.slices, dt, n), cfg.slices, n)
     w = np.hanning(keep)
     for r in range(cfg.realizations):
-        probe = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, keep + burn, r)
-        out = slab(probe, m, f, dt, cfg.slices)
+        probe = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, n, r)
+        out = propagate(probe)
         spec_in = periodogram(probe[burn:], dt)
         spec_out = periodogram(out[burn:], dt)
         shifted = np.fft.fftshift(np.fft.fft(out[burn:] * w))
@@ -271,6 +277,8 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
         assert np.array_equal(spec_out.density, direct)
         assert np.array_equal(p_in[r], spec_in.density)
         assert np.array_equal(p_out[r], spec_out.density)
+        chain = periodogram(slab(probe, m, f, dt, cfg.slices)[burn:], dt).density
+        assert np.max(np.abs(p_out[r] - chain)) <= 1e-13 * np.max(chain)
 
     result = ensemble_beat_spectrum(cfg)
     freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(keep, dt))
@@ -281,6 +289,47 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     assert np.array_equal(result.spectrum.density, p_out.mean(axis=0))
     expected = p_out.std(axis=0, ddof=1) / np.sqrt(8)
     assert np.all(np.abs(result.stderr - expected) <= 1e-12 * expected)
+
+
+@pytest.mark.parametrize(
+    ("slices", "probe", "pad", "keep"),
+    [
+        (1, "shaped", 0, 2000),
+        (8, "shaped", 0, 2000),
+        (8, "diffusion", 0, 2000),
+        (8, "constant", 0, 2000),
+        (8, "shaped", 7, 2000),
+        (8, "shaped", 0, 60_000),
+    ],
+    ids=["1-slice", "8-slices", "diffusion", "constant", "not-5-smooth", "chunked"],
+)
+def test_slab_filter_matches_mc_batch(slices, probe, pad, keep):
+    """On the kept samples, the last ``keep`` of ``n``, the slab applied
+    as its impulse response gives ``mc_batch``'s output to 1e-13 of its
+    largest modulus (1.8e-15 at most measured).  Every probe starts at
+    x[0] != 0, so the slaved start's own response enters; a constant
+    probe makes it the largest term.  ``n`` is the ensemble's record, 7
+    samples longer where it must not be 2^a 3^b 5^c; at 60 000 kept
+    samples the record is 60 750 samples and the slow pole's table of
+    powers is chunked (16 050 steps a chunk)."""
+    cfg = reduced_config(slices=slices)
+    m, f, dt = cfg.medium, cfg.fields, cfg.dt
+    cfg = replace(cfg, duration=keep * dt)
+    n = keep + _burn_in(cfg) + pad
+    assert _is_5_smooth(n) == (pad == 0)
+    if probe == "constant":
+        x = np.full(n, probe_amplitude(f), dtype=complex)
+    else:
+        if probe == "diffusion":
+            g = complex_rates(m, f).gamma_cb_eff.real
+            cfg = replace(cfg, noise=PhaseNoiseModel(diffusion=5.0 * g, seed=3))
+        x = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, n, 0)
+    assert x[0] != 0
+    one_slice = mc_slab(m, f, m.length / slices, dt, n)
+    assert (one_slice.powers.shape[1] - 1 < n) == (keep == 60_000)
+    want = mc_batch(x, slices, one_slice)[-keep:]
+    got = _slab_filter(one_slice, slices, n)(x)[-keep:]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _is_5_smooth(n):
@@ -377,22 +426,28 @@ def test_ensemble_memory_does_not_grow_with_realizations():
 
 def test_ensemble_builds_its_slab_once(monkeypatch):
     """One ensemble builds one slab, its poles and table of powers
-    included, and runs every realization through it."""
-    built, used = [], []
+    included, and runs ``mc_batch`` on it exactly twice, for the slab's
+    two impulse responses, whatever its realization and slice counts."""
+    built, runs = [], []
 
     def build(*args):
         built.append(mc_slab(*args))
         return built[-1]
 
     def run(probe, nsl, slab):
-        used.append(slab)
+        runs.append((nsl, slab))
         return mc_batch(probe, nsl, slab)
 
     monkeypatch.setattr(mc_module, "mc_slab", build)
     monkeypatch.setattr(mc_module, "mc_batch", run)
-    ensemble_beat_spectrum(reduced_config(realizations=8))
-    assert len(built) == 1
-    assert len(used) == 8 and all(s is built[0] for s in used)
+    for realizations in (8, 64):
+        for slices in (1, 64):
+            built.clear()
+            runs.clear()
+            ensemble_beat_spectrum(reduced_config(realizations=realizations, slices=slices))
+            assert len(built) == 1
+            assert len(runs) == 2
+            assert all(nsl == slices and s is built[0] for nsl, s in runs)
 
 
 def test_center_transfer_is_unity_within_three_sigma():
