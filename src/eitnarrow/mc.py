@@ -19,7 +19,7 @@ t = 0 and at t = 1.  The slab is linear and, from rest, time-invariant,
 so ``_slab_filter`` applies it to each realization as a convolution
 with that impulse response, in four FFTs of the record whatever the
 slice count.  ``mc_batch`` still defines the operator; the filter
-matches it to about 1e-15 of the output's peak.
+matches it to a few 1e-15 of the output's peak.
 
 The slab is linear in the probe, so the probe's amplitude only scales
 the output densities and their standard errors.  The ensemble draws it
@@ -29,8 +29,9 @@ Each realization's record starts with a burn-in of at least 5 e-folds
 of the slab's slow pole |s|, which lets the slaved start settle, and is
 padded to the next 2^a 3^b 5^c length so that the probe's inverse FFT
 and the slab filter's FFTs run fast (Frigo & Johnson, Proc. IEEE 93,
-216 (2005)); the extra samples are burn-in too.  A burn-in longer than the kept samples is
-refused with ``ResolutionError`` before any table or buffer is built.
+216 (2005)); the extra samples are burn-in too.  A burn-in longer than
+the kept samples is refused with ``ResolutionError`` before any table
+or buffer is built.
 
 An ensemble streams: each realization's periodograms are reduced into
 running sums as they come and dropped, so memory does not grow with the
@@ -145,20 +146,18 @@ def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -
 
 def _slab_filter(slab: Slab, slices: int, n: int):
     """The function probe -> output of ``slices`` passes of ``slab`` over
-    ``n`` samples, applied as the slab's own impulse response; the two
-    impulse runs of ``mc_batch`` and the transforms are made once.
+    ``n`` samples, as an FFT convolution with the slab's own impulse
+    response; the two impulse runs of ``mc_batch`` are made once.
 
-    The slab is linear, and from rest it is time-invariant, so a probe x
-    comes out as ``x[0]*F + g (*) x'``: F is the response to a unit
-    sample at t = 0, whose slaved start makes it no shift of the rest,
-    g[k] the response at t = k + 1 to a unit sample at t = 1, and x' is
-    x with x[0] set to 0.  The first n samples of the linear convolution
-    are the mean of the length-n cyclic and negacyclic convolutions,
+    The slab is linear and, from rest, time-invariant, so a probe x comes
+    out as ``x[0]*F + g (*) x'``: F is the response to a unit sample at
+    t = 0, the slaved start, g[k] the response at t = k + 1 to one at
+    t = 1, and x' is x with x[0] = 0.  The first n samples of the linear
+    convolution are the mean of the length-n cyclic and negacyclic ones,
     ``ifft(fft(x')*fft(g))`` and ``conj(psi)*ifft(fft(psi*x')*fft(psi*g))``
     with psi[t] = exp(i pi t / n) (Nussbaumer, *Fast Fourier Transform
     and Convolution Algorithms* (1981)): four length-n FFTs per call,
-    whatever the slice count, and no zero padding to 2n.  The factor
-    1/2 rides in both transfers; ``conj(psi)`` is applied by conjugating.
+    whatever the slice count.  The 1/2 rides in both transfers.
 
     The output is the filter's one buffer, overwritten by the next call:
     a caller that keeps an output past that copies it."""
@@ -187,7 +186,7 @@ def _slab_filter(slab: Slab, slices: int, n: int):
         np.fft.fft(work, out=work)
         np.multiply(work, nega, out=work)
         np.fft.ifft(work, out=work)
-        np.conjugate(work, out=work)
+        np.conjugate(work, out=work)  # conj(psi)*work = conj(psi*conj(work))
         np.multiply(work, psi, out=work)
         np.conjugate(work, out=work)
         np.add(out, work, out=out)
