@@ -60,7 +60,6 @@ from .medium import (
 )
 from .propagation import (
     adiabatic_rate_check,
-    doppler_average_transfer,
     narrowing_factor,
     propagate_correlation,
     propagate_spectrum,
@@ -99,7 +98,6 @@ __all__ = [
     "complex_rates",
     "correlation_to_spectrum",
     "coupling_eta",
-    "doppler_average_transfer",
     "drive_for_target_width",
     "eit_width",
     "ensemble_beat_spectrum",

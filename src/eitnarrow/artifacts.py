@@ -5,7 +5,8 @@ code version, a header row and ``repr`` floats with LF line endings,
 each file one string from ``_write_csv``, each grid's ω text formatted
 once per ``FrequencyGrid`` object.  SVG plots are best-effort, hand-written.
 
-Every file is created anew (``_create``): writing over one stalled on ext4.
+Every file is created anew, its directory made first (``_create``):
+writing over one stalled on ext4.
 """
 
 from __future__ import annotations
@@ -26,11 +27,18 @@ def _header_lines(digest: str) -> str:
 
 
 def _create(path: str):
-    """``path`` opened for LF text as a new file, an existing one removed
-    first; a crash mid-write leaves no file rather than a truncated one."""
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-    return open(path, "w", newline="\n")
+    """``path`` opened for LF text as a new file, its directory made and
+    an existing file removed first; a crash mid-write leaves no file
+    rather than a truncated one.  A path that cannot be created (its
+    directory a file, itself a directory, an empty directory name) is a
+    ``ConfigError`` with the code ``bad-output``."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot create {path}: {exc}", code="bad-output") from exc
 
 
 def _write_csv(path: str, header: list[str], columns, digest: str) -> None:

@@ -80,7 +80,6 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     print(f"narrowing factor: {narrowing_factor(fit_in.fwhm, fit_out.fwhm):.1f}")
 
-    os.makedirs(args.out, exist_ok=True)
     write_spectrum_csv(os.path.join(args.out, "figure2_input.csv"), s_in, cfg.digest)
     write_spectrum_csv(os.path.join(args.out, "figure2_output.csv"), s_out, cfg.digest)
     peak_in = s_in.density.max()
@@ -115,7 +114,6 @@ def cmd_figure3(cfg: RunConfig, args: argparse.Namespace) -> int:
     noise_norm = s_out.density / s_out.density.max()
     ratio = fit_noise.fwhm / width_eit
 
-    os.makedirs(args.out, exist_ok=True)
     write_table_csv(
         os.path.join(args.out, "figure3_scan.csv"),
         ["delta_rad_s", "transmission"],
@@ -147,7 +145,6 @@ def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Fitted output width versus drive power over ``RunConfig.power_sweep``."""
     x, y, _ = cfg.power_sweep()
     slope, intercept, r2 = linear_fit(x, y)
-    os.makedirs(args.out, exist_ok=True)
     write_table_csv(
         os.path.join(args.out, "figure4.csv"),
         ["omega_d_sq_rad2_s2", "fwhm_rad_s"],
@@ -175,7 +172,6 @@ def cmd_figure4(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_propagate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Propagate the configured input spectrum and write the output."""
     s_in, s_out, fit = cfg.output_line(cfg.fields, cfg.output_grid())
-    os.makedirs(args.out, exist_ok=True)
     write_spectrum_csv(os.path.join(args.out, "propagate_input.csv"), s_in, cfg.digest)
     write_spectrum_csv(os.path.join(args.out, "propagate_output.csv"), s_out, cfg.digest)
     write_sidecar(
@@ -197,7 +193,6 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     n_real = min(cfg.mc_realizations, 32) if args.quick else cfg.mc_realizations
     mc_cfg = cfg.mc_config(n_real)
     result = ensemble_beat_spectrum(mc_cfg)
-    os.makedirs(args.out, exist_ok=True)
     write_spectrum_csv(
         os.path.join(args.out, "mc_spectrum.csv"), result.spectrum, cfg.digest, result.stderr
     )
@@ -227,7 +222,6 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     models = [args.model] if args.model != "auto" else ["gaussian", "lorentzian"]
     fits = [fit_lineshape(spectrum, m) for m in models]
     best = min(fits, key=lambda f: f.rms_residual)
-    os.makedirs(args.out, exist_ok=True)
     write_sidecar(
         os.path.join(args.out, "fit.meta.txt"), cfg.resolved, cfg.digest, _fit_lines("fit", best)
     )

@@ -71,7 +71,8 @@ class McConfig:
             raise InvalidParameterError("need at least one slice")
         if self.realizations < 8:
             raise InvalidParameterError("need at least 8 realizations")
-        if self.dt <= 0 or self.duration <= 0:
+        # a NaN fails the comparison too
+        if not self.dt > 0 or not self.duration > 0:
             raise InvalidParameterError("dt and duration must be positive")
         if abs(self.fields.omega_d) <= 0:
             raise InvalidParameterError("Monte-Carlo runs need a nonzero drive")

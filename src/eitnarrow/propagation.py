@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResolutionError, SingularRateError
+from .errors import InvalidParameterError, ResolutionError
 from .kernels import LagSweep, g_sweep, g_sweep_coefficients
 from .medium import (
     AtomicMedium,
@@ -40,7 +40,6 @@ from .medium import (
     coupling_eta,
     optical_width,
     transfer_exponent,
-    transmission,
 )
 from .spectral import (
     CorrelationFunction,
@@ -80,13 +79,6 @@ class AdiabaticReport:
     validity_ratio: float  # |Omega_d|^2 / |Gamma_ab * Gamma_cb|
     valid: bool  # ratio >= 10
     slaving_error: float  # max |T_dynamic - T_slaved| over the input grid
-
-
-@dataclass(frozen=True)
-class DopplerAverageReport:
-    averaged: np.ndarray  # transfer of the velocity-averaged exponent
-    substituted: np.ndarray  # transfer with the gamma -> Delta_W substitution
-    max_relative_deviation: float
 
 
 def propagate_spectrum(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Spectrum:
@@ -268,62 +260,6 @@ def adiabatic_rate_check(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) ->
     )
 
 
-def _faddeeva(z: np.ndarray) -> np.ndarray:
-    """w(z) = exp(-z^2) erfc(-iz) for Im z >= 0: Weideman's 32-term
-    rational approximation (SIAM J. Numer. Anal. 31, 1497 (1994))."""
-    n = 32
-    big_l = np.sqrt(n / np.sqrt(2.0))
-    t = big_l * np.tan(0.5 * np.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
-    f = np.concatenate(([0.0], np.exp(-(t**2)) * (big_l**2 + t**2)))
-    coeffs = np.fft.fft(np.fft.fftshift(f)).real[n:0:-1] / (4 * n)
-    lz = big_l - 1j * z
-    return 2.0 * np.polyval(coeffs, (big_l + 1j * z) / lz) / lz**2 + 1.0 / (np.sqrt(np.pi) * lz)
-
-
-def _doppler_averaged_exponent(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> np.ndarray:
-    """<kappa_v(omega)> over Gaussian velocity shifts s of FWHM Delta_W:
-    with Gamma_ab = a + i s, Gamma_ca = b - i s and g = gamma_cb - i omega,
-    kappa_v = eta (n_ab Gamma_ca - n_ca Gamma_ab) / ((s - p1)(s - p2)), the
-    poles being the roots of g Gamma_ab Gamma_ca + |Omega_d|^2 Gamma_ca, and
-    <1/(s - p)> = i sqrt(pi) w(p/k)/k, k = sqrt(2) sigma, for Im p >= 0.
-    kappa = 0 where g = 0."""
-    a, b = m.gamma_ab + 1j * f.delta_p, m.gamma_ac - 1j * f.delta_ac
-    g = m.gamma_cb - 1j * np.asarray(omegas, dtype=float)
-    live = g != 0
-    g = g[live]
-    c1 = 1j * (g * (b - a) - abs(f.omega_d) ** 2)
-    c0 = g * a * b + abs(f.omega_d) ** 2 * b
-    root = np.sqrt(c1**2 - 4.0 * g * c0)
-    if np.any(root == 0):
-        raise SingularRateError("coincident poles in the velocity shift")
-    q = -0.5 * (c1 + np.where((np.conj(c1) * root).real >= 0, root, -root))
-    poles = (q / g, c0 / q)  # the cancellation-free pair
-    k = m.doppler_width / np.sqrt(4.0 * np.log(2.0))
-    kappa = np.zeros(live.shape, dtype=complex)
-    for p, other in (poles, poles[::-1]):
-        upper = p.imag >= 0
-        mean = 1j * np.sqrt(np.pi) * _faddeeva(np.where(upper, p, np.conj(p)) / k) / k
-        residue = (f.n_ab * (b - 1j * p) - f.n_ca * (a + 1j * p)) / (p - other)
-        kappa[live] += residue * np.where(upper, mean, np.conj(mean))
-    return coupling_eta(m) * kappa
-
-
-def doppler_average_transfer(
-    m: AtomicMedium, f: FieldConfig, grid: FrequencyGrid
-) -> DopplerAverageReport:
-    """The gamma -> Delta_W substitution against the exact velocity
-    average.  Each class shifts both one-photon detunings alike (the
-    two-photon detuning is untouched) and keeps the homogeneous widths;
-    all classes act on one field, so the transfer is exp(Re <kappa_v> L).
-    At zero Doppler width both arms are the homogeneous transfer."""
-    substituted = transmission(m, f, grid.omegas)
-    averaged = substituted
-    if m.doppler:
-        averaged = np.exp(_doppler_averaged_exponent(m, f, grid.omegas).real * m.length)
-    deviation = float(np.max(np.abs(averaged - substituted)) / np.max(substituted))
-    return DopplerAverageReport(averaged, substituted, deviation)
-
-
 def narrowing_factor(input_fwhm: float, output_fwhm: float) -> float:
     if input_fwhm <= 0 or output_fwhm <= 0:
         raise InvalidParameterError("widths must be positive")
@@ -333,9 +269,7 @@ def narrowing_factor(input_fwhm: float, output_fwhm: float) -> float:
 __all__ = [
     "AdiabaticReport",
     "CorrelationResult",
-    "DopplerAverageReport",
     "adiabatic_rate_check",
-    "doppler_average_transfer",
     "narrowing_factor",
     "propagate_correlation",
     "propagate_spectrum",

@@ -685,6 +685,32 @@ def test_rerun_creates_each_output_anew(tmp_path, capsys):
         assert (out / name).read_bytes() != old[name], name
 
 
+@pytest.mark.parametrize(
+    "case, command",
+    [("out-is-a-file", "figure2"), ("out-is-empty", "propagate"), ("output-is-a-directory", "propagate")],
+)
+def test_an_output_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, case, command):
+    """An ``--out`` that names a file, an empty ``--out`` and an output
+    file name that is a directory each exit 2 with one ``bad-output``
+    line naming the path, and no traceback; ``figure2`` prints its
+    widths before it writes."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    if case == "out-is-a-file":
+        out.write_text("")
+    elif case == "output-is-a-directory":
+        (out / "propagate_input.csv").mkdir(parents=True)
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["--out", "" if case == "out-is-empty" else str(out), command])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad-output: cannot create ")
+    assert f"{command}_input.csv" in lines[0]
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def _sidecar_values(path):
     with open(path) as fh:
         return dict(ln.rstrip("\n").split("=", 1) for ln in fh if not ln.startswith("#"))

@@ -6,8 +6,7 @@ The package needs neither: the lag transform runs on ``numpy.fft`` and
 the Monte-Carlo slab factors its recurrence into two first-order poles.
 A child interpreter blocks ``scipy`` before importing the package, so
 any import of it fails, and keeps the modules of this test session out
-of the count.  It also calls ``doppler_average_transfer``, whose
-Faddeeva function is numpy's too, though no command reaches it.
+of the count.
 """
 
 import json
@@ -38,12 +37,6 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = eitnarrow.cli.main(["--seed", "42", "--out", out] + argv)
     seen[" ".join(argv[:2])] = [code, scipy_modules()]
-# no command calls the Doppler cross-check, so call it here
-from eitnarrow.config import load_config
-from eitnarrow.propagation import doppler_average_transfer
-cfg = load_config()
-doppler_average_transfer(cfg.medium, cfg.fields, cfg.output_grid())
-seen["doppler_average_transfer"] = [0, scipy_modules()]
 print(json.dumps(seen))
 """
 
@@ -60,7 +53,7 @@ def test_commands_run_without_scipy(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
 
     assert seen.pop("import") == []
-    assert len(seen) == 8
+    assert len(seen) == 7
     for command, (code, modules) in seen.items():
         assert code == 0, command
         assert modules == [], command

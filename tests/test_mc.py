@@ -104,6 +104,9 @@ def test_config_invariants():
         reduced_config(duration=cfg.dt * 10)  # shorter than the output line
     with pytest.raises(InvalidParameterError):
         reduced_config(fields=FieldConfig(omega_d=0.0))  # no drive, so no probe
+    for key in ("dt", "duration"):
+        with pytest.raises(InvalidParameterError, match="dt and duration"):
+            reduced_config(**{key: float("nan")})
 
 
 def test_zero_length_slab_is_the_identity():
