@@ -687,7 +687,11 @@ def test_rerun_creates_each_output_anew(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case, command",
-    [("out-is-a-file", "figure2"), ("out-is-empty", "propagate"), ("output-is-a-directory", "propagate")],
+    [
+        ("out-is-a-file", "figure2"),
+        ("out-is-empty", "propagate"),
+        ("output-is-a-directory", "propagate"),
+    ],
 )
 def test_an_output_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, case, command):
     """An ``--out`` that names a file, an empty ``--out`` and an output
