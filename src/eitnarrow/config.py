@@ -78,7 +78,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, OpticallyThinError, ResolutionError
+from .errors import (
+    ConfigError,
+    FitFailedError,
+    InvalidParameterError,
+    OpticallyThinError,
+    ResolutionError,
+)
 from .fitting import fit_lineshape
 from .mc import McConfig
 from .medium import AtomicMedium, FieldConfig, drive_for_target_width, thick_filter_hwhm
@@ -203,10 +209,21 @@ class RunConfig:
         """The configured input on ``grid``, the spectrum the cell
         transmits with ``fields`` and its Lorentzian fit, refused with
         ``ResolutionError`` when the fitted FWHM spans fewer than
-        ``MIN_STEPS_PER_FWHM`` grid steps."""
+        ``MIN_STEPS_PER_FWHM`` grid steps, or when the fit fails and the
+        predicted FWHM, 2 ``thick_filter_hwhm``, spans fewer."""
         s_in = self.input_spectrum(grid)
         s_out = propagate_spectrum(self.medium, fields, s_in)
-        fit = fit_lineshape(s_out, "lorentzian")
+        try:
+            fit = fit_lineshape(s_out, "lorentzian")
+        except FitFailedError:
+            hwhm = thick_filter_hwhm(self.medium, abs(fields.omega_d) ** 2)
+            steps = 2.0 * hwhm / grid.step
+            if not steps < MIN_STEPS_PER_FWHM:
+                raise
+            raise ResolutionError(
+                f"predicted output fwhm spans {steps:.2f} grid steps, fewer than "
+                f"{MIN_STEPS_PER_FWHM:g}, and the fit failed; raise [input] grid_points"
+            ) from None
         steps = fit.fwhm / grid.step
         if steps < MIN_STEPS_PER_FWHM:
             raise ResolutionError(

@@ -17,9 +17,12 @@ gains and poles once per ensemble, and ``kernels.mc_batch`` runs the
 slices in the time domain: twice per ensemble, on a unit sample at
 t = 0 and at t = 1.  The slab is linear and, from rest, time-invariant,
 so ``_slab_filter`` applies it to each realization as a convolution
-with that impulse response, in four FFTs of the record whatever the
-slice count.  ``mc_batch`` still defines the operator; the filter
-matches it to a few 1e-15 of the output's peak.
+with that impulse response, in three FFTs of the record whatever the
+slice count: the probe synthesizer hands it the probe's spectrum with
+the probe, so the filter takes no transform of the probe itself.  With
+the synthesizer's inverse FFT and the periodogram's FFT, a realization
+runs five transforms of its record.  ``mc_batch`` still defines the
+operator; the filter matches it to a few 1e-15 of the output's peak.
 
 The slab is linear in the probe, so the probe's amplitude only scales
 the output densities and their standard errors.  The ensemble draws it
@@ -145,10 +148,11 @@ def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -
     return Slab(*gains, _power_table(s, abs(np.log(abs(s))), count))
 
 
-def _slab_filter(slab: Slab, slices: int, n: int):
-    """The function probe -> output of ``slices`` passes of ``slab`` over
-    ``n`` samples, as an FFT convolution with the slab's own impulse
-    response; the two impulse runs of ``mc_batch`` are made once.
+def _slab_filter(slab: Slab, slices: int, n: int, keep: int):
+    """The function (probe, fft(probe)) -> the last ``keep`` < ``n``
+    output samples of ``slices`` passes of ``slab`` over the ``n``
+    samples, as an FFT convolution with the slab's own impulse response;
+    the two impulse runs of ``mc_batch`` are made once.
 
     The slab is linear and, from rest, time-invariant, so a probe x comes
     out as ``x[0]*F + g (*) x'``: F is the response to a unit sample at
@@ -157,14 +161,17 @@ def _slab_filter(slab: Slab, slices: int, n: int):
     convolution are the mean of the length-n cyclic and negacyclic ones,
     ``ifft(fft(x')*fft(g))`` and ``conj(psi)*ifft(fft(psi*x')*fft(psi*g))``
     with psi[t] = exp(i pi t / n) (Nussbaumer, *Fast Fourier Transform
-    and Convolution Algorithms* (1981)): four length-n FFTs per call,
-    whatever the slice count.  The 1/2 rides in both transfers.
+    and Convolution Algorithms* (1981)).  The cyclic half starts from
+    the probe's spectrum, fft(x') = fft(x) - x[0], so a call runs three
+    length-n FFTs, whatever the slice count; the sum and the x[0]*F term
+    are taken on the kept samples alone.  The 1/2 rides in both
+    transfers.
 
-    The output is the filter's one buffer, overwritten by the next call:
-    a caller that keeps an output past that copies it."""
+    The output is a view of the filter's one buffer, overwritten by the
+    next call: a caller that keeps an output past that copies it."""
     unit = np.zeros(n, dtype=complex)
     unit[0] = 1.0
-    start = mc_batch(unit, slices, slab)
+    start = mc_batch(unit, slices, slab)[n - keep:].copy()
     unit[:2] = 0.0, 1.0
     g = mc_batch(unit, slices, slab)
     g[:-1] = g[1:]
@@ -175,24 +182,27 @@ def _slab_filter(slab: Slab, slices: int, n: int):
     g *= psi
     nega = np.fft.fft(g)
     nega *= 0.5
-    out, work = np.empty(n, dtype=complex), unit  # the unit sample is spent
+    # conj(psi[t]) = -psi[n - t], so the kept samples' conj(psi) is minus
+    # psi read backwards from psi[keep]
+    psi_back = psi[keep:0:-1]
+    out, work = g, unit  # the impulse and the unit sample are spent
 
-    def apply(probe):
-        np.copyto(out, probe)
-        out[0] = 0.0
-        np.multiply(out, psi, out=work)
-        np.fft.fft(out, out=out)
+    def apply(probe, spectrum):
+        x0 = probe[0]
+        np.subtract(spectrum, x0, out=out)
         np.multiply(out, cyclic, out=out)
         np.fft.ifft(out, out=out)
+        np.multiply(probe, psi, out=work)
+        work[0] = 0.0
         np.fft.fft(work, out=work)
         np.multiply(work, nega, out=work)
         np.fft.ifft(work, out=work)
-        np.conjugate(work, out=work)  # conj(psi)*work = conj(psi*conj(work))
-        np.multiply(work, psi, out=work)
-        np.conjugate(work, out=work)
-        np.add(out, work, out=out)
-        np.multiply(start, probe[0], out=work)
-        return np.add(out, work, out=out)
+        y, w = out[n - keep:], work[n - keep:]
+        w *= psi_back
+        y -= w
+        np.multiply(start, x0, out=w)
+        y += w
+        return y
 
     return apply
 
@@ -247,23 +257,25 @@ def _realization_envelopes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarr
     Once per ensemble, before the first realization: the burn-in and its
     check, the slab with its poles and table of powers, its two impulse
     runs and their transforms, the shaping's gain and the draw buffer.
-    Per realization: its noise (the stream keyed (seed, r)) and the slab
-    filter."""
+    Per realization: its noise (the stream keyed (seed, r)), which comes
+    with its spectrum, and the slab filter on the kept samples."""
+    keep = cfg.grid.count
     burn = _burn_in(cfg)
-    n_total = cfg.grid.count + burn
+    n_total = keep + burn
     # the slab, its table of powers included, lives only through the
     # filter's two impulse runs
     propagate = _slab_filter(
         mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n_total),
         cfg.slices,
         n_total,
+        keep,
     )
     synthesize = _probe_synthesizer(
         cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n_total
     )
     for r in range(cfg.realizations):
-        probe = synthesize(r)
-        yield probe[burn:], propagate(probe)[burn:]
+        probe, spectrum = synthesize(r)
+        yield probe[burn:], propagate(probe, spectrum)
 
 
 def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:

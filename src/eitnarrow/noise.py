@@ -7,9 +7,11 @@ modeled by the resulting spectrum, not from first principles).  A model
 with a shaping uses the second mode and must set no diffusion.
 ``synthesize_probe_field`` returns the complex envelope as an array,
 through the same ``_probe_synthesizer`` the Monte-Carlo ensemble calls.
-A shaped synthesizer makes its gain and one buffer once; each call fills
-the buffer with 2n standard normals, views them as n complex values and
-runs the shaping and the inverse FFT in place.
+A shaped synthesizer makes its gain and two buffers once; each call fills
+the spectrum buffer with 2n standard normals, views them as n complex
+values, shapes and scales them in place and runs the inverse FFT into
+the envelope buffer.  It hands back both, so the Monte-Carlo slab filter
+starts from the spectrum and takes no transform of the probe.
 
 RNG: numpy Philox (counter based; Salmon et al., SC'11 (2011));
 realization r of a model with seed s uses the stream with the two-word
@@ -68,33 +70,44 @@ def sample_phase_trajectory(
 
 
 def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: int):
-    """The function realization -> probe envelope of ``n`` samples; the
-    checks and a shaped model's gain on the FFT grid are made once.
+    """The function realization -> (probe envelope of ``n`` samples, its
+    FFT); the checks and a shaped model's gain on the FFT grid are made
+    once.
 
-    A shaped model's envelope is its one buffer, overwritten by the next
-    call: a caller that keeps an envelope past that copies it."""
+    A shaped model's envelope and spectrum are its two buffers,
+    overwritten by the next call: a caller that keeps either past that
+    copies it.  Its spectrum is the one the inverse FFT took, so equals
+    ``fft(envelope)`` to rounding; a Wiener-phase or constant envelope
+    gets ``fft(envelope)`` itself."""
     if not (np.isfinite(dt) and dt > 0) or n < 2:
         raise InvalidParameterError("need a finite dt > 0 and n >= 2")
     shaping = model.shaping
     if shaping is None:
-        return lambda r: amplitude * np.exp(-1j * sample_phase_trajectory(model, dt, n, r))
+
+        def phase_envelope(realization):
+            env = amplitude * np.exp(-1j * sample_phase_trajectory(model, dt, n, realization))
+            return env, np.fft.fft(env)
+
+        return phase_envelope
     if max(abs(shaping.grid.start), abs(shaping.omegas[-1])) > np.pi / dt:
         raise InvalidParameterError("shaping grid extends beyond the Nyquist frequency pi/dt")
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, dt)
     # the 1/sqrt(2) makes the complex noise of unit variance
     gain = np.sqrt(0.5 * np.interp(freqs, shaping.omegas, shaping.density, left=0.0, right=0.0))
     draws = np.empty(2 * n)
-    env = draws.view(complex)  # draws 2k and 2k + 1 are sample k's real and imaginary parts
-    squares = np.empty(2 * n)
+    spec = draws.view(complex)  # draws 2k and 2k + 1 are bin k's real and imaginary parts
+    env = np.empty(n, dtype=complex)
 
     def envelope(realization):
         realization_rng(model.seed, realization).standard_normal(out=draws)
-        np.multiply(env, gain, out=env)
-        np.fft.ifft(env, out=env)
-        power = np.square(draws, out=squares).sum() / n
+        np.multiply(spec, gain, out=spec)
+        # mean |ifft(spec)|^2 by Parseval: sum |spec|^2 / n^2; einsum's
+        # own loop, not a BLAS call (no thread pool per realization)
+        power = np.einsum("i,i", draws, draws) / n**2
         if power <= 0:
             raise InvalidParameterError("shaping spectrum produced a zero field")
-        return np.multiply(env, amplitude / np.sqrt(power), out=env)
+        np.multiply(spec, amplitude / np.sqrt(power), out=spec)
+        return np.fft.ifft(spec, out=env), spec
 
     return envelope
 
@@ -108,4 +121,4 @@ def synthesize_probe_field(
 ) -> np.ndarray:
     """Noisy probe envelope, sampled at step ``dt``, with the model's
     spectral statistics."""
-    return _probe_synthesizer(model, amplitude, dt, n)(realization)
+    return _probe_synthesizer(model, amplitude, dt, n)(realization)[0]

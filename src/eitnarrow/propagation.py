@@ -164,7 +164,8 @@ def _integrate_correlation(
     """R at z = L after ``steps`` Taylor steps of exp(dz L - mu) e^mu,
     mu = ``shift`` * dz, and the residual: each step's truncation (the
     max-norms of its last two terms) and rounding bound, relative to
-    |R(0)| at the end of that step, summed over the steps."""
+    |R(0)| at the end of that step, summed over the steps.  Raises
+    ResolutionError when |R(0)| underflows to 0."""
     b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab
     pref = 0.5 * coupling_eta(m)
     # L r = pref*((nfac r - b G) + (conj(nfac) r - conj(b) conj(G[::-1])))
@@ -194,8 +195,13 @@ def _integrate_correlation(
             r += term
             if j >= TAYLOR_DEGREE - 1:
                 bound += np.max(np.abs(term))
+        peak = abs(r[center])
+        if not peak > 0:
+            raise ResolutionError(
+                "the output beat correlation R(0, z) underflows to 0 in the z-march"
+            )
         # e^mu scales the sum and its R(0) alike
-        residual += bound / abs(r[center])
+        residual += bound / peak
         r *= np.exp(shift * dz)
     return r, float(residual)
 
@@ -203,9 +209,10 @@ def _integrate_correlation(
 def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> CorrelationResult:
     """(tau, z) route in the shifted Taylor steps of degree
     ``TAYLOR_DEGREE`` that ``_step_count`` chooses; raises
-    ResolutionError if max |kappa| L exceeds ``MAX_REACH`` or if the
-    summed residual exceeds ``TAIL_TOL``.  Its one lag transform,
-    ``_lag_rows``, has FFT length 8192 at validate scale (1201 + 5196 - 1)."""
+    ResolutionError if max |kappa| L exceeds ``MAX_REACH``, if R(0, z)
+    underflows to 0 or if the summed residual is not at most
+    ``TAIL_TOL``.  Its one lag transform, ``_lag_rows``, has FFT length
+    8192 at validate scale (1201 + 5196 - 1)."""
     steps, shift = _step_count(m, f, s.omegas)
     rates = complex_rates(m, f)
     dtau, count = _auto_tau_grid(rates, s.grid)  # raises unless Re Gamma_cb_eff > 0
@@ -234,7 +241,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
 
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
     r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
-    if residual > TAIL_TOL:
+    if not residual <= TAIL_TOL:  # a NaN residual is refused too
         raise ResolutionError(f"z-march residual {residual:.3e} relative to R(0)")
     # tau in [0, (count - 1) * dtau]
     return CorrelationResult(CorrelationFunction(dtau, r[center:center + count]), residual)

@@ -322,20 +322,17 @@ def _periodogram_grid(n: int, dt: float) -> FrequencyGrid:
 
 def _periodogram_writer(n: int, dt: float):
     """A function writing one ``n``-sample envelope's Hann periodogram
-    into a row; the window, its norm and one FFT buffer are made once
-    for all calls."""
+    into a row; the window, scaled by sqrt(dt / norm) so that |fft|^2 is
+    the density, and one FFT buffer are made once for all calls."""
     w = np.hanning(n)
-    norm = 2.0 * np.pi * np.sum(w**2)
+    w *= np.sqrt(dt / (2.0 * np.pi * np.sum(w**2)))
     buf, half = np.empty(n, dtype=complex), n // 2
 
     def write(envelope, row):
         np.fft.fft(np.multiply(envelope, w, out=buf), out=buf)
         np.abs(buf[:n - half], out=row[half:])  # fftshift: bin j to (j + n//2) mod n
         np.abs(buf[n - half:], out=row[:half])
-        np.square(row, out=row)
-        row *= dt
-        row /= norm
-        return row
+        return np.square(row, out=row)
 
     return write
 

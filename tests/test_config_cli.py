@@ -543,6 +543,22 @@ def test_an_unresolved_output_line_exits_3_with_one_error_line(tmp_path, capsys)
         next(checks.run_criteria(cfg))
 
 
+@pytest.mark.parametrize("points", range(9, 21))
+def test_every_unresolved_output_grid_exits_3(tmp_path, capsys, points):
+    """From 9 to 20 grid points the predicted output FWHM spans (points -
+    1) / 12 < 4 steps.  Whether the Lorentzian fit converges (9, 11, 13,
+    15, 17 to 20) or not (10, 12, 14, 16), figure2 exits 3 with one
+    ``error: resolution:`` line and writes nothing to stdout."""
+    path = write_config(tmp_path, f"[input]\ngrid_points = {points}\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "o"), "figure2"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: resolution: ")
+    assert lines[0].endswith("; raise [input] grid_points")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_1_with_one_error_line(tmp_path, unbuffered):
     """A reader that closes the pipe before the command prints gets one

@@ -31,7 +31,7 @@ from eitnarrow.mc import (
     ensemble_beat_spectrum,
     mc_slab,
 )
-from eitnarrow.noise import PhaseNoiseModel, synthesize_probe_field
+from eitnarrow.noise import PhaseNoiseModel, _probe_synthesizer
 from eitnarrow.spectral import (
     GAUSSIAN_FWHM_FACTOR,
     FrequencyGrid,
@@ -268,15 +268,16 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
 
     burn = _burn_in(cfg)
     n = keep + burn
-    propagate = _slab_filter(mc_slab(m, f, m.length / cfg.slices, dt, n), cfg.slices, n)
+    propagate = _slab_filter(mc_slab(m, f, m.length / cfg.slices, dt, n), cfg.slices, n, keep)
+    synthesize = _probe_synthesizer(cfg.noise, probe_amplitude(f), dt, n)
     w = np.hanning(keep)
+    w *= np.sqrt(dt / (2.0 * np.pi * np.sum(w**2)))
     for r in range(cfg.realizations):
-        probe = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, n, r)
-        out = propagate(probe)
+        probe, spectrum = synthesize(r)
+        out = propagate(probe, spectrum)
         spec_in = periodogram(probe[burn:], dt)
-        spec_out = periodogram(out[burn:], dt)
-        shifted = np.fft.fftshift(np.fft.fft(out[burn:] * w))
-        direct = (np.abs(shifted) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
+        spec_out = periodogram(out, dt)
+        direct = np.abs(np.fft.fftshift(np.fft.fft(out * w))) ** 2
         assert np.array_equal(spec_out.density, direct)
         assert np.array_equal(p_in[r], spec_in.density)
         assert np.array_equal(p_out[r], spec_out.density)
@@ -322,17 +323,42 @@ def test_slab_filter_matches_mc_batch(slices, probe, pad, keep):
     assert _is_5_smooth(n) == (pad == 0)
     if probe == "constant":
         x = np.full(n, probe_amplitude(f), dtype=complex)
+        spectra = [np.fft.fft(x)]
     else:
         if probe == "diffusion":
             g = complex_rates(m, f).gamma_cb_eff.real
             cfg = replace(cfg, noise=PhaseNoiseModel(diffusion=5.0 * g, seed=3))
-        x = synthesize_probe_field(cfg.noise, probe_amplitude(f), dt, n, 0)
+        x, own = _probe_synthesizer(cfg.noise, probe_amplitude(f), dt, n)(0)
+        spectra = [own, np.fft.fft(x)]
     assert x[0] != 0
     one_slice = mc_slab(m, f, m.length / slices, dt, n)
     assert (one_slice.powers.shape[1] - 1 < n) == (keep == 60_000)
     want = mc_batch(x, slices, one_slice)[-keep:]
-    got = _slab_filter(one_slice, slices, n)(x)[-keep:]
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    apply = _slab_filter(one_slice, slices, n, keep)
+    for spectrum in spectra:
+        got = apply(x, spectrum)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_each_realization_runs_five_transforms(monkeypatch):
+    """A shaped realization runs five transforms of its record: the
+    probe's inverse FFT, the slab filter's three (its cyclic half starts
+    from the probe's spectrum) and the periodogram's FFT.  The filter's
+    set-up adds two, the transforms of its impulse response."""
+    calls = []
+    for name in ("fft", "ifft"):
+
+        def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    for realizations in (8, 9):
+        calls.clear()
+        ensemble_beat_spectrum(reduced_config(realizations=realizations))
+        assert calls.count("fft") == 2 * realizations + 2
+        assert calls.count("ifft") == 3 * realizations
 
 
 def _is_5_smooth(n):

@@ -9,7 +9,7 @@ import pytest
 
 import eitnarrow.propagation as propagation
 from eitnarrow.config import load_config
-from eitnarrow.errors import InvalidParameterError, TruncationWarning
+from eitnarrow.errors import InvalidParameterError, ResolutionError, TruncationWarning
 from eitnarrow.kernels import g_sweep, g_sweep_coefficients
 from eitnarrow.medium import (
     FieldConfig,
@@ -251,6 +251,36 @@ def test_march_with_gain_and_loss_shifts_by_the_midpoint(monkeypatch):
     assert abs(r_ref[center]) < 0.99 * abs(r0[center])
     error = np.max(np.abs(r - r_ref)) / abs(r_ref[center])
     assert error <= residual <= 1e-10
+
+
+def test_z_march_refuses_an_output_that_underflows():
+    """Stretched 400-fold, the decaying case's R(0) would fall by about
+    e^-1000 and underflows to 0: the march raises ``ResolutionError``
+    before it divides by |R(0)|, so no invalid-value warning is raised.
+    At Doppler width 0.5 MHz the third route problem of ``--quick
+    validate`` meets the same underflow."""
+    m, f, s = _small_case("decaying")
+    m = replace(m, length=400 * m.length)
+    rates = complex_rates(m, f)
+    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
+    half, slave_row = propagation._lag_rows(rates, s, dtau, 151)
+    r0 = np.concatenate([np.conj(half[:0:-1]), half])
+    sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
+    steps, shift = propagation._step_count(m, f, s.omegas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match="underflows"):
+            propagation._integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
+
+
+def test_z_march_refuses_a_nan_residual(monkeypatch):
+    """The residual guard is written so that NaN fails it."""
+    real = propagation._integrate_correlation
+    monkeypatch.setattr(propagation, "_integrate_correlation",
+                        lambda *a: (real(*a)[0], float("nan")))
+    m, f, s = _route_case()
+    with pytest.raises(ResolutionError, match="residual nan"):
+        propagate_correlation(m, f, s)
 
 
 def test_input_correlation_is_hermitian(monkeypatch):

@@ -321,16 +321,20 @@ def test_periodogram_normalization():
 
 def test_hann_periodogram_matches_a_fresh_window():
     """The Hann periodogram is numpy's shifted FFT of the series times
-    ``np.hanning(n)``, byte for byte, at even and odd lengths and when a
-    length repeats."""
+    ``np.hanning(n)`` scaled by sqrt(dt / (2 pi sum(w^2))), squared,
+    byte for byte, at even and odd lengths and when a length repeats;
+    unscaled, to 1e-15 of the peak."""
     rng = np.random.default_rng(5)
     dt = 1e-4
     for n in (512, 513, 512):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = np.hanning(n)
-        spec = np.fft.fftshift(np.fft.fft(x * w))
-        expected = (np.abs(spec) ** 2) * dt / (2.0 * np.pi * np.sum(w**2))
-        assert np.array_equal(periodogram(x, dt).density, expected)
+        norm = 2.0 * np.pi * np.sum(w**2)
+        density = periodogram(x, dt).density
+        spec = np.fft.fftshift(np.fft.fft(x * (w * np.sqrt(dt / norm))))
+        assert np.array_equal(density, np.abs(spec) ** 2)
+        plain = np.abs(np.fft.fftshift(np.fft.fft(x * w))) ** 2 * dt / norm
+        assert np.max(np.abs(density - plain)) <= 1e-15 * np.max(plain)
 
 
 def test_spectrum_rejects_negative_density():

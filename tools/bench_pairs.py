@@ -1,25 +1,50 @@
-"""Paired benchmark runs of a parent revision against this checkout.
+"""Paired benchmark runs of a parent revision against this checkout,
+with an A/A control arm.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         [--pairs mc_ensemble=10 --pairs figures=3 ...]
 
-Run from the root of a source checkout.  The parent revision is
-extracted with ``git archive`` into a temporary directory; the change is
-the checkout itself, committed or not (the file records its revision and
-whether its tree was clean).  For each workload, pair ``i`` runs
-``perfbench/run.py --workload W --seed SEED+i`` once in each tree, each
-tree with its own copy of the harness.  The parent runs first on even
-pairs and the change on odd ones, so a drift of the host's speed during
-a session does not favour one side.  Without ``--pairs`` every workload
-of ``BENCHMARK.json`` runs ``DEFAULT_PAIRS`` pairs, the fewest at which
-a gain can be claimed.
+Run from the root of a source checkout.  Both sides are extracted the
+same way, with ``git archive``, into sibling directories of one
+temporary directory, so that they share one layout: the parent from
+``REV``, the change from ``git stash create`` (the checkout's tracked
+files with their staged and unstaged edits; untracked files are left
+out, so stage a new file first) or from ``HEAD`` when the tree is clean.
+A third directory holds a second extraction of the parent, the control.
+The file records the change's revision, the tree it ran and whether the
+checkout was clean.
+
+For each workload, pair ``i`` runs ``perfbench/run.py --workload W
+--seed SEED+i`` once in the parent tree and once in the change tree,
+each tree with its own copy of the harness.  The parent runs first on
+even pairs and the change on odd ones, so a drift of the host's speed
+during a session does not favour one side.  Without ``--pairs`` every
+workload of ``BENCHMARK.json`` runs ``DEFAULT_PAIRS`` pairs, the fewest
+at which a gain can be claimed.  The control arm runs
+``CONTROL_PAIRS`` pairs per workload (all of them, if a workload has
+fewer) of the parent against the control, interleaved with the real
+pairs: with P real pairs and C control pairs, control pair ``j`` runs
+after real pair ``j * P // C``, at that pair's seed, the parent first
+on even control pairs.  Two trees of one revision differ only in where
+they sit and when they run, so the control's gap measures what the
+session and the extraction alone do to a metric (Kalibera & Jones,
+"Rigorous benchmarking in reasonable time", ISMM 2013, treat the
+session as a random effect).  A 10-pair run of three workloads takes
+about 25-30 minutes; 4 control pairs per workload add about 40 %.
 
 The output holds, for each workload and each end-to-end metric of
 ``BENCHMARK.json``, every pair's parent and change values, each side's
-median and quartiles, the pairs the change won (ties count for neither)
-and whether the gap between the medians exceeds the parent's
-interquartile range.  It also holds each run's failed-operation ratio
-and the environment the harness reported.
+median and quartiles, the pairs the change won (ties count for
+neither), the gap between the medians (change minus parent) and
+whether it exceeds the parent's interquartile range; the same for the
+control arm, with the control in the change's place; and each run's
+failed-operation ratio and the environment the harness reported.
+
+Claim rule: a change may claim a gain on a metric of a workload only
+when ``gain_claimable`` is true there, that is when all of these hold:
+the change wins at least nine tenths of the pairs; its median gap
+points the better way; the gap exceeds the parent's interquartile
+range; and the gap exceeds the control arm's gap in magnitude.
 """
 
 from __future__ import annotations
@@ -36,7 +61,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+CONTROL_SIDES = ("parent", "control")
 DEFAULT_PAIRS = 10
+CONTROL_PAIRS = 4
+CLAIM_WINS = 0.9  # the share of pairs the change must win
 
 
 def git(*args: str) -> str:
@@ -72,25 +100,49 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(metric: dict, runs: dict[str, list[dict]]) -> dict:
-    """Both sides' values of one end-to-end metric over the pairs."""
+def summarize(metric: dict, runs: dict[str, list[dict]], sides: tuple[str, str]) -> dict:
+    """Both sides' values of one end-to-end metric over the pairs; the
+    first side is the base the second is compared with."""
     name = metric["name"]
-    values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+    base, other = sides
+    values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
     lower = metric["better"] == "lower"
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(values[base], values[other]))
     out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
-    for side in SIDES:
+    for side in sides:
         q1, q3 = quartiles(values[side])
         out[side] = values[side]
         out[f"{side}_median"] = statistics.median(values[side])
         out[f"{side}_quartiles"] = [q1, q3]
-    parent_iqr = out["parent_quartiles"][1] - out["parent_quartiles"][0]
-    out["change_wins"] = wins
-    out["pairs"] = len(values["parent"])
-    out["median_gap_exceeds_parent_iqr"] = (
-        abs(out["change_median"] - out["parent_median"]) > parent_iqr
+    parent_iqr = out[f"{base}_quartiles"][1] - out[f"{base}_quartiles"][0]
+    out[f"{other}_wins"] = wins
+    out["pairs"] = len(values[base])
+    out["median_gap"] = out[f"{other}_median"] - out[f"{base}_median"]
+    out["median_gap_exceeds_parent_iqr"] = abs(out["median_gap"]) > parent_iqr
+    return out
+
+
+def claim(real: dict, control: dict) -> dict:
+    """The real arm's summary of one metric with the claim rule read
+    against the control arm's summary of the same metric."""
+    gap = real["median_gap"]
+    better = gap < 0 if real["better"] == "lower" else gap > 0
+    out = dict(real)
+    out["control_gap"] = control["median_gap"]
+    out["median_gap_exceeds_control_gap"] = abs(gap) > abs(control["median_gap"])
+    out["gain_claimable"] = (
+        real["change_wins"] >= CLAIM_WINS * real["pairs"]
+        and better
+        and real["median_gap_exceeds_parent_iqr"]
+        and out["median_gap_exceeds_control_gap"]
     )
     return out
+
+
+def change_tree() -> str:
+    """The revision holding the checkout's tracked files: a stash commit
+    of its edits, or ``HEAD`` when it has none."""
+    return git("stash", "create") or git("rev-parse", "HEAD")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,31 +166,55 @@ def main(argv: list[str] | None = None) -> int:
         workload, _, count = item.partition("=")
         plan.append((workload, int(count)))
 
+    clean = git("status", "--porcelain", "--untracked-files=no") == ""
     result = {
         "harness": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
-        "order": "parent first on even pairs, change first on odd pairs",
+        "order": "parent first on even pairs, change first on odd pairs; of C control "
+                 "pairs among P pairs, control pair j after pair j*P//C, parent first on "
+                 "even control pairs",
+        "claim_rule": f"change wins >= {CLAIM_WINS:g} of the pairs, its median gap points "
+                      "the better way and exceeds both the parent's IQR and the control "
+                      "arm's gap",
         "parent": {"rev": git("rev-parse", args.parent)},
-        "change": {"rev": git("rev-parse", "HEAD"),
-                   "clean": git("status", "--porcelain", "--untracked-files=no") == ""},
+        "change": {"rev": git("rev-parse", "HEAD"), "tree": change_tree(), "clean": clean},
         "environment": None,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        extract(result["parent"]["rev"], tmp)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in ("parent", "change", "control")}
+        for side, tree in trees.items():
+            extract(result["change"]["tree"] if side == "change" else result["parent"]["rev"],
+                    tree)
         for workload, count in plan:
             seeds = [args.seed + i for i in range(count)]
+            controls = min(CONTROL_PAIRS, count)
+            slots = {j * count // controls: j for j in range(controls)}
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            checks: dict[str, list[dict]] = {side: [] for side in CONTROL_SIDES}
             for i, seed in enumerate(seeds):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                if i in slots:
+                    j = slots[i]
+                    for side in CONTROL_SIDES if j % 2 == 0 else CONTROL_SIDES[::-1]:
+                        checks[side].append(run_once(trees[side], workload, seed, args.seconds))
                 print(f"{workload} pair {i + 1}/{count} (seed {seed}) done", file=sys.stderr)
             result["environment"] = result["environment"] or runs["change"][0]["environment"]
+            control = {
+                "seeds": [seeds[i] for i in slots],
+                "ops_failed_ratio": {s: [r["ops_failed_ratio"] for r in checks[s]]
+                                     for s in CONTROL_SIDES},
+                "metrics": {m["name"]: summarize(m, checks, CONTROL_SIDES)
+                            for m in end_to_end},
+            }
             result["workloads"][workload] = {
                 "seeds": seeds,
                 "ops_failed_ratio": {s: [r["ops_failed_ratio"] for r in runs[s]] for s in SIDES},
                 "ops_attempted": {s: [r["attempted"] for r in runs[s]] for s in SIDES},
-                "metrics": {m["name"]: summarize(m, runs) for m in end_to_end},
+                "metrics": {m["name"]: claim(summarize(m, runs, SIDES),
+                                             control["metrics"][m["name"]])
+                            for m in end_to_end},
+                "control": control,
             }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
