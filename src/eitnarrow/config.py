@@ -62,7 +62,7 @@ and a physical fault reports the key.  The samples per Monte-Carlo
 realization, ``duration_ms / dt_us``, are bounded too
 (``MAX_MC_SAMPLES``), which bounds an ensemble's memory, as is their
 product with ``realizations`` (``MAX_MC_ELEMENTS``), which bounds its
-per-realization work: a few FFTs of each record.  The slab itself runs
+per-realization work: five transforms of each record.  The slab itself runs
 twice per ensemble, 2 x ``slices`` x samples, bounded by ``slices``
 and the samples.
 """
@@ -159,7 +159,7 @@ MAX_MAGNITUDE = 1e30
 MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us; bounds an ensemble's memory
 # realizations * duration_ms / dt_us: the ensemble streams its
 # realizations into running sums, so this bounds run time, not memory:
-# each realization costs a few FFTs of its record whatever the slice
+# each realization costs five transforms of its record whatever the slice
 # count, which enters only the slab's two impulse runs per ensemble
 MAX_MC_ELEMENTS = 10**8
 # fewest grid steps across a fitted output FWHM; at 4 or more the fit

@@ -183,16 +183,23 @@ def _small_case(case):
     return m, f, s
 
 
-def _small_march(m, f, s):
-    """The z-march arguments of a small case up to its shift (the input
-    correlation on 301 lags last) and the exact R at z = L."""
+def _march_args(m, f, s):
+    """The z-march arguments of a small case up to its shift, the input
+    correlation on 301 lags last."""
     rates = complex_rates(m, f)
     dtau, _ = propagation._auto_tau_grid(rates, s.grid)
     half, slave_row = propagation._lag_rows(rates, s, dtau, 151)
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
+    return m, rates, slave_row, sweep, r0
+
+
+def _small_march(m, f, s):
+    """``_march_args`` and the exact R at z = L."""
+    march = _march_args(m, f, s)
+    _, _, slave_row, sweep, r0 = march
     exact = _dense_propagator(m, f, slave_row, sweep, r0.size) @ np.concatenate([r0.real, r0.imag])
-    return (m, rates, slave_row, sweep, r0), exact[: r0.size] + 1j * exact[r0.size :]
+    return march, exact[: r0.size] + 1j * exact[r0.size :]
 
 
 @pytest.mark.parametrize(
@@ -261,16 +268,11 @@ def test_z_march_refuses_an_output_that_underflows():
     validate`` meets the same underflow."""
     m, f, s = _small_case("decaying")
     m = replace(m, length=400 * m.length)
-    rates = complex_rates(m, f)
-    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
-    half, slave_row = propagation._lag_rows(rates, s, dtau, 151)
-    r0 = np.concatenate([np.conj(half[:0:-1]), half])
-    sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
     steps, shift = propagation._step_count(m, f, s.omegas)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResolutionError, match="underflows"):
-            propagation._integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
+            propagation._integrate_correlation(*_march_args(m, f, s), shift, steps)
 
 
 def test_z_march_refuses_a_nan_residual(monkeypatch):
