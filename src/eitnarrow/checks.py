@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResolutionError
 from .fitting import fit_lineshape, linear_fit
 from .mc import McConfig, band_average_transfer
 from .medium import AtomicMedium, FieldConfig, closed_form_width, complex_rates
@@ -40,6 +40,11 @@ class CheckRecord:
     passed: bool
     value: float  # the achieved value the verdict rests on
     detail: str
+
+    def __post_init__(self):
+        # a NaN value decides no verdict: the check could not be computed
+        if np.isnan(self.value):
+            raise ResolutionError(f"check {self.name}: its value is NaN and decides nothing")
 
     @property
     def verdict(self) -> str:

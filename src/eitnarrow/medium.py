@@ -188,7 +188,7 @@ def optical_depth(m: AtomicMedium) -> float:
 
 def closed_form_width(m: AtomicMedium, omega_sq: float) -> float:
     """Closed-form beat-signal width |Omega|^2/(Delta_W sqrt(eta L/Delta_W - 1))."""
-    if omega_sq <= 0:
+    if not omega_sq > 0:
         raise InvalidParameterError("|Omega|^2 must be positive")
     d = optical_depth(m)
     if d <= 1.0:
@@ -201,7 +201,7 @@ def closed_form_width(m: AtomicMedium, omega_sq: float) -> float:
 
 def drive_for_target_width(m: AtomicMedium, width: float) -> float:
     """|Omega_d| that makes the closed-form width equal ``width``."""
-    if width <= 0:
+    if not width > 0:
         raise InvalidParameterError("target width must be positive")
     d = optical_depth(m)
     if d <= 1.0:

@@ -45,7 +45,7 @@ class PhaseNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.diffusion < 0:
+        if not self.diffusion >= 0:
             raise InvalidParameterError("diffusion constant must be >= 0")
         if self.diffusion > 0 and self.shaping is not None:
             raise InvalidParameterError(
@@ -57,7 +57,7 @@ def sample_phase_trajectory(
     model: PhaseNoiseModel, dt: float, n: int, realization: int = 0
 ) -> np.ndarray:
     """Wiener phase phi(t): phi(0) = 0, increments N(0, 2*D*dt)."""
-    if dt <= 0:
+    if not dt > 0:
         raise InvalidParameterError("dt must be positive")
     if n < 2:
         raise InvalidParameterError("need at least two samples")

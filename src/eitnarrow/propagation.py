@@ -268,7 +268,7 @@ def adiabatic_rate_check(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) ->
 
 
 def narrowing_factor(input_fwhm: float, output_fwhm: float) -> float:
-    if input_fwhm <= 0 or output_fwhm <= 0:
+    if not (input_fwhm > 0 and output_fwhm > 0):
         raise InvalidParameterError("widths must be positive")
     return input_fwhm / output_fwhm
 

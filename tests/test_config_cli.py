@@ -903,6 +903,23 @@ def test_too_deep_medium_exits_3_before_marching(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_an_uncomputable_check_exits_3_and_prints_no_verdict(tmp_path, capsys):
+    """At a 1e9 MHz drive the output density underflows to 0/0 in the
+    transfer ratio: passivity's value is NaN, so validate refuses with
+    one ``error: resolution:`` line naming the check, not a PASS or FAIL
+    resting on NaN."""
+    path = write_config(tmp_path, "[fields]\nomega_d_mhz = 1e9\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "v"), "--quick", "validate"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: resolution: check passivity: its value is NaN and decides nothing"
+    ]
+    assert "passivity" not in out and "FAIL" not in out and "checks passed" not in out
+    with pytest.raises(ResolutionError, match="check shape-independence"):
+        checks.CheckRecord("shape-independence", False, float("nan"), "")
+
+
 @pytest.mark.parametrize("quick", [False, True], ids=["mc", "quick-mc"])
 def test_unsettled_slab_exits_3_before_any_buffer(tmp_path, capsys, monkeypatch, quick):
     """At Doppler width 0 the slab's slow pole sits at 1 - |s| = 1.1e-15 with

@@ -17,6 +17,8 @@ from eitnarrow.medium import (
     transmission,
     wing_transmission,
 )
+from eitnarrow.noise import PhaseNoiseModel, sample_phase_trajectory
+from eitnarrow.propagation import narrowing_factor
 from eitnarrow.spectral import FrequencyGrid
 from paper_params import TWO_PI, paper_medium
 
@@ -190,6 +192,26 @@ def test_a_nan_medium_parameter_is_refused(name):
     """A NaN fails every check, so it cannot pass as a homogeneous medium."""
     with pytest.raises(InvalidParameterError):
         paper_medium(**{name: float("nan")})
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: narrowing_factor(NAN, 1.0),
+    lambda: closed_form_width(paper_medium(), NAN),
+    lambda: drive_for_target_width(paper_medium(), NAN),
+    lambda: PhaseNoiseModel(diffusion=NAN),
+    lambda: sample_phase_trajectory(PhaseNoiseModel(1e3), NAN, 8),
+], ids=[
+    "narrowing_factor", "closed_form_width", "drive_for_target_width", "PhaseNoiseModel",
+    "sample_phase_trajectory",
+])
+def test_a_nan_argument_fails_the_guard(call):
+    """Each guard is written as ``not x > 0``, which a NaN fails, so it
+    cannot pass on to a NaN result or a silently constant probe."""
+    with pytest.raises(InvalidParameterError):
+        call()
 
 
 @pytest.mark.parametrize("pops", [

@@ -1,9 +1,14 @@
-"""The CSV and acceptance-line comparisons of ``tools/output_diff.py``."""
+"""The CSV, acceptance-line and library-surface comparisons of
+``tools/output_diff.py``."""
 
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import eitnarrow
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_diff.py"
 _spec = importlib.util.spec_from_file_location("output_diff", TOOL)
@@ -133,3 +138,20 @@ def test_old_config_goes_to_the_rev_tree_and_config_to_the_checkout(tmp_path, mo
     calls.clear()
     assert output_diff.main(["HEAD", "--config", new]) == 0
     assert [config for _, config in calls] == [new, new]
+
+
+def test_library_prints_each_export_with_its_module_and_type():
+    """``LIBRARY`` prints one line per name of ``eitnarrow.__all__``, in
+    order, with its object's module and type."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eitnarrow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", output_diff.LIBRARY], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert [ln.split()[0] for ln in lines] == eitnarrow.__all__
+    assert "AtomicMedium eitnarrow.medium type" in lines
+    assert "narrowing_factor eitnarrow.propagation function" in lines
+    assert lines[-1] == "__version__ - str"

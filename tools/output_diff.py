@@ -11,12 +11,17 @@ fresh interpreter with that tree's ``src`` on ``PYTHONPATH``, at
 into its own output directory.  ``--old-config`` is the configuration
 file of the ``REV`` tree alone, ``--config``'s by default: a key
 spelled differently in the two trees needs one file per tree.  ``fit``
-reads the ``figure2`` output of its own tree.  Failing invocations are entries too.  The last entry,
-``acceptance``, runs ``pytest -q -s tests/test_acceptance.py`` in each
-tree, at the suite's own default configuration whatever ``--config``
-says, and compares, as its stdout, the ``criterion N`` lines the suite
-prints, with each ``runtime <seconds> s`` field masked as
-``runtime … s``; its stderr is not compared.
+reads the ``figure2`` output of its own tree.  Failing invocations are entries too.  The
+``library`` entry runs ``LIBRARY`` in a fresh interpreter of each tree:
+it prints one line per name of ``eitnarrow.__all__``, the name, its
+object's ``__module__`` (``-`` when it has none) and type, so an export
+dropped, added or moved to another module shows as a differing stdout
+line.  The last entry, ``acceptance``, runs ``pytest -q -s
+tests/test_acceptance.py`` in each tree, at the suite's own default
+configuration whatever ``--config`` says, and compares, as its stdout,
+the ``criterion N`` lines the suite prints, with each ``runtime
+<seconds> s`` field masked as ``runtime … s``; its stderr is not
+compared.
 
 For every command the report gives the exit codes and whether stdout
 and stderr are identical, then one line per file either side wrote.  A
@@ -71,6 +76,13 @@ SEED = 42
 MAX_LINES = 6  # differing lines listed per stream or file
 ACCEPTANCE = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
 _RUNTIME = re.compile(r"runtime [0-9.]+ s")
+# the package surface: each export, its object's module and its type
+LIBRARY = """
+import eitnarrow
+for name in eitnarrow.__all__:
+    obj = getattr(eitnarrow, name)
+    print(name, getattr(obj, "__module__", "-"), type(obj).__name__)
+"""
 
 
 @dataclass(frozen=True)
@@ -156,9 +168,10 @@ def criterion_lines(stdout: str) -> str:
 
 
 def run_commands(tree: str, out: str, config: str | None) -> dict:
-    """Run every command and the acceptance suite in ``tree``; returns
-    name -> (exit code, stdout, stderr, output directory), the suite's
-    stdout reduced to its ``criterion_lines`` and its stderr empty."""
+    """Run every command, ``LIBRARY`` and the acceptance suite in
+    ``tree``; returns name -> (exit code, stdout, stderr, output
+    directory), the suite's stdout reduced to its ``criterion_lines``
+    and its stderr empty."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     flags = ["--seed", str(SEED)] + (["--config", config] if config else [])
     results = {}
@@ -170,6 +183,10 @@ def run_commands(tree: str, out: str, config: str | None) -> dict:
             cwd=tree, env=env, capture_output=True, text=True,
         )
         results[name] = (proc.returncode, proc.stdout, proc.stderr, out_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBRARY], cwd=tree, env=env, capture_output=True, text=True
+    )
+    results["library"] = (proc.returncode, proc.stdout, proc.stderr, os.path.join(out, "library"))
     proc = subprocess.run(
         [sys.executable, *ACCEPTANCE], cwd=tree, env=env, capture_output=True, text=True
     )
