@@ -1,9 +1,10 @@
 """Hot numeric kernels: linear recurrences with constant coefficients,
 each solved exactly without a Python loop over its samples.
 
-The lag sweep is a first-order recurrence along the lag grid.  Its
-closed form is a power-weighted cumulative sum, evaluated with
-``np.cumsum`` in chunks short enough that the weights cannot overflow.
+The lag sweep is a first-order recurrence along the lag grid with a
+four-point source.  Its closed form is a power-weighted cumulative sum,
+evaluated with ``np.cumsum`` in chunks short enough that the weights
+cannot overflow.
 
 The Monte-Carlo slab is linear time-invariant.  The drive ``d`` is
 constant, so the slaved coherence is proportional to ``conj(d)`` and the
@@ -21,6 +22,7 @@ realization by FFT convolution; ``mc_batch`` defines the operator.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,31 +30,63 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def _phi12(x: complex) -> tuple[complex, complex]:
-    """phi1 = (e^x - 1)/x, phi2 = (e^x - 1 - x)/x^2 with small-x guard.
+def _phi(x: complex) -> tuple[complex, complex, complex, complex]:
+    """phi_k(x) = sum_j x^j/(j+k)! for k = 1..4, so phi1 = (e^x - 1)/x
+    and phi_{k+1} = (phi_k - 1/k!)/x, with small-x guards.
 
-    The direct quotients cancel catastrophically for small |x|, so the
-    series takes over below 1e-2 where its truncation error is ~1e-13.
+    The direct quotients cancel catastrophically for small |x|, the more
+    so the higher k.  phi1 and phi2 take their five-term series below
+    1e-2, where its truncation error is ~1e-13; phi3 and phi4 take an
+    18-term series below 1, where its truncation error is below 1e-19,
+    and the recurrence above it.
     """
     if abs(x) < 1e-2:
         x2 = x * x
         phi1 = 1.0 + x / 2.0 + x2 / 6.0 + x2 * x / 24.0 + x2 * x2 / 120.0
         phi2 = 0.5 + x / 6.0 + x2 / 24.0 + x2 * x / 120.0 + x2 * x2 / 720.0
-        return phi1, phi2
-    ex = np.exp(x)
-    return (ex - 1.0) / x, (ex - 1.0 - x) / (x * x)
+    else:
+        ex = np.exp(x)
+        phi1, phi2 = (ex - 1.0) / x, (ex - 1.0 - x) / (x * x)
+    if abs(x) < 1.0:
+        phi3, phi4 = (_phi_series(x, k) for k in (3, 4))
+    else:
+        phi3 = (phi2 - 0.5) / x
+        phi4 = (phi3 - 1.0 / 6.0) / x
+    return phi1, phi2, phi3, phi4
+
+
+def _phi_series(x: complex, k: int) -> complex:
+    """phi_k(x) by Horner's rule over the terms j < 18."""
+    out = 0j
+    for j in range(17, -1, -1):
+        out = out * x + 1.0 / math.factorial(j + k)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # correlation sweep: G' = nfac * R(tau) - gtilde * G, exponential integrator
-# with piecewise-linear source:
-#   G[k+1] = decay*G[k] + c_prev*R[k] + c_curr*R[k+1]
-# whose closed form, with u[j] = c_prev*R[j-1] + c_curr*R[j], is
-#   G[k] = decay^k * (G[0] + sum_{1<=j<=k} decay^-j * u[j]).
-# The sum runs as a cumulative sum over chunks of at most CHUNK_EXPONENT /
+# with a piecewise-cubic source (Cox & Matthews, J. Comput. Phys. 176, 430
+# (2002); Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)):
+#   G[k+1] = decay*G[k] + u[k],  u[k] = sum_i c_i * R[k-1+i],  i < 4,
+# the cubic through R[k-1..k+2], one-sided through R[0..3] on the first
+# interval and R[n-4..n-1] on the last.  With s the lag from tau_k in
+# steps and a_ip the coefficient of s^p in the Lagrange basis polynomial
+# of node i, integral_0^1 e^{x(1-s)} s^p ds = p! phi_{p+1}(x) gives
+#   c_i = nfac * dtau * sum_p a_ip * p! * phi_{p+1}(x),  x = -gtilde*dtau,
+# so the sweep is fourth order in dtau.  The closed form of the recurrence,
+#   G[k] = decay^k * (G[0] + sum_{j<k} decay^-(j+1) * u[j]),
+# runs as a cumulative sum over chunks of at most CHUNK_EXPONENT /
 # |ln|decay|| lags, restarting from the last G of the previous chunk, so
 # that decay^-j stays far from overflow.
 # ---------------------------------------------------------------------------
+
+# 6 * a_ip * p!: row i, column p, for the nodes t_i = 0, 1, 2, 3 of the
+# first interval, -1, 0, 1, 2 of an interior one and -2, -1, 0, 1 of the last
+_STENCILS = np.array([
+    [[6, -11, 12, -6], [0, 18, -30, 18], [0, -9, 24, -18], [0, 2, -6, 6]],
+    [[0, -2, 6, -6], [6, -3, -12, 18], [0, 6, 6, -18], [0, -1, 0, 6]],
+    [[0, 1, 0, -6], [0, -6, 6, 18], [6, 3, -12, -18], [0, 2, 6, 6]],
+]) / 6.0
 
 CHUNK_EXPONENT = 300.0
 
@@ -97,15 +131,17 @@ def _power_scan(u, carry, powers, out):
 
 
 class LagSweep(NamedTuple):
-    """Coefficients of the lag recurrence and its table of powers."""
+    """Source weights of the lag recurrence and its table of powers."""
 
-    c_prev: complex
-    c_curr: complex
+    weights: np.ndarray  # c_i of the first, an interior and the last interval
     powers: np.ndarray  # rows decay**k and decay**-k, 0 <= k <= one chunk
 
 
 def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float, size: int) -> LagSweep:
-    """Coefficients of the lag sweep over ``size`` lags of step ``dtau``."""
+    """Coefficients of the lag sweep over ``size`` lags of step ``dtau``;
+    the cubic source needs at least 4 lags."""
+    if size < 4:
+        raise InvalidParameterError(f"the lag sweep needs at least 4 lags, not {size}")
     x = -gtilde * dtau
     rate = abs(x.real)  # |ln|decay||
     if rate > CHUNK_EXPONENT:
@@ -113,28 +149,32 @@ def g_sweep_coefficients(gtilde: complex, nfac: complex, dtau: float, size: int)
             f"|Re gtilde| * dtau = {rate:.3g} exceeds {CHUNK_EXPONENT:g}: "
             "the lag step is far longer than the coherence time"
         )
-    phi1, phi2 = _phi12(x)
+    phis = np.array(_phi(complex(x)))
     decay = complex(np.exp(x))
-    return LagSweep(
-        complex(dtau * nfac * (phi1 - phi2)),
-        complex(dtau * nfac * phi2),
-        _power_table(decay, rate, size - 1),
-    )
+    return LagSweep((dtau * nfac) * (_STENCILS @ phis), _power_table(decay, rate, size - 1))
 
 
 def g_sweep(r_values, g0, sweep: LagSweep, scale):
     """``scale`` times the solution of the slaved-coherence lag ODE along
     the lag grid from ``G[0] = g0``.
 
-    The recurrence is linear, so ``scale`` rides in its two source
-    weights and its start value at no extra pass.  The rounding error
-    is the recurrence's own, about eps * max|scale*G| / (1 - |decay|).
+    The recurrence is linear, so ``scale`` rides in its source weights
+    and its start value at no extra pass.  The rounding error is the
+    recurrence's own, about eps * max|scale*G| / (1 - |decay|).
     """
-    r_values = np.asarray(r_values, dtype=complex)
-    out = np.empty(r_values.size, dtype=complex)
+    r = np.asarray(r_values, dtype=complex)
+    first, inner, last = scale * sweep.weights
+    out = np.empty(r.size, dtype=complex)
     out[0] = scale * g0
-    u = (scale * sweep.c_prev) * r_values[:-1]
-    u += (scale * sweep.c_curr) * r_values[1:]
+    u = np.empty(r.size - 1, dtype=complex)
+    u[0] = first @ r[:4]
+    u[-1] = last @ r[-4:]
+    # the interior intervals k = 1 .. n-3, with out[2:-1] as scratch
+    body, tmp = u[1:-1], out[2:-1]
+    np.multiply(r[:-3], inner[0], out=body)
+    for i in (1, 2, 3):
+        np.multiply(r[i:i + body.size], inner[i], out=tmp)
+        body += tmp
     _power_scan(u, out[0], sweep.powers, out[1:])
     return out
 

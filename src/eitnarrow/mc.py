@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, ResolutionError
-from .kernels import Slab, _phi12, _power_table, mc_batch
+from .kernels import Slab, _phi, _power_table, mc_batch
 from .medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
 from .noise import PhaseNoiseModel, _probe_synthesizer
 from .spectral import FrequencyGrid, Spectrum, _periodogram_grid, _periodogram_writer
@@ -123,7 +123,7 @@ def _slice_gains(m: AtomicMedium, f: FieldConfig, dz: float, dt: float) -> tuple
         b_full = (e_full - 1.0) / a
         b_half = (e_half - 1.0) / a
     x = -rates.gamma_cb_eff * dt
-    phi1, phi2 = _phi12(complex(x))
+    phi1, phi2, _, _ = _phi(complex(x))
     erho = np.exp(x)
     alpha = dt * (phi1 + phi2) * rates.n_factor
     beta = -dt * phi2 * rates.n_factor

@@ -8,7 +8,8 @@ Spectrum <-> correlation transforms are trapezoid sums over uniform
 grids of arbitrary (non power-of-two) length, evaluated as Bluestein
 chirp convolutions on ``numpy.fft``: O((N+M) log(N+M)) time and O(N+M)
 memory for N frequencies and M lags, equal to the direct quadrature up
-to round-off (about 1e-12 of the largest output at 1201 x 10 391).
+to round-off (about 1e-12 of the largest output at 1201 x 10 391,
+twice the route's 5 197 two-sided lags).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _fft_length(n: int) -> int:
     short: here it saved no FFT time (6.5 against 6.9-7.5 ms per ``--quick
     validate``, 2-core Xeon) and moved ``wiener-khinchin-roundtrip``'s
     rounding (9.770e-15 to 1.044e-14).  The route's largest transform,
-    1201 frequencies to 5196 one-sided lags, takes 1201 + 5196 - 1 -> 8192."""
+    1201 frequencies to 2599 one-sided lags, takes 1201 + 2599 - 1 -> 4096."""
     return min(1 << (n - 1).bit_length(), 3 << (-(-n // 3) - 1).bit_length())
 
 

@@ -903,16 +903,34 @@ def test_too_deep_medium_exits_3_before_marching(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_route_problem_with_no_output_exits_3_before_marching(tmp_path, capsys, monkeypatch):
+    """At Doppler width 0.5 MHz (depth 6 501) the third route problem's
+    Fourier output underflows to 0 at every frequency: validate refuses
+    with one ``error: resolution:`` line naming the problem, exit 3,
+    before any problem is marched."""
+    marched = []
+    monkeypatch.setattr(propagation, "_integrate_correlation", lambda *a: marched.append(a))
+    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0.5\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "v"), "--quick", "validate"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err.splitlines() == [
+        "error: resolution: route problem 3: the Fourier output density underflows to 0"
+    ]
+    assert "route-equivalence" not in out
+    assert marched == []
+
+
 def test_an_uncomputable_check_exits_3_and_prints_no_verdict(tmp_path, capsys):
     """At a 1e9 MHz drive the output density underflows to 0/0 in the
     transfer ratio: passivity's value is NaN, so validate refuses with
     one ``error: resolution:`` line naming the check, not a PASS or FAIL
-    resting on NaN."""
+    resting on NaN, and the division prints no warning before it."""
     path = write_config(tmp_path, "[fields]\nomega_d_mhz = 1e9\n")
     rc = main(["--config", path, "--out", str(tmp_path / "v"), "--quick", "validate"])
     out, err = capsys.readouterr()
     assert rc == 3
-    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+    assert err.splitlines() == [
         "error: resolution: check passivity: its value is NaN and decides nothing"
     ]
     assert "passivity" not in out and "FAIL" not in out and "checks passed" not in out

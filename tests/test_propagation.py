@@ -261,13 +261,17 @@ def test_march_with_gain_and_loss_shifts_by_the_midpoint(monkeypatch):
 
 
 def test_z_march_refuses_an_output_that_underflows():
-    """Stretched 400-fold, the decaying case's R(0) would fall by about
-    e^-1000 and underflows to 0: the march raises ``ResolutionError``
-    before it divides by |R(0)|, so no invalid-value warning is raised.
-    At Doppler width 0.5 MHz the third route problem of ``--quick
-    validate`` meets the same underflow."""
+    """Stretched 800-fold (743 steps), the decaying case's R(0) falls
+    past the smallest double and underflows to 0: the march raises
+    ``ResolutionError`` before it divides by |R(0)|, so no invalid-value
+    warning is raised.  The 151 one-sided lags span 150 dtau, too short
+    a window to resolve the narrowed line, so R(0) falls faster than the
+    e^(max Re kappa L) of the input grid: by e^-665 at 400-fold, where
+    that bound is e^-433, and it stays above the smallest double there.
+    On the grid of pi/(8 omega_max), half as long, it fell by e^-980 and
+    underflowed at 400-fold already."""
     m, f, s = _small_case("decaying")
-    m = replace(m, length=400 * m.length)
+    m = replace(m, length=800 * m.length)
     steps, shift = propagation._step_count(m, f, s.omegas)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -322,10 +326,10 @@ def test_slave_row_from_two_half_length_rows(case):
     2*total - 1 lags tau_0 + j*dtau with the phases e^{-i omega tau_0}
     and e^{i omega tau_j} combined into e^{i omega j dtau}, within 1e-12
     of its largest entry (1e-14 measured); its input row is
-    ``spectrum_to_correlation`` bit for bit.  At the route's 5196
-    one-sided lags the two differ by 1.9e-12, and the assembled row is
-    the closer to a long-double direct sum: 3.9e-13 to 5.1e-13 of its
-    largest entry, against 9.9e-13 to 1.4e-12 for the oracle."""
+    ``spectrum_to_correlation`` bit for bit.  At the route's 2599
+    one-sided lags the two differ by up to 1.1e-12, and the assembled
+    row is the closer to a long-double direct sum: 1.3e-13 to 3.1e-13 of
+    its largest entry, against 5.2e-13 to 7.2e-13 for the oracle."""
     m, f, s = _small_case(case)
     rates = complex_rates(m, f)
     dtau, _ = propagation._auto_tau_grid(rates, s.grid)
@@ -339,7 +343,7 @@ def test_slave_row_from_two_half_length_rows(case):
     m, f, s = _route_case(case)
     rates = complex_rates(m, f)
     dtau, _ = propagation._auto_tau_grid(rates, s.grid)
-    _, row = propagation._lag_rows(rates, s, dtau, 5196)
+    _, row = propagation._lag_rows(rates, s, dtau, 2599)
     g = s.grid
     w_tau = _trapezoid_weights(row.size, dtau) / (2.0 * np.pi)
     lags = np.random.default_rng(0).choice(row.size, 200, replace=False)
@@ -409,7 +413,7 @@ def test_single_taylor_step_matches_a_fine_march(monkeypatch):
         assert propagation._step_count(m, f, s.omegas)[0] == 1
         propagate_correlation(m, f, s)
         m, rates, slave_row, sweep, r0, shift = args[-1]
-        assert r0.size == 10391
+        assert r0.size == 5197
         one, residual = real(m, rates, slave_row, sweep, r0, shift, 1)
         fine, _ = real(m, rates, slave_row, sweep, r0, shift, 8)
         center = r0.size // 2

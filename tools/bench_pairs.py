@@ -10,9 +10,16 @@ temporary directory, so that they share one layout: the parent from
 ``REV``, the change from ``git stash create`` (the checkout's tracked
 files with their staged and unstaged edits; untracked files are left
 out, so stage a new file first) or from ``HEAD`` when the tree is clean.
-A third directory holds a second extraction of the parent, the control.
-The file records the change's revision, the tree it ran and whether the
-checkout was clean.
+The parent is extracted twice, into ``parent_a`` and ``parent_b``, and
+the two take turns: pair ``i`` runs ``parent_a`` as the parent and
+``parent_b`` as the control on even ``i``, the other way round on odd
+``i``.  An offset that follows one directory (its path, or where it
+sits on the disk) then lands on the parent's values in only half the
+pairs: it widens the parent's interquartile range, and shows in the
+control arm, where the two extractions meet in both roles, rather than
+wholly in the claimed gap.  The file records the change's revision,
+the tree it ran, whether the checkout was clean and, per pair, which
+extraction played the parent.
 
 For each workload, pair ``i`` runs ``perfbench/run.py --workload W
 --seed SEED+i`` once in the parent tree and once in the change tree,
@@ -64,6 +71,7 @@ SIDES = ("parent", "change")
 CONTROL_SIDES = ("parent", "control")
 DEFAULT_PAIRS = 10
 CONTROL_PAIRS = 4
+EXTRACTIONS = ("parent_a", "parent_b")  # pair i: parent EXTRACTIONS[i % 2], control the other
 CLAIM_WINS = 0.9  # the share of pairs the change must win
 
 
@@ -171,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
         "harness": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
         "order": "parent first on even pairs, change first on odd pairs; of C control "
                  "pairs among P pairs, control pair j after pair j*P//C, parent first on "
-                 "even control pairs",
+                 "even control pairs; pair i runs parent_a as the parent and parent_b as "
+                 "the control on even i, the other way round on odd i",
         "claim_rule": f"change wins >= {CLAIM_WINS:g} of the pairs, its median gap points "
                       "the better way and exceeds both the parent's IQR and the control "
                       "arm's gap",
@@ -181,9 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {side: os.path.join(tmp, side) for side in ("parent", "change", "control")}
-        for side, tree in trees.items():
-            extract(result["change"]["tree"] if side == "change" else result["parent"]["rev"],
+        trees = {name: os.path.join(tmp, name) for name in ("change", *EXTRACTIONS)}
+        for name, tree in trees.items():
+            extract(result["change"]["tree"] if name == "change" else result["parent"]["rev"],
                     tree)
         for workload, count in plan:
             seeds = [args.seed + i for i in range(count)]
@@ -192,16 +201,20 @@ def main(argv: list[str] | None = None) -> int:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             checks: dict[str, list[dict]] = {side: [] for side in CONTROL_SIDES}
             for i, seed in enumerate(seeds):
+                parent, control = EXTRACTIONS if i % 2 == 0 else EXTRACTIONS[::-1]
+                roles = {"parent": parent, "change": "change", "control": control}
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run_once(trees[roles[side]], workload, seed, args.seconds))
                 if i in slots:
                     j = slots[i]
                     for side in CONTROL_SIDES if j % 2 == 0 else CONTROL_SIDES[::-1]:
-                        checks[side].append(run_once(trees[side], workload, seed, args.seconds))
+                        checks[side].append(run_once(trees[roles[side]], workload, seed,
+                                                     args.seconds))
                 print(f"{workload} pair {i + 1}/{count} (seed {seed}) done", file=sys.stderr)
             result["environment"] = result["environment"] or runs["change"][0]["environment"]
             control = {
                 "seeds": [seeds[i] for i in slots],
+                "parent_extraction": [EXTRACTIONS[i % 2] for i in slots],
                 "ops_failed_ratio": {s: [r["ops_failed_ratio"] for r in checks[s]]
                                      for s in CONTROL_SIDES},
                 "metrics": {m["name"]: summarize(m, checks, CONTROL_SIDES)
@@ -209,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             result["workloads"][workload] = {
                 "seeds": seeds,
+                "parent_extraction": [EXTRACTIONS[i % 2] for i in range(count)],
                 "ops_failed_ratio": {s: [r["ops_failed_ratio"] for r in runs[s]] for s in SIDES},
                 "ops_attempted": {s: [r["attempted"] for r in runs[s]] for s in SIDES},
                 "metrics": {m["name"]: claim(summarize(m, runs, SIDES),
