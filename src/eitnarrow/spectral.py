@@ -9,7 +9,7 @@ grids of arbitrary (non power-of-two) length, evaluated as Bluestein
 chirp convolutions on ``numpy.fft``: O((N+M) log(N+M)) time and O(N+M)
 memory for N frequencies and M lags, equal to the direct quadrature up
 to round-off (about 1e-12 of the largest output at 1201 x 10 391,
-twice the route's 5 197 two-sided lags).
+about twice the route's 5 197 two-sided lags).
 """
 
 from __future__ import annotations

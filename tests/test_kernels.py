@@ -133,7 +133,7 @@ def _exponential_source_error(dtau, span=2.0):
 
 def test_g_sweep_solves_the_lag_ode():
     """G' = nfac*R - gtilde*G with an exponential source has a closed
-    form; the sweep reproduces it to 1.7e-14 over 2 000 lags."""
+    form; the sweep reproduces it to 1.8e-14 over 2 001 lags."""
     assert _exponential_source_error(1e-3) < 5e-14
 
 
@@ -201,6 +201,17 @@ def test_g_sweep_rejects_a_lag_step_beyond_one_chunk():
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
     with pytest.raises(InvalidParameterError):
         g_sweep_coefficients(1.01 * CHUNK_EXPONENT + 0j, 0.3, 1.0, 100)
+
+
+def test_g_sweep_on_its_shortest_grid():
+    """Four lags hold one cubic: the first, interior and last stencils
+    all read R[0..3], and the sweep matches the loop.  Three lags hold
+    none, and the coefficients are refused."""
+    r = _random_r(n=4, seed=11)
+    b, a = _sweep_pair(r, 0.5 + 0.1j, 2.0 + 1.0j, 0.3 - 0.1j, 0.01)
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    with pytest.raises(InvalidParameterError, match="at least 4 lags"):
+        g_sweep_coefficients(2.0 + 1.0j, 0.3, 0.01, 3)
 
 
 def _slice_coefficients(m, f, dz, dt):

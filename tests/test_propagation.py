@@ -212,8 +212,8 @@ def test_taylor_march_matches_the_dense_exponential(case, stretch):
     exact propagator exp(L M) within 1e-10 of |R(0)| at z = L; its
     summed residual (Taylor tails and rounding bounds) bounds that error
     and the change from halving the step, and stays below 1e-10 itself.
-    After the shift the tail alone falls below rounding (2.5e-16 against
-    an error of 1.2e-14 in the decaying case).  Stretched 12-fold, the
+    After the shift the tail alone falls below rounding (1.9e-16 against
+    an error of 9.7e-15 in the decaying case).  Stretched 12-fold, the
     decaying case takes 12 steps over which R(0) falls by 6e-14, so each
     step's residual must be taken relative to the R(0) that step
     returns."""
@@ -266,10 +266,8 @@ def test_z_march_refuses_an_output_that_underflows():
     ``ResolutionError`` before it divides by |R(0)|, so no invalid-value
     warning is raised.  The 151 one-sided lags span 150 dtau, too short
     a window to resolve the narrowed line, so R(0) falls faster than the
-    e^(max Re kappa L) of the input grid: by e^-665 at 400-fold, where
-    that bound is e^-433, and it stays above the smallest double there.
-    On the grid of pi/(8 omega_max), half as long, it fell by e^-980 and
-    underflowed at 400-fold already."""
+    e^(max Re kappa L) of the input grid: by e^-670 at 400-fold, where
+    that bound is e^-433, and it stays above the smallest double there."""
     m, f, s = _small_case("decaying")
     m = replace(m, length=800 * m.length)
     steps, shift = propagation._step_count(m, f, s.omegas)

@@ -225,9 +225,10 @@ def _dense_sum_long_double(v, x0, dx, y0, dy, rows, sign):
 @pytest.mark.parametrize("n, m", [(1201, 10391), (10391, 1201)])
 def test_chirp_sum_accuracy_at_the_validate_scale(n, m):
     """1201 frequencies and 10 391 lags, both ways round: the validate
-    input grid and twice the route's 5 197 two-sided lags.  Forming the chirp's phase from the exact integers k^2 keeps
-    the error near 1e-12 of the largest output, where a chirp raised to
-    the power k^2/2 in complex arithmetic reached 1e-10."""
+    input grid and the two-sided lags of a grid twice as fine as the
+    route's 5 197.  Forming the chirp's phase from the exact integers
+    k^2 keeps the error near 1e-12 of the largest output, where a chirp
+    raised to the power k^2/2 in complex arithmetic reached 1e-10."""
     rng = np.random.default_rng(n)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     x0 = -6.0e5
@@ -259,9 +260,9 @@ def test_fft_length_is_the_shorter_of_two_and_three_times_a_power_of_two():
 
 def test_lag_transform_memory_stays_linear():
     """One spectrum_to_correlation call from the validate input grid
-    (1201 frequencies) to 10 391 lags, twice the route's: the dense
-    phase matrix alone would take about 200 MB, the chirp-z evaluation
-    under 1 MB."""
+    (1201 frequencies) to 10 391 lags, about twice the route's: the
+    dense phase matrix alone would take about 200 MB, the chirp-z
+    evaluation under 1 MB."""
     grid = FrequencyGrid.spanning(6.0e5, 1201)
     s = gaussian_spectrum(1.0e5, grid)
     dtau = np.pi / (8.0 * abs(grid.omegas[-1]))
