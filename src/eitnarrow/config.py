@@ -53,8 +53,11 @@ route and closed form reads.  A word key is recorded in lower case,
 however typed, so ``GAUSSIAN`` and ``gaussian`` share one digest.
 ``RunConfig.power_sweep`` runs the [sweep].
 
-Each key is one row of ``KEYS``: its section, name, default text, kind,
-the factors that take it to SI units and, for a size key, its bounds.
+Each key is one row of ``KEYS``: its section, name, the field it fills,
+default text, kind, the factors that take it to SI units and, for a size
+key, its bounds.  ``[medium]`` keys fill ``AtomicMedium``, ``[fields]``
+keys ``FieldConfig`` and the ``[input]``, ``[mc]`` and ``[run]`` keys
+``RunConfig``; ``target_width_khz`` and the ``[sweep]`` keys fill none.
 ``DEFAULTS`` is derived from the rows.  ``load_config`` checks every key
 against its row first, in ``KEYS`` order, whether or not the run uses it;
 the physical and cross-key checks follow, so a file with a malformed key
@@ -99,14 +102,17 @@ _KHZ = (TWO_PI, 1e3)
 
 
 class Key(NamedTuple):
-    """One configuration key.  ``kind`` is ``float``, ``int`` or the
-    tuple of allowed words; ``factors`` take a value in the key's unit
+    """One configuration key.  ``field`` is the field its SI value fills
+    in the object its section builds (``_FILLS``), or empty for a key
+    that fills none; ``kind`` is ``float``, ``int`` or the tuple of
+    allowed words; ``factors`` take a value in the key's unit
     to SI, applied one at a time (``x * 2π * 1e6``, which rounds unlike
     ``x * (2π·1e6)``); ``bounds`` is the (low, high) range of a size
     key."""
 
     section: str
     name: str
+    field: str
     default: str
     kind: type | tuple[str, ...] = float
     factors: tuple[float, ...] = ()
@@ -121,30 +127,30 @@ class Key(NamedTuple):
 # the upper size bounds lie far above every shipped and tested
 # configuration and keep the arrays a run allocates within a few GB
 KEYS = (
-    Key("medium", "density_cm3", "3e11", float, (1e6,)),
-    Key("medium", "gamma_ab_per_s", "2e7"),
-    Key("medium", "gamma_ac_per_s", "2e7"),
-    Key("medium", "gamma_cb_hz", "0", float, (TWO_PI,)),
-    Key("medium", "doppler_fwhm_mhz", "500", float, _MHZ),
-    Key("medium", "length_cm", "2.5", float, (1e-2,)),
-    Key("fields", "omega_d_mhz", "0", float, _MHZ),
-    Key("fields", "target_width_khz", "4.6", float, _KHZ),
-    Key("fields", "delta_p_mhz", "0", float, _MHZ),
-    Key("fields", "delta_ac_mhz", "0", float, _MHZ),
-    Key("fields", "rho_aa", "0"),
-    Key("fields", "rho_cc", "0"),
-    Key("input", "shape", "gaussian", ("gaussian", "lorentzian")),
-    Key("input", "fwhm_khz", "980", float, _KHZ),
-    Key("input", "grid_points", "3001", int, bounds=(8, 10**6)),
-    Key("input", "span_factor", "6.0"),
-    Key("mc", "realizations", "200", int, bounds=(8, 10**5)),
-    Key("mc", "slices", "8", int, bounds=(1, 10**4)),
-    Key("mc", "dt_us", "0.1", float, (1e-6,)),
-    Key("mc", "duration_ms", "1.0", float, (1e-3,)),
-    Key("sweep", "omega_d_min_mhz", "2.0", float, _MHZ),
-    Key("sweep", "omega_d_max_mhz", "6.5", float, _MHZ),
-    Key("sweep", "points", "8", int, bounds=(1, 10**4)),
-    Key("run", "seed", "12345", int),
+    Key("medium", "density_cm3", "number_density", "3e11", float, (1e6,)),
+    Key("medium", "gamma_ab_per_s", "gamma_ab", "2e7"),
+    Key("medium", "gamma_ac_per_s", "gamma_ac", "2e7"),
+    Key("medium", "gamma_cb_hz", "gamma_cb", "0", float, (TWO_PI,)),
+    Key("medium", "doppler_fwhm_mhz", "doppler_width", "500", float, _MHZ),
+    Key("medium", "length_cm", "length", "2.5", float, (1e-2,)),
+    Key("fields", "omega_d_mhz", "omega_d", "0", float, _MHZ),
+    Key("fields", "target_width_khz", "", "4.6", float, _KHZ),
+    Key("fields", "delta_p_mhz", "delta_p", "0", float, _MHZ),
+    Key("fields", "delta_ac_mhz", "delta_ac", "0", float, _MHZ),
+    Key("fields", "rho_aa", "rho_aa", "0"),
+    Key("fields", "rho_cc", "rho_cc", "0"),
+    Key("input", "shape", "input_shape", "gaussian", ("gaussian", "lorentzian")),
+    Key("input", "fwhm_khz", "input_fwhm", "980", float, _KHZ),
+    Key("input", "grid_points", "grid_points", "3001", int, bounds=(8, 10**6)),
+    Key("input", "span_factor", "span_factor", "6.0"),
+    Key("mc", "realizations", "mc_realizations", "200", int, bounds=(8, 10**5)),
+    Key("mc", "slices", "mc_slices", "8", int, bounds=(1, 10**4)),
+    Key("mc", "dt_us", "mc_dt", "0.1", float, (1e-6,)),
+    Key("mc", "duration_ms", "mc_duration", "1.0", float, (1e-3,)),
+    Key("sweep", "omega_d_min_mhz", "", "2.0", float, _MHZ),
+    Key("sweep", "omega_d_max_mhz", "", "6.5", float, _MHZ),
+    Key("sweep", "points", "", "8", int, bounds=(1, 10**4)),
+    Key("run", "seed", "seed", "12345", int),
 )
 _ROWS = {(k.section, k.name): k for k in KEYS}
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -262,8 +268,9 @@ class RunConfig:
                 rows.append((abs(omega_d) ** 2, self.output_line(f, grid)[2].fwhm))
                 continue
             excluded.append((omega_d, report))
+            mhz = omega_d / _ROWS["fields", "omega_d_mhz"].si(1.0)
             warnings.warn(
-                f"point |Omega_d| = {omega_d / (TWO_PI * 1e3) / 1e3:.4f} MHz excluded "
+                f"point |Omega_d| = {mhz:.4f} MHz excluded "
                 f"(adiabatic validity ratio {report.validity_ratio:.2f} < 10)"
             )
         if len(rows) < 2:
@@ -284,6 +291,11 @@ class RunConfig:
             realizations=realizations,
             slices=self.mc_slices,
         )
+
+
+# the class each section's keys fill; [sweep] keys fill none
+_FILLS = {"medium": AtomicMedium, "fields": FieldConfig, "input": RunConfig, "mc": RunConfig,
+         "run": RunConfig}
 
 
 def _resolve_text(path: str | None) -> dict[str, dict[str, str]]:
@@ -363,22 +375,19 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
     if seed is not None:
         resolved["run"]["seed"] = str(int(seed))
 
-    # every key in its own unit and in SI units (no name is in two sections)
+    # every key in its own unit and in SI units (no name is in two sections),
+    # and the fields its SI value fills, by the class that holds them
     own, si = {}, {}
+    filled = {cls: {} for cls in _FILLS.values()}
     for row in KEYS:
         own[row.name] = _read(resolved, row)
         si[row.name] = row.si(own[row.name])
+        if row.field:
+            filled[_FILLS[row.section]][row.field] = si[row.name]
 
     try:
-        medium = AtomicMedium(
-            number_density=si["density_cm3"],
-            gamma_ab=si["gamma_ab_per_s"],
-            gamma_ac=si["gamma_ac_per_s"],
-            gamma_cb=si["gamma_cb_hz"],
-            doppler_width=si["doppler_fwhm_mhz"],
-            length=si["length_cm"],
-        )
-        omega_d = si["omega_d_mhz"]
+        medium = AtomicMedium(**filled[AtomicMedium])
+        omega_d = filled[FieldConfig]["omega_d"]
         if omega_d == 0:
             try:
                 omega_d = drive_for_target_width(medium, si["target_width_khz"])
@@ -389,13 +398,7 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
                 ) from exc
             per_mhz = _ROWS["fields", "omega_d_mhz"].si(1.0)
             resolved["fields"]["omega_d_mhz"] = repr(omega_d / per_mhz)
-        fields = FieldConfig(
-            omega_d=omega_d,
-            delta_p=si["delta_p_mhz"],
-            delta_ac=si["delta_ac_mhz"],
-            rho_aa=si["rho_aa"],
-            rho_cc=si["rho_cc"],
-        )
+        fields = FieldConfig(**{**filled[FieldConfig], "omega_d": omega_d})
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), code="bad-parameter") from exc
 
@@ -424,18 +427,10 @@ def load_config(path: str | None = None, seed: int | None = None) -> RunConfig:
         raise ConfigError(f"seed must lie in [0, 2**64), got {si['seed']}", code="bad-parameter")
 
     return RunConfig(
+        **filled[RunConfig],
         medium=medium,
         fields=fields,
-        input_shape=si["shape"],
-        input_fwhm=si["fwhm_khz"],
-        grid_points=si["grid_points"],
-        span_factor=si["span_factor"],
-        mc_realizations=si["realizations"],
-        mc_slices=si["slices"],
-        mc_dt=si["dt_us"],
-        mc_duration=si["duration_ms"],
         sweep_omega_d=sweep,
-        seed=si["seed"],
         resolved=resolved,
         digest=config_digest(resolved),
     )

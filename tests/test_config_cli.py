@@ -24,10 +24,11 @@ from eitnarrow import config as config_module
 from eitnarrow import fitting, mc, propagation
 from eitnarrow.artifacts import write_sidecar
 from eitnarrow.cli import main
-from eitnarrow.config import DEFAULTS, KEYS, config_digest, load_config
+from eitnarrow.config import DEFAULTS, KEYS, RunConfig, config_digest, load_config
 from eitnarrow.errors import ConfigError, ResolutionError
 from eitnarrow.fitting import linear_fit
-from eitnarrow.medium import FieldConfig, complex_rates, coupling_eta, drive_for_target_width
+from eitnarrow.medium import AtomicMedium, FieldConfig, complex_rates, coupling_eta
+from eitnarrow.medium import drive_for_target_width
 from paper_params import paper_medium
 
 TWO_PI = 2.0 * np.pi
@@ -210,6 +211,40 @@ def test_module_docstring_states_the_default_of_each_row():
         values = defaults.split(" = ")[0].split(", ")
         documented.update(zip(names.split(", "), values, strict=True))
     assert documented == {row.name: row.default for row in KEYS}
+
+
+# the class whose fields each section's keys fill; [sweep] keys fill none
+_FILLED_BY = {
+    "medium": AtomicMedium,
+    "fields": FieldConfig,
+    "input": RunConfig,
+    "mc": RunConfig,
+    "run": RunConfig,
+}
+# the fields of RunConfig that load_config derives rather than reads from a row
+_DERIVED_RUN_FIELDS = {"medium", "fields", "sweep_omega_d", "resolved", "digest"}
+
+
+def test_every_named_field_belongs_to_its_section_class():
+    for row in KEYS:
+        if row.field:
+            assert row.field in _FILLED_BY[row.section].__dataclass_fields__, row
+
+
+def test_every_field_is_filled_by_exactly_one_row():
+    for cls in dict.fromkeys(_FILLED_BY.values()):
+        expected = set(cls.__dataclass_fields__)
+        if cls is RunConfig:
+            expected -= _DERIVED_RUN_FIELDS
+        filled = [row.field for row in KEYS if row.field and _FILLED_BY.get(row.section) is cls]
+        assert sorted(filled) == sorted(expected), cls.__name__
+
+
+def test_target_width_and_sweep_keys_fill_no_field():
+    empty = {row.name for row in KEYS if not row.field}
+    sweep = {row.name for row in KEYS if row.section == "sweep"}
+    assert empty == {"target_width_khz"} | sweep
+    assert sweep == {"omega_d_min_mhz", "omega_d_max_mhz", "points"}
 
 
 @pytest.mark.parametrize("row", KEYS, ids=lambda row: row.name)

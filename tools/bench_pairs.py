@@ -10,16 +10,20 @@ temporary directory, so that they share one layout: the parent from
 ``REV``, the change from ``git stash create`` (the checkout's tracked
 files with their staged and unstaged edits; untracked files are left
 out, so stage a new file first) or from ``HEAD`` when the tree is clean.
-The parent is extracted twice, into ``parent_a`` and ``parent_b``, and
-the two take turns: pair ``i`` runs ``parent_a`` as the parent and
-``parent_b`` as the control on even ``i``, the other way round on odd
-``i``.  An offset that follows one directory (its path, or where it
-sits on the disk) then lands on the parent's values in only half the
-pairs: it widens the parent's interquartile range, and shows in the
-control arm, where the two extractions meet in both roles, rather than
-wholly in the claimed gap.  The file records the change's revision,
-the tree it ran, whether the checkout was clean and, per pair, which
-extraction played the parent.
+Each side is extracted twice, the parent into ``parent_a`` and
+``parent_b``, the change into ``change_a`` and ``change_b``, and each
+pair of extractions takes turns: pair ``i`` runs ``parent_a`` as the
+parent and ``parent_b`` as the control on even ``i``, the other way
+round on odd ``i``, and runs ``change_a`` as the change when
+``(i // 2) % 2`` is 0, ``change_b`` when it is 1, so every four pairs
+meet each parent extraction with each change extraction once.  An
+offset that follows one directory (its path, or where it sits on the
+disk) then lands on its side's values in only half the pairs: it
+widens that side's interquartile range, and on the parent's side shows
+in the control arm, where the two extractions meet in both roles,
+rather than wholly in the claimed gap.  The file records the change's
+revision, the tree it ran, whether the checkout was clean and, per
+pair, which extraction played the parent and which the change.
 
 For each workload, pair ``i`` runs ``perfbench/run.py --workload W
 --seed SEED+i`` once in the parent tree and once in the change tree,
@@ -72,6 +76,7 @@ CONTROL_SIDES = ("parent", "control")
 DEFAULT_PAIRS = 10
 CONTROL_PAIRS = 4
 EXTRACTIONS = ("parent_a", "parent_b")  # pair i: parent EXTRACTIONS[i % 2], control the other
+CHANGE_EXTRACTIONS = ("change_a", "change_b")  # pair i: change CHANGE_EXTRACTIONS[(i // 2) % 2]
 CLAIM_WINS = 0.9  # the share of pairs the change must win
 
 
@@ -180,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         "order": "parent first on even pairs, change first on odd pairs; of C control "
                  "pairs among P pairs, control pair j after pair j*P//C, parent first on "
                  "even control pairs; pair i runs parent_a as the parent and parent_b as "
-                 "the control on even i, the other way round on odd i",
+                 "the control on even i, the other way round on odd i, and change_a as "
+                 "the change when (i // 2) % 2 is 0, change_b when it is 1",
         "claim_rule": f"change wins >= {CLAIM_WINS:g} of the pairs, its median gap points "
                       "the better way and exceeds both the parent's IQR and the control "
                       "arm's gap",
@@ -190,10 +196,11 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {name: os.path.join(tmp, name) for name in ("change", *EXTRACTIONS)}
+        revs = {**dict.fromkeys(CHANGE_EXTRACTIONS, result["change"]["tree"]),
+                **dict.fromkeys(EXTRACTIONS, result["parent"]["rev"])}
+        trees = {name: os.path.join(tmp, name) for name in revs}
         for name, tree in trees.items():
-            extract(result["change"]["tree"] if name == "change" else result["parent"]["rev"],
-                    tree)
+            extract(revs[name], tree)
         for workload, count in plan:
             seeds = [args.seed + i for i in range(count)]
             controls = min(CONTROL_PAIRS, count)
@@ -202,7 +209,8 @@ def main(argv: list[str] | None = None) -> int:
             checks: dict[str, list[dict]] = {side: [] for side in CONTROL_SIDES}
             for i, seed in enumerate(seeds):
                 parent, control = EXTRACTIONS if i % 2 == 0 else EXTRACTIONS[::-1]
-                roles = {"parent": parent, "change": "change", "control": control}
+                change = CHANGE_EXTRACTIONS[(i // 2) % 2]
+                roles = {"parent": parent, "change": change, "control": control}
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     runs[side].append(run_once(trees[roles[side]], workload, seed, args.seconds))
                 if i in slots:
@@ -223,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             result["workloads"][workload] = {
                 "seeds": seeds,
                 "parent_extraction": [EXTRACTIONS[i % 2] for i in range(count)],
+                "change_extraction": [CHANGE_EXTRACTIONS[(i // 2) % 2] for i in range(count)],
                 "ops_failed_ratio": {s: [r["ops_failed_ratio"] for r in runs[s]] for s in SIDES},
                 "ops_attempted": {s: [r["attempted"] for r in runs[s]] for s in SIDES},
                 "metrics": {m["name"]: claim(summarize(m, runs, SIDES),
