@@ -5,8 +5,9 @@ Two registries each yield one :class:`CheckRecord` per check:
 prints in order, and ``run_criteria``, acceptance criteria 1a–5, 7 and
 8, each a function of a ``RunConfig``.  Each pass rule is written once:
 criterion 3 fits the points of ``RunConfig.power_sweep``, which
-``figure4`` draws, and criteria 5 and 8 are the route-equivalence,
-fit-exactness and Wiener–Khinchin records of ``run_checks``.
+``figure4`` draws, and criteria 5 and 8 are built from the
+route-equivalence, fit-exactness and Wiener–Khinchin records that
+``run_checks`` yields, made by the same helpers.
 ``tests/test_acceptance.py`` prints each criterion record as its
 ``criterion N PASS|FAIL`` line and asserts that it passed; the
 Monte-Carlo jackknife (6) and the byte-identity of two runs (9) stay in
@@ -99,6 +100,49 @@ def wiener_khinchin_error(fwhm: float) -> float:
     return float(np.max(np.abs(back.density - s_in.density)) / s_in.density.max())
 
 
+def _route_records(medium: AtomicMedium, drive: float) -> list[CheckRecord]:
+    """One route-equivalence record per problem of ``route_deviations``."""
+    return [
+        CheckRecord(f"route-equivalence-{i}", dev < 1e-3, dev, f"max deviation {dev:.3e}")
+        for i, dev in enumerate(route_deviations(medium, drive), 1)
+    ]
+
+
+def _wiener_khinchin_record(fwhm: float) -> CheckRecord:
+    dev = wiener_khinchin_error(fwhm)
+    return CheckRecord("wiener-khinchin-roundtrip", dev < 1e-6, dev, f"max deviation {dev:.3e}")
+
+
+def _fit_record(fwhm: float) -> CheckRecord:
+    """Fit exactness: each model fitted to its own off-centre line of
+    the given FWHM recovers width, centre and amplitude."""
+    wide = FrequencyGrid.spanning(8.0 * fwhm, 1501)
+    omega_w = fwhm / GAUSSIAN_FWHM_FACTOR
+    hwhm = fwhm / 2.0
+    errs = []
+    for model, width, center, amp in (
+        ("gaussian", omega_w, 0.2 * omega_w, 0.8),
+        ("lorentzian", hwhm, -0.3 * hwhm, 1.2),
+    ):
+        u = wide.omegas - center
+        if model == "gaussian":
+            density = amp * np.exp(-((u / width) ** 2))
+        else:
+            density = amp * width**2 / (u**2 + width**2)
+        fit = fit_lineshape(Spectrum(wide, density), model)
+        errs.append(max(
+            abs(fit.width - width) / width,
+            abs(fit.center - center) / width,
+            abs(fit.amplitude - amp) / amp,
+        ))
+    return CheckRecord(
+        "fit-exactness",
+        max(errs) < 1e-6,
+        max(errs),
+        f"fit parameter errors {errs[0]:.2e} (gaussian) / {errs[1]:.2e} (lorentzian)",
+    )
+
+
 def band_transfer_vs_reference(
     cfg: McConfig, floor: float, n_bands: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,9 +198,7 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
     # the output grid first: a medium too thin for it fails before any
     # record is yielded
     grid = cfg.output_grid()
-    devs = route_deviations(cfg.medium, abs(cfg.fields.omega_d))
-    for i, dev in enumerate(devs, 1):
-        yield CheckRecord(f"route-equivalence-{i}", dev < 1e-3, dev, f"max deviation {dev:.3e}")
+    yield from _route_records(cfg.medium, abs(cfg.fields.omega_d))
 
     s_in = cfg.input_spectrum(grid)
     out = propagate_spectrum(cfg.medium, cfg.fields, s_in)
@@ -186,36 +228,8 @@ def run_checks(cfg: RunConfig, quick: bool) -> Iterator[CheckRecord]:
     dev = float(np.max(np.abs(thick.density - full.density) / full.density.max()))
     yield CheckRecord("closed-form-identity", dev < 1e-6, dev, f"max deviation {dev:.3e}")
 
-    dev = wiener_khinchin_error(cfg.input_fwhm)
-    yield CheckRecord("wiener-khinchin-roundtrip", dev < 1e-6, dev, f"max deviation {dev:.3e}")
-
-    # fit exactness: each model fitted to its own off-centre line recovers
-    # width, centre and amplitude
-    wide = FrequencyGrid.spanning(8.0 * cfg.input_fwhm, 1501)
-    omega_w = cfg.input_fwhm / GAUSSIAN_FWHM_FACTOR
-    hwhm = cfg.input_fwhm / 2.0
-    errs = []
-    for model, width, center, amp in (
-        ("gaussian", omega_w, 0.2 * omega_w, 0.8),
-        ("lorentzian", hwhm, -0.3 * hwhm, 1.2),
-    ):
-        u = wide.omegas - center
-        if model == "gaussian":
-            density = amp * np.exp(-((u / width) ** 2))
-        else:
-            density = amp * width**2 / (u**2 + width**2)
-        fit = fit_lineshape(Spectrum(wide, density), model)
-        errs.append(max(
-            abs(fit.width - width) / width,
-            abs(fit.center - center) / width,
-            abs(fit.amplitude - amp) / amp,
-        ))
-    yield CheckRecord(
-        "fit-exactness",
-        max(errs) < 1e-6,
-        max(errs),
-        f"fit parameter errors {errs[0]:.2e} (gaussian) / {errs[1]:.2e} (lorentzian)",
-    )
+    yield _wiener_khinchin_record(cfg.input_fwhm)
+    yield _fit_record(cfg.input_fwhm)
 
     if not quick:
         mc_cfg = _reduced_mc_config(cfg)
@@ -316,9 +330,8 @@ def run_criteria(cfg: RunConfig) -> Iterator[CheckRecord]:
         "(limits 0.9..1.1)",
     )
 
-    # 5 and 8 are validate's records at the configured medium and drive
-    quick = {r.name: r for r in run_checks(cfg, quick=True)}
-    routes = [r for name, r in quick.items() if name.startswith("route-equivalence")]
+    # 5 and 8 are validate's records at the configured medium, drive and input
+    routes = _route_records(cfg.medium, abs(cfg.fields.omega_d))
     detail = ", ".join(f"{r.value:.2e}" for r in routes)
     yield CheckRecord(
         "criterion 5",
@@ -350,7 +363,7 @@ def run_criteria(cfg: RunConfig) -> Iterator[CheckRecord]:
         "criterion 7 (depth 10)", dev <= 0.01, dev, f"deviation {dev:.4f} (limit 0.01)"
     )
 
-    fit, wk = quick["fit-exactness"], quick["wiener-khinchin-roundtrip"]
+    fit, wk = _fit_record(cfg.input_fwhm), _wiener_khinchin_record(cfg.input_fwhm)
     yield CheckRecord(
         "criterion 8",
         fit.passed and wk.passed,

@@ -65,9 +65,9 @@ and a physical fault reports the key.  The samples per Monte-Carlo
 realization, ``duration_ms / dt_us``, are bounded too
 (``MAX_MC_SAMPLES``), which bounds an ensemble's memory, as is their
 product with ``realizations`` (``MAX_MC_ELEMENTS``), which bounds its
-per-realization work: five transforms of each record.  The slab itself runs
-twice per ensemble, 2 x ``slices`` x samples, bounded by ``slices``
-and the samples.
+per-realization work: three transforms of each record.  The slab itself
+runs once per ensemble, over two records, 2 x ``slices`` x samples,
+bounded by ``slices`` and the samples.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ MAX_MAGNITUDE = 1e30
 MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us; bounds an ensemble's memory
 # realizations * duration_ms / dt_us: the ensemble streams its
 # realizations into running sums, so this bounds run time, not memory:
-# each realization costs five transforms of its record whatever the slice
-# count, which enters only the slab's two impulse runs per ensemble
+# each realization costs three transforms of its record whatever the slice
+# count, which enters only the slab's one impulse run per ensemble
 MAX_MC_ELEMENTS = 10**8
 # fewest grid steps across a fitted output FWHM; at 4 or more the fit
 # reads within 0.1 % of its fully resolved width at the default config,

@@ -15,9 +15,9 @@ the fast one by log-step doubling, the slow one by the same chunked
 cumulative sum as the lag sweep.  The slab is ``nsl`` slices in series;
 ``mc.mc_slab`` builds one slice's gains and poles (a ``Slab``) once, as
 ``g_sweep_coefficients`` builds the lag sweep's coefficients.  An
-ensemble runs ``mc_batch`` twice, on a unit sample at t = 0 and at
-t = 1, and ``mc._slab_filter`` applies those impulse responses to each
-realization by FFT convolution; ``mc_batch`` defines the operator.
+ensemble runs ``mc_batch`` once, on a unit sample at t = 1, and
+``mc._slab_filter`` applies that impulse response to each realization
+by cyclic FFT convolution; ``mc_batch`` defines the operator.
 """
 
 from __future__ import annotations

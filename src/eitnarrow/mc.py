@@ -14,27 +14,35 @@ The per-field coupling is half of ``coupling_eta``, so the slab's
 density exponent is the medium's own, and its analytic reference is
 ``transmission`` of the same medium.  ``mc_slab`` builds one slice's
 gains and poles once per ensemble, and ``kernels.mc_batch`` runs the
-slices in the time domain: twice per ensemble, on a unit sample at
-t = 0 and at t = 1.  The slab is linear and, from rest, time-invariant,
-so ``_slab_filter`` applies it to each realization as a convolution
-with that impulse response, in three FFTs of the record whatever the
-slice count: the probe synthesizer hands it the probe's spectrum with
-the probe, so the filter takes no transform of the probe itself.  With
-the synthesizer's inverse FFT and the periodogram's FFT, a realization
-runs five transforms of its record.  ``mc_batch`` still defines the
-operator; the filter matches it to a few 1e-15 of the output's peak.
+slices in the time domain: once per ensemble, on a unit sample at
+t = 1 over two records, which gives the slab's impulse response from
+rest.  The slab is linear and time-invariant, and a shaped probe is the
+inverse FFT of shaped white noise, so it repeats exactly with the period
+of its record (Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1088
+(1997)): its settled output is one cyclic convolution with that
+response (Percival & Walden, *Spectral Analysis for Physical
+Applications* (1993), ch. 6), and no start-up is discarded.
+``_slab_filter`` takes it as one product with the response's transform
+and one inverse FFT, whatever the slice count: the probe synthesizer
+hands it the probe's spectrum with the probe.  With the synthesizer's
+inverse FFT and the periodogram's FFT, a realization runs three
+transforms of its record.  ``mc_batch`` still defines the operator; the
+filter matches the last period of its output on three periods of the
+probe to a few 1e-15 of the output's peak.  A Wiener-phase probe does
+not repeat: the transient of its wrap, from the record's last sample to
+its first, opens the kept samples, where their Hann taper is zero.
 
 The slab is linear in the probe, so the probe's amplitude only scales
 the output densities and their standard errors.  The ensemble draws it
 at ``PROBE_FRACTION`` times |Omega_d|, inside the weak-probe regime.
 
-Each realization's record starts with a burn-in of at least 5 e-folds
-of the slab's slow pole |s|, which lets the slaved start settle, and is
-padded to the next 2^a 3^b 5^c length so that the probe's inverse FFT
-and the slab filter's FFTs run fast (Frigo & Johnson, Proc. IEEE 93,
-216 (2005)); the extra samples are burn-in too.  A burn-in longer than
-the kept samples is refused with ``ResolutionError`` before any table
-or buffer is built.
+Each realization's record is the kept samples padded to the next
+2^a 3^b 5^c length, so that the probe's inverse FFT and the slab
+filter's run fast (Frigo & Johnson, Proc. IEEE 93, 216 (2005)); the
+first ``cfg.grid.count`` are kept.  A slab whose impulse response does
+not settle within the record, more than ``MAX_TAIL`` of its L1 mass over
+two records in the second, is refused with ``ResolutionError`` before
+the synthesizer is built.
 
 An ensemble streams: each realization's periodograms are reduced into
 running sums as they come and dropped, so memory does not grow with the
@@ -57,6 +65,10 @@ from .noise import PhaseNoiseModel, _probe_synthesizer
 from .spectral import FrequencyGrid, Spectrum, _periodogram_grid, _periodogram_writer
 
 PROBE_FRACTION = 0.05  # probe amplitude of the ensemble in units of |Omega_d|
+# the largest share of the slab's impulse response, in L1 mass over two
+# records, that may lie in the second; at this share the folded filter
+# misses the settled output by about 1e-6 of its peak
+MAX_TAIL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,10 +119,10 @@ class McEnsembleResult:
     drive_depletion: float  # implied drive power transmission (diagnostic)
 
 
-def _slice_gains(m: AtomicMedium, f: FieldConfig, dz: float, dt: float) -> tuple[tuple, complex]:
-    """The fields of ``Slab`` up to its table of powers, for one slice of
-    thickness ``dz`` at time step ``dt`` and drive modulus |Omega_d|,
-    and the slow pole s the table is made of."""
+def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -> Slab:
+    """One slice of thickness ``dz`` of the slab at time step ``dt``, its
+    gains and poles at the drive modulus |Omega_d|, for ``count``
+    samples."""
     rates = complex_rates(m, f)
     eta = 0.5 * coupling_eta(m)  # coupling of the per-field equations
     a = eta * f.n_ab / rates.gamma_ab  # homogeneous field advance rate [1/m]
@@ -135,74 +147,52 @@ def _slice_gains(m: AtomicMedium, f: FieldConfig, dz: float, dt: float) -> tuple
     # roots of z^2 - c1 z - c2; the sign that adds moduli avoids cancellation
     root = np.sqrt(c1 * c1 + 4.0 * c2)
     s = 0.5 * (c1 + root if abs(c1 + root) >= abs(c1 - root) else c1 - root)
-    return (e_full, k_f, rates.n_factor * dmod, rates.gamma_cb_eff,
-            dmod * (alpha * e_half + beta), alpha * dmod * e_half, beta * dmod * e_half,
-            -c2 / s), s
+    return Slab(e_full, k_f, rates.n_factor * dmod, rates.gamma_cb_eff,
+                dmod * (alpha * e_half + beta), alpha * dmod * e_half, beta * dmod * e_half,
+                -c2 / s, _power_table(s, abs(np.log(abs(s))), count))
 
 
-def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -> Slab:
-    """One slice of thickness ``dz`` of the slab at time step ``dt``, its
-    gains and poles at the drive modulus |Omega_d|, for ``count``
-    samples."""
-    gains, s = _slice_gains(m, f, dz, dt)
-    return Slab(*gains, _power_table(s, abs(np.log(abs(s))), count))
+def _slab_filter(cfg: McConfig, n: int):
+    """The function (probe, fft(probe)) -> the first ``cfg.grid.count``
+    samples of the settled output of ``cfg``'s slab when the ``n``-sample
+    probe repeats with period n; the slab's one ``mc_batch`` run is made
+    here.
 
+    The slab is linear and, from rest, time-invariant, so the settled
+    output of a probe of period n is the cyclic convolution of one period
+    with the impulse response folded onto n samples.  h_k is the response
+    k samples after a unit sample at t = 1, which finds the slab at rest;
+    it runs to k = 2n - 2 and h_{n..2n-2} are folded onto h_{0..n-2}, so
+    the filter leaves out only the response beyond 2n.  A slab that keeps
+    more than ``MAX_TAIL`` of the L1 mass of h in h_{n..2n-2} does not
+    settle within the record and is refused with ``ResolutionError``.  A
+    call runs one inverse FFT, whatever the slice count.
 
-def _slab_filter(slab: Slab, slices: int, n: int, keep: int):
-    """The function (probe, fft(probe)) -> the last ``keep`` < ``n``
-    output samples of ``slices`` passes of ``slab`` over the ``n``
-    samples, as an FFT convolution with the slab's own impulse response;
-    the two impulse runs of ``mc_batch`` are made once.
-
-    The slab is linear and, from rest, time-invariant, so a probe x comes
-    out as ``x[0]*F + g (*) x'``: F is the response to a unit sample at
-    t = 0, the slaved start, g[k] the response at t = k + 1 to one at
-    t = 1, and x' is x with x[0] = 0.  The first n samples of the linear
-    convolution are the mean of the length-n cyclic and negacyclic ones,
-    ``ifft(fft(x')*fft(g))`` and ``conj(psi)*ifft(fft(psi*x')*fft(psi*g))``
-    with psi[t] = exp(i pi t / n) (Nussbaumer, *Fast Fourier Transform
-    and Convolution Algorithms* (1981)).  The cyclic half starts from
-    the probe's spectrum, fft(x') = fft(x) - x[0], so a call runs three
-    length-n FFTs, whatever the slice count; the sum and the x[0]*F term
-    are taken on the kept samples alone.  The 1/2 rides in both
-    transfers.
-
-    The output is a view of the filter's one buffer, overwritten by the
-    next call: a caller that keeps an output past that copies it."""
-    unit = np.zeros(n, dtype=complex)
-    unit[0] = 1.0
-    start = mc_batch(unit, slices, slab)[n - keep:].copy()
-    unit[:2] = 0.0, 1.0
-    g = mc_batch(unit, slices, slab)
-    g[:-1] = g[1:]
-    g[-1] = 0.0  # in the first n samples g[n - 1] meets x'[0] = 0 alone
-    psi = np.exp((1j * np.pi / n) * np.arange(n))
-    cyclic = np.fft.fft(g)
-    cyclic *= 0.5
-    g *= psi
-    nega = np.fft.fft(g)
-    nega *= 0.5
-    # conj(psi[t]) = -psi[n - t], so the kept samples' conj(psi) is minus
-    # psi read backwards from psi[keep]
-    psi_back = psi[keep:0:-1]
-    out, work = g, unit  # the impulse and the unit sample are spent
+    The slab, its table of powers included, lives only through the
+    impulse run.  The output is a view of the filter's one buffer,
+    overwritten by the next call: a caller that keeps an output past that
+    copies it."""
+    unit = np.zeros(2 * n, dtype=complex)
+    unit[1] = 1.0
+    slab = mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n)
+    h = mc_batch(unit, cfg.slices, slab)  # h[k + 1] = h_k
+    mass = np.abs(h)
+    tail = mass[n + 1:].sum() / mass.sum()
+    if not tail <= MAX_TAIL:
+        raise ResolutionError(
+            f"the slab's impulse response over two {n}-sample records keeps {tail:.3g} "
+            f"of its L1 mass in the second (limit {MAX_TAIL:g}): it does not settle within "
+            f"[mc] duration_ms = {cfg.duration * 1e3:g} at [mc] slices = {cfg.slices} and "
+            f"dt_us = {cfg.dt * 1e6:g}"
+        )
+    out = h[1:n + 1]
+    out[:-1] += h[n + 1:]
+    transfer = np.fft.fft(out)  # the response is spent: out is the call's buffer
+    keep = cfg.grid.count
 
     def apply(probe, spectrum):
-        x0 = probe[0]
-        np.subtract(spectrum, x0, out=out)
-        np.multiply(out, cyclic, out=out)
-        np.fft.ifft(out, out=out)
-        np.multiply(probe, psi, out=work)
-        work[0] = 0.0
-        np.fft.fft(work, out=work)
-        np.multiply(work, nega, out=work)
-        np.fft.ifft(work, out=work)
-        y, w = out[n - keep:], work[n - keep:]
-        w *= psi_back
-        y -= w
-        np.multiply(start, x0, out=w)
-        y += w
-        return y
+        np.multiply(spectrum, transfer, out=out)
+        return np.fft.ifft(out, out=out)[:keep]
 
     return apply
 
@@ -221,24 +211,6 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _burn_in(cfg: McConfig) -> int:
-    """Samples each realization discards before its kept ones: 5 e-folds
-    of the slab's slow pole |s| at least, padded so that the whole record
-    has a 2^a 3^b 5^c length.  Raises ``ResolutionError`` when 5 e-folds
-    exceed the kept samples."""
-    _, s = _slice_gains(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt)
-    rate = -np.log(abs(s))  # e-folds per sample
-    keep = cfg.grid.count
-    if not rate * keep >= 5.0:
-        need = 5.0 / rate if rate > 0 else np.inf
-        raise ResolutionError(
-            f"the slab's slow pole needs {need:.3g} samples of burn-in (5 e-folds of "
-            f"|s| = 1 - {1.0 - abs(s):.3g}), more than the {keep} kept samples, at "
-            f"{cfg.slices} slices and dt = {cfg.dt:.3g} s"
-        )
-    return _fft_length(keep + int(np.ceil(5.0 / rate))) - keep
-
-
 def _implied_drive_depletion(cfg: McConfig) -> float:
     """Drive power transmission exp(-eta n_ca Re(1/Gamma_ca) L): the
     drive's own linear absorption on a-c, which the probe leaves
@@ -254,28 +226,20 @@ def _realization_envelopes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarr
     order.  A shaped probe is the synthesizer's buffer and the output
     the slab filter's, each overwritten by the next realization.
 
-    Once per ensemble, before the first realization: the burn-in and its
-    check, the slab with its poles and table of powers, its two impulse
-    runs and their transforms, the shaping's gain and the draw buffer.
-    Per realization: its noise (the stream keyed (seed, r)), which comes
-    with its spectrum, and the slab filter on the kept samples."""
+    Once per ensemble, before the first realization: the slab with its
+    poles and table of powers, its impulse run, the check that it settles
+    within the record and its transform, then the shaping's gain and the
+    draw buffer.  Per realization: its noise (the stream keyed (seed, r)),
+    which comes with its spectrum, and the slab filter."""
     keep = cfg.grid.count
-    burn = _burn_in(cfg)
-    n_total = keep + burn
-    # the slab, its table of powers included, lives only through the
-    # filter's two impulse runs
-    propagate = _slab_filter(
-        mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, n_total),
-        cfg.slices,
-        n_total,
-        keep,
-    )
+    n = _fft_length(keep)
+    propagate = _slab_filter(cfg, n)
     synthesize = _probe_synthesizer(
-        cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n_total
+        cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n
     )
     for r in range(cfg.realizations):
         probe, spectrum = synthesize(r)
-        yield probe[burn:], propagate(probe, spectrum)
+        yield probe[:keep], propagate(probe, spectrum)
 
 
 def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import eitnarrow
 from eitnarrow import checks, cli, errors
 from eitnarrow import config as config_module
-from eitnarrow import fitting, mc, propagation
+from eitnarrow import fitting, mc, noise, propagation
 from eitnarrow.artifacts import write_sidecar
 from eitnarrow.cli import main
 from eitnarrow.config import DEFAULTS, KEYS, RunConfig, config_digest, load_config
@@ -975,20 +975,29 @@ def test_an_uncomputable_check_exits_3_and_prints_no_verdict(tmp_path, capsys):
 
 @pytest.mark.parametrize("quick", [False, True], ids=["mc", "quick-mc"])
 def test_unsettled_slab_exits_3_before_any_buffer(tmp_path, capsys, monkeypatch, quick):
-    """At Doppler width 0 the slab's slow pole sits at 1 - |s| = 1.1e-15 with
-    8 slices: 5 e-folds of burn-in would take 4.5e15 samples.  ``mc``
-    refuses with one ``error: resolution:`` line naming the slices and dt,
-    exit 3, before any table of powers or synthesizer buffer is built."""
+    """At Doppler width 0 the slab's impulse response does not settle
+    within the 10 000-sample record: over two records it keeps 0.996 of
+    its L1 mass in the second with 8 slices, and 1.00 with 64, whose
+    response peaks 36 848 samples after its unit sample.  ``mc`` refuses with one ``error:
+    resolution:`` line naming ``[mc] slices``, ``dt_us`` and
+    ``duration_ms``, exit 3, before any synthesizer is built or any
+    realization drawn."""
     built = []
-    monkeypatch.setattr(mc, "_power_table", lambda *args: built.append(args))
     monkeypatch.setattr(mc, "_probe_synthesizer", lambda *args: built.append(args))
-    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0\n")
-    argv = ["--config", path, "--out", str(tmp_path / "mc")]
-    rc = main(argv + (["--quick", "mc"] if quick else ["mc"]))
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert rc == 3
-    assert len(lines) == 1 and lines[0].startswith("error: resolution: ")
-    assert "4.5e+15 samples" in lines[0] and "8 slices and dt = 1e-07 s" in lines[0]
+    monkeypatch.setattr(noise, "realization_rng", lambda *args: built.append(args))
+    for slices, share in ((8, "0.996"), (64, "1")):
+        path = write_config(
+            tmp_path, f"[medium]\ndoppler_fwhm_mhz = 0\n[mc]\nslices = {slices}\n"
+        )
+        argv = ["--config", path, "--out", str(tmp_path / "mc")]
+        rc = main(argv + (["--quick", "mc"] if quick else ["mc"]))
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("error: resolution: ")
+        assert f"keeps {share} of its L1 mass" in lines[0]
+        assert (
+            f"[mc] duration_ms = 1 at [mc] slices = {slices} and dt_us = 0.1" in lines[0]
+        )
     assert built == []
 
 

@@ -337,11 +337,11 @@ def test_mc_batch_matches_the_loop(drive, g_dt, nt):
 
 
 def test_mc_batch_matches_the_loop_at_the_mc_scale():
-    """One realization of the default ``mc`` run: 10 935 samples (10 000
-    kept plus the burn-in) through 8 slices."""
+    """At the length of the default ``mc`` run's one impulse run: 20 000
+    samples (two records of 10 000) through 8 slices."""
     cfg = load_config()
     amplitude = PROBE_FRACTION * abs(cfg.fields.omega_d)
-    probe = amplitude * _mc_probe(seed=4, nreal=1, nt=10_935)
+    probe = amplitude * _mc_probe(seed=4, nreal=1, nt=20_000)
     out, ref = _mc_pair(probe, cfg.medium, cfg.fields, 8, 1e-7)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 

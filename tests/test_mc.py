@@ -20,9 +20,9 @@ from eitnarrow.medium import (
 )
 from eitnarrow.kernels import mc_batch
 from eitnarrow.mc import (
+    MAX_TAIL,
     PROBE_FRACTION,
     McConfig,
-    _burn_in,
     _fft_length,
     _implied_drive_depletion,
     _realization_passes,
@@ -245,19 +245,26 @@ def _stacked_rows(cfg):
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
+def settled(probe, m, f, dt, nsl):
+    """The last period of the slab's output on three periods of
+    ``probe``: the output of the probe repeated forever, once settled."""
+    n = np.size(probe)
+    return slab(np.tile(probe, 3), m, f, dt, nsl)[2 * n:]
+
+
 @pytest.mark.parametrize("keep", [2000, 2001], ids=["even", "odd"])
 @pytest.mark.parametrize("noise", ["shaped", "diffusion"])
 def test_ensemble_matches_the_per_realization_chain(noise, keep):
     """Byte for byte, each pass is synthesize -> slab filter -> Hann
     periodogram run on its realization, and that periodogram is numpy's
     shifted FFT; at an odd kept length a slip between ``fftshift`` and
-    ``ifftshift`` moves every bin.  The burn-in is the one the ensemble
-    discards, and the filter is the one it builds from the slab.  Each
+    ``ifftshift`` moves every bin.  The record is the ensemble's, 2 025
+    samples at 2 001 kept, and the filter is the one it builds.  Each
     output row is within 1e-13 of its peak of the row the time-domain
-    ``mc_batch`` chain gives (2.4e-15 measured).  The running sum gives
-    the density bit for bit as ``mean(axis=0)`` of the stacked output
-    rows, and Welford's standard error is ``std(axis=0, ddof=1) /
-    sqrt(R)`` of the rows to 1e-12."""
+    ``mc_batch`` chain gives on the settled output (1.6e-15 measured).
+    The running sum gives the density bit for bit as ``mean(axis=0)`` of
+    the stacked output rows, and Welford's standard error is
+    ``std(axis=0, ddof=1) / sqrt(R)`` of the rows to 1e-12."""
     base = reduced_config(realizations=8)
     m, f, dt = base.medium, base.fields, base.dt
     g = complex_rates(m, f).gamma_cb_eff.real
@@ -266,22 +273,22 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     cfg = replace(base, duration=keep * dt)
     p_in, p_out = _stacked_rows(cfg)
 
-    burn = _burn_in(cfg)
-    n = keep + burn
-    propagate = _slab_filter(mc_slab(m, f, m.length / cfg.slices, dt, n), cfg.slices, n, keep)
+    n = _fft_length(keep)
+    assert n == (2000 if keep == 2000 else 2025)
+    propagate = _slab_filter(cfg, n)
     synthesize = _probe_synthesizer(cfg.noise, probe_amplitude(f), dt, n)
     w = np.hanning(keep)
     w *= np.sqrt(dt / (2.0 * np.pi * np.sum(w**2)))
     for r in range(cfg.realizations):
         probe, spectrum = synthesize(r)
         out = propagate(probe, spectrum)
-        spec_in = periodogram(probe[burn:], dt)
+        spec_in = periodogram(probe[:keep], dt)
         spec_out = periodogram(out, dt)
         direct = np.abs(np.fft.fftshift(np.fft.fft(out * w))) ** 2
         assert np.array_equal(spec_out.density, direct)
         assert np.array_equal(p_in[r], spec_in.density)
         assert np.array_equal(p_out[r], spec_out.density)
-        chain = periodogram(slab(probe, m, f, dt, cfg.slices)[burn:], dt).density
+        chain = periodogram(settled(probe, m, f, dt, cfg.slices)[:keep], dt).density
         assert np.max(np.abs(p_out[r] - chain)) <= 1e-13 * np.max(chain)
 
     result = ensemble_beat_spectrum(cfg)
@@ -308,18 +315,18 @@ def test_ensemble_matches_the_per_realization_chain(noise, keep):
     ids=["1-slice", "8-slices", "diffusion", "constant", "not-5-smooth", "chunked"],
 )
 def test_slab_filter_matches_mc_batch(slices, probe, pad, keep):
-    """On the kept samples, the last ``keep`` of ``n``, the slab applied
-    as its impulse response gives ``mc_batch``'s output to 1e-13 of its
-    largest modulus (1.8e-15 at most measured).  Every probe starts at
-    x[0] != 0, so the slaved start's own response enters; a constant
-    probe makes it the largest term.  ``n`` is the ensemble's record, 7
-    samples longer where it must not be 2^a 3^b 5^c; at 60 000 kept
-    samples the record is 60 750 samples and the slow pole's table of
-    powers is chunked (16 050 steps a chunk)."""
+    """On the kept samples, the first ``keep`` of ``n``, the slab applied
+    as one cyclic convolution gives the last period of ``mc_batch``'s
+    output on three periods of the probe to 1e-13 of its largest modulus
+    (1.3e-15 at most measured).  A Wiener-phase probe does not repeat, so
+    its wrap starts a transient; the three periods repeat it too.  ``n``
+    is the ensemble's record, 7 samples longer where it must not be
+    2^a 3^b 5^c; at 60 000 kept samples the slow pole's table of powers
+    is chunked (16 050 steps a chunk)."""
     cfg = reduced_config(slices=slices)
     m, f, dt = cfg.medium, cfg.fields, cfg.dt
     cfg = replace(cfg, duration=keep * dt)
-    n = keep + _burn_in(cfg) + pad
+    n = _fft_length(keep) + pad
     assert _is_5_smooth(n) == (pad == 0)
     if probe == "constant":
         x = np.full(n, probe_amplitude(f), dtype=complex)
@@ -329,23 +336,22 @@ def test_slab_filter_matches_mc_batch(slices, probe, pad, keep):
             g = complex_rates(m, f).gamma_cb_eff.real
             cfg = replace(cfg, noise=PhaseNoiseModel(diffusion=5.0 * g, seed=3))
         x, own = _probe_synthesizer(cfg.noise, probe_amplitude(f), dt, n)(0)
-        spectra = [own, np.fft.fft(x)]
-    assert x[0] != 0
-    one_slice = mc_slab(m, f, m.length / slices, dt, n)
+        spectra = [own.copy(), np.fft.fft(x)]
+    one_slice = mc_slab(m, f, m.length / slices, dt, 3 * n)
     assert (one_slice.powers.shape[1] - 1 < n) == (keep == 60_000)
-    want = mc_batch(x, slices, one_slice)[-keep:]
-    apply = _slab_filter(one_slice, slices, n, keep)
+    want = mc_batch(np.tile(x, 3), slices, one_slice)[2 * n:2 * n + keep]
+    apply = _slab_filter(cfg, n)
     for spectrum in spectra:
         got = apply(x, spectrum)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_each_realization_runs_five_transforms(monkeypatch):
-    """A shaped realization runs five transforms of its record: the
-    probe's inverse FFT, the slab filter's three (its cyclic half starts
-    from the probe's spectrum) and the periodogram's FFT.  The filter's
-    set-up adds two, the transforms of its impulse response."""
+def test_each_realization_runs_three_transforms(monkeypatch):
+    """A shaped realization runs three transforms of its record: the
+    probe's inverse FFT, the slab filter's inverse FFT (it starts from
+    the probe's spectrum) and the periodogram's FFT.  The filter's
+    set-up adds one, the transform of its impulse response."""
     calls = []
     for name in ("fft", "ifft"):
 
@@ -357,8 +363,8 @@ def test_each_realization_runs_five_transforms(monkeypatch):
     for realizations in (8, 9):
         calls.clear()
         ensemble_beat_spectrum(reduced_config(realizations=realizations))
-        assert calls.count("fft") == 2 * realizations + 2
-        assert calls.count("ifft") == 3 * realizations
+        assert calls.count("fft") == realizations + 1
+        assert calls.count("ifft") == 2 * realizations
 
 
 def _is_5_smooth(n):
@@ -370,26 +376,28 @@ def _is_5_smooth(n):
 
 def test_record_length_is_the_next_5_smooth_number():
     """``_fft_length(n)`` is the smallest 2^a 3^b 5^c >= n; the default
-    ``mc`` record of 10 000 kept samples and 904 of burn-in gets 10 935
-    (3^7 * 5)."""
+    ``mc`` record of 10 000 kept samples is itself 2^4 * 5^4."""
     for n in [*range(1, 700), 10_737, 10_738, 10_904, 2**20 + 1]:
         length = _fft_length(n)
         assert length >= n and _is_5_smooth(length)
         assert not any(_is_5_smooth(k) for k in range(n, length))
     assert _fft_length(10_904) == 10_935
+    assert _fft_length(10_000) == 10_000
 
 
-def test_burn_in_spans_five_e_folds_of_the_slow_pole():
-    """At the default ``mc`` config the slow pole |s| = 0.99448 needs 904
-    samples for 5 e-folds (738 = 5 / (Re Gamma_cb_eff dt) give 4.08); the
-    record pads to 10 935 samples, the padding all burn-in."""
+def test_impulse_response_settles_within_the_default_record():
+    """At the default ``mc`` config the slab's impulse response over two
+    10 000-sample records keeps 2.6e-19 of its L1 mass in the second,
+    far below ``MAX_TAIL``; so the record needs no padding and the
+    filter needs no burn-in."""
     cfg = _default_mc_config()
-    s = mc_slab(cfg.medium, cfg.fields, cfg.medium.length / cfg.slices, cfg.dt, 1).powers[0, 1]
-    burn = _burn_in(cfg)
-    assert cfg.grid.count == 10_000
-    assert burn == 935
-    assert int(np.ceil(-5.0 / np.log(abs(s)))) == 904
-    assert abs(s) ** burn <= np.exp(-5.0)
+    n = _fft_length(cfg.grid.count)
+    assert cfg.grid.count == n == 10_000
+    unit = np.zeros(2 * n, dtype=complex)
+    unit[1] = 1.0
+    mass = np.abs(slab(unit, cfg.medium, cfg.fields, cfg.dt, cfg.slices))
+    tail = mass[n + 1:].sum() / mass.sum()
+    assert tail <= 1e-18 and tail <= MAX_TAIL
 
 
 def test_ensemble_takes_one_periodogram_per_realization(monkeypatch):
@@ -455,8 +463,8 @@ def test_ensemble_memory_does_not_grow_with_realizations():
 
 def test_ensemble_builds_its_slab_once(monkeypatch):
     """One ensemble builds one slab, its poles and table of powers
-    included, and runs ``mc_batch`` on it exactly twice, for the slab's
-    two impulse responses, whatever its realization and slice counts."""
+    included, and runs ``mc_batch`` on it exactly once, for the slab's
+    impulse response, whatever its realization and slice counts."""
     built, runs = [], []
 
     def build(*args):
@@ -475,7 +483,7 @@ def test_ensemble_builds_its_slab_once(monkeypatch):
             runs.clear()
             ensemble_beat_spectrum(reduced_config(realizations=realizations, slices=slices))
             assert len(built) == 1
-            assert len(runs) == 2
+            assert len(runs) == 1
             assert all(nsl == slices and s is built[0] for nsl, s in runs)
 
 

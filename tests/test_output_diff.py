@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import eitnarrow
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_diff.py"
@@ -69,6 +71,38 @@ def test_compare_csv_lists_each_differing_column(tmp_path):
     zeros = _csv(tmp_path, "z.csv", header, [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
     (column,) = output_diff.compare_csv(zeros, a).columns
     assert column.peak_relative == 4.0 and math.isnan(column.own_relative)
+
+
+def test_compare_csv_scores_the_density_difference_in_standard_errors(tmp_path):
+    """With a ``stderr`` column, each bin's density difference is scored
+    against the two standard errors in quadrature, and the report prints
+    the largest score and the share above 3; an unchanged bin scores 0,
+    even where its standard errors are 0.  A file without the column
+    gets no score."""
+    header = "# eitnarrow 0.1.0 config aaaa\nomega_rad_s,density,stderr\n"
+    sides = {}
+    for side, rows in (
+        ("old", [(-1.0, 1.0, 0.1), (0.0, 4.0, 0.3), (1.0, 1.0, 0.1), (2.0, 0.0, 0.0)]),
+        ("new", [(-1.0, 1.0, 0.1), (0.0, 4.5, 0.4), (1.0, 1.5, 0.1), (2.0, 0.0, 0.0)]),
+    ):
+        (tmp_path / side).mkdir()
+        path = tmp_path / side / "mc_spectrum.csv"
+        path.write_text(header + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        sides[side] = (0, "", "", str(tmp_path / side))
+    a, b = (os.path.join(sides[side][3], "mc_spectrum.csv") for side in ("old", "new"))
+    diff = output_diff.compare_csv(a, b)
+    assert abs(diff.z_max - 0.5 / np.hypot(0.1, 0.1)) <= 1e-12  # 3.54, the third bin
+    assert diff.z_share == 0.25  # the second bin scores 0.5 / 0.5 = 1
+    assert output_diff.compare_csv(a, a).z_max == 0.0
+    lines, _, differ = output_diff.report({"mc": sides["old"]}, {"mc": sides["new"]})
+    assert differ == 1
+    assert lines[-1] == (
+        "    density z-score |d_old - d_new| / sqrt(se_old^2 + se_new^2): "
+        "max 3.54, 0.2500 of bins above 3"
+    )
+    plain = _csv(tmp_path, "p.csv", "# eitnarrow 0.1.0 config aaaa\n", [(0.0, 1.0)])
+    other = _csv(tmp_path, "q.csv", "# eitnarrow 0.1.0 config aaaa\n", [(0.0, 2.0)])
+    assert output_diff.compare_csv(plain, other).z_max is None
 
 
 def test_differing_lines_lists_a_deleted_line_once():

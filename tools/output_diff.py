@@ -31,7 +31,11 @@ peak magnitude, and lists the ``#`` header lines that differ on their
 own; then, for each column whose values differ, its largest difference
 relative to the column peak and relative to each element's own
 magnitude (nonzero elements only), so a per-bin tolerance can be read
-off.  For any other differing file, and for differing stdout or stderr,
+off.  A CSV with a ``stderr`` column, a Monte-Carlo spectrum, also gets
+the per-bin z-score of its density difference, |d_old - d_new| /
+sqrt(se_old^2 + se_new^2): its maximum and the share of bins above
+``Z_LIMIT``, so a change that moves the ensemble by its sampling error
+alone reads as such.  For any other differing file, and for differing stdout or stderr,
 it lists the lines only the old side has (``-``) and those only the new
 side has (``+``).  The exit status is 0 when everything is identical
 and 1 otherwise.
@@ -74,6 +78,7 @@ COMMANDS = (
 )
 SEED = 42
 MAX_LINES = 6  # differing lines listed per stream or file
+Z_LIMIT = 3.0  # a density difference beyond this many standard errors counts
 ACCEPTANCE = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
 _RUNTIME = re.compile(r"runtime [0-9.]+ s")
 # the package surface: each export, its object's module and its type
@@ -97,6 +102,10 @@ class CsvDiff:
     headers: list[tuple[str, str]]  # differing ``#`` lines, (old, new)
     max_relative: float  # largest body difference over the column peak; inf if the shapes differ
     columns: tuple[ColumnDiff, ...] = ()  # one per column whose values differ
+    # largest per-bin |density difference| / sqrt(se_old^2 + se_new^2) and
+    # the share of bins above Z_LIMIT; None without a stderr column
+    z_max: float | None = None
+    z_share: float | None = None
 
 
 def _read_csv(path: str) -> tuple[list[str], list[str], np.ndarray | None]:
@@ -116,7 +125,10 @@ def compare_csv(old: str, new: str) -> CsvDiff:
     CSV files, relative to the peak magnitude of each column of ``old``;
     for each column whose values differ, also the largest difference
     relative to each element's own magnitude in ``old``, over its
-    nonzero elements (nan when all are zero)."""
+    nonzero elements (nan when all are zero).  With ``density`` and
+    ``stderr`` columns, also the per-bin z-scores of the density
+    difference, their maximum and the share above ``Z_LIMIT``; a bin
+    whose density is unchanged scores 0."""
     old_comments, old_names, a = _read_csv(old)
     new_comments, new_names, b = _read_csv(new)
     headers = [(x, y) for x, y in zip_longest(old_comments, new_comments, fillvalue="") if x != y]
@@ -128,8 +140,9 @@ def compare_csv(old: str, new: str) -> CsvDiff:
     own = np.abs(a)
     peak = np.max(own, axis=0)
     peak[peak == 0] = 1.0
+    names = old_names[0].split(",")
     columns = []
-    for j, name in enumerate(old_names[0].split(",")):
+    for j, name in enumerate(names):
         if np.array_equal(a[:, j], b[:, j]):
             continue
         nonzero = own[:, j] > 0
@@ -137,7 +150,13 @@ def compare_csv(old: str, new: str) -> CsvDiff:
         columns.append(ColumnDiff(
             name, float(np.max(diff[:, j]) / peak[j]), float(rel.max()) if rel.size else np.nan
         ))
-    return CsvDiff(headers, float(np.max(diff / peak)), tuple(columns))
+    z_max = z_share = None
+    if "density" in names and "stderr" in names:
+        d, e = names.index("density"), names.index("stderr")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(diff[:, d] == 0, 0.0, diff[:, d] / np.hypot(a[:, e], b[:, e]))
+        z_max, z_share = float(z.max()), float(np.mean(z > Z_LIMIT))
+    return CsvDiff(headers, float(np.max(diff / peak)), tuple(columns), z_max, z_share)
 
 
 def _differing_lines(old: str, new: str) -> list[str]:
@@ -240,6 +259,11 @@ def report(old: dict, new: dict) -> tuple[list[str], int, int]:
                     f"{c.own_relative:.3e} of own magnitude"
                     for c in diff.columns
                 ]
+                if diff.z_max is not None:
+                    lines.append(
+                        f"    density z-score |d_old - d_new| / sqrt(se_old^2 + se_new^2): "
+                        f"max {diff.z_max:.2f}, {diff.z_share:.4f} of bins above {Z_LIMIT:g}"
+                    )
             else:
                 lines.append(f"  {file}: different")
                 with open(path_a) as fa, open(path_b) as fb:
