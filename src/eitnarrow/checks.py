@@ -23,11 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import InvalidParameterError, ResolutionError
+from .errors import InvalidParameterError, ResolutionError, UnresolvedWidthError
 from .fitting import fit_lineshape, linear_fit
 from .mc import McConfig, band_average_transfer
 from .medium import AtomicMedium, FieldConfig, closed_form_width, complex_rates
-from .medium import coupling_eta, eit_width, optical_width, thick_filter_hwhm, transmission
+from .medium import coupling_eta, eit_width, optical_width, thick_filter_hwhm, transfer_hwhm
+from .medium import transmission
 from .noise import PhaseNoiseModel
 from .propagation import propagate_correlation, propagate_spectrum, thick_medium_spectrum
 from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum, correlation_to_spectrum
@@ -62,9 +63,14 @@ def route_deviations(medium: AtomicMedium, drive: float) -> list[float]:
     on resonance, with the probe detuned by 0.1 times the optical width
     (Delta_W, or gamma_ab in a homogeneous medium), and with a
     ground decay of 0.2 times the power broadening (``medium``'s own
-    gamma_cb is replaced).  All three Fourier outputs come first: one
-    whose density underflows to 0 everywhere is refused before any
-    problem is marched."""
+    gamma_cb is replaced).  Each problem is sized from h, the half width
+    at half maximum of its own transfer (``transfer_hwhm``): its grid
+    spans +-120 h on 1201 points, and its Gaussian input has FWHM 20 h.
+    In a thin medium, where h exceeds Re Gamma_cb_eff / 2, that cap takes
+    h's place, so that the grid's period 2 pi/domega = 31.4/h still holds
+    the two-sided lag range, 24/h and the settling pad 10/Re Gamma_cb_eff.
+    All three Fourier outputs come first: one whose density underflows
+    to 0 everywhere is refused before any problem is marched."""
     base = replace(medium, gamma_cb=0.0)
     on_res = FieldConfig(omega_d=drive)
     detuned = FieldConfig(omega_d=drive, delta_p=0.1 * optical_width(medium))
@@ -72,9 +78,12 @@ def route_deviations(medium: AtomicMedium, drive: float) -> list[float]:
     decaying = replace(medium, gamma_cb=0.2 * broadening)
     problems = []
     for i, (m, f) in enumerate(((base, on_res), (base, detuned), (decaying, on_res)), 1):
-        scale = complex_rates(m, f).gamma_cb_eff.real
-        grid = FrequencyGrid.spanning(120.0 * scale, 1201)
-        s_in = gaussian_spectrum(20.0 * scale / GAUSSIAN_FWHM_FACTOR, grid)
+        try:
+            h = min(transfer_hwhm(m, f), 0.5 * complex_rates(m, f).gamma_cb_eff.real)
+        except UnresolvedWidthError as exc:
+            raise UnresolvedWidthError(f"route problem {i}: the transfer's {exc}") from None
+        grid = FrequencyGrid.spanning(120.0 * h, 1201)
+        s_in = gaussian_spectrum(20.0 * h / GAUSSIAN_FWHM_FACTOR, grid)
         fourier = propagate_spectrum(m, f, s_in)
         if not np.any(fourier.density):
             raise ResolutionError(

@@ -65,7 +65,7 @@ and a physical fault reports the key.  The samples per Monte-Carlo
 realization, ``duration_ms / dt_us``, are bounded too
 (``MAX_MC_SAMPLES``), which bounds an ensemble's memory, as is their
 product with ``realizations`` (``MAX_MC_ELEMENTS``), which bounds its
-per-realization work: three transforms of each record.  The slab itself
+per-realization work: two transforms of each record.  The slab itself
 runs once per ensemble, over two records, 2 x ``slices`` x samples,
 bounded by ``slices`` and the samples.
 """
@@ -93,7 +93,7 @@ from .mc import McConfig
 from .medium import AtomicMedium, FieldConfig, drive_for_target_width, thick_filter_hwhm
 from .noise import PhaseNoiseModel
 from .propagation import adiabatic_rate_check, propagate_spectrum
-from .spectral import GAUSSIAN_FWHM_FACTOR, FrequencyGrid, Spectrum
+from .spectral import GAUSSIAN_FWHM_FACTOR, MIN_STEPS_PER_FWHM, FrequencyGrid, Spectrum
 from .spectral import gaussian_spectrum, lorentzian_spectrum
 
 TWO_PI = 2.0 * np.pi
@@ -165,13 +165,9 @@ MAX_MAGNITUDE = 1e30
 MAX_MC_SAMPLES = 10**6  # duration_ms / dt_us; bounds an ensemble's memory
 # realizations * duration_ms / dt_us: the ensemble streams its
 # realizations into running sums, so this bounds run time, not memory:
-# each realization costs three transforms of its record whatever the slice
+# each realization costs two transforms of its record whatever the slice
 # count, which enters only the slab's one impulse run per ensemble
 MAX_MC_ELEMENTS = 10**8
-# fewest grid steps across a fitted output FWHM; at 4 or more the fit
-# reads within 0.1 % of its fully resolved width at the default config,
-# Doppler-broadened and homogeneous (CHANGES.md gives the table)
-MIN_STEPS_PER_FWHM = 4.0
 
 
 @dataclass(frozen=True)

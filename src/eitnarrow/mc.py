@@ -24,13 +24,15 @@ response (Percival & Walden, *Spectral Analysis for Physical
 Applications* (1993), ch. 6), and no start-up is discarded.
 ``_slab_filter`` takes it as one product with the response's transform
 and one inverse FFT, whatever the slice count: the probe synthesizer
-hands it the probe's spectrum with the probe.  With the synthesizer's
-inverse FFT and the periodogram's FFT, a realization runs three
-transforms of its record.  ``mc_batch`` still defines the operator; the
-filter matches the last period of its output on three periods of the
-probe to a few 1e-15 of the output's peak.  A Wiener-phase probe does
-not repeat: the transient of its wrap, from the record's last sample to
-its first, opens the kept samples, where their Hann taper is zero.
+hands it the probe's spectrum.  With the periodogram's FFT, a
+realization of ``ensemble_beat_spectrum`` runs two transforms of its
+record; ``band_average_transfer`` reads the probe too, so a shaped
+probe's inverse FFT and its periodogram add two more.  ``mc_batch``
+still defines the operator; the filter matches the last period of its
+output on three periods of the probe to a few 1e-15 of the output's
+peak.  A Wiener-phase probe does not repeat: the transient of its wrap,
+from the record's last sample to its first, opens the kept samples,
+where their Hann taper is zero.
 
 The slab is linear in the probe, so the probe's amplitude only scales
 the output densities and their standard errors.  The ensemble draws it
@@ -153,10 +155,9 @@ def mc_slab(m: AtomicMedium, f: FieldConfig, dz: float, dt: float, count: int) -
 
 
 def _slab_filter(cfg: McConfig, n: int):
-    """The function (probe, fft(probe)) -> the first ``cfg.grid.count``
-    samples of the settled output of ``cfg``'s slab when the ``n``-sample
-    probe repeats with period n; the slab's one ``mc_batch`` run is made
-    here.
+    """The function fft(probe) -> the first ``cfg.grid.count`` samples of
+    the settled output of ``cfg``'s slab when the ``n``-sample probe
+    repeats with period n; the slab's one ``mc_batch`` run is made here.
 
     The slab is linear and, from rest, time-invariant, so the settled
     output of a probe of period n is the cyclic convolution of one period
@@ -190,7 +191,7 @@ def _slab_filter(cfg: McConfig, n: int):
     transfer = np.fft.fft(out)  # the response is spent: out is the call's buffer
     keep = cfg.grid.count
 
-    def apply(probe, spectrum):
+    def apply(spectrum):
         np.multiply(spectrum, transfer, out=out)
         return np.fft.ifft(out, out=out)[:keep]
 
@@ -221,10 +222,14 @@ def _implied_drive_depletion(cfg: McConfig) -> float:
     return float(np.exp(rate * cfg.medium.length))
 
 
-def _realization_envelopes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each realization's kept probe and slab output, in realization
-    order.  A shaped probe is the synthesizer's buffer and the output
-    the slab filter's, each overwritten by the next realization.
+def _realization_envelopes(
+    cfg: McConfig, probes: bool
+) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+    """Each realization's kept probe, or None without ``probes``, and
+    slab output, in realization order.  A shaped probe is the
+    synthesizer's buffer and the output the slab filter's, each
+    overwritten by the next realization; without ``probes`` a shaped
+    probe's inverse FFT is not taken.
 
     Once per ensemble, before the first realization: the slab with its
     poles and table of powers, its impulse run, the check that it settles
@@ -235,11 +240,11 @@ def _realization_envelopes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarr
     n = _fft_length(keep)
     propagate = _slab_filter(cfg, n)
     synthesize = _probe_synthesizer(
-        cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n
+        cfg.noise, PROBE_FRACTION * abs(cfg.fields.omega_d), cfg.dt, n, envelope=probes
     )
     for r in range(cfg.realizations):
         probe, spectrum = synthesize(r)
-        yield probe[:keep], propagate(probe, spectrum)
+        yield (probe[:keep] if probes else None), propagate(spectrum)
 
 
 def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -247,7 +252,7 @@ def _realization_passes(cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray]
     ``cfg.grid``, in realization order, as fresh rows the consumer owns."""
     n_keep = cfg.grid.count
     write_periodogram = _periodogram_writer(n_keep, cfg.dt)
-    for probe, out in _realization_envelopes(cfg):
+    for probe, out in _realization_envelopes(cfg, probes=True):
         yield write_periodogram(probe, np.empty(n_keep)), write_periodogram(out, np.empty(n_keep))
 
 
@@ -265,7 +270,7 @@ def ensemble_beat_spectrum(cfg: McConfig) -> McEnsembleResult:
     grid = cfg.grid
     write_periodogram = _periodogram_writer(grid.count, cfg.dt)
     total, mean, m2, row, delta = (np.zeros(grid.count) for _ in range(5))
-    for k, (_, out) in enumerate(_realization_envelopes(cfg), 1):
+    for k, (_, out) in enumerate(_realization_envelopes(cfg, probes=False), 1):
         write_periodogram(out, row)
         total += row
         np.subtract(row, mean, out=delta)

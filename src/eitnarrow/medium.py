@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, OpticallyThinError, SingularRateError
 from .fitting import fit_lineshape
-from .spectral import FrequencyGrid, Spectrum
+from .spectral import FrequencyGrid, Spectrum, _half_max_width
 
 # the 87Rb D1 line (Steck, Rubidium 87 D Line Data): probe wavelength
 # lambda [m] and radiative decay rate a -> b [1/s]; written as nm times
@@ -159,6 +159,32 @@ def _dynamic_exponent(m: AtomicMedium, f: FieldConfig, omega) -> np.ndarray:
 def transmission(m: AtomicMedium, f: FieldConfig, omega) -> np.ndarray:
     """Spectral density transfer exp(Re kappa(omega) * L)."""
     return np.exp(transfer_exponent(m, f, omega).real * m.length)
+
+
+def transfer_hwhm(m: AtomicMedium, f: FieldConfig) -> float:
+    """Half width at half maximum of the transfer exp(Re kappa L), read
+    off the transfer itself, so that it holds with a ground decay and a
+    detuned probe, where ``thick_filter_hwhm`` does not.  The transfer's
+    half-max width is first read on the offsets 0 and +-Re Gamma_cb_eff
+    2^(j/4), |j| <= 64, then again on 1 025 uniform points over 1.5 times
+    that width on each side of the peak found there; each read
+    interpolates its two half-max crossings linearly.  An
+    ``UnresolvedWidthError`` when the transfer does not fall to half its
+    peak within 2^16 Re Gamma_cb_eff of it."""
+    scale = complex_rates(m, f).gamma_cb_eff.real
+    if not scale > 0:
+        raise InvalidParameterError("the transfer has no width scale: Re Gamma_cb_eff <= 0")
+
+    def read(w):
+        """The half-max width of the transfer on ``w`` and its peak there."""
+        e = transfer_exponent(m, f, w).real
+        y = np.exp(m.length * (e - e.max()))
+        return _half_max_width(w, y), w[np.argmax(y)]
+
+    side = scale * np.exp2(np.arange(-64, 65) / 4.0)
+    coarse, peak = read(np.concatenate([-side[::-1], [0.0], side]))
+    fine, _ = read(peak + np.linspace(-1.5 * coarse, 1.5 * coarse, 1025))
+    return 0.5 * fine
 
 
 def wing_transmission(m: AtomicMedium, f: FieldConfig) -> float:

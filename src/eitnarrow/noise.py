@@ -7,11 +7,12 @@ modeled by the resulting spectrum, not from first principles).  A model
 with a shaping uses the second mode and must set no diffusion.
 ``synthesize_probe_field`` returns the complex envelope as an array,
 through the same ``_probe_synthesizer`` the Monte-Carlo ensemble calls.
-A shaped synthesizer makes its gain and two buffers once; each call fills
+A shaped synthesizer makes its gain and its buffers once; each call fills
 the spectrum buffer with 2n standard normals, views them as n complex
-values, shapes and scales them in place and runs the inverse FFT into
-the envelope buffer.  It hands back both, so the Monte-Carlo slab filter
-starts from the spectrum and takes no transform of the probe.
+values and shapes and scales them in place.  Only a synthesizer built
+to hand back the envelope runs the inverse FFT into the envelope buffer:
+the Monte-Carlo slab filter starts from the spectrum, and an ensemble
+that reads no probe takes no transform of it.
 
 RNG: numpy Philox (counter based; Salmon et al., SC'11 (2011));
 realization r of a model with seed s uses the stream with the two-word
@@ -69,15 +70,19 @@ def sample_phase_trajectory(
     return phi
 
 
-def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: int):
+def _probe_synthesizer(
+    model: PhaseNoiseModel, amplitude: float, dt: float, n: int, envelope: bool = True
+):
     """The function realization -> (probe envelope of ``n`` samples, its
     FFT); the checks and a shaped model's gain on the FFT grid are made
     once.
 
-    A shaped model's envelope and spectrum are its two buffers,
-    overwritten by the next call: a caller that keeps either past that
-    copies it.  Its spectrum is the one the inverse FFT took, so equals
-    ``fft(envelope)`` to rounding; a Wiener-phase or constant envelope
+    A shaped model's envelope and spectrum are its buffers, overwritten
+    by the next call: a caller that keeps either past that copies it.
+    Its spectrum is the one the inverse FFT took, so equals
+    ``fft(envelope)`` to rounding; without ``envelope`` that inverse FFT
+    is not run and the envelope is None.  A Wiener-phase or constant
+    envelope is drawn in the time domain whatever ``envelope`` says, and
     gets ``fft(envelope)`` itself."""
     if not (np.isfinite(dt) and dt > 0) or n < 2:
         raise InvalidParameterError("need a finite dt > 0 and n >= 2")
@@ -96,9 +101,9 @@ def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: i
     gain = np.sqrt(0.5 * np.interp(freqs, shaping.omegas, shaping.density, left=0.0, right=0.0))
     draws = np.empty(2 * n)
     spec = draws.view(complex)  # draws 2k and 2k + 1 are bin k's real and imaginary parts
-    env = np.empty(n, dtype=complex)
+    env = np.empty(n, dtype=complex) if envelope else None
 
-    def envelope(realization):
+    def shaped(realization):
         realization_rng(model.seed, realization).standard_normal(out=draws)
         np.multiply(spec, gain, out=spec)
         # mean |ifft(spec)|^2 by Parseval: sum |spec|^2 / n^2; einsum's
@@ -107,9 +112,9 @@ def _probe_synthesizer(model: PhaseNoiseModel, amplitude: float, dt: float, n: i
         if power <= 0:
             raise InvalidParameterError("shaping spectrum produced a zero field")
         np.multiply(spec, amplitude / np.sqrt(power), out=spec)
-        return np.fft.ifft(spec, out=env), spec
+        return (None if env is None else np.fft.ifft(spec, out=env)), spec
 
-    return envelope
+    return shaped
 
 
 def synthesize_probe_field(

@@ -16,7 +16,12 @@ Two independent routes through the medium:
   one step per 7 units of max |kappa(omega)| L or of the spread of
   Re kappa(omega) L, whichever is larger, and the last two terms of
   each step estimate its truncation.  Each term costs one lag sweep,
-  and the route returns R(tau, L) alone.
+  and the route returns R(tau, L) alone.  Its lag grid follows the
+  problem it is given: the step is half the input grid's Nyquist step,
+  and the horizon is 12/h, h the half width at half maximum of the
+  transfer exp(Re kappa L) read off the input grid; a grid that
+  under-resolves that transfer, or whose period 2 pi/domega cannot
+  hold the lag range, is refused before any lag transform.
 
 Correlations are conjugate correlations <S*(t) S(t+tau)>, so R(0) is
 real-positive and the density transfer of the (tau, z) system reduces
@@ -42,10 +47,12 @@ from .medium import (
     transfer_exponent,
 )
 from .spectral import (
+    MIN_STEPS_PER_FWHM,
     CorrelationFunction,
     FrequencyGrid,
     Spectrum,
     _chirp_sum,
+    _half_max_width,
     _trapezoid_weights,
     _weighted_density,
 )
@@ -97,18 +104,47 @@ def thick_medium_spectrum(m: AtomicMedium, omega_sq: float, s: Spectrum) -> Spec
     return Spectrum(s.grid, s.density * np.exp(exponent))
 
 
-def _auto_tau_grid(rates: ComplexRates, grid: FrequencyGrid) -> tuple[float, int]:
-    omega_max = max(abs(grid.start), abs(grid.omegas[-1]))
-    # a quarter of the grid's Nyquist step pi/omega_max: the lag sweep is
-    # fourth order, so at this step its error (about 1e-7 of R(0) at the
-    # default config) is below the route's other terms
-    dtau = np.pi / (4.0 * omega_max)
-    # long enough for the narrowed output correlation to decay
-    slow = min(rates.gamma_cb_eff.real, omega_max)
-    if slow <= 0:
+def _auto_tau_grid(
+    rates: ComplexRates, grid: FrequencyGrid, exponent: np.ndarray
+) -> tuple[float, int, int]:
+    """The lag step, the lag count and the settling pad of the (tau, z)
+    route on ``grid``, from h, the half width at half maximum of the
+    transfer exp(``exponent``) read off the grid's own points.
+
+    The step is pi/(2 omega_max), half the grid's Nyquist step pi/omega_max:
+    the lag sweep is fourth order, and at this step its error (about 5e-8
+    of R(0) on the route problems of ``checks.route_deviations``) is far
+    below the route's gate.  The count spans the horizon 12/h, long enough
+    for the output correlation to decay; the pad spans 5/Re Gamma_cb_eff,
+    the settling length of the slaved initial condition.  An
+    InvalidParameterError unless Re Gamma_cb_eff > 0; a ResolutionError
+    when the grid resolves the transfer by fewer than
+    ``MIN_STEPS_PER_FWHM`` steps per FWHM, or when the two-sided lag range,
+    padded, does not fit inside the grid's period 2 pi/domega, beyond which
+    the input correlation of the sampled spectrum repeats."""
+    slow = rates.gamma_cb_eff.real
+    if not slow > 0:
         raise InvalidParameterError("cannot choose a lag range automatically")
-    count = int(np.ceil(12.0 / (slow * dtau))) + 1
-    return dtau, count
+    omegas = grid.omegas
+    fwhm = _half_max_width(omegas, np.exp(exponent - exponent.max()))
+    steps = fwhm / grid.step
+    if steps < MIN_STEPS_PER_FWHM:
+        raise ResolutionError(
+            f"the input grid resolves the output line by {steps:.2f} steps per fwhm, "
+            f"fewer than {MIN_STEPS_PER_FWHM:g}"
+        )
+    omega_max = max(abs(grid.start), abs(omegas[-1]))
+    dtau = np.pi / (2.0 * omega_max)
+    count = int(np.ceil(12.0 / (0.5 * fwhm * dtau))) + 1
+    pad = int(np.ceil(5.0 / slow / dtau))
+    span = 2 * (count + pad - 1) * dtau
+    period = 2.0 * np.pi / grid.step
+    if not span < period:
+        raise ResolutionError(
+            f"the two-sided lag range {span:.3e} s does not fit inside the input grid's "
+            f"period 2 pi/domega = {period:.3e} s"
+        )
+    return dtau, count, pad
 
 
 def _lag_rows(rates: ComplexRates, s: Spectrum, dtau: float, total: int):
@@ -141,8 +177,9 @@ def _lag_rows(rates: ComplexRates, s: Spectrum, dtau: float, total: int):
     return batch[0].copy(), row
 
 
-def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> tuple[int, float]:
-    """The z-march's step count and shift from one kappa over ``omegas``.
+def _step_count(kappa: np.ndarray, length: float) -> tuple[int, float]:
+    """The z-march's step count and shift from ``kappa`` over the input
+    grid and the cell ``length``.
 
     The count is ceil(max(max |kappa| L, spread of Re kappa L) /
     ``STEP_REACH``), at least 1; the shift is the midpoint of Re kappa,
@@ -151,13 +188,12 @@ def _step_count(m: AtomicMedium, f: FieldConfig, omegas: np.ndarray) -> tuple[in
     never exceeds max |kappa|.  A ResolutionError if max |kappa| L
     exceeds ``MAX_REACH``.
     """
-    kappa = transfer_exponent(m, f, omegas)
-    reach = float(np.max(np.abs(kappa))) * m.length
+    reach = float(np.max(np.abs(kappa))) * length
     # a NaN or infinite reach fails the comparison too
     if not reach <= MAX_REACH:
         raise ResolutionError(f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}")
     lo, hi = float(np.min(kappa.real)), float(np.max(kappa.real))
-    steps = max(1, int(np.ceil(max(reach, (hi - lo) * m.length) / STEP_REACH)))
+    steps = max(1, int(np.ceil(max(reach, (hi - lo) * length) / STEP_REACH)))
     return steps, 0.5 * (lo + hi)
 
 
@@ -211,20 +247,25 @@ def _integrate_correlation(
 
 def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> CorrelationResult:
     """(tau, z) route in the shifted Taylor steps of degree
-    ``TAYLOR_DEGREE`` that ``_step_count`` chooses; raises
-    ResolutionError if max |kappa| L exceeds ``MAX_REACH``, if R(0, z)
-    underflows to 0 or if the summed residual is not at most
-    ``TAIL_TOL``.  Its one lag transform, ``_lag_rows``, has FFT length
-    4096 at validate scale (1201 + 2599 - 1), and it marches 5197 lags."""
-    steps, shift = _step_count(m, f, s.omegas)
+    ``TAYLOR_DEGREE`` that ``_step_count`` chooses, on the lags that
+    ``_auto_tau_grid`` sizes from the same kappa over the input grid;
+    raises ResolutionError if max |kappa| L exceeds ``MAX_REACH``, if the
+    grid under-resolves the transfer or is too coarse for the lag range,
+    if R(0, z) underflows to 0 or if the summed residual is not at most
+    ``TAIL_TOL``.  On the problems of ``checks.route_deviations`` (1201
+    frequencies over +-120 h) it marches about 2 100 lags, and its one lag
+    transform, ``_lag_rows``, has FFT length 3072 (1201 + about 1050 - 1)."""
+    if not np.any(s.density):
+        raise InvalidParameterError("input correlation is identically zero")
+    kappa = transfer_exponent(m, f, s.omegas)
+    steps, shift = _step_count(kappa, m.length)
     rates = complex_rates(m, f)
-    dtau, count = _auto_tau_grid(rates, s.grid)  # raises unless Re Gamma_cb_eff > 0
+    dtau, count, pad = _auto_tau_grid(rates, s.grid, kappa.real * m.length)
     # the slaved initial condition at the grid edge carries a transient
-    # decaying at Re Gamma_cb_eff; pad the lag grid by the settling
-    # length 5/Re Gamma_cb_eff and trim it before returning, so the
+    # decaying at Re Gamma_cb_eff; the lag grid is padded by the settling
+    # length 5/Re Gamma_cb_eff and trimmed before returning, so the
     # transient never enters the reported lags (directly at -tau or via
     # the Hermitian companion at +tau)
-    pad = int(np.ceil(5.0 / rates.gamma_cb_eff.real / dtau))
     total = count + pad
     # two-sided lag grid tau_j = (j - center) * dtau, j < 2*total - 1;
     # the density is real, so only tau >= 0 is transformed and
@@ -233,10 +274,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     size = 2 * total - 1
     half, slave_row = _lag_rows(rates, s, dtau, total)
     half[0] = half[0].real
-    r0_peak = abs(half[0])
-    if r0_peak <= 0:
-        raise InvalidParameterError("input correlation is identically zero")
-    if abs(half[-1]) > 1e-4 * r0_peak:
+    if abs(half[-1]) > 1e-4 * abs(half[0]):
         raise InvalidParameterError(
             "lag grid too short: |R| has not decayed below 1e-4 R(0)"
         )

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -954,6 +955,61 @@ def test_route_problem_with_no_output_exits_3_before_marching(tmp_path, capsys, 
     ]
     assert "route-equivalence" not in out
     assert marched == []
+
+
+def test_doppler_off_quick_validate_passes_every_route_problem(tmp_path, capsys):
+    """At Doppler width 0 (depth 4 300) each route problem is sized from
+    its own output line, h/Re Gamma_cb_eff 0.026 to 0.029: all eight
+    checks pass, and each route deviation stays within 1e-5 of R(0)
+    (7.0e-7 at most measured)."""
+    path = write_config(tmp_path, "[medium]\ndoppler_fwhm_mhz = 0\n")
+    rc = main(["--config", path, "--out", str(tmp_path / "v"), "--quick", "validate"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "FAIL" not in out and out.splitlines()[-1] == "8/8 checks passed"
+    devs = [float(v) for v in re.findall(r"^PASS route-equivalence-\d: max deviation (\S+)$",
+                                         out, re.MULTILINE)]
+    assert len(devs) == 3 and max(devs) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "density, limit", [(2.4e12, 1e-6), (5e10, 1e-6)], ids=["8x", "thin"]
+)
+def test_route_deviations_follow_the_output_line(tmp_path, density, limit):
+    """Sized from its own output line, each route problem matches the
+    Fourier route within 1e-6 of R(0) at 8 times the default density
+    (depth 52; 3.9e-8 measured, where sizing from Re Gamma_cb_eff read
+    8.5e-4) and in a thin medium at 1/6 of it (depth 1.1), where h
+    exceeds Re Gamma_cb_eff / 2 and that cap sizes the problem (1.3e-7
+    measured)."""
+    cfg = load_config(write_config(tmp_path, f"[medium]\ndensity_cm3 = {density:g}\n"))
+    devs = checks.route_deviations(cfg.medium, abs(cfg.fields.omega_d))
+    assert len(devs) == 3 and max(devs) <= limit
+
+
+@pytest.mark.parametrize("points, match", [(401, "steps per fwhm"), (801, "period")])
+def test_an_unresolved_route_problem_exits_3_before_marching(
+    tmp_path, capsys, monkeypatch, points, match
+):
+    """Route problems built on ``points`` grid points over their +-120 h
+    in place of 1201: on 401 each resolves its transfer by about 3.4
+    grid steps per FWHM, fewer than ``MIN_STEPS_PER_FWHM``; on 801 by
+    6.7, but the grid's period 2 pi/domega is shorter than the two-sided
+    lag range.  Either exits 3 with one ``error: resolution:`` line, no
+    verdict and no lag sweep."""
+    grid = checks.FrequencyGrid
+    monkeypatch.setattr(checks, "FrequencyGrid", types.SimpleNamespace(
+        spanning=lambda half, count: grid.spanning(half, points if count == 1201 else count)
+    ))
+    calls = []
+    monkeypatch.setattr(propagation, "g_sweep", lambda *args: calls.append(args))
+    rc = main(["--out", str(tmp_path / "v"), "--quick", "validate"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: resolution: ") and match in lines[0]
+    assert "route-equivalence" not in out and "FAIL" not in out
+    assert calls == []
 
 
 def test_an_uncomputable_check_exits_3_and_prints_no_verdict(tmp_path, capsys):

@@ -76,9 +76,10 @@ def test_compare_csv_lists_each_differing_column(tmp_path):
 def test_compare_csv_scores_the_density_difference_in_standard_errors(tmp_path):
     """With a ``stderr`` column, each bin's density difference is scored
     against the two standard errors in quadrature, and the report prints
-    the largest score and the share above 3; an unchanged bin scores 0,
-    even where its standard errors are 0.  A file without the column
-    gets no score."""
+    the largest score and the share above 3 over the bins whose old
+    density exceeds ``Z_FLOOR`` of its peak, here three of four; an
+    unchanged bin scores 0, even where its standard errors are 0.  A
+    file without the column gets no score."""
     header = "# eitnarrow 0.1.0 config aaaa\nomega_rad_s,density,stderr\n"
     sides = {}
     for side, rows in (
@@ -92,17 +93,39 @@ def test_compare_csv_scores_the_density_difference_in_standard_errors(tmp_path):
     a, b = (os.path.join(sides[side][3], "mc_spectrum.csv") for side in ("old", "new"))
     diff = output_diff.compare_csv(a, b)
     assert abs(diff.z_max - 0.5 / np.hypot(0.1, 0.1)) <= 1e-12  # 3.54, the third bin
-    assert diff.z_share == 0.25  # the second bin scores 0.5 / 0.5 = 1
+    assert diff.z_share == 1.0 / 3.0  # the second bin scores 0.5 / 0.5 = 1; the fourth is 0
     assert output_diff.compare_csv(a, a).z_max == 0.0
     lines, _, differ = output_diff.report({"mc": sides["old"]}, {"mc": sides["new"]})
     assert differ == 1
     assert lines[-1] == (
         "    density z-score |d_old - d_new| / sqrt(se_old^2 + se_new^2): "
-        "max 3.54, 0.2500 of bins above 3"
+        "max 3.54, 0.3333 of bins above 3 (bins above 1e-12 of the old density peak)"
     )
     plain = _csv(tmp_path, "p.csv", "# eitnarrow 0.1.0 config aaaa\n", [(0.0, 1.0)])
     other = _csv(tmp_path, "q.csv", "# eitnarrow 0.1.0 config aaaa\n", [(0.0, 2.0)])
     assert output_diff.compare_csv(plain, other).z_max is None
+
+
+def test_compare_csv_scores_no_bin_below_the_floor(tmp_path):
+    """Bins beyond a shaped band hold Hann leakage and rounding, far below
+    the peak; a change of that leakage moves them by many of their tiny
+    standard errors.  Six such bins at 1e-20 of the peak, each 10 standard
+    errors off, would make the share above 3 six of eight; scored over the
+    two bins above ``Z_FLOOR`` of the peak, it is 0.5 and the maximum is
+    that of the band."""
+    header = "# eitnarrow 0.1.0 config aaaa\nomega_rad_s,density,stderr\n"
+    band_old, band_new = [(0.0, 4.0, 0.5), (1.0, 2.0, 0.5)], [(0.0, 4.5, 0.5), (1.0, 5.0, 0.5)]
+    leak_old = [(2.0 + k, 4e-20, 1e-22) for k in range(6)]
+    leak_new = [(2.0 + k, float(4e-20 + 10.0 * np.hypot(1e-22, 1e-22)), 1e-22) for k in range(6)]
+    paths = []
+    for name, rows in (("old.csv", band_old + leak_old), ("new.csv", band_new + leak_new)):
+        path = tmp_path / name
+        path.write_text(header + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        paths.append(str(path))
+    diff = output_diff.compare_csv(*paths)
+    assert diff.z_share == 0.5  # the second bin, 3.0 / hypot(0.5, 0.5) = 4.24
+    assert abs(diff.z_max - 3.0 / np.hypot(0.5, 0.5)) <= 1e-12
+    assert output_diff.Z_FLOOR * 4.0 > 4e-20
 
 
 def test_differing_lines_lists_a_deleted_line_once():

@@ -19,6 +19,7 @@ from eitnarrow.medium import (
     drive_for_target_width,
     thick_filter_hwhm,
     transfer_exponent,
+    transfer_hwhm,
     transmission,
     wing_transmission,
 )
@@ -66,11 +67,24 @@ def _case_medium(case):
 
 
 def _route_case(case="on-resonance"):
-    """One problem of the route-equivalence check."""
+    """One problem of the route-equivalence check, sized as
+    ``checks.route_deviations`` sizes it: from h, the half width at half
+    maximum of its own transfer, a grid of +-120 h on 1201 points and an
+    input of FWHM 20 h."""
     m, f = _case_medium(case)
-    g = complex_rates(m, f).gamma_cb_eff.real
-    grid = FrequencyGrid.spanning(120.0 * g, 1201)
-    return m, f, gaussian_spectrum(20.0 * g / GAUSSIAN_FWHM_FACTOR, grid)
+    h = transfer_hwhm(m, f)
+    grid = FrequencyGrid.spanning(120.0 * h, 1201)
+    return m, f, gaussian_spectrum(20.0 * h / GAUSSIAN_FWHM_FACTOR, grid)
+
+
+def _route_lags(m, f, s):
+    """The lag step, count and settling pad the route takes on ``s``."""
+    exponent = transfer_exponent(m, f, s.omegas).real * m.length
+    return propagation._auto_tau_grid(complex_rates(m, f), s.grid, exponent)
+
+
+def _step_count(m, f, s):
+    return propagation._step_count(transfer_exponent(m, f, s.omegas), m.length)
 
 
 def test_zero_length_is_the_identity():
@@ -183,11 +197,19 @@ def _small_case(case):
     return m, f, s
 
 
+def _small_dtau(s):
+    """The lag step of a small case, a quarter of its grid's Nyquist step:
+    its grid resolves the transfer by fewer than ``MIN_STEPS_PER_FWHM``
+    steps, which ``_auto_tau_grid`` refuses, but the z-march is exact for
+    the lag system it is given."""
+    return np.pi / (4.0 * abs(s.grid.start))
+
+
 def _march_args(m, f, s):
     """The z-march arguments of a small case up to its shift, the input
     correlation on 301 lags last."""
     rates = complex_rates(m, f)
-    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
+    dtau = _small_dtau(s)
     half, slave_row = propagation._lag_rows(rates, s, dtau, 151)
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, r0.size)
@@ -219,7 +241,7 @@ def test_taylor_march_matches_the_dense_exponential(case, stretch):
     returns."""
     m, f, s = _small_case(case)
     m = replace(m, length=stretch * m.length)
-    steps, shift = propagation._step_count(m, f, s.omegas)
+    steps, shift = _step_count(m, f, s)
     assert steps == stretch
     march, r_ref = _small_march(m, f, s)
     r0 = march[-1]
@@ -233,7 +255,7 @@ def test_taylor_march_matches_the_dense_exponential(case, stretch):
     assert np.max(np.abs(r - r_half)) / abs(r_half[center]) <= residual
 
 
-def test_march_with_gain_and_loss_shifts_by_the_midpoint(monkeypatch):
+def test_march_with_gain_and_loss_shifts_by_the_midpoint():
     """With Re kappa of both signs the spread of Re kappa L exceeds
     max |kappa| L: the step count follows the spread, the shift is the
     midpoint of Re kappa, and the march, shifted off the operator's own
@@ -243,10 +265,9 @@ def test_march_with_gain_and_loss_shifts_by_the_midpoint(monkeypatch):
     re_kappa = transfer_exponent(m, f, s.omegas).real
     depth = -np.min(re_kappa)
     mixed = 2.0 * re_kappa + 0.8 * depth  # from -1.2 to +0.8 times the depth
-    monkeypatch.setattr(propagation, "transfer_exponent", lambda *args: mixed)
     spread = (np.max(mixed) - np.min(mixed)) * m.length
     reach = np.max(np.abs(mixed)) * m.length
-    steps, shift = propagation._step_count(m, f, s.omegas)
+    steps, shift = propagation._step_count(mixed, m.length)
     assert steps == math.ceil(spread / propagation.STEP_REACH) == 6
     assert math.ceil(reach / propagation.STEP_REACH) < steps
     assert shift == 0.5 * (np.min(mixed) + np.max(mixed))
@@ -270,7 +291,7 @@ def test_z_march_refuses_an_output_that_underflows():
     that bound is e^-433, and it stays above the smallest double there."""
     m, f, s = _small_case("decaying")
     m = replace(m, length=800 * m.length)
-    steps, shift = propagation._step_count(m, f, s.omegas)
+    steps, shift = _step_count(m, f, s)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResolutionError, match="underflows"):
@@ -290,9 +311,9 @@ def test_z_march_refuses_a_nan_residual(monkeypatch):
 def test_input_correlation_is_hermitian(monkeypatch):
     """The route transforms only the lags tau >= 0 and mirrors them:
     R(-tau) = R*(tau) holds bit for bit.  On 300 lags the result agrees
-    with a long-double direct sum within 1e-13 of R(0) (4e-14 measured),
+    with a long-double direct sum within 1e-13 of R(0) (5.9e-15 measured),
     and everywhere with the two-sided chirp sum within 2e-12 of R(0),
-    which is that sum's own rounding (9e-13 from the direct sum)."""
+    which is that sum's own rounding (2.3e-13 from the direct sum)."""
     args = []
     real = propagation._integrate_correlation
     monkeypatch.setattr(propagation, "_integrate_correlation",
@@ -302,7 +323,7 @@ def test_input_correlation_is_hermitian(monkeypatch):
     r0 = args[-1][4]
     assert np.array_equal(r0[::-1], np.conj(r0))
     center = r0.size // 2
-    dtau, _ = propagation._auto_tau_grid(complex_rates(m, f), s.grid)
+    dtau, _, _ = _route_lags(m, f, s)
     g = s.grid
     weights = _trapezoid_weights(g.count, g.step) * s.density
     two_sided = _chirp_sum(weights, g.start, g.step, -center * dtau, dtau, r0.size, -1)
@@ -324,13 +345,14 @@ def test_slave_row_from_two_half_length_rows(case):
     2*total - 1 lags tau_0 + j*dtau with the phases e^{-i omega tau_0}
     and e^{i omega tau_j} combined into e^{i omega j dtau}, within 1e-12
     of its largest entry (1e-14 measured); its input row is
-    ``spectrum_to_correlation`` bit for bit.  At the route's 2599
-    one-sided lags the two differ by up to 1.1e-12, and the assembled
-    row is the closer to a long-double direct sum: 1.3e-13 to 3.1e-13 of
-    its largest entry, against 5.2e-13 to 7.2e-13 for the oracle."""
+    ``spectrum_to_correlation`` bit for bit.  At the route's own 1 050
+    to 1 065 one-sided lags the two differ by up to 2.7e-13 of the row's
+    largest entry, and each lies within 1.5e-13 of a long-double direct
+    sum: the assembled row 9.6e-14 to 1.4e-13, the oracle 7.7e-14 to
+    8.2e-14."""
     m, f, s = _small_case(case)
     rates = complex_rates(m, f)
-    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
+    dtau = _small_dtau(s)
     half, row = propagation._lag_rows(rates, s, dtau, 151)
     assert np.array_equal(half, spectrum_to_correlation(s, dtau, 151).values)
     g = s.grid
@@ -340,8 +362,8 @@ def test_slave_row_from_two_half_length_rows(case):
 
     m, f, s = _route_case(case)
     rates = complex_rates(m, f)
-    dtau, _ = propagation._auto_tau_grid(rates, s.grid)
-    _, row = propagation._lag_rows(rates, s, dtau, 2599)
+    dtau, count, pad = _route_lags(m, f, s)
+    _, row = propagation._lag_rows(rates, s, dtau, count + pad)
     g = s.grid
     w_tau = _trapezoid_weights(row.size, dtau) / (2.0 * np.pi)
     lags = np.random.default_rng(0).choice(row.size, 200, replace=False)
@@ -365,12 +387,36 @@ def test_correlation_route_makes_one_lag_transform(monkeypatch):
     assert calls == [(3, s.grid.count)]
 
 
+@pytest.mark.parametrize(
+    "points, match",
+    [(401, "3.40 steps per fwhm, fewer than 4"), (801, "does not fit inside the input grid's period")],
+    ids=["under-resolved", "lag-range-beyond-period"],
+)
+def test_correlation_route_refuses_an_unresolved_problem(monkeypatch, points, match):
+    """On the route problem's span of +-120 h, 401 points resolve the
+    transfer's FWHM by 3.3 steps (3.40 as read off the grid's own
+    points), fewer than ``MIN_STEPS_PER_FWHM``; 801
+    points resolve it by 6.7, but the grid's period 2 pi/domega = 20.9/h
+    is shorter than the two-sided lag range, 24/h and the settling pad
+    10/Re Gamma_cb_eff (27.5/h).  Each raises ResolutionError before any
+    lag transform or lag sweep."""
+    calls = []
+    monkeypatch.setattr(propagation, "_chirp_sum", lambda *args: calls.append(args))
+    monkeypatch.setattr(propagation, "g_sweep", lambda *args: calls.append(args))
+    m, f = _case_medium("on-resonance")
+    h = transfer_hwhm(m, f)
+    s = gaussian_spectrum(20.0 * h / GAUSSIAN_FWHM_FACTOR, FrequencyGrid.spanning(120.0 * h, points))
+    with pytest.raises(ResolutionError, match=match):
+        propagate_correlation(m, f, s)
+    assert calls == []
+
+
 def test_correlation_route_warns_once_on_a_truncated_input():
     """An input density still at 1.5e-5 of its peak at the grid edges
     gets the lag transform's one TruncationWarning, and the route runs."""
     m, f = _case_medium("on-resonance")
-    g = complex_rates(m, f).gamma_cb_eff.real
-    s = gaussian_spectrum(60.0 * g / GAUSSIAN_FWHM_FACTOR, FrequencyGrid.spanning(120.0 * g, 1201))
+    h = transfer_hwhm(m, f)
+    s = gaussian_spectrum(60.0 * h / GAUSSIAN_FWHM_FACTOR, FrequencyGrid.spanning(120.0 * h, 1201))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         propagate_correlation(m, f, s)
@@ -389,7 +435,7 @@ def test_correlation_route_sweep_count(monkeypatch):
 
     monkeypatch.setattr(propagation, "g_sweep", counting)
     m, f, s = _route_case()
-    assert propagation._step_count(m, f, s.omegas)[0] == 1
+    assert _step_count(m, f, s)[0] == 1
     propagate_correlation(m, f, s)
     assert len(calls) == 25 * 1
 
@@ -397,7 +443,11 @@ def test_correlation_route_sweep_count(monkeypatch):
 def test_single_taylor_step_matches_a_fine_march(monkeypatch):
     """On each full-size route-equivalence problem the one z step the
     route takes agrees with an 8-step march within 1e-10 of R(0), and
-    its residual bounds that difference."""
+    its residual bounds that difference.  Each problem marches its own
+    two-sided lag count, about 2 100: 917 or 918 lags span the horizon
+    12/h at the step pi/(2 omega_max) = pi/(240 h), whatever h, and the
+    settling pad 5/Re Gamma_cb_eff adds 132 to 147, as h/Re Gamma_cb_eff
+    runs from 0.345 to 0.383."""
     args = []
     real = propagation._integrate_correlation
 
@@ -408,10 +458,10 @@ def test_single_taylor_step_matches_a_fine_march(monkeypatch):
     monkeypatch.setattr(propagation, "_integrate_correlation", capture)
     for case in ("on-resonance", "decaying", "detuned"):
         m, f, s = _route_case(case)
-        assert propagation._step_count(m, f, s.omegas)[0] == 1
+        assert _step_count(m, f, s)[0] == 1
         propagate_correlation(m, f, s)
         m, rates, slave_row, sweep, r0, shift = args[-1]
-        assert r0.size == 5197
+        assert r0.size == {"on-resonance": 2099, "decaying": 2129, "detuned": 2101}[case]
         one, residual = real(m, rates, slave_row, sweep, r0, shift, 1)
         fine, _ = real(m, rates, slave_row, sweep, r0, shift, 8)
         center = r0.size // 2
@@ -436,7 +486,7 @@ def test_step_count_follows_the_largest_exponent():
     reach = np.max(np.abs(transfer_exponent(m, f, grid.omegas))) * m.length
     assert 3.0 < bare < 5.0
     assert 1000.0 < reach < 1050.0
-    steps, _ = propagation._step_count(m, f, grid.omegas)
+    steps, _ = propagation._step_count(transfer_exponent(m, f, grid.omegas), m.length)
     assert steps == int(np.ceil(reach / propagation.STEP_REACH)) == 146
 
 

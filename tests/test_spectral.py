@@ -225,8 +225,8 @@ def _dense_sum_long_double(v, x0, dx, y0, dy, rows, sign):
 @pytest.mark.parametrize("n, m", [(1201, 10391), (10391, 1201)])
 def test_chirp_sum_accuracy_at_the_validate_scale(n, m):
     """1201 frequencies and 10 391 lags, both ways round: the validate
-    input grid and the two-sided lags of a grid twice as fine as the
-    route's 5 197.  Forming the chirp's phase from the exact integers
+    input grid and about five times the route's 2 100 two-sided lags.
+    Forming the chirp's phase from the exact integers
     k^2 keeps the error near 1e-12 of the largest output, where a chirp
     raised to the power k^2/2 in complex arithmetic reached 1e-10."""
     rng = np.random.default_rng(n)
@@ -243,9 +243,9 @@ def test_chirp_sum_accuracy_at_the_validate_scale(n, m):
 
 def test_fft_length_is_the_shorter_of_two_and_three_times_a_power_of_two():
     """The chirp-z convolution length: the next 2^k or the next 3*2^k,
-    whichever is smaller; 4 096 at the route's one-sided 1201 + 2599 - 1,
-    and on a lag grid twice as fine 8 192 one-sided and 12 288 at the
-    two-sided 1201 + 10 391 - 1."""
+    whichever is smaller; 3 072 at the route's one-sided 1201 + 1065 - 1
+    (1 050 to 1 065 lags), and on lag grids 2.5 and 5 times as long
+    8 192 one-sided and 12 288 at the two-sided 1201 + 10 391 - 1."""
     for n in range(1, 5001):
         pow2, three = 1, 3
         while pow2 < n:
@@ -253,14 +253,14 @@ def test_fft_length_is_the_shorter_of_two_and_three_times_a_power_of_two():
         while three < n:
             three *= 2
         assert _fft_length(n) == min(pow2, three), n
-    assert _fft_length(1201 + 2599 - 1) == 4096
+    assert _fft_length(1201 + 1050 - 1) == _fft_length(1201 + 1065 - 1) == 3072
     assert _fft_length(1201 + 5196 - 1) == 8192
     assert _fft_length(1201 + 10391 - 1) == 12288
 
 
 def test_lag_transform_memory_stays_linear():
     """One spectrum_to_correlation call from the validate input grid
-    (1201 frequencies) to 10 391 lags, about twice the route's: the
+    (1201 frequencies) to 10 391 lags, about five times the route's: the
     dense phase matrix alone would take about 200 MB, the chirp-z
     evaluation under 1 MB."""
     grid = FrequencyGrid.spanning(6.0e5, 1201)

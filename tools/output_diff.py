@@ -35,7 +35,10 @@ off.  A CSV with a ``stderr`` column, a Monte-Carlo spectrum, also gets
 the per-bin z-score of its density difference, |d_old - d_new| /
 sqrt(se_old^2 + se_new^2): its maximum and the share of bins above
 ``Z_LIMIT``, so a change that moves the ensemble by its sampling error
-alone reads as such.  For any other differing file, and for differing stdout or stderr,
+alone reads as such.  Both are taken over the bins whose old density
+exceeds ``Z_FLOOR`` times its peak: below that a bin holds Hann leakage
+and transform rounding, where a deterministic change of the leakage
+would read as many standard errors and swamp the share.  For any other differing file, and for differing stdout or stderr,
 it lists the lines only the old side has (``-``) and those only the new
 side has (``+``).  The exit status is 0 when everything is identical
 and 1 otherwise.
@@ -79,6 +82,7 @@ COMMANDS = (
 SEED = 42
 MAX_LINES = 6  # differing lines listed per stream or file
 Z_LIMIT = 3.0  # a density difference beyond this many standard errors counts
+Z_FLOOR = 1e-12  # the z-scores cover bins whose old density exceeds this share of its peak
 ACCEPTANCE = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
 _RUNTIME = re.compile(r"runtime [0-9.]+ s")
 # the package surface: each export, its object's module and its type
@@ -103,7 +107,8 @@ class CsvDiff:
     max_relative: float  # largest body difference over the column peak; inf if the shapes differ
     columns: tuple[ColumnDiff, ...] = ()  # one per column whose values differ
     # largest per-bin |density difference| / sqrt(se_old^2 + se_new^2) and
-    # the share of bins above Z_LIMIT; None without a stderr column
+    # the share of bins above Z_LIMIT, over the bins whose old density
+    # exceeds Z_FLOOR of its peak; None without a stderr column
     z_max: float | None = None
     z_share: float | None = None
 
@@ -127,8 +132,9 @@ def compare_csv(old: str, new: str) -> CsvDiff:
     relative to each element's own magnitude in ``old``, over its
     nonzero elements (nan when all are zero).  With ``density`` and
     ``stderr`` columns, also the per-bin z-scores of the density
-    difference, their maximum and the share above ``Z_LIMIT``; a bin
-    whose density is unchanged scores 0."""
+    difference over the bins whose old density exceeds ``Z_FLOOR`` times
+    its peak, their maximum and the share above ``Z_LIMIT`` (0 and 0 with
+    no such bin); a bin whose density is unchanged scores 0."""
     old_comments, old_names, a = _read_csv(old)
     new_comments, new_names, b = _read_csv(new)
     headers = [(x, y) for x, y in zip_longest(old_comments, new_comments, fillvalue="") if x != y]
@@ -155,7 +161,9 @@ def compare_csv(old: str, new: str) -> CsvDiff:
         d, e = names.index("density"), names.index("stderr")
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(diff[:, d] == 0, 0.0, diff[:, d] / np.hypot(a[:, e], b[:, e]))
-        z_max, z_share = float(z.max()), float(np.mean(z > Z_LIMIT))
+        z = z[a[:, d] > Z_FLOOR * np.max(a[:, d])]
+        z_max = float(z.max(initial=0.0))
+        z_share = float(np.mean(z > Z_LIMIT)) if z.size else 0.0
     return CsvDiff(headers, float(np.max(diff / peak)), tuple(columns), z_max, z_share)
 
 
@@ -262,7 +270,8 @@ def report(old: dict, new: dict) -> tuple[list[str], int, int]:
                 if diff.z_max is not None:
                     lines.append(
                         f"    density z-score |d_old - d_new| / sqrt(se_old^2 + se_new^2): "
-                        f"max {diff.z_max:.2f}, {diff.z_share:.4f} of bins above {Z_LIMIT:g}"
+                        f"max {diff.z_max:.2f}, {diff.z_share:.4f} of bins above {Z_LIMIT:g} "
+                        f"(bins above {Z_FLOOR:g} of the old density peak)"
                     )
             else:
                 lines.append(f"  {file}: different")
