@@ -135,7 +135,8 @@ def _auto_tau_grid(
         )
     omega_max = max(abs(grid.start), abs(omegas[-1]))
     dtau = np.pi / (2.0 * omega_max)
-    count = int(np.ceil(12.0 / (0.5 * fwhm * dtau))) + 1
+    h = 0.5 * fwhm
+    count = int(np.ceil(12.0 / (h * dtau))) + 1
     pad = int(np.ceil(5.0 / slow / dtau))
     span = 2 * (count + pad - 1) * dtau
     period = 2.0 * np.pi / grid.step
