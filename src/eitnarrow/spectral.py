@@ -39,6 +39,9 @@ EDGE_DECAY = 1e-6  # spectral density / correlation edge decay threshold
 # 0.1 % of its fully resolved width at the default config,
 # Doppler-broadened and homogeneous (CHANGES.md gives the table)
 MIN_STEPS_PER_FWHM = 4.0
+# share of its peak below which the window-convolved input of
+# ``windowed_reference`` leaves the reference unresolved (NaN)
+WINDOWED_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -358,13 +361,18 @@ def windowed_reference(input_density: np.ndarray, analytic_bins: np.ndarray) -> 
     the input-weighted transfer with the window kernel makes the
     comparison exact in expectation.  The periodogram's kernel,
     |fft(hann)|^2, wraps around the DFT grid, so both convolutions are
-    circular: two FFT products with the kernel's transform."""
+    circular: two FFT products with the kernel's transform.  Their
+    rounding is about 1e-15 of the convolved input's peak, so a bin where
+    that input falls below ``WINDOWED_FLOOR`` of its peak reads NaN: its
+    ratio is not resolved (at 1e-9 of the peak it is good to about 1e-7
+    against a direct sum)."""
     kern = np.abs(np.fft.fft(np.hanning(analytic_bins.size))) ** 2
     kern /= kern.sum()
     num, den = np.fft.ifft(
         np.fft.fft(np.stack([analytic_bins * input_density, input_density])) * np.fft.fft(kern)
     ).real
-    return num / np.maximum(den, 1e-300)
+    out = np.full(den.shape, np.nan)
+    return np.divide(num, den, out=out, where=den > WINDOWED_FLOOR * den.max())
 
 
 def periodogram(envelope: np.ndarray, dt: float) -> Spectrum:

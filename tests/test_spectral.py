@@ -25,7 +25,9 @@ from eitnarrow.spectral import (
     lorentzian_spectrum,
     periodogram,
     spectrum_to_correlation,
+    windowed_reference,
 )
+from eitnarrow.spectral import WINDOWED_FLOOR
 
 TWO_PI = 2.0 * np.pi
 
@@ -313,6 +315,31 @@ def test_exponential_correlation_gives_lorentzian():
     s = correlation_to_spectrum(r, grid)
     expected = (1.0 / np.pi) * gamma / (grid.omegas**2 + gamma**2)
     assert np.allclose(s.density, expected, atol=2e-3 * expected.max())
+
+
+def test_windowed_reference_is_the_circular_window_convolution():
+    """On 601 bins, with the input confined to bins 0..79 so that the
+    kernel wraps past the grid's low edge, the reference equals the ratio
+    of two direct circular convolutions with the periodogram's kernel
+    |fft(hann)|^2 within 1e-9 wherever the convolved input exceeds 1e-6
+    of its peak (4.5e-11 measured, near that edge).  Where it falls below ``WINDOWED_FLOOR`` of its peak,
+    which only the kernel's far sidelobes reach, the ratio is not
+    resolved and reads NaN; above that it is finite."""
+    n = 601
+    k = np.arange(n)
+    x = np.where(k < 80, np.exp(-(((k - 5) / 15.0) ** 2)), 0.0)
+    a = 0.5 + 0.5 * np.random.default_rng(1).random(n)
+    kern = np.abs(np.fft.fft(np.hanning(n))) ** 2
+    kern /= kern.sum()
+    circulant = kern[(k[:, None] - k[None, :]) % n]
+    num, den = circulant @ (a * x), circulant @ x
+    got = windowed_reference(x, a)
+    sure = den > 1e-6 * den.max()
+    assert sure[-1]  # a bin the kernel reaches only by wrapping
+    assert np.max(np.abs(got[sure] - num[sure] / den[sure]) / (num[sure] / den[sure])) <= 1e-9
+    assert np.all(np.isnan(got[den < 0.5 * WINDOWED_FLOOR * den.max()]))
+    assert np.all(np.isfinite(got[den > 2.0 * WINDOWED_FLOOR * den.max()]))
+    assert np.any(den < 0.5 * WINDOWED_FLOOR * den.max())
 
 
 def test_periodogram_normalization():
