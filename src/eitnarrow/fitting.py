@@ -20,7 +20,7 @@ from .spectral import (
     FitResult,
     GAUSSIAN_FWHM_FACTOR,
     Spectrum,
-    _peak_width,
+    _half_max_width,
 )
 
 MAX_ITER = 200
@@ -84,7 +84,7 @@ def _self_initialize(s: Spectrum, model: str) -> np.ndarray:
     y = s.density
     w = s.omegas
     imax = int(np.argmax(y))
-    fwhm = _peak_width(s)
+    fwhm = _half_max_width(w, y)
     width = fwhm / GAUSSIAN_FWHM_FACTOR if model == "gaussian" else fwhm / 2.0
     return np.array([y[imax], w[imax], width])
 

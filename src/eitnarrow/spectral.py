@@ -194,17 +194,12 @@ def _half_max_width(w: np.ndarray, y: np.ndarray) -> float:
     return float(right - left)
 
 
-def _peak_width(s: Spectrum) -> float:
-    """``_half_max_width`` of a spectrum's density on its grid."""
-    return _half_max_width(s.omegas, s.density)
-
-
 def fwhm_estimate(s: Spectrum) -> float:
     """Full width at half maximum from interpolated half-max crossings;
     a spectrum with more than one region above half maximum is refused.
     A peak region reaching the grid edge is unresolved, even beside
     other peaks."""
-    width = _peak_width(s)
+    width = _half_max_width(s.omegas, s.density)
     above = s.density >= s.density.max() / 2.0
     # count contiguous regions above half maximum
     edges = np.flatnonzero(np.diff(above.astype(int)))
