@@ -44,7 +44,7 @@ class OpticallyThinError(InvalidParameterError):
 
 
 class ResolutionError(EitNarrowError):
-    """A numerical route failed a resolution check (e.g. the z Taylor tail)."""
+    """A numerical route failed a resolution check (e.g. the z-march residual)."""
 
     code = "resolution"
     exit_code = 3

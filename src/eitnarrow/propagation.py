@@ -5,23 +5,21 @@ Two independent routes through the medium:
 * the per-frequency (Fourier) route, exact under frozen populations:
   I_omega(L) = I_omega(0) exp(Re kappa(omega) L);
 * a (tau, z) integration of the coupled correlation equations, kept as
-  a numerical cross-check.  At each z stage the slaved-coherence lag ODE
-  is solved with a fourth-order exponential integrator and the
-  correlation is advanced in z by the Taylor polynomial of exp(dz L),
-  summed forward term by term: the z-derivative L is real-linear in R
-  and z-independent (RK4 is the degree-4 case).  The spectrum of dz L
-  is Re kappa(omega) dz, so each step sums the degree-25 series of
-  dz L - mu, mu the midpoint of that spectrum, and multiplies by e^mu
-  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  There is
-  one step per 7 units of max |kappa(omega)| L or of the spread of
-  Re kappa(omega) L, whichever is larger, and the last two terms of
-  each step estimate its truncation.  Each term costs one lag sweep,
-  and the route returns R(tau, L) alone.  Its lag grid follows the
-  problem it is given: the step is half the input grid's Nyquist step,
-  and the horizon is 12/h, h the half width at half maximum of the
-  transfer exp(Re kappa L) read off the input grid; a grid that
-  under-resolves that transfer, or whose period 2 pi/domega cannot
-  hold the lag range, is refused before any lag transform.
+  a numerical cross-check.  The slaved-coherence lag ODE is solved with
+  a fourth-order exponential integrator, and the correlation crosses
+  the cell of length ell in one Chebyshev series of exp(ell L): the
+  z-derivative L is real-linear in R and z-independent, and its spectrum
+  is Re kappa(omega), real and within the closed-form range [lo, hi] over
+  every real omega, so exp(ell L) = e^(hi ell) sum_k a_k T_k(A) with
+  A = ell (L - c)/rho mapping [lo, hi] onto [-1, 1] and a_k = (2 - [k=0])
+  I_k(rho) e^-rho (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+  The series length grows as sqrt(rho), each term after the first
+  costs one lag sweep, and the route returns R(tau, L) alone.  Its lag grid
+  follows the problem it is given: the step is half the input grid's
+  Nyquist step, and the horizon is 12/h, h the half width at half
+  maximum of the transfer exp(Re kappa L) read off the input grid; a
+  grid that under-resolves that transfer, or whose period 2 pi/domega
+  cannot hold the lag range, is refused before any lag transform.
 
 Correlations are conjugate correlations <S*(t) S(t+tau)>, so R(0) is
 real-positive and the density transfer of the (tau, z) system reduces
@@ -57,28 +55,22 @@ from .spectral import (
     _weighted_density,
 )
 
-# largest z truncation residual that the (tau, z) route accepts: the
-# Taylor tails and rounding bounds of all z steps, each relative to the
-# R(0) that step returns, summed
+# largest z residual that the (tau, z) route accepts: the last two
+# terms of the Chebyshev series and its rounding bound, relative to the
+# R(0) it returns
 TAIL_TOL = 1e-4
 
-# the z-march: degree m of one Taylor step, the reach theta of one step
-# in |kappa| dz and in the spread of Re kappa dz (the shifted series has
-# radius theta/2, truncation bound (theta/2)^(m+1)/(m+1)! = 3.2e-13 per
-# step), and the largest max |kappa| L the route marches before calling
-# the medium too deep
-TAYLOR_DEGREE = 25
-STEP_REACH = 7.0
+# the largest max |kappa| L the route marches before calling the medium
+# too deep, and the fraction of the zeroth coefficient below which the
+# z-march's Chebyshev series is cut
 MAX_REACH = 1e4
-# rounding of one shifted step: its TAYLOR_DEGREE partial sums are each
-# at most e^(STEP_REACH/2) |R(0)| of the step's input
-STEP_ROUNDING = TAYLOR_DEGREE * np.finfo(float).eps * np.exp(STEP_REACH / 2.0)
+SERIES_TOL = 1e-15
 
 
 @dataclass(frozen=True)
 class CorrelationResult:
     beat: CorrelationFunction  # R(tau, L), tau >= 0
-    residual: float  # summed Taylor tail and rounding of the z-march, relative to R(0)
+    residual: float  # series truncation and rounding of the z-march, relative to R(0)
 
 
 @dataclass(frozen=True)
@@ -178,78 +170,86 @@ def _lag_rows(rates: ComplexRates, s: Spectrum, dtau: float, total: int):
     return batch[0].copy(), row
 
 
-def _step_count(kappa: np.ndarray, length: float) -> tuple[int, float]:
-    """The z-march's step count and shift from ``kappa`` over the input
-    grid and the cell ``length``.
+def _chebyshev_coefficients(rho: float) -> np.ndarray:
+    """a_k = (2 - [k=0]) I_k(rho) e^-rho, the Chebyshev coefficients of
+    e^(rho (x - 1)) on [-1, 1], up to the first below ``SERIES_TOL`` a_0:
+    the real FFT of e^(rho (cos theta - 1)) = e^(-2 rho sin^2(theta/2)) on
+    M angles over M, M doubled until it is at least 4 times the count."""
+    size = 128
+    while True:
+        half = (np.pi / size) * np.arange(size)
+        coeffs = np.fft.rfft(np.exp(-2.0 * rho * np.sin(half) ** 2)).real / size
+        coeffs[1:] *= 2.0
+        small = np.flatnonzero(coeffs < SERIES_TOL * coeffs[0])
+        count = small[0] if small.size else coeffs.size
+        if 4 * count <= size:
+            return coeffs[:count]
+        size *= 2
 
-    The count is ceil(max(max |kappa| L, spread of Re kappa L) /
-    ``STEP_REACH``), at least 1; the shift is the midpoint of Re kappa,
-    so each step's dz L - shift*dz has its spectrum within
-    +-``STEP_REACH``/2.  For a passive medium (Re kappa <= 0) the spread
-    never exceeds max |kappa|.  A ResolutionError if max |kappa| L
-    exceeds ``MAX_REACH``.
-    """
-    reach = float(np.max(np.abs(kappa))) * length
-    # a NaN or infinite reach fails the comparison too
-    if not reach <= MAX_REACH:
-        raise ResolutionError(f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}")
-    lo, hi = float(np.min(kappa.real)), float(np.max(kappa.real))
-    steps = max(1, int(np.ceil(max(reach, (hi - lo) * length) / STEP_REACH)))
-    return steps, 0.5 * (lo + hi)
+
+def _exponent_range(m: AtomicMedium, rates: ComplexRates) -> tuple[float, float]:
+    """[lo, hi] of Re kappa over every real omega: kappa = eta nfac (1 +
+    (gamma_cb - Gamma)/(Gamma - i omega)), Gamma = Gamma_cb_eff, and
+    1/(Gamma - i omega) runs over the circle of centre and radius
+    1/(2 Re Gamma), so Re kappa = Re(eta nfac + q) +- |q| at most, q =
+    eta nfac (gamma_cb - Gamma)/(2 Re Gamma)."""
+    base = coupling_eta(m) * rates.n_factor
+    q = base * (m.gamma_cb - rates.gamma_cb_eff) / (2.0 * rates.gamma_cb_eff.real)
+    return (base + q).real - abs(q), (base + q).real + abs(q)
 
 
 def _integrate_correlation(
-    m: AtomicMedium, rates: ComplexRates, slave_row, sweep: LagSweep, r0, shift, steps
+    m: AtomicMedium, rates: ComplexRates, slave_row, sweep: LagSweep, r0, kappa
 ) -> tuple[np.ndarray, float]:
-    """R at z = L after ``steps`` Taylor steps of exp(dz L - mu) e^mu,
-    mu = ``shift`` * dz, and the residual: each step's truncation (the
-    max-norms of its last two terms) and rounding bound, relative to
-    |R(0)| at the end of that step, summed over the steps.  Raises
-    ResolutionError when |R(0)| underflows to 0."""
-    b_pump = rates.gamma_cb_eff - m.gamma_cb  # |Omega_d|^2/Gamma_ab
+    """R at z = ell, e^(hi ell) sum_k a_k T_k(A) r0 with A = ell (L - c)/rho
+    mapping ``_exponent_range`` onto [-1, 1] and a_k of
+    ``_chebyshev_coefficients(rho)``, and the residual: the last two
+    terms after the first and the rounding bound K eps max |T_k r0|, in
+    max-norm relative to |R(0)| (sum a_k = 1).  A ResolutionError if
+    max |``kappa``| ell exceeds ``MAX_REACH`` or R(0, ell) underflows to 0."""
+    lo, hi = _exponent_range(m, rates)
+    rho = 0.5 * (hi - lo) * m.length
+    # rho, half the spread of Re kappa ell, is at most max |kappa| ell
+    # over every omega; a NaN or infinite reach fails the comparison too
+    reach = float(np.maximum(np.max(np.abs(kappa)) * m.length, rho))
+    if not reach <= MAX_REACH:
+        raise ResolutionError(f"max |kappa| L = {reach:.3e} exceeds {MAX_REACH:.0e}")
+    coeffs = _chebyshev_coefficients(rho)
     pref = 0.5 * coupling_eta(m)
     # L r = pref*((nfac r - b G) + (conj(nfac) r - conj(b) conj(G[::-1])))
-    #     = a r - t - conj(t[::-1]) with t = pref*b*G, and L - shift
-    # takes a - shift for a
-    a = 2.0 * pref * rates.n_factor.real - shift
-    b_g = pref * b_pump
+    #     = a r - t - conj(t[::-1]) with t = pref*b*G; L - c takes a - c for a
+    a = 2.0 * pref * rates.n_factor.real - 0.5 * (lo + hi)
+    b_g = pref * (rates.gamma_cb_eff - m.gamma_cb)  # b = |Omega_d|^2/Gamma_ab
 
-    def apply(v, s):
-        """s * (L - shift) v for a real s."""
+    def apply(v, s, sub):
+        """s * (L - c) v - sub for a real s."""
         t = g_sweep(v, slave_row @ v, sweep, s * b_g)
         out = (s * a) * v
         out -= t
         out -= np.conj(t[::-1])
+        out -= sub
         return out
 
-    # forward Taylor sum of exp(dz L - mu) r (see the module docstring)
-    r = r0.astype(complex)
+    # T_1 = A T_0 and T_(k+1) = 2 A T_k - T_(k-1)
+    prev, term = 0.0, r0.astype(complex)
+    r = coeffs[0] * term
+    norms = [np.abs(term).max()]
+    for k in range(1, coeffs.size):
+        prev, term = term, apply(term, min(k, 2) * m.length / rho, prev)
+        r += coeffs[k] * term
+        norms.append(np.abs(term).max())
+    bound = coeffs[1:][-2:] @ norms[1:][-2:] + coeffs.size * np.finfo(float).eps * max(norms)
     center = r.size // 2
-    dz = m.length / steps
-    residual = 0.0
-    for _ in range(steps):
-        bound = STEP_ROUNDING * abs(r[center])
-        term = r
-        for j in range(1, TAYLOR_DEGREE + 1):
-            term = apply(term, dz / j)
-            r += term
-            if j >= TAYLOR_DEGREE - 1:
-                bound += np.max(np.abs(term))
-        peak = abs(r[center])
-        if not peak > 0:
-            raise ResolutionError(
-                "the output beat correlation R(0, z) underflows to 0 in the z-march"
-            )
-        # e^mu scales the sum and its R(0) alike
-        residual += bound / peak
-        r *= np.exp(shift * dz)
-    return r, float(residual)
+    peak = abs(r[center])  # e^(hi ell) scales the sum and its R(0) alike
+    r *= np.exp(hi * m.length)
+    if not abs(r[center]) > 0:
+        raise ResolutionError("the output beat correlation R(0, z) underflows to 0 in the z-march")
+    return r, float(bound / peak)
 
 
 def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> CorrelationResult:
-    """(tau, z) route in the shifted Taylor steps of degree
-    ``TAYLOR_DEGREE`` that ``_step_count`` chooses, on the lags that
-    ``_auto_tau_grid`` sizes from the same kappa over the input grid;
+    """(tau, z) route in one Chebyshev series over the whole cell, on the
+    lags that ``_auto_tau_grid`` sizes from kappa over the input grid;
     raises ResolutionError if max |kappa| L exceeds ``MAX_REACH``, if the
     grid under-resolves the transfer or is too coarse for the lag range,
     if R(0, z) underflows to 0 or if the summed residual is not at most
@@ -259,7 +259,6 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     if not np.any(s.density):
         raise InvalidParameterError("input correlation is identically zero")
     kappa = transfer_exponent(m, f, s.omegas)
-    steps, shift = _step_count(kappa, m.length)
     rates = complex_rates(m, f)
     dtau, count, pad = _auto_tau_grid(rates, s.grid, kappa.real * m.length)
     # the slaved initial condition at the grid edge carries a transient
@@ -282,7 +281,7 @@ def propagate_correlation(m: AtomicMedium, f: FieldConfig, s: Spectrum) -> Corre
     r0 = np.concatenate([np.conj(half[:0:-1]), half])
 
     sweep = g_sweep_coefficients(rates.gamma_cb_eff, rates.n_factor, dtau, size)
-    r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, shift, steps)
+    r, residual = _integrate_correlation(m, rates, slave_row, sweep, r0, kappa)
     if not residual <= TAIL_TOL:  # a NaN residual is refused too
         raise ResolutionError(f"z-march residual {residual:.3e} relative to R(0)")
     # tau in [0, (count - 1) * dtau]

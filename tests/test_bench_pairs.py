@@ -117,3 +117,25 @@ def test_a_control_gap_as_large_as_the_real_gap_claims_no_gain(monkeypatch, tmp_
     assert metric["change_wins"] == 10 and metric["median_gap_exceeds_parent_iqr"]
     assert metric["control_gap"] == metric["median_gap"] == -10.0
     assert not metric["gain_claimable"]
+
+
+def test_each_run_records_the_load_before_it_and_its_child_cpu(monkeypatch, tmp_path):
+    """Beside every run of both arms the file records the one-minute load
+    average read just before the run and the CPU seconds of the run's
+    child, the ``os.times`` delta.  Here the load reads the count of
+    runs so far and each run's child uses 1.5 s user and 0.5 s system."""
+    done = []
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (float(len(done)), 0.0, 0.0))
+    monkeypatch.setattr(bench_pairs.os, "times", lambda: os.times_result(
+        (0.0, 0.0, 1.5 * len(done), 0.5 * len(done), 0.0)))
+    out, calls = _run(monkeypatch, tmp_path, lambda role, seed: done.append(role) or 100.0)
+    control = out["control"]
+    loads = [*out["host_load"]["parent"], *out["host_load"]["change"],
+             *control["host_load"]["parent"], *control["host_load"]["control"]]
+    assert sorted(loads) == list(range(len(calls)))
+    assert out["host_load"]["change"] == [i for i, c in enumerate(calls) if c[1] == "change"]
+    assert control["host_load"]["control"] == [
+        i for i, c in enumerate(calls) if c[1] == "control"]
+    for arm, sides in ((out, bench_pairs.SIDES), (control, bench_pairs.CONTROL_SIDES)):
+        for side in sides:
+            assert arm["child_cpu_s"][side] == [2.0] * len(arm["host_load"][side])

@@ -50,6 +50,10 @@ neither), the gap between the medians (change minus parent) and
 whether it exceeds the parent's interquartile range; the same for the
 control arm, with the control in the change's place; and each run's
 failed-operation ratio and the environment the harness reported.
+Beside each run of either arm it records the host's one-minute load
+average, read just before the run, and the CPU seconds the run's child
+process used, so a slowdown of the host that hits both sides of some
+pairs shows in the file.
 
 Claim rule: a change may claim a gain on a metric of a workload only
 when ``gain_claimable`` is true there, that is when all of these hold:
@@ -104,6 +108,24 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{workload} seed {seed} in {tree}: {proc.stderr.strip()}")
     lines = proc.stdout.splitlines()
     return {**json.loads(lines[-2]), **json.loads(lines[-1])}
+
+
+def measured_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """``run_once`` with the host's one-minute load average read just
+    before it and its child's CPU seconds, the ``os.times`` delta."""
+    load = os.getloadavg()[0]
+    before = os.times()
+    run = run_once(tree, workload, seed, seconds)
+    after = os.times()
+    cpu = (after.children_user - before.children_user
+           + after.children_system - before.children_system)
+    return {**run, "host_load": load, "child_cpu_s": cpu}
+
+
+def host_record(runs: dict[str, list[dict]]) -> dict:
+    """Each side's load averages and child CPU seconds, run by run."""
+    return {key: {side: [r[key] for r in side_runs] for side, side_runs in runs.items()}
+            for key in ("host_load", "child_cpu_s")}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -212,12 +234,13 @@ def main(argv: list[str] | None = None) -> int:
                 change = CHANGE_EXTRACTIONS[(i // 2) % 2]
                 roles = {"parent": parent, "change": change, "control": control}
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(run_once(trees[roles[side]], workload, seed, args.seconds))
+                    runs[side].append(measured_run(trees[roles[side]], workload, seed,
+                                                   args.seconds))
                 if i in slots:
                     j = slots[i]
                     for side in CONTROL_SIDES if j % 2 == 0 else CONTROL_SIDES[::-1]:
-                        checks[side].append(run_once(trees[roles[side]], workload, seed,
-                                                     args.seconds))
+                        checks[side].append(measured_run(trees[roles[side]], workload, seed,
+                                                         args.seconds))
                 print(f"{workload} pair {i + 1}/{count} (seed {seed}) done", file=sys.stderr)
             result["environment"] = result["environment"] or runs["change"][0]["environment"]
             control = {
@@ -227,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
                                      for s in CONTROL_SIDES},
                 "metrics": {m["name"]: summarize(m, checks, CONTROL_SIDES)
                             for m in end_to_end},
+                **host_record(checks),
             }
             result["workloads"][workload] = {
                 "seeds": seeds,
@@ -237,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": {m["name"]: claim(summarize(m, runs, SIDES),
                                              control["metrics"][m["name"]])
                             for m in end_to_end},
+                **host_record(runs),
                 "control": control,
             }
     with open(args.out, "w") as fh:
