@@ -469,25 +469,18 @@ def test_correlation_route_sweep_count(monkeypatch):
     assert len(calls) == terms - 1 == 20
 
 
-@pytest.mark.parametrize("doppler, limit", [(True, 59), (False, 600)],
+@pytest.mark.parametrize("doppler, fewest, most", [(True, 59, 59), (False, 1, 600)],
                          ids=["doppler", "homogeneous"])
-def test_route_check_sweep_count(monkeypatch, doppler, limit):
+def test_route_check_sweep_count(monkeypatch, doppler, fewest, most):
     """The route check's three problems take 59 lag sweeps in the
     Doppler-broadened medium and at most 600 in the homogeneous one, at
     depth 4 300 (555 measured): the series length grows as the square
     root of the depth."""
     calls = []
-
-    def counting(*args):
-        calls.append(None)
-        return g_sweep(*args)
-
-    monkeypatch.setattr(propagation, "g_sweep", counting)
+    monkeypatch.setattr(propagation, "g_sweep", lambda *a: calls.append(None) or g_sweep(*a))
     m, f = _case_medium("on-resonance", doppler)
     assert max(route_deviations(m, abs(f.omega_d))) < 1e-5
-    assert len(calls) <= limit
-    if doppler:
-        assert len(calls) == limit
+    assert fewest <= len(calls) <= most
 
 
 def test_route_march_matches_two_half_cell_marches(monkeypatch):
